@@ -21,7 +21,7 @@ applied in place and allocate nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,6 +32,7 @@ from .ir import (
     Graph,
     KIND_ACTIVATION,
     KIND_OUTPUT,
+    LayerNode,
     TensorShape,
     infer_shapes,
     topological_order,
@@ -85,11 +86,20 @@ def ace_report(tally: OpTally) -> Tuple[Fraction, Dict[str, Fraction],
                                         Optional[Tuple[float, float]]]:
     """Total bit-adders, per-category breakdown, and the
     (mac_share, elementwise_share) split. Shares are None for an empty
-    tally."""
-    by_category: Dict[str, Fraction] = {}
+    tally. Counts are summed per distinct (category, op class, formats,
+    shift range) key and each key is priced once, exactly: O(E) for E
+    entries plus one rational product per key. An AnalysisError names
+    the first entry, in tally order, whose op cannot be priced."""
+    groups: Dict[tuple, list] = {}  # key -> [first entry, summed count]
     for entry in tally.entries:
-        by_category[entry.category] = (
-            by_category.get(entry.category, Fraction(0)) + entry_ace(entry))
+        key = (entry.category, entry.op_class, entry.format_a,
+               entry.format_b, entry.shift_range)
+        groups.setdefault(key, [entry, 0])[1] += entry.count
+    by_category: Dict[str, Fraction] = {}
+    for first, count in groups.values():
+        by_category[first.category] = (
+            by_category.get(first.category, Fraction(0))
+            + entry_ace(replace(first, count=count)))
     total = sum(by_category.values(), Fraction(0))
     if total == 0:
         return total, by_category, None
@@ -110,26 +120,33 @@ def bn_share(report: CostReport) -> float:
 
 def energy_report(tally: OpTally) -> Tuple[float, List[Tuple[str, str]]]:
     """Total energy in millijoules plus the (layer, op) pairs whose
-    per-op energy was extrapolated rather than measured."""
+    per-op energy was extrapolated, in tally order. O(E): each distinct
+    (op class, formats, shift range) key is looked up once, and the sum
+    still runs entry by entry, so the float total does not change."""
     total_pj = 0.0
     flagged: List[Tuple[str, str]] = []
+    units: Dict[tuple, cost.EnergyCost] = {}
     for entry in tally.entries:
-        try:
-            unit = cost.energy_of_op(entry.op_class, entry.format_a,
-                                     entry.format_b,
-                                     shift_range=entry.shift_range)
-        except AceV2Error as exc:
-            raise AnalysisError(entry.layer_id, str(exc)) from exc
+        key = (entry.op_class, entry.format_a, entry.format_b,
+               entry.shift_range)
+        unit = units.get(key)
+        if unit is None:
+            try:
+                unit = units[key] = cost.energy_of_op(
+                    entry.op_class, entry.format_a, entry.format_b,
+                    shift_range=entry.shift_range)
+            except AceV2Error as exc:
+                raise AnalysisError(entry.layer_id, str(exc)) from exc
         total_pj += unit.picojoules * entry.count
         if unit.extrapolated:
             flagged.append((entry.layer_id, entry.op_class))
     return total_pj / PJ_PER_MJ, flagged
 
 
-def branch_factor(g: Graph) -> int:
+def branch_factor(g: Graph, order: Optional[List[LayerNode]] = None) -> int:
     """Maximum number of producer-to-consumer edges crossing any
     topological cut: the widest set of simultaneously-live paths."""
-    order = topological_order(g)
+    order = order or topological_order(g)
     position = {node.id: i for i, node in enumerate(order)}
     edges = [(position[ref], position[node.id])
              for node in g.nodes for ref in node.inputs]
@@ -149,10 +166,10 @@ def branch_factor(g: Graph) -> int:
 
 
 def data_footprint(g: Graph,
-                   shapes: Optional[Dict[str, TensorShape]] = None
-                   ) -> Footprint:
+                   shapes: Optional[Dict[str, TensorShape]] = None,
+                   order: Optional[List[LayerNode]] = None) -> Footprint:
     if shapes is None:
-        shapes = infer_shapes(g)
+        shapes = infer_shapes(g, None, order)
     weights = 0
     activations = 0
     for node in g.nodes:
@@ -161,26 +178,29 @@ def data_footprint(g: Graph,
             weights += weight_elements(node, in_shape)
         if node.kind not in (KIND_ACTIVATION, KIND_OUTPUT):
             activations += shapes[node.id].elements
-    return Footprint(weights, activations, branch_factor(g))
+    return Footprint(weights, activations, branch_factor(g, order))
 
 
 def arithmetic_intensity(g: Graph, tally: OpTally,
-                         shapes: Optional[Dict[str, TensorShape]] = None
-                         ) -> float:
+                         shapes: Optional[Dict[str, TensorShape]] = None,
+                         footprint: Optional[Footprint] = None) -> float:
     """Ops per concurrently-resident data element (see module docs)."""
     ops = sum(e.count * (2 if e.op_class == cost.MAC else 1)
               for e in tally.entries)
-    fp = data_footprint(g, shapes)
+    fp = footprint or data_footprint(g, shapes)
     data = fp.concurrent_branch_factor * (fp.weight_elems + fp.activation_elems)
     return ops / data if data else 0.0
 
 
 def analyze(g: Graph) -> CostReport:
-    """Full pipeline: shapes, census, bit-adders, energy, intensity."""
-    shapes = infer_shapes(g)
-    tally = census_graph(g, shapes)
+    """Full pipeline: shapes, census, bit-adders, energy, intensity, over
+    one topological order."""
+    order = topological_order(g)
+    shapes = infer_shapes(g, None, order)
+    tally = census_graph(g, shapes, order)
     total, by_category, shares = ace_report(tally)
     energy_mj, flagged = energy_report(tally)
+    footprint = data_footprint(g, shapes, order)
     return CostReport(
         name=g.name,
         total_ace=total,
@@ -188,8 +208,9 @@ def analyze(g: Graph) -> CostReport:
         mac_share=shares[0] if shares else None,
         elementwise_share=shares[1] if shares else None,
         energy_mj=energy_mj,
-        arithmetic_intensity=arithmetic_intensity(g, tally, shapes),
-        footprint=data_footprint(g, shapes),
+        arithmetic_intensity=arithmetic_intensity(g, tally, shapes,
+                                                  footprint),
+        footprint=footprint,
         extrapolated_energy_ops=flagged,
     )
 
@@ -216,11 +237,11 @@ def compare(reports: Sequence[Tuple[str, CostReport]],
     accuracies = accuracies or {}
     keyed = sorted(reports, key=lambda nr: (nr[1].total_ace, nr[0]))
     rows: List[ComparisonRow] = []
-    for name, report in keyed:
+    for i, (name, report) in enumerate(keyed):
         acc = accuracies.get(name)
         dominated = False
-        for other_name, other in keyed:
-            if other_name == name:
+        for j, (other_name, other) in enumerate(keyed):
+            if j == i:
                 continue
             other_acc = accuracies.get(other_name)
             cheaper = other.total_ace < report.total_ace

@@ -97,8 +97,8 @@ def _mac_count(node: LayerNode, in_shape: TensorShape,
         return out_shape.elements * kh * kw
     if node.kind == KIND_PWCONV:
         return out_shape.elements * in_shape.c
-    if node.kind == KIND_DENSE:
-        return out_shape.elements * in_shape.elements
+    if node.kind == KIND_DENSE:  # each sample's outputs see its own inputs
+        return out_shape.elements * (in_shape.elements // in_shape.n)
     raise MissingShapeError(f"{node.id}: not a compute layer")
 
 
@@ -185,12 +185,15 @@ def census_layer(node: LayerNode, in_shape: Optional[TensorShape],
 
 
 def census_graph(g: Graph,
-                 shapes: Optional[Dict[str, TensorShape]] = None) -> OpTally:
-    """Tally the whole graph in stable topological order."""
+                 shapes: Optional[Dict[str, TensorShape]] = None,
+                 order: Optional[List[LayerNode]] = None) -> OpTally:
+    """Tally the whole graph in stable topological order (``order`` if the
+    caller already has it)."""
+    order = order or topological_order(g)
     if shapes is None:
-        shapes = infer_shapes(g)
+        shapes = infer_shapes(g, None, order)
     tally = OpTally()
-    for node in topological_order(g):
+    for node in order:
         in_shape = shapes[node.inputs[0]] if node.inputs else None
         tally.entries.extend(census_layer(node, in_shape, shapes[node.id]))
     return tally

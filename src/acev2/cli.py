@@ -22,11 +22,10 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import __version__, analysis, oracle, quantizers, zoo
+from . import __version__, analysis, oracle, zoo
 from .census import census_graph
 from .errors import AceV2Error, ParseError
 from .formats import NumericFormat
@@ -283,20 +282,14 @@ def cmd_zoo_emit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    def load_and_analyze(path: str):
-        graph = _load_graph(path)
-        return graph.name or path, analysis.analyze(graph)
-
     results: List[Tuple[str, analysis.CostReport]] = []
     failures: List[Tuple[str, str]] = []
-    with ThreadPoolExecutor(max_workers=min(8, len(args.models))) as pool:
-        futures = [(path, pool.submit(load_and_analyze, path))
-                   for path in args.models]
-        for path, future in futures:
-            try:
-                results.append(future.result())
-            except AceV2Error as exc:
-                failures.append((path, str(exc)))
+    for path in args.models:
+        try:
+            graph = _load_graph(path)
+            results.append((graph.name or path, analysis.analyze(graph)))
+        except AceV2Error as exc:
+            failures.append((path, str(exc)))
 
     rows = analysis.compare(results)
     buf = io.StringIO()
@@ -315,6 +308,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_quantsim(args) -> int:
+    from . import quantizers  # numpy: only this subcommand needs it
+
     trials = quantizers.norm_quantization_study(trials=args.trials,
                                                 seed=args.seed)
     buf = io.StringIO()

@@ -22,6 +22,7 @@ it freely across threads for analysis.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -314,27 +315,26 @@ def serialize_graph(g: Graph) -> str:
 
 
 def topological_order(g: Graph) -> List[LayerNode]:
-    """Kahn topological sort, stable with respect to declaration order.
-    Raises ParseError on cycles."""
-    indegree = {n.id: 0 for n in g.nodes}
-    consumers: Dict[str, List[str]] = {n.id: [] for n in g.nodes}
-    for node in g.nodes:
-        for ref in node.inputs:
-            if ref not in indegree:
-                raise DanglingInputError(ref)
-            consumers[ref].append(node.id)
-            indegree[node.id] += 1
-    ready = [n.id for n in g.nodes if indegree[n.id] == 0]
-    order: List[LayerNode] = []
+    """Kahn topological sort, stable with respect to declaration order,
+    in O((V + E) log V) with a heap keyed on declaration index. Raises
+    DanglingInputError on an unresolved input, ParseError on cycles."""
     position = {n.id: i for i, n in enumerate(g.nodes)}
+    indegree = [len(n.inputs) for n in g.nodes]
+    consumers: List[List[int]] = [[] for _ in g.nodes]
+    for i, node in enumerate(g.nodes):
+        for ref in node.inputs:
+            if ref not in position:
+                raise DanglingInputError(ref)
+            consumers[position[ref]].append(i)
+    ready = [i for i, d in enumerate(indegree) if d == 0]  # sorted: a heap
+    order: List[LayerNode] = []
     while ready:
-        ready.sort(key=position.__getitem__)
-        nid = ready.pop(0)
-        order.append(g.node(nid))
-        for consumer in consumers[nid]:
+        i = heapq.heappop(ready)
+        order.append(g.nodes[i])
+        for consumer in consumers[i]:
             indegree[consumer] -= 1
             if indegree[consumer] == 0:
-                ready.append(consumer)
+                heapq.heappush(ready, consumer)
     if len(order) != len(g.nodes):
         raise ParseError("graph contains a cycle")
     return order
@@ -397,13 +397,15 @@ def _spatial(extent: int, kernel: int, stride: int, padding: str,
     raise ShapeMismatchError(node_id, f"unknown padding {padding!r}")
 
 
-def infer_shapes(g: Graph, input_shape: Optional[TensorShape] = None
+def infer_shapes(g: Graph, input_shape: Optional[TensorShape] = None,
+                 order: Optional[List[LayerNode]] = None
                  ) -> Dict[str, TensorShape]:
-    """Output shape of every node, walking in topological order."""
+    """Output shape of every node, walking in topological order (``order``
+    if the caller already has it)."""
     shapes: Dict[str, TensorShape] = {}
     base = input_shape or g.input_shape
 
-    for node in topological_order(g):
+    for node in order or topological_order(g):
         ins = [shapes[ref] for ref in node.inputs]
 
         if node.kind == KIND_INPUT:
@@ -486,8 +488,8 @@ def weight_elements(node: LayerNode, in_shape: TensorShape) -> int:
         return kh * kw * in_shape.c
     if node.kind == KIND_PWCONV:
         return in_shape.c * node.params["out_channels"]
-    if node.kind == KIND_DENSE:
-        return in_shape.elements * node.params["units"]
+    if node.kind == KIND_DENSE:  # per sample: weights do not grow with n
+        return in_shape.elements // in_shape.n * node.params["units"]
     if node.kind == KIND_BATCHNORM:
         return 4 * in_shape.c
     return 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from acev2 import zoo
+from acev2 import analysis, census, cost, ir, zoo
 from acev2.analysis import (
     ace_report,
     analyze,
@@ -23,7 +23,7 @@ from acev2.census import (
     TallyEntry,
     census_graph,
 )
-from acev2.cost import MULTIPLY, SHIFT
+from acev2.cost import ADD, MULTIPLY, SHIFT
 from acev2.errors import AnalysisError
 from acev2.formats import FP32, NumericFormat
 from acev2.ir import Graph, LayerNode, TensorShape
@@ -81,6 +81,83 @@ class TestAceReport:
         p_tally = census_graph(zoo.build_pikelpn("1x", pot_scales=True, **study))
         assert (f_tally.count(MULTIPLY, CAT_QUANT_SCALE)
                 == p_tally.count(SHIFT, CAT_QUANT_SCALE) > 0)
+
+
+class TestOnePass:
+    MODELS = (
+        lambda: zoo.build_pikelpn("1x"),
+        lambda: zoo.build_mobilenet_v2(4, 4, "dprelu", "subchannelwise"),
+        lambda: zoo.build_resnet50_branches(3),
+    )
+
+    def test_analyze_sorts_once(self, monkeypatch, mbv2_relu):
+        calls = []
+        sort = ir.topological_order
+
+        def counted(g):
+            calls.append(g.name)
+            return sort(g)
+
+        for module in (ir, census, analysis):
+            monkeypatch.setattr(module, "topological_order", counted)
+        expected = analyze(mbv2_relu)
+        calls.clear()
+        assert analyze(mbv2_relu) == expected
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("build", MODELS)
+    def test_each_key_is_priced_at_most_once(self, monkeypatch, build):
+        g = build()
+        calls = []
+        for name in ("ace_mac", "ace_multiply", "ace_add", "ace_shift",
+                     "energy_of_op"):
+            def counted(*args, _name=name, _fn=getattr(cost, name), **kw):
+                calls.append((_name, args, tuple(sorted(kw.items()))))
+                return _fn(*args, **kw)
+            monkeypatch.setattr(cost, name, counted)
+        analyze(g)
+        entries = census_graph(g).entries
+        keys = {(e.category, e.op_class, e.format_a, e.format_b,
+                 e.shift_range) for e in entries}
+        energy = [c for c in calls if c[0] == "energy_of_op"]
+        assert len(calls) - len(energy) == len(keys)
+        assert len(energy) == len(set(energy)) == len({k[1:] for k in keys})
+        assert len(calls) <= 2 * len(keys) < len(entries)
+
+    @pytest.mark.parametrize("build", MODELS)
+    def test_per_key_pricing_equals_per_entry_pricing(self, build):
+        tally = census_graph(build())
+        by_category = {}
+        total_pj = 0.0
+        flagged = []
+        for e in tally.entries:
+            by_category[e.category] = (by_category.get(e.category, 0)
+                                       + entry_ace(e))
+            unit = cost.energy_of_op(e.op_class, e.format_a, e.format_b,
+                                     shift_range=e.shift_range)
+            total_pj += unit.picojoules * e.count
+            if unit.extrapolated:
+                flagged.append((e.layer_id, e.op_class))
+        _, ace_by_category, _ = ace_report(tally)
+        assert list(ace_by_category.items()) == list(by_category.items())
+        assert energy_report(tally) == (total_pj / 1e9, flagged)
+
+    def test_first_unpriceable_entry_in_tally_order_is_named(self):
+        fp8 = NumericFormat.flt(4, 3)
+        tally = OpTally([
+            TallyEntry("ok", MULTIPLY, 3, INT8, INT8, "conv"),
+            TallyEntry("fp8_mul", MULTIPLY, 2, fp8, fp8, "conv"),
+            TallyEntry("float_shift", SHIFT, 2, FP32, None, "conv",
+                       shift_range=8),
+            TallyEntry("mixed_add", ADD, 2, INT8, FP32, "skip"),
+            TallyEntry("fp8_mul_again", MULTIPLY, 2, fp8, fp8, "conv"),
+        ])
+        with pytest.raises(AnalysisError) as err:
+            ace_report(tally)
+        assert err.value.layer_id == "float_shift"
+        with pytest.raises(AnalysisError) as err:
+            energy_report(tally)
+        assert err.value.layer_id == "fp8_mul"
 
 
 class TestBnShare:
@@ -178,6 +255,11 @@ class TestCompare:
     def test_single_report_is_pareto(self, pike_reports):
         (row,) = compare([("1x", pike_reports["1x"])])
         assert row.pareto
+
+    def test_same_name_rows_still_dominate_each_other(self, pike_reports):
+        rows = compare([("m", pike_reports["2x"]), ("m", pike_reports["1x"])])
+        assert rows[0].total_ace < rows[1].total_ace
+        assert [r.pareto for r in rows] == [True, False]
 
     def test_identical_totals_tie_break_by_name(self, pike_reports):
         rows = compare([("b", pike_reports["1x"]), ("a", pike_reports["1x"])])

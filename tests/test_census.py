@@ -22,6 +22,7 @@ from acev2.ir import (
     QuantizationAnnotation,
     TensorShape,
     infer_shapes,
+    weight_elements,
 )
 
 INT4 = NumericFormat.fixed(4)
@@ -214,6 +215,24 @@ class TestModelLevelCounts:
             per_layer.extend(census_layer(node, in_shape, shapes[node.id]))
         assert sum(e.count for e in per_layer) == sum(
             e.count for e in total.entries)
+
+    def test_dense_scales_with_batch_and_weights_do_not(self):
+        one = zoo.build_mobilenet_v1()
+        s = one.input_shape
+        two = Graph(one.name, TensorShape(2, s.h, s.w, s.c), one.nodes)
+
+        def fc(g):
+            shapes = infer_shapes(g)
+            (entry,) = [e for e in census_graph(g, shapes).entries
+                        if e.layer_id == "fc" and e.op_class == MAC]
+            node = g.node("fc")
+            return entry.count, weight_elements(node, shapes[node.inputs[0]])
+
+        macs1, weights1 = fc(one)
+        macs2, weights2 = fc(two)
+        assert macs1 == 1024 * 1000
+        assert macs2 == 2 * macs1
+        assert weights2 == weights1 == 1024 * 1000
 
     def test_trivial_graph_has_empty_tally(self):
         g = Graph("t", TensorShape(1, 8, 8, 3), [

@@ -1,10 +1,14 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import acev2
 from acev2 import zoo
 from acev2.cli import fraction_decimal, main
 from acev2.ir import parse_graph, serialize_graph
@@ -230,3 +234,13 @@ def test_version_flag():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """numpy is only needed by quantsim, which imports it on use."""
+    src = str(Path(acev2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, acev2.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

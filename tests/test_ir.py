@@ -1,6 +1,7 @@
 """Graph parsing, validation, shape inference, serialization."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acev2.errors import DanglingInputError, ParseError, ShapeMismatchError, UnknownKindError
 from acev2.formats import NumericFormat
@@ -216,3 +217,71 @@ def test_weight_elements_by_kind():
         LayerNode("p", "PointwiseConv2D", {"out_channels": 4}), shape) == 64
     assert weight_elements(LayerNode("b", "BatchNorm"), shape) == 64
     assert weight_elements(LayerNode("a", "Add"), shape) == 0
+
+
+def reference_order(g):
+    """Stable Kahn sort as a plain list: sort the ready set by
+    declaration index, take the first."""
+    position = {n.id: i for i, n in enumerate(g.nodes)}
+    indegree = {n.id: len(n.inputs) for n in g.nodes}
+    consumers = {n.id: [] for n in g.nodes}
+    for node in g.nodes:
+        for ref in node.inputs:
+            consumers[ref].append(node.id)
+    ready = [n.id for n in g.nodes if indegree[n.id] == 0]
+    order = []
+    while ready:
+        ready.sort(key=position.__getitem__)
+        nid = ready.pop(0)
+        order.append(nid)
+        for consumer in consumers[nid]:
+            indegree[consumer] -= 1
+            if indegree[consumer] == 0:
+                ready.append(consumer)
+    return order
+
+
+@st.composite
+def shuffled_dags(draw):
+    """A DAG over nodes 0..n-1 (edges only from lower to higher index,
+    repeated inputs allowed), declared in a random order."""
+    n = draw(st.integers(1, 40))
+    inputs = [draw(st.lists(st.integers(0, i - 1), max_size=4)) if i else []
+              for i in range(n)]
+    declared = draw(st.permutations(range(n)))
+    nodes = [LayerNode(f"n{i}", "Add", {}, [f"n{j}" for j in inputs[i]])
+             for i in declared]
+    return Graph("dag", TensorShape(1, 1, 1, 1), nodes), inputs
+
+
+class TestTopologicalOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_dags())
+    def test_matches_the_sort_then_pop_reference(self, dag):
+        g, _ = dag
+        order = [node.id for node in topological_order(g)]
+        assert order == reference_order(g)
+        placed = set()
+        for nid in order:
+            assert all(ref in placed for ref in g.node(nid).inputs)
+            placed.add(nid)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_dags(), st.data())
+    def test_injected_cycle_raises(self, dag, data):
+        g, inputs = dag
+        edges = [(i, j) for i, ins in enumerate(inputs) for j in ins]
+        if not edges:
+            g.nodes.append(LayerNode("loop", "Add", {}, ["loop"]))
+            g = Graph(g.name, g.input_shape, g.nodes)
+        else:
+            consumer, producer = data.draw(st.sampled_from(edges))
+            g.node(f"n{producer}").inputs.append(f"n{consumer}")
+        with pytest.raises(ParseError, match="cycle"):
+            topological_order(g)
+
+    def test_dangling_input_raises(self):
+        g = chain(LayerNode("in", "Input"),
+                  LayerNode("out", "Output", {}, ["missing"]))
+        with pytest.raises(DanglingInputError):
+            topological_order(g)

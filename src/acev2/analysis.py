@@ -192,10 +192,10 @@ def arithmetic_intensity(g: Graph, tally: OpTally,
     return ops / data if data else 0.0
 
 
-def analyze(g: Graph) -> CostReport:
+def analyze(g: Graph, order: Optional[List[LayerNode]] = None) -> CostReport:
     """Full pipeline: shapes, census, bit-adders, energy, intensity, over
-    one topological order."""
-    order = topological_order(g)
+    one topological order (``order`` if the caller already has it)."""
+    order = order or topological_order(g)
     shapes = infer_shapes(g, None, order)
     tally = census_graph(g, shapes, order)
     total, by_category, shares = ace_report(tally)

@@ -12,13 +12,14 @@ Subcommands:
 Exit codes: 0 success, 1 input error, 2 analysis error, 3 oracle
 mismatch, 64 usage error. Output is deterministic for identical inputs;
 --stamp adds a comment line with the tool version outside any data
-body.
+body. The argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -29,7 +30,7 @@ from . import __version__, analysis, oracle, zoo
 from .census import census_graph
 from .errors import AceV2Error, ParseError
 from .formats import NumericFormat
-from .ir import Graph, parse_graph, serialize_graph, validate
+from .ir import Graph, parse_graph, serialize_graph, validate_with_order
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -72,17 +73,17 @@ def _sig4(x: float) -> str:
     return f"{x:.4g}"
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str) -> Tuple[Graph, list]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(str(exc))
     graph = parse_graph(text)
-    diags = validate(graph)
+    diags, order = validate_with_order(graph)
     if diags:
         raise ParseError("; ".join(str(d) for d in diags))
-    return graph
+    return graph, order
 
 
 def _report_payload(report: analysis.CostReport) -> dict:
@@ -163,12 +164,12 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 def cmd_analyze(args) -> int:
     try:
-        graph = _load_graph(args.model)
+        graph, order = _load_graph(args.model)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        report = analysis.analyze(graph)
+        report = analysis.analyze(graph, order)
     except AceV2Error as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
@@ -186,12 +187,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_census(args) -> int:
     try:
-        graph = _load_graph(args.model)
+        graph, order = _load_graph(args.model)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        tally = census_graph(graph)
+        tally = census_graph(graph, None, order)
     except AceV2Error as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
@@ -286,8 +287,8 @@ def cmd_compare(args) -> int:
     failures: List[Tuple[str, str]] = []
     for path in args.models:
         try:
-            graph = _load_graph(path)
-            results.append((graph.name or path, analysis.analyze(graph)))
+            report = analysis.analyze(*_load_graph(path))
+            results.append((report.name or path, report))
         except AceV2Error as exc:
             failures.append((path, str(exc)))
 
@@ -325,6 +326,7 @@ def cmd_quantsim(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="acev2", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)

@@ -21,7 +21,7 @@ _KINDS = (FIXED, FLOAT, BINARY)
 
 @dataclass(frozen=True)
 class NumericFormat:
-    """Representation of one tensor element.
+    """Representation of one tensor element, hashed once at construction.
 
     kind: "fixed", "float", or "binary".
     total_bits: full width including sign, in [1, 64].
@@ -52,6 +52,12 @@ class NumericFormat:
         elif self.exponent_bits is not None or self.mantissa_bits is not None:
             raise OutOfRangeError(
                 f"{self.kind} formats carry no exponent/mantissa split")
+        object.__setattr__(self, "_hash", hash((self.kind, self.total_bits,
+                                                self.exponent_bits,
+                                                self.mantissa_bits)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_float(self) -> bool:
@@ -81,15 +87,6 @@ class NumericFormat:
             doc["exp"] = self.exponent_bits
             doc["man"] = self.mantissa_bits
         return doc
-
-    @staticmethod
-    def from_json(doc: dict) -> "NumericFormat":
-        return NumericFormat(
-            kind=doc["kind"],
-            total_bits=doc["bits"],
-            exponent_bits=doc.get("exp"),
-            mantissa_bits=doc.get("man"),
-        )
 
     def __str__(self) -> str:
         if self.kind == BINARY:

@@ -14,10 +14,11 @@ strict JSON schema, version 1:
     }
 
 Numeric formats encode as {"kind": "fixed"|"float"|"binary", "bits": n,
-"exp": e?, "man": m?}. Unknown keys anywhere are errors.
+"exp": e?, "man": m?}, n, e, m integers. Unknown keys anywhere are errors.
 
 A parsed graph is immutable by convention: validate it once, then share
-it freely across threads for analysis.
+it freely across threads for analysis. Its formats are shared immutable
+objects, one per distinct format in the document.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
     DanglingInputError,
+    OutOfRangeError,
     ParseError,
     ShapeMismatchError,
     UnknownKindError,
@@ -151,13 +153,14 @@ class QuantizationAnnotation:
         return doc
 
     @staticmethod
-    def from_json(doc: dict, path: str) -> "QuantizationAnnotation":
+    def from_json(doc: dict, path: str,
+                  formats: dict) -> "QuantizationAnnotation":
         allowed = {"granularity", "vectors_per_channel", "scale",
                    "weight_quantizer"}
         _reject_unknown(doc, allowed, path)
         scale = doc.get("scale", POT_SCALE)
         if scale != POT_SCALE:
-            scale = NumericFormat.from_json(scale)
+            scale = _parse_format(scale, f"{path}.scale", formats)
         return QuantizationAnnotation(
             granularity=doc.get("granularity", GRANULARITY_CHANNELWISE),
             scale_format=scale,
@@ -221,24 +224,44 @@ class Diagnostic:
 
 
 def _reject_unknown(doc: dict, allowed: set, path: str) -> None:
+    if isinstance(doc, dict) and doc.keys() <= allowed:
+        return
     for key in doc:
         if key not in allowed:
             raise ParseError(f"unknown key {key!r}", f"{path}.{key}")
 
 
-def _parse_format(doc, path: str) -> NumericFormat:
+_NODE_KEYS = frozenset({"id", "kind", "params", "inputs", "weight_format",
+                        "act_format", "quant"})
+_FORMAT_KEYS = frozenset({"kind", "bits", "exp", "man"})
+_WIDTH_TYPES = (int, type(None))  # exp and man may be absent
+
+
+def _parse_format(doc, path: str, formats: dict) -> NumericFormat:
+    """The format ``doc`` describes, shared through ``formats``, one
+    parse's memo keyed on type-checked values (8, 8.0 and true differ)."""
     if not isinstance(doc, dict):
         raise ParseError("format must be an object", path)
-    _reject_unknown(doc, {"kind", "bits", "exp", "man"}, path)
+    _reject_unknown(doc, _FORMAT_KEYS, path)
     try:
-        return NumericFormat.from_json(doc)
+        key = kind, bits, exp, man = (doc["kind"], doc["bits"],
+                                      doc.get("exp"), doc.get("man"))
     except KeyError as exc:
         raise ParseError(f"missing format key {exc}", path) from exc
+    if not (type(kind) is str and type(bits) is int
+            and type(exp) in _WIDTH_TYPES and type(man) in _WIDTH_TYPES):
+        raise ParseError("format kind must be a string, widths integers", path)
+    fmt = formats.get(key)
+    if fmt is None:
+        try:
+            fmt = formats[key] = NumericFormat(*key)
+        except OutOfRangeError as exc:
+            raise ParseError(str(exc), path) from exc
+    return fmt
 
 
-def _parse_node(doc: dict, path: str) -> LayerNode:
-    _reject_unknown(doc, {"id", "kind", "params", "inputs", "weight_format",
-                          "act_format", "quant"}, path)
+def _parse_node(doc: dict, path: str, formats: dict) -> LayerNode:
+    _reject_unknown(doc, _NODE_KEYS, path)
     try:
         node_id = doc["id"]
         kind = doc["kind"]
@@ -261,12 +284,13 @@ def _parse_node(doc: dict, path: str) -> LayerNode:
     )
     if "weight_format" in doc:
         node.weight_format = _parse_format(doc["weight_format"],
-                                           f"{path}.weight_format")
+                                           f"{path}.weight_format", formats)
     if "act_format" in doc:
-        node.act_format = _parse_format(doc["act_format"], f"{path}.act_format")
+        node.act_format = _parse_format(doc["act_format"],
+                                        f"{path}.act_format", formats)
     if "quant" in doc:
-        node.quant = QuantizationAnnotation.from_json(doc["quant"],
-                                                      f"{path}.quant")
+        node.quant = QuantizationAnnotation.from_json(
+            doc["quant"], f"{path}.quant", formats)
     return node
 
 
@@ -291,7 +315,8 @@ def parse_graph(text: str) -> Graph:
     except TypeError as exc:
         raise ParseError(f"bad input shape: {exc}", "$.input") from exc
 
-    nodes = [_parse_node(nd, f"$.nodes[{i}]")
+    formats: Dict[tuple, NumericFormat] = {}
+    nodes = [_parse_node(nd, f"$.nodes[{i}]", formats)
              for i, nd in enumerate(doc.get("nodes", []))]
     graph = Graph(name=doc.get("name", ""), input_shape=shape, nodes=nodes)
 
@@ -342,7 +367,13 @@ def topological_order(g: Graph) -> List[LayerNode]:
 
 def validate(g: Graph) -> List[Diagnostic]:
     """Structural diagnostics; an empty list means all invariants hold."""
+    return validate_with_order(g)[0]
+
+
+def validate_with_order(g: Graph) -> Tuple[List[Diagnostic], Optional[list]]:
+    """``validate`` and the order its cycle check sorted (None if none)."""
     diags: List[Diagnostic] = []
+    order = None
 
     for node in g.nodes:
         for ref in node.inputs:
@@ -351,7 +382,7 @@ def validate(g: Graph) -> List[Diagnostic]:
                                         f"input {ref!r} does not resolve"))
 
     try:
-        topological_order(g)
+        order = topological_order(g)
     except DanglingInputError:
         pass  # reported above
     except ParseError:
@@ -383,7 +414,7 @@ def validate(g: Graph) -> List[Diagnostic]:
             if act not in ACTIVATION_KINDS:
                 diags.append(Diagnostic(node.id, "activation-kind",
                                         f"unknown activation {act!r}"))
-    return diags
+    return diags, order
 
 
 def _spatial(extent: int, kernel: int, stride: int, padding: str,

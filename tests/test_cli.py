@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 import acev2
-from acev2 import zoo
-from acev2.cli import fraction_decimal, main
+from acev2 import analysis, census, cli, ir, zoo
+from acev2.cli import build_parser, fraction_decimal, main
 from acev2.ir import parse_graph, serialize_graph
 from fractions import Fraction
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,129 @@ class TestAnalyze:
         bad.write_text(json.dumps(doc))
         assert main(["analyze", str(bad)]) == 1
         assert "pw-kernel-1x1" in capsys.readouterr().err
+
+
+def format_doc(weight=None, scale=None):
+    """A valid one-conv graph; ``weight`` or ``scale`` replaces its weight
+    format or quantization scale document."""
+    conv = {"id": "pw", "kind": "PointwiseConv2D",
+            "params": {"out_channels": 4}, "inputs": ["in"],
+            "weight_format": weight or {"kind": "fixed", "bits": 8},
+            "act_format": {"kind": "fixed", "bits": 8},
+            "quant": {"scale": scale or {"kind": "fixed", "bits": 16}}}
+    return {"ir_version": 1, "name": "formats",
+            "input": {"n": 1, "h": 4, "w": 4, "c": 3},
+            "nodes": [{"id": "in", "kind": "Input", "params": {},
+                       "inputs": []}, conv,
+                      {"id": "out", "kind": "Output", "params": {},
+                       "inputs": ["pw"]}]}
+
+
+SCALE, WEIGHT = "$.nodes[1].quant.scale", "$.nodes[1].weight_format"
+BAD_FORMATS = {  # case -> (document, the JSON path its error names)
+    "scale_unknown_key": (format_doc(scale={"kind": "fixed", "bits": 8,
+                                            "zz": 1}), f"{SCALE}.zz"),
+    "scale_float_without_bits": (format_doc(scale={"kind": "float"}), SCALE),
+    "scale_bits_70": (format_doc(scale={"kind": "fixed", "bits": 70}), SCALE),
+    "weight_bits_70": (format_doc(weight={"kind": "fixed", "bits": 70}),
+                       WEIGHT),
+    "weight_bits_string": (format_doc(weight={"kind": "fixed", "bits": "8"}),
+                           WEIGHT),
+    "weight_bits_true": (format_doc(weight={"kind": "fixed", "bits": True}),
+                         WEIGHT),
+}
+
+
+class TestBadFormats:
+    @pytest.mark.parametrize("case", sorted(BAD_FORMATS))
+    @pytest.mark.parametrize("sub", ["analyze", "census"])
+    def test_exits_one_with_the_json_path(self, case, sub, tmp_path, capsys):
+        doc, json_path = BAD_FORMATS[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        assert main([sub, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {json_path}: ")
+        assert "Traceback" not in err
+
+    def test_good_format_document_analyzes(self, tmp_path):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(format_doc()))
+        assert main(["analyze", str(path)]) == 0
+
+    def test_compare_reports_the_file_and_keeps_good_rows(self, pike_file,
+                                                          tmp_path, capsys):
+        bad = tmp_path / "bits_70.json"
+        bad.write_text(json.dumps(BAD_FORMATS["weight_bits_70"][0]))
+        assert main(["compare", str(pike_file), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "pikelpn_1x," in captured.out
+        assert f"error: {bad}: {WEIGHT}: " in captured.err
+
+
+class TestOneSortPerOp:
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        calls = []
+        sort = ir.topological_order
+
+        def counted(g):
+            calls.append(g.name)
+            return sort(g)
+
+        for module in (ir, census, analysis, cli):
+            monkeypatch.setattr(module, "topological_order", counted,
+                                raising=False)
+        return calls
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--format",
+                                                    "json"], ["census"]])
+    def test_analyze_and_census_sort_once(self, argv, pike_file, sorts,
+                                          capsys):
+        assert main(argv[:1] + [str(pike_file)] + argv[1:]) == 0
+        assert sorts == ["pikelpn_1x"]
+
+    def test_compare_sorts_once_per_file(self, pike_file, sorts, capsys):
+        files = [pike_file] + sorted(FIXTURES.glob("*.json"))
+        names = [parse_graph(p.read_text()).name for p in files]
+        assert main(["compare"] + [str(p) for p in files]) == 0
+        assert sorts == names
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_bad_argument_after_a_good_call_exits_64(self, pike_file,
+                                                     capsys):
+        assert main(["analyze", str(pike_file), "--format", "csv"]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(pike_file), "--format", "yaml"])
+        assert err.value.code == 64
+
+    def test_stamp_does_not_carry_over(self, pike_file, capsys):
+        assert main(["analyze", str(pike_file), "--stamp"]) == 0
+        assert capsys.readouterr().out.startswith("# acev2 ")
+        assert main(["analyze", str(pike_file)]) == 0
+        assert capsys.readouterr().out.startswith("| Metric")
+
+
+GOLDEN_CASES = [(fixture.name, sub, fmt)
+                for fixture in sorted(FIXTURES.glob("*.json"))
+                for sub, fmt in (("analyze", "json"), ("analyze", "csv"),
+                                 ("analyze", "table"), ("census", None))]
+
+
+@pytest.mark.parametrize("fixture,sub,fmt", GOLDEN_CASES)
+def test_output_matches_golden_bytes(fixture, sub, fmt, capsys):
+    """Reports on the checked-in fixtures are locked byte for byte."""
+    argv = [sub, str(FIXTURES / fixture)]
+    if fmt:
+        argv += ["--format", fmt]
+    suffix = {"json": "json", "csv": "csv", "table": "txt", None: "csv"}[fmt]
+    golden = GOLDEN / f"{Path(fixture).stem}.{sub}.{suffix}"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 class TestCensus:

@@ -1,5 +1,7 @@
 """Graph parsing, validation, shape inference, serialization."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from acev2.ir import (
     serialize_graph,
     topological_order,
     validate,
+    validate_with_order,
     weight_elements,
 )
 
@@ -85,6 +88,14 @@ def test_duplicate_ids_rejected():
         parse_graph(MINIMAL.replace('"id": "out"', '"id": "in"'))
 
 
+def test_first_unknown_key_in_document_order_is_named():
+    bad = MINIMAL.replace('"params": {}, "inputs": []',
+                          '"params": {}, "inputs": [], "zz": 1, "aa": 2', 1)
+    with pytest.raises(ParseError) as err:
+        parse_graph(bad)
+    assert err.value.path == "$.nodes[0].zz"
+
+
 def test_quant_annotation_roundtrip():
     g = chain(
         LayerNode("in", "Input"),
@@ -136,6 +147,103 @@ class TestValidate:
             LayerNode("out", "Output", {}, ["bn"]),
         )
         assert "single-input" in [d.rule for d in validate(g)]
+
+    def test_with_order_returns_the_cycle_check_order(self, mbv2_relu):
+        diags, order = validate_with_order(mbv2_relu)
+        assert diags == validate(mbv2_relu) == []
+        assert order == topological_order(mbv2_relu)
+
+    def test_with_order_on_a_cycle_has_no_order(self):
+        g = chain(
+            LayerNode("in", "Input"),
+            LayerNode("a", "Add", {}, ["in", "b"]),
+            LayerNode("b", "Add", {}, ["in", "a"]),
+        )
+        diags, order = validate_with_order(g)
+        assert "dag-violation" in [d.rule for d in diags]
+        assert order is None
+
+
+FP16_DOC = {"kind": "float", "bits": 16, "exp": 5, "man": 10}
+
+
+def format_graph(weight=None, scale=None):
+    """Two pointwise convs at int8/fp16; ``weight`` or ``scale`` replaces
+    the first conv's weight format or quantization scale document."""
+    def conv(i, src):
+        return {"id": f"pw{i}", "kind": "PointwiseConv2D",
+                "params": {"out_channels": 4}, "inputs": [src],
+                "weight_format": {"kind": "fixed", "bits": 8},
+                "act_format": dict(FP16_DOC),
+                "quant": {"scale": dict(FP16_DOC)}}
+    nodes = [{"id": "in", "kind": "Input", "params": {}, "inputs": []},
+             conv(0, "in"), conv(1, "pw0"),
+             {"id": "out", "kind": "Output", "params": {}, "inputs": ["pw1"]}]
+    if weight is not None:
+        nodes[1]["weight_format"] = weight
+    if scale is not None:
+        nodes[1]["quant"]["scale"] = scale
+    return json.dumps({"ir_version": 1, "name": "formats",
+                       "input": {"n": 1, "h": 4, "w": 4, "c": 3},
+                       "nodes": nodes})
+
+
+def parsed_formats(g):
+    return [f for n in g.nodes
+            for f in (n.weight_format, n.act_format,
+                      n.quant and n.quant.scale_format) if f]
+
+
+class TestFormats:
+    def test_equal_formats_in_one_document_are_one_object(self):
+        g = parse_graph(format_graph())
+        pw0, pw1 = g.node("pw0"), g.node("pw1")
+        assert pw0.weight_format is pw1.weight_format
+        assert (pw0.act_format is pw1.act_format is pw0.quant.scale_format
+                is pw1.quant.scale_format)
+        assert len({id(f) for f in parsed_formats(g)}) == 2
+
+    def test_two_parses_share_no_format(self):
+        text = format_graph()
+        first, second = parse_graph(text), parse_graph(text)
+        assert serialize_graph(first) == serialize_graph(second)
+        ids = {id(f) for f in parsed_formats(first)}
+        assert not ids & {id(f) for f in parsed_formats(second)}
+
+    @pytest.mark.parametrize("weight,scale,path", [
+        ({"kind": "fixed", "bits": 70}, None, "$.nodes[1].weight_format"),
+        ({"kind": "fixed", "bits": "8"}, None, "$.nodes[1].weight_format"),
+        ({"kind": "fixed", "bits": True}, None, "$.nodes[1].weight_format"),
+        ({"kind": "fixed", "bits": 8.0}, None, "$.nodes[1].weight_format"),
+        ({"kind": ["fixed"], "bits": 8}, None, "$.nodes[1].weight_format"),
+        ({"kind": "float", "bits": 16, "exp": 5, "man": 9}, None,
+         "$.nodes[1].weight_format"),
+        (None, {"kind": "fixed", "bits": 8, "zz": 1},
+         "$.nodes[1].quant.scale.zz"),
+        (None, {"kind": "float"}, "$.nodes[1].quant.scale"),
+        (None, {"kind": "fixed", "bits": 70}, "$.nodes[1].quant.scale"),
+        (None, "fp32", "$.nodes[1].quant.scale"),
+    ])
+    def test_bad_format_is_a_parse_error_with_its_path(self, weight, scale,
+                                                       path):
+        with pytest.raises(ParseError) as err:
+            parse_graph(format_graph(weight, scale))
+        assert err.value.path == path
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.builds(NumericFormat.fixed, st.integers(1, 64)),
+        st.just(NumericFormat.binary()),
+        st.integers(1, 31).flatmap(lambda e: st.builds(
+            NumericFormat.flt, st.just(e), st.integers(0, 63 - e)))))
+    def test_cached_hash_matches_a_fresh_equal_instance(self, fmt):
+        fields = (fmt.kind, fmt.total_bits, fmt.exponent_bits,
+                  fmt.mantissa_bits)
+        fresh = NumericFormat(*fields)
+        parsed = parse_graph(format_graph(weight=fmt.to_json())
+                             ).node("pw0").weight_format
+        assert fresh == fmt == parsed
+        assert hash(fresh) == hash(fmt) == hash(parsed) == hash(fields)
 
 
 class TestShapes:

@@ -34,19 +34,17 @@ from .cost import ADD, MAC, MULTIPLY, SHIFT
 from .errors import MissingFormatError, MissingShapeError
 from .formats import FP32, NumericFormat
 from .ir import (
-    CONV_KINDS,
+    COMPUTE_KINDS,
     Graph,
     KIND_ACTIVATION,
     KIND_ADD,
     KIND_BATCHNORM,
-    KIND_CONV,
     KIND_DENSE,
-    KIND_DWCONV,
-    KIND_PWCONV,
     LayerNode,
     TensorShape,
     infer_shapes,
     topological_order,
+    weight_elements,
 )
 
 CAT_CONV = "conv"
@@ -87,27 +85,13 @@ class OpTally:
         self.entries.extend(other.entries)
 
 
-def _mac_count(node: LayerNode, in_shape: TensorShape,
-               out_shape: TensorShape) -> int:
-    if node.kind == KIND_CONV:
-        kh, kw = node.params["kernel"]
-        return out_shape.elements * kh * kw * in_shape.c
-    if node.kind == KIND_DWCONV:
-        kh, kw = node.params["kernel"]
-        return out_shape.elements * kh * kw
-    if node.kind == KIND_PWCONV:
-        return out_shape.elements * in_shape.c
-    if node.kind == KIND_DENSE:  # each sample's outputs see its own inputs
-        return out_shape.elements * (in_shape.elements // in_shape.n)
-    raise MissingShapeError(f"{node.id}: not a compute layer")
-
-
 def _census_compute(node: LayerNode, in_shape: TensorShape,
                     out_shape: TensorShape) -> List[TallyEntry]:
     category = CAT_DENSE if node.kind == KIND_DENSE else CAT_CONV
     weight_fmt = node.weight_format or FP32
     act_fmt = node.act_format or FP32
-    macs = _mac_count(node, in_shape, out_shape)
+    # Each output element is a dot product over one output channel's weights.
+    macs = out_shape.elements * weight_elements(node, in_shape) // out_shape.c
     entries: List[TallyEntry] = []
 
     pot_weights = node.quant is not None and node.quant.weight_quantizer == "pot"
@@ -144,7 +128,7 @@ def census_layer(node: LayerNode, in_shape: Optional[TensorShape],
                  out_shape: Optional[TensorShape]) -> List[TallyEntry]:
     """Tally one layer's arithmetic. Input/Output/Concat/Pool layers
     contribute nothing."""
-    if node.kind in CONV_KINDS or node.kind == KIND_DENSE:
+    if node.kind in COMPUTE_KINDS:
         if in_shape is None or out_shape is None:
             raise MissingShapeError(f"{node.id}: shape not inferred")
         return _census_compute(node, in_shape, out_shape)

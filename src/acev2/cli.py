@@ -231,10 +231,15 @@ def cmd_oracle(args) -> int:
             status = EXIT_MISMATCH
     elif args.shifter:
         i, j = args.shifter
-        built = oracle.barrel_mux_count(i, j)
+        try:
+            built = oracle.barrel_mux_count(i, j)
+            matches = oracle.barrel_matches_closed_form(i, j)
+        except AceV2Error as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"{built.mux21} muxes -> "
               f"{fraction_decimal(built.bitadder_equivalent)} bitadders")
-        if not oracle.barrel_matches_closed_form(i, j):
+        if not matches:
             print("barrel construction disagrees with the closed form",
                   file=sys.stderr)
             status = EXIT_MISMATCH
@@ -311,8 +316,12 @@ def cmd_compare(args) -> int:
 def cmd_quantsim(args) -> int:
     from . import quantizers  # numpy: only this subcommand needs it
 
-    trials = quantizers.norm_quantization_study(trials=args.trials,
-                                                seed=args.seed)
+    try:
+        trials = quantizers.norm_quantization_study(trials=args.trials,
+                                                    seed=args.seed)
+    except AceV2Error as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["trial", "quantnorm_mse", "vanilla_mse"])

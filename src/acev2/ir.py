@@ -16,6 +16,14 @@ strict JSON schema, version 1:
 Numeric formats encode as {"kind": "fixed"|"float"|"binary", "bits": n,
 "exp": e?, "man": m?}, n, e, m integers. Unknown keys anywhere are errors.
 
+What the IR knows about a node kind lives in its ``KIND_RULES`` entry:
+the params it may and must carry, its arity, its output shape and its
+per-sample weight count (a compute layer's MACs follow from the weights).
+Parsing, validation, shape inference and ``weight_elements`` read the
+table, so adding a kind is one entry there. A param name means the same
+for every kind that takes it: ``_PARAM_CHECKS`` holds one type and range
+check per name, applied at parse time.
+
 A parsed graph is immutable by convention: validate it once, then share
 it freely across threads for analysis. Its formats are shared immutable
 objects, one per distinct format in the document.
@@ -26,7 +34,9 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from math import prod
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 from .errors import (
     DanglingInputError,
@@ -54,11 +64,6 @@ KIND_POOL = "Pool"
 CONV_KINDS = (KIND_CONV, KIND_DWCONV, KIND_PWCONV)
 COMPUTE_KINDS = CONV_KINDS + (KIND_DENSE,)
 
-_ALL_KINDS = COMPUTE_KINDS + (
-    KIND_INPUT, KIND_OUTPUT, KIND_BATCHNORM, KIND_ACTIVATION,
-    KIND_ADD, KIND_CONCAT, KIND_POOL,
-)
-
 ACTIVATION_KINDS = ("relu", "prelu", "dprelu")
 
 GRANULARITY_LAYERWISE = "layerwise"
@@ -66,20 +71,6 @@ GRANULARITY_CHANNELWISE = "channelwise"
 GRANULARITY_SUBCHANNELWISE = "subchannelwise"
 
 POT_SCALE = "pot"
-
-_PARAM_KEYS = {
-    KIND_CONV: {"kernel", "stride", "out_channels", "padding"},
-    KIND_DWCONV: {"kernel", "stride", "padding"},
-    KIND_PWCONV: {"kernel", "stride", "out_channels"},
-    KIND_DENSE: {"units"},
-    KIND_BATCHNORM: {"quantnorm"},
-    KIND_ACTIVATION: {"activation"},
-    KIND_POOL: {"pool", "kernel", "stride", "padding"},
-    KIND_ADD: set(),
-    KIND_CONCAT: set(),
-    KIND_INPUT: set(),
-    KIND_OUTPUT: set(),
-}
 
 
 @dataclass(frozen=True)
@@ -155,6 +146,8 @@ class QuantizationAnnotation:
     @staticmethod
     def from_json(doc: dict, path: str,
                   formats: dict) -> "QuantizationAnnotation":
+        if not isinstance(doc, dict):
+            raise ParseError("quant must be an object", path)
         allowed = {"granularity", "vectors_per_channel", "scale",
                    "weight_quantizer"}
         _reject_unknown(doc, allowed, path)
@@ -223,8 +216,140 @@ class Diagnostic:
         return f"{self.node_id}: [{self.rule}] {self.message}"
 
 
+def _spatial(extent: int, kernel: int, stride: int, padding: str,
+             node_id: str) -> int:
+    if padding == "same":
+        return -(-extent // stride)  # ceil division
+    if padding == "valid":
+        if extent < kernel:
+            raise ShapeMismatchError(node_id, "kernel larger than input")
+        return (extent - kernel) // stride + 1
+    raise ShapeMismatchError(node_id, f"unknown padding {padding!r}")
+
+
+def _window(node: LayerNode, src: TensorShape, channels: int,
+            kernel=None, padding=None) -> TensorShape:
+    """A window slid over ``src`` at the node's stride, giving ``channels``
+    channels; ``kernel`` and ``padding`` fix what a kind does not take."""
+    kh, kw = kernel or node.params["kernel"]
+    stride = node.params.get("stride", 1)
+    padding = padding or node.params.get("padding", "same")
+    return TensorShape(src.n, _spatial(src.h, kh, stride, padding, node.id),
+                       _spatial(src.w, kw, stride, padding, node.id), channels)
+
+
+def _same(node: LayerNode, ins: List[TensorShape]) -> TensorShape:
+    return ins[0]
+
+
+def _add(node: LayerNode, ins: List[TensorShape]) -> TensorShape:
+    if any(s != ins[0] for s in ins[1:]):
+        raise ShapeMismatchError(
+            node.id, f"add inputs differ: {[str(s) for s in ins]}")
+    return ins[0]
+
+
+def _concat(node: LayerNode, ins: List[TensorShape]) -> TensorShape:
+    head = ins[0]
+    if any((s.n, s.h, s.w) != (head.n, head.h, head.w) for s in ins):
+        raise ShapeMismatchError(node.id, "concat spatial dims differ")
+    return TensorShape(head.n, head.h, head.w, sum(s.c for s in ins))
+
+
+def _pool(node: LayerNode, ins: List[TensorShape]) -> TensorShape:
+    src = ins[0]
+    if node.params.get("pool", "global_avg") == "global_avg":
+        return TensorShape(src.n, 1, 1, src.c)
+    return _window(node, src, src.c)
+
+
+# A kind's arity is its input count, where ARITY_MERGE means two or more.
+ARITY_NONE, ARITY_ONE, ARITY_MERGE = 0, 1, 2
+_ARITY_DIAGNOSTICS = {  # arity -> (rule, message formatted with the kind)
+    ARITY_NONE: ("input-arity", "{} nodes take no inputs"),
+    ARITY_ONE: ("single-input", "{} takes exactly one input"),
+    ARITY_MERGE: ("merge-arity", "{} needs at least two inputs"),
+}
+
+
+class KindRule(NamedTuple):
+    """Everything the IR knows about one node kind."""
+
+    params: FrozenSet[str]    # the param keys a node may carry
+    required: FrozenSet[str]  # the ones a document must give
+    arity: int
+    # (node, input shapes; for Input the graph's) -> output shape
+    shape: Callable[[LayerNode, List[TensorShape]], TensorShape]
+    # (node, first input shape) -> weights per sample
+    weights: Callable[[LayerNode, TensorShape], int] = lambda node, src: 0
+
+
+_NONE = frozenset()
+_WINDOW = frozenset({"kernel", "stride", "padding"})
+
+KIND_RULES: Dict[str, KindRule] = {
+    KIND_INPUT: KindRule(_NONE, _NONE, ARITY_NONE, _same),
+    KIND_OUTPUT: KindRule(_NONE, _NONE, ARITY_ONE, _same),
+    KIND_CONV: KindRule(
+        _WINDOW | {"out_channels"}, frozenset({"kernel", "out_channels"}),
+        ARITY_ONE,
+        lambda node, ins: _window(node, ins[0], node.params["out_channels"]),
+        lambda node, src: (prod(node.params["kernel"]) * src.c
+                           * node.params["out_channels"])),
+    KIND_DWCONV: KindRule(
+        _WINDOW, frozenset({"kernel"}), ARITY_ONE,
+        lambda node, ins: _window(node, ins[0], ins[0].c),
+        lambda node, src: prod(node.params["kernel"]) * src.c),
+    KIND_PWCONV: KindRule(  # a 1x1 kernel: validate rejects any other
+        frozenset({"kernel", "stride", "out_channels"}),
+        frozenset({"out_channels"}), ARITY_ONE,
+        lambda node, ins: _window(node, ins[0], node.params["out_channels"],
+                                  (1, 1), "same"),
+        lambda node, src: src.c * node.params["out_channels"]),
+    KIND_DENSE: KindRule(  # weights per sample: they do not grow with n
+        frozenset({"units"}), frozenset({"units"}), ARITY_ONE,
+        lambda node, ins: TensorShape(ins[0].n, 1, 1, node.params["units"]),
+        lambda node, src: src.elements // src.n * node.params["units"]),
+    KIND_BATCHNORM: KindRule(frozenset({"quantnorm"}), _NONE, ARITY_ONE,
+                             _same, lambda node, src: 4 * src.c),
+    KIND_ACTIVATION: KindRule(frozenset({"activation"}), _NONE, ARITY_ONE,
+                              _same),
+    KIND_ADD: KindRule(_NONE, _NONE, ARITY_MERGE, _add),
+    KIND_CONCAT: KindRule(_NONE, _NONE, ARITY_MERGE, _concat),
+    KIND_POOL: KindRule(_WINDOW | {"pool"}, _NONE, ARITY_ONE, _pool),
+}
+
+
+def _positive_int(value) -> bool:
+    return type(value) is int and value > 0
+
+
+# One check per param name, the same for every kind that takes it:
+# name -> (accepts the value, what it must be).
+_PARAM_CHECKS = {
+    "kernel": (lambda v: type(v) is list and len(v) == 2
+               and all(map(_positive_int, v)),
+               "a list of two positive integers"),
+    "stride": (_positive_int, "a positive integer"),
+    "out_channels": (_positive_int, "a positive integer"),
+    "units": (_positive_int, "a positive integer"),
+    "padding": (lambda v: v in ("same", "valid"), '"same" or "valid"'),
+    "pool": (lambda v: type(v) is str, "a string"),
+    "activation": (lambda v: v in ACTIVATION_KINDS,
+                   "one of " + ", ".join(ACTIVATION_KINDS)),
+    "quantnorm": (lambda v: type(v) is bool, "true or false"),
+}
+
+
+def _rule_of(node: LayerNode) -> KindRule:
+    rule = KIND_RULES.get(node.kind)
+    if rule is None:
+        raise UnknownKindError(f"unhandled kind {node.kind!r}")
+    return rule
+
+
 def _reject_unknown(doc: dict, allowed: set, path: str) -> None:
-    if isinstance(doc, dict) and doc.keys() <= allowed:
+    if doc.keys() <= allowed:
         return
     for key in doc:
         if key not in allowed:
@@ -260,28 +385,45 @@ def _parse_format(doc, path: str, formats: dict) -> NumericFormat:
     return fmt
 
 
-def _parse_node(doc: dict, path: str, formats: dict) -> LayerNode:
+def _check_params(params, rule: KindRule, path: str) -> None:
+    if not isinstance(params, dict):
+        raise ParseError("params must be an object", path)
+    for key, value in params.items():
+        if key not in rule.params:
+            raise ParseError(f"unknown key {key!r}", f"{path}.{key}")
+        accepts, expected = _PARAM_CHECKS[key]
+        if not accepts(value):
+            raise ParseError(f"{key} must be {expected}, got {value!r}",
+                             f"{path}.{key}")
+    required = rule.required
+    if params.get("pool", "global_avg") != "global_avg":
+        required = required | {"kernel"}  # a windowed pool
+    if not params.keys() >= required:
+        key = min(required - params.keys())
+        raise ParseError(f"missing param {key!r}", f"{path}.{key}")
+
+
+def _parse_node(doc, path: str, formats: dict) -> LayerNode:
+    if not isinstance(doc, dict):
+        raise ParseError("node must be an object", path)
     _reject_unknown(doc, _NODE_KEYS, path)
     try:
         node_id = doc["id"]
         kind = doc["kind"]
     except KeyError as exc:
         raise ParseError(f"missing node key {exc}", path) from exc
-    if kind not in _ALL_KINDS:
+    if type(node_id) is not str:
+        raise ParseError("node id must be a string", f"{path}.id")
+    rule = KIND_RULES.get(kind) if type(kind) is str else None
+    if rule is None:
         raise UnknownKindError(f"unknown node kind {kind!r}", f"{path}.kind")
     params = doc.get("params", {})
-    _reject_unknown(params, _PARAM_KEYS[kind], f"{path}.params")
-    if kind == KIND_ACTIVATION:
-        act = params.get("activation", "relu")
-        if act not in ACTIVATION_KINDS:
-            raise ParseError(f"unknown activation {act!r}",
-                             f"{path}.params.activation")
-    node = LayerNode(
-        id=node_id,
-        kind=kind,
-        params=dict(params),
-        inputs=list(doc.get("inputs", [])),
-    )
+    _check_params(params, rule, f"{path}.params")
+    inputs = doc.get("inputs", [])
+    if type(inputs) is not list:  # parse_graph resolves each entry
+        raise ParseError("inputs must be a list", f"{path}.inputs")
+    # The document is this parse's own, so the node takes its containers.
+    node = LayerNode(id=node_id, kind=kind, params=params, inputs=inputs)
     if "weight_format" in doc:
         node.weight_format = _parse_format(doc["weight_format"],
                                            f"{path}.weight_format", formats)
@@ -303,9 +445,9 @@ def parse_graph(text: str) -> Graph:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     _reject_unknown(doc, {"ir_version", "name", "input", "nodes"}, "$")
-    if doc.get("ir_version") != IR_VERSION:
-        raise ParseError(f"unsupported ir_version {doc.get('ir_version')!r}",
-                         "$.ir_version")
+    version = doc.get("ir_version")
+    if type(version) is not int or version != IR_VERSION:
+        raise ParseError(f"unsupported ir_version {version!r}", "$.ir_version")
     inp = doc.get("input")
     if not isinstance(inp, dict):
         raise ParseError("missing input shape", "$.input")
@@ -315,14 +457,17 @@ def parse_graph(text: str) -> Graph:
     except TypeError as exc:
         raise ParseError(f"bad input shape: {exc}", "$.input") from exc
 
+    docs = doc.get("nodes", [])
+    if not isinstance(docs, list):
+        raise ParseError("nodes must be a list", "$.nodes")
     formats: Dict[tuple, NumericFormat] = {}
     nodes = [_parse_node(nd, f"$.nodes[{i}]", formats)
-             for i, nd in enumerate(doc.get("nodes", []))]
+             for i, nd in enumerate(docs)]
     graph = Graph(name=doc.get("name", ""), input_shape=shape, nodes=nodes)
 
     for i, node in enumerate(graph.nodes):
-        for ref in node.inputs:
-            if ref not in graph:
+        for ref in node.inputs:  # a ref that resolves is a string, like ids
+            if type(ref) is not str or ref not in graph:
                 raise DanglingInputError(ref, f"$.nodes[{i}].inputs")
     return graph
 
@@ -390,20 +535,10 @@ def validate_with_order(g: Graph) -> Tuple[List[Diagnostic], Optional[list]]:
                                 "graph contains a cycle"))
 
     for node in g.nodes:
-        n_in = len(node.inputs)
-        if node.kind == KIND_INPUT and n_in != 0:
-            diags.append(Diagnostic(node.id, "input-arity",
-                                    "Input nodes take no inputs"))
-        if node.kind in (KIND_OUTPUT, KIND_BATCHNORM, KIND_ACTIVATION,
-                         KIND_POOL) and n_in != 1:
-            diags.append(Diagnostic(node.id, "single-input",
-                                    f"{node.kind} takes exactly one input"))
-        if node.kind in COMPUTE_KINDS and n_in != 1:
-            diags.append(Diagnostic(node.id, "single-input",
-                                    f"{node.kind} takes exactly one input"))
-        if node.kind in (KIND_ADD, KIND_CONCAT) and n_in < 2:
-            diags.append(Diagnostic(node.id, "merge-arity",
-                                    f"{node.kind} needs at least two inputs"))
+        rule = KIND_RULES.get(node.kind)  # unknown kinds fail shape inference
+        if rule and min(len(node.inputs), ARITY_MERGE) != rule.arity:
+            check, message = _ARITY_DIAGNOSTICS[rule.arity]
+            diags.append(Diagnostic(node.id, check, message.format(node.kind)))
         if node.kind == KIND_PWCONV:
             kernel = node.params.get("kernel", [1, 1])
             if list(kernel) != [1, 1]:
@@ -417,110 +552,20 @@ def validate_with_order(g: Graph) -> Tuple[List[Diagnostic], Optional[list]]:
     return diags, order
 
 
-def _spatial(extent: int, kernel: int, stride: int, padding: str,
-             node_id: str) -> int:
-    if padding == "same":
-        return -(-extent // stride)  # ceil division
-    if padding == "valid":
-        if extent < kernel:
-            raise ShapeMismatchError(node_id, "kernel larger than input")
-        return (extent - kernel) // stride + 1
-    raise ShapeMismatchError(node_id, f"unknown padding {padding!r}")
-
-
 def infer_shapes(g: Graph, input_shape: Optional[TensorShape] = None,
                  order: Optional[List[LayerNode]] = None
                  ) -> Dict[str, TensorShape]:
-    """Output shape of every node, walking in topological order (``order``
-    if the caller already has it)."""
+    """Output shape of every node by its kind's rule, walking in
+    topological order (``order`` if the caller already has it)."""
     shapes: Dict[str, TensorShape] = {}
-    base = input_shape or g.input_shape
-
+    base = [input_shape or g.input_shape]
     for node in order or topological_order(g):
-        ins = [shapes[ref] for ref in node.inputs]
-
-        if node.kind == KIND_INPUT:
-            shapes[node.id] = base
-            continue
-        if node.kind in (KIND_OUTPUT, KIND_BATCHNORM, KIND_ACTIVATION):
-            shapes[node.id] = ins[0]
-            continue
-        if node.kind == KIND_ADD:
-            if any(s != ins[0] for s in ins[1:]):
-                raise ShapeMismatchError(
-                    node.id, f"add inputs differ: {[str(s) for s in ins]}")
-            shapes[node.id] = ins[0]
-            continue
-        if node.kind == KIND_CONCAT:
-            head = ins[0]
-            if any((s.n, s.h, s.w) != (head.n, head.h, head.w) for s in ins):
-                raise ShapeMismatchError(node.id, "concat spatial dims differ")
-            shapes[node.id] = TensorShape(head.n, head.h, head.w,
-                                          sum(s.c for s in ins))
-            continue
-
-        src = ins[0]
-        if node.kind == KIND_CONV:
-            kh, kw = node.params["kernel"]
-            stride = node.params.get("stride", 1)
-            padding = node.params.get("padding", "same")
-            shapes[node.id] = TensorShape(
-                src.n,
-                _spatial(src.h, kh, stride, padding, node.id),
-                _spatial(src.w, kw, stride, padding, node.id),
-                node.params["out_channels"],
-            )
-        elif node.kind == KIND_DWCONV:
-            kh, kw = node.params["kernel"]
-            stride = node.params.get("stride", 1)
-            padding = node.params.get("padding", "same")
-            shapes[node.id] = TensorShape(
-                src.n,
-                _spatial(src.h, kh, stride, padding, node.id),
-                _spatial(src.w, kw, stride, padding, node.id),
-                src.c,
-            )
-        elif node.kind == KIND_PWCONV:
-            stride = node.params.get("stride", 1)
-            shapes[node.id] = TensorShape(
-                src.n,
-                _spatial(src.h, 1, stride, "same", node.id),
-                _spatial(src.w, 1, stride, "same", node.id),
-                node.params["out_channels"],
-            )
-        elif node.kind == KIND_DENSE:
-            shapes[node.id] = TensorShape(src.n, 1, 1, node.params["units"])
-        elif node.kind == KIND_POOL:
-            if node.params.get("pool", "global_avg") == "global_avg":
-                shapes[node.id] = TensorShape(src.n, 1, 1, src.c)
-            else:
-                kh, kw = node.params["kernel"]
-                stride = node.params.get("stride", 1)
-                padding = node.params.get("padding", "same")
-                shapes[node.id] = TensorShape(
-                    src.n,
-                    _spatial(src.h, kh, stride, padding, node.id),
-                    _spatial(src.w, kw, stride, padding, node.id),
-                    src.c,
-                )
-        else:  # pragma: no cover - kinds are closed above
-            raise UnknownKindError(f"unhandled kind {node.kind!r}")
+        shapes[node.id] = _rule_of(node).shape(
+            node, [shapes[ref] for ref in node.inputs] or base)
     return shapes
 
 
 def weight_elements(node: LayerNode, in_shape: TensorShape) -> int:
-    """Parameter count of one node (kernel weights, or 4 per channel for
-    normalization layers; zero for everything else)."""
-    if node.kind == KIND_CONV:
-        kh, kw = node.params["kernel"]
-        return kh * kw * in_shape.c * node.params["out_channels"]
-    if node.kind == KIND_DWCONV:
-        kh, kw = node.params["kernel"]
-        return kh * kw * in_shape.c
-    if node.kind == KIND_PWCONV:
-        return in_shape.c * node.params["out_channels"]
-    if node.kind == KIND_DENSE:  # per sample: weights do not grow with n
-        return in_shape.elements // in_shape.n * node.params["units"]
-    if node.kind == KIND_BATCHNORM:
-        return 4 * in_shape.c
-    return 0
+    """Parameter count of one node per sample (kernel weights, or 4 per
+    channel for normalization layers; zero for everything else)."""
+    return _rule_of(node).weights(node, in_shape)

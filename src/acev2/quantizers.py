@@ -29,7 +29,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import NonPositiveScaleError, ShapeMismatchError
+from .errors import NonPositiveScaleError, OutOfRangeError, ShapeMismatchError
 
 DEFAULT_EPS = 1e-3
 
@@ -278,6 +278,9 @@ def norm_quantization_study(
     an adaptive symmetric quantizer. Per-trial generators derive from
     the root seed, so trials are reproducible and order-independent.
     """
+    if trials < 0 or seed < 0:
+        raise OutOfRangeError(
+            f"trials and seed must be >= 0, got {trials} and {seed}")
     root = np.random.SeedSequence(seed)
     q = symmetric_linear_quantizer(bits)
     results = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .formats import FP32, NumericFormat
+from .formats import FP32, INT4, INT8, INT16, NumericFormat
 from .ir import (
     Graph,
     GRANULARITY_SUBCHANNELWISE,
@@ -44,10 +44,6 @@ from .ir import (
 
 IMAGENET_INPUT = TensorShape(1, 224, 224, 3)
 NUM_CLASSES = 1000
-
-INT4 = NumericFormat.fixed(4)
-INT8 = NumericFormat.fixed(8)
-INT16 = NumericFormat.fixed(16)
 
 
 class _Builder:

@@ -368,3 +368,86 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def bad_doc(change):
+    """``format_doc()`` (Input -> PointwiseConv2D -> Output) after
+    ``change``."""
+    doc = format_doc()
+    change(doc)
+    return doc
+
+
+def replace_conv(params):
+    return lambda doc: doc["nodes"].__setitem__(1, {
+        "id": "pw", "kind": "Conv2D", "params": params, "inputs": ["in"]})
+
+
+CONV = {"kernel": [3, 3], "out_channels": 4}
+BAD_DOCS = {  # case -> (document, the JSON path its error names)
+    "node_list": (bad_doc(lambda doc: doc["nodes"].append([])),
+                  "$.nodes[3]"),
+    "params_list": (bad_doc(lambda doc: doc["nodes"][2].__setitem__(
+        "params", [])), "$.nodes[2].params"),
+    "quant_list": (bad_doc(lambda doc: doc["nodes"][1].__setitem__(
+        "quant", [])), "$.nodes[1].quant"),
+    "ir_version_true": (bad_doc(lambda doc: doc.__setitem__(
+        "ir_version", True)), "$.ir_version"),
+    "missing_kernel": (bad_doc(replace_conv({"out_channels": 4})),
+                       "$.nodes[1].params.kernel"),
+    "stride_zero": (bad_doc(replace_conv(dict(CONV, stride=0))),
+                    "$.nodes[1].params.stride"),
+    "kernel_string": (bad_doc(replace_conv(dict(CONV, kernel="3x3"))),
+                      "$.nodes[1].params.kernel"),
+    "out_channels_float": (bad_doc(replace_conv(dict(CONV,
+                                                     out_channels=8.0))),
+                           "$.nodes[1].params.out_channels"),
+    "out_channels_negative": (bad_doc(replace_conv(dict(CONV,
+                                                        out_channels=-8))),
+                              "$.nodes[1].params.out_channels"),
+    "padding_full": (bad_doc(replace_conv(dict(CONV, padding="full"))),
+                     "$.nodes[1].params.padding"),
+}
+
+
+class TestBadDocuments:
+    @pytest.mark.parametrize("case", sorted(BAD_DOCS))
+    @pytest.mark.parametrize("sub", ["analyze", "census"])
+    def test_exits_one_with_the_json_path(self, case, sub, tmp_path, capsys):
+        doc, json_path = BAD_DOCS[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        assert main([sub, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {json_path}: ")
+        assert "Traceback" not in err
+
+    def test_good_conv_document_analyzes(self, tmp_path):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(bad_doc(replace_conv(CONV))))
+        assert main(["analyze", str(path)]) == 0
+
+    def test_compare_reports_the_file_and_keeps_good_rows(self, pike_file,
+                                                          tmp_path, capsys):
+        bad = tmp_path / "stride_zero.json"
+        doc, json_path = BAD_DOCS["stride_zero"]
+        bad.write_text(json.dumps(doc))
+        assert main(["compare", str(pike_file), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "pikelpn_1x," in captured.out
+        assert f"error: {bad}: {json_path}: " in captured.err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--shifter", "0", "4"],
+        ["oracle", "--shifter", "4", "1"],
+        ["quantsim", "--trials", "-1"],
+        ["quantsim", "--trials", "2", "--seed", "-1"],
+    ], ids=["shifter_no_data_bits", "shifter_range_one", "trials_negative",
+            "seed_negative"])
+    def test_exits_64_with_an_error_line(self, argv, capsys):
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""

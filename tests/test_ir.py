@@ -393,3 +393,146 @@ class TestTopologicalOrder:
                   LayerNode("out", "Output", {}, ["missing"]))
         with pytest.raises(DanglingInputError):
             topological_order(g)
+
+
+def probe_doc():
+    """A valid Input -> Conv2D -> Activation -> Output document."""
+    return {"ir_version": 1, "name": "probe",
+            "input": {"n": 1, "h": 8, "w": 8, "c": 3},
+            "nodes": [
+                {"id": "in", "kind": "Input", "params": {}, "inputs": []},
+                {"id": "conv", "kind": "Conv2D",
+                 "params": {"kernel": [3, 3], "stride": 1, "out_channels": 8,
+                            "padding": "same"}, "inputs": ["in"]},
+                {"id": "act", "kind": "Activation",
+                 "params": {"activation": "prelu"}, "inputs": ["conv"]},
+                {"id": "out", "kind": "Output", "params": {},
+                 "inputs": ["act"]}]}
+
+
+def mutated(change):
+    doc = probe_doc()
+    change(doc)
+    return json.dumps(doc)
+
+
+def set_node(i, key, value):
+    return lambda doc: doc["nodes"][i].__setitem__(key, value)
+
+
+def set_param(i, key, value):
+    def change(doc):
+        params = doc["nodes"][i]["params"]
+        if value is KeyError:
+            del params[key]
+        else:
+            params[key] = value
+    return change
+
+
+def with_node(kind, params):
+    """Insert ``kind`` with ``params`` between the activation and Output."""
+    def change(doc):
+        doc["nodes"].insert(3, {"id": "x", "kind": kind, "params": params,
+                                "inputs": ["act"]})
+        doc["nodes"][4]["inputs"] = ["x"]
+    return change
+
+
+def test_probe_document_parses():
+    assert validate(parse_graph(mutated(lambda doc: None))) == []
+
+
+BAD_STRUCTURE = {  # case -> (mutation, the JSON path its error names)
+    "node_list": (lambda doc: doc.__setitem__("nodes", [[]]), "$.nodes[0]"),
+    "nodes_string": (lambda doc: doc.__setitem__("nodes", "nope"), "$.nodes"),
+    "params_list_conv": (set_node(1, "params", []), "$.nodes[1].params"),
+    "params_list_output": (set_node(3, "params", []), "$.nodes[3].params"),
+    "quant_list": (set_node(1, "quant", []), "$.nodes[1].quant"),
+    "ir_version_true": (lambda doc: doc.__setitem__("ir_version", True),
+                        "$.ir_version"),
+    "ir_version_float": (lambda doc: doc.__setitem__("ir_version", 1.0),
+                         "$.ir_version"),
+    "id_list": (set_node(1, "id", []), "$.nodes[1].id"),
+    "inputs_string": (set_node(1, "inputs", "in"), "$.nodes[1].inputs"),
+    "inputs_number": (set_node(1, "inputs", [0]), "$.nodes[1].inputs"),
+    "inputs_nested_list": (set_node(1, "inputs", [["in"]]),
+                           "$.nodes[1].inputs"),
+    "inputs_object": (set_node(1, "inputs", {"in": 1}), "$.nodes[1].inputs"),
+    "kind_list": (set_node(1, "kind", ["Conv2D"]), "$.nodes[1].kind"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STRUCTURE))
+def test_non_object_document_is_a_parse_error_with_its_path(case):
+    change, path = BAD_STRUCTURE[case]
+    with pytest.raises(ParseError) as err:
+        parse_graph(mutated(change))
+    assert err.value.path == path
+
+
+CONV_PARAMS = "$.nodes[1].params"
+BAD_PARAMS = {  # case -> (mutation, the JSON path its error names)
+    "missing_kernel": (set_param(1, "kernel", KeyError),
+                       f"{CONV_PARAMS}.kernel"),
+    "missing_out_channels": (set_param(1, "out_channels", KeyError),
+                             f"{CONV_PARAMS}.out_channels"),
+    "stride_zero": (set_param(1, "stride", 0), f"{CONV_PARAMS}.stride"),
+    "stride_true": (set_param(1, "stride", True), f"{CONV_PARAMS}.stride"),
+    "stride_float": (set_param(1, "stride", 1.0), f"{CONV_PARAMS}.stride"),
+    "kernel_string": (set_param(1, "kernel", "3x3"), f"{CONV_PARAMS}.kernel"),
+    "kernel_three_dims": (set_param(1, "kernel", [3, 3, 3]),
+                          f"{CONV_PARAMS}.kernel"),
+    "kernel_zero": (set_param(1, "kernel", [0, 3]), f"{CONV_PARAMS}.kernel"),
+    "kernel_float": (set_param(1, "kernel", [3.0, 3]),
+                     f"{CONV_PARAMS}.kernel"),
+    "out_channels_float": (set_param(1, "out_channels", 8.0),
+                           f"{CONV_PARAMS}.out_channels"),
+    "out_channels_negative": (set_param(1, "out_channels", -8),
+                              f"{CONV_PARAMS}.out_channels"),
+    "out_channels_zero": (set_param(1, "out_channels", 0),
+                          f"{CONV_PARAMS}.out_channels"),
+    "padding_full": (set_param(1, "padding", "full"),
+                     f"{CONV_PARAMS}.padding"),
+    "activation_gelu": (set_param(2, "activation", "gelu"),
+                        "$.nodes[2].params.activation"),
+    "activation_list": (set_param(2, "activation", ["relu"]),
+                        "$.nodes[2].params.activation"),
+    "dense_units_zero": (with_node("Dense", {"units": 0}),
+                         "$.nodes[3].params.units"),
+    "dense_missing_units": (with_node("Dense", {}),
+                            "$.nodes[3].params.units"),
+    "pointwise_missing_out_channels": (with_node("PointwiseConv2D", {}),
+                                       "$.nodes[3].params.out_channels"),
+    "depthwise_missing_kernel": (with_node("DepthwiseConv2D", {}),
+                                 "$.nodes[3].params.kernel"),
+    "quantnorm_string": (with_node("BatchNorm", {"quantnorm": "yes"}),
+                         "$.nodes[3].params.quantnorm"),
+    "pool_number": (with_node("Pool", {"pool": 3}), "$.nodes[3].params.pool"),
+    "windowed_pool_missing_kernel": (with_node("Pool", {"pool": "max"}),
+                                     "$.nodes[3].params.kernel"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+def test_bad_param_is_a_parse_error_with_its_path(case):
+    change, path = BAD_PARAMS[case]
+    with pytest.raises(ParseError) as err:
+        parse_graph(mutated(change))
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("Pool", {"pool": "global_avg"}),
+    ("Pool", {}),
+    ("Pool", {"pool": "max", "kernel": [2, 2], "stride": 2,
+              "padding": "valid"}),
+    ("Dense", {"units": 4}),
+    ("BatchNorm", {"quantnorm": False}),
+    ("DepthwiseConv2D", {"kernel": [1, 3]}),
+    ("PointwiseConv2D", {"out_channels": 2, "stride": 2}),
+])
+def test_good_params_parse(kind, params):
+    g = parse_graph(mutated(with_node(kind, params)))
+    assert validate(g) == []
+    assert g.node("x").params == params

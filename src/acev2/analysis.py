@@ -21,7 +21,7 @@ applied in place and allocate nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -91,15 +91,15 @@ def ace_report(tally: OpTally) -> Tuple[Fraction, Dict[str, Fraction],
     entries plus one rational product per key. An AnalysisError names
     the first entry, in tally order, whose op cannot be priced."""
     groups: Dict[tuple, list] = {}  # key -> [first entry, summed count]
-    for entry in tally.entries:
-        key = (entry.category, entry.op_class, entry.format_a,
-               entry.format_b, entry.shift_range)
-        groups.setdefault(key, [entry, 0])[1] += entry.count
+    for entry in tally.entries:  # unpacking beats reads by field name
+        _, op_class, count, format_a, format_b, category, shift_range = entry
+        key = (category, op_class, format_a, format_b, shift_range)
+        groups.setdefault(key, [entry, 0])[1] += count
     by_category: Dict[str, Fraction] = {}
     for first, count in groups.values():
         by_category[first.category] = (
             by_category.get(first.category, Fraction(0))
-            + entry_ace(replace(first, count=count)))
+            + entry_ace(first._replace(count=count)))
     total = sum(by_category.values(), Fraction(0))
     if total == 0:
         return total, by_category, None
@@ -126,20 +126,19 @@ def energy_report(tally: OpTally) -> Tuple[float, List[Tuple[str, str]]]:
     total_pj = 0.0
     flagged: List[Tuple[str, str]] = []
     units: Dict[tuple, cost.EnergyCost] = {}
-    for entry in tally.entries:
-        key = (entry.op_class, entry.format_a, entry.format_b,
-               entry.shift_range)
+    for layer_id, op_class, count, format_a, format_b, _, shift_range \
+            in tally.entries:
+        key = (op_class, format_a, format_b, shift_range)
         unit = units.get(key)
         if unit is None:
             try:
                 unit = units[key] = cost.energy_of_op(
-                    entry.op_class, entry.format_a, entry.format_b,
-                    shift_range=entry.shift_range)
+                    op_class, format_a, format_b, shift_range=shift_range)
             except AceV2Error as exc:
-                raise AnalysisError(entry.layer_id, str(exc)) from exc
-        total_pj += unit.picojoules * entry.count
+                raise AnalysisError(layer_id, str(exc)) from exc
+        total_pj += unit.picojoules * count
         if unit.extrapolated:
-            flagged.append((entry.layer_id, entry.op_class))
+            flagged.append((layer_id, op_class))
     return total_pj / PJ_PER_MJ, flagged
 
 

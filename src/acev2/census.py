@@ -28,7 +28,7 @@ surface at their true (high) cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .cost import ADD, MAC, MULTIPLY, SHIFT
 from .errors import MissingFormatError, MissingShapeError
@@ -59,8 +59,10 @@ CAT_SKIP = "skip"
 MAC_CATEGORIES = frozenset({CAT_CONV, CAT_DENSE})
 
 
-@dataclass(frozen=True)
-class TallyEntry:
+class TallyEntry(NamedTuple):
+    """One kind of operation a layer performs, ``count`` times; a tuple,
+    so immutable and cheap to build, one per census row."""
+
     layer_id: str
     op_class: str
     count: int

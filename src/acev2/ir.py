@@ -24,9 +24,14 @@ table, so adding a kind is one entry there. A param name means the same
 for every kind that takes it: ``_PARAM_CHECKS`` holds one type and range
 check per name, applied at parse time.
 
+A parse error names its JSON path, such as
+``$.nodes[3].quant.vectors_per_channel``; the path is formatted only when
+the error is raised, so a valid node pays for no path strings.
+
 A parsed graph is immutable by convention: validate it once, then share
-it freely across threads for analysis. Its formats are shared immutable
-objects, one per distinct format in the document.
+it freely across threads for analysis. Its formats and quantization
+annotations are shared immutable objects, one per distinct format or
+``quant`` document in the graph; two parses share none.
 """
 
 from __future__ import annotations
@@ -94,6 +99,34 @@ class TensorShape:
         return {"n": self.n, "h": self.h, "w": self.w, "c": self.c}
 
 
+_GRANULARITIES = (GRANULARITY_LAYERWISE, GRANULARITY_CHANNELWISE,
+                  GRANULARITY_SUBCHANNELWISE)
+_WEIGHT_QUANTIZERS = ("linear", "pot")
+
+
+def _quant_problem(granularity, weight_quantizer,
+                   vectors) -> Optional[Tuple[str, str]]:
+    """The first bad field of a quantization annotation and what is wrong
+    with it, or None. Only strings pass the membership tests, so a field
+    that passes is also hashable."""
+    if granularity not in _GRANULARITIES:
+        return "granularity", f"unknown granularity {granularity!r}"
+    if weight_quantizer not in _WEIGHT_QUANTIZERS:
+        return ("weight_quantizer",
+                f"unknown weight_quantizer {weight_quantizer!r}")
+    if vectors is not None and type(vectors) is not int:
+        return ("vectors_per_channel",
+                f"vectors_per_channel must be an integer, got {vectors!r}")
+    if granularity == GRANULARITY_SUBCHANNELWISE:
+        if vectors is None or vectors < 2:
+            return ("vectors_per_channel", "subchannelwise quantization "
+                    "needs vectors_per_channel >= 2")
+    elif vectors is not None:
+        return ("vectors_per_channel",
+                "vectors_per_channel is only valid for subchannelwise")
+    return None
+
+
 @dataclass(frozen=True)
 class QuantizationAnnotation:
     """How a compute layer is quantized.
@@ -115,20 +148,10 @@ class QuantizationAnnotation:
         if self.scale_format is None:
             from .formats import FP32
             object.__setattr__(self, "scale_format", FP32)
-        if self.granularity not in (
-                GRANULARITY_LAYERWISE, GRANULARITY_CHANNELWISE,
-                GRANULARITY_SUBCHANNELWISE):
-            raise ParseError(f"unknown granularity {self.granularity!r}")
-        if self.weight_quantizer not in ("linear", "pot"):
-            raise ParseError(
-                f"unknown weight_quantizer {self.weight_quantizer!r}")
-        if self.granularity == GRANULARITY_SUBCHANNELWISE:
-            if self.vectors_per_channel is None or self.vectors_per_channel < 2:
-                raise ParseError(
-                    "subchannelwise quantization needs vectors_per_channel >= 2")
-        elif self.vectors_per_channel is not None:
-            raise ParseError(
-                "vectors_per_channel is only valid for subchannelwise")
+        problem = _quant_problem(self.granularity, self.weight_quantizer,
+                                 self.vectors_per_channel)
+        if problem:
+            raise ParseError(problem[1])
 
     @property
     def scale_is_pot(self) -> bool:
@@ -143,26 +166,7 @@ class QuantizationAnnotation:
         doc["weight_quantizer"] = self.weight_quantizer
         return doc
 
-    @staticmethod
-    def from_json(doc: dict, path: str,
-                  formats: dict) -> "QuantizationAnnotation":
-        if not isinstance(doc, dict):
-            raise ParseError("quant must be an object", path)
-        allowed = {"granularity", "vectors_per_channel", "scale",
-                   "weight_quantizer"}
-        _reject_unknown(doc, allowed, path)
-        scale = doc.get("scale", POT_SCALE)
-        if scale != POT_SCALE:
-            scale = _parse_format(scale, f"{path}.scale", formats)
-        return QuantizationAnnotation(
-            granularity=doc.get("granularity", GRANULARITY_CHANNELWISE),
-            scale_format=scale,
-            weight_quantizer=doc.get("weight_quantizer", "linear"),
-            vectors_per_channel=doc.get("vectors_per_channel"),
-        )
-
-
-@dataclass
+@dataclass(slots=True)
 class LayerNode:
     id: str
     kind: str
@@ -348,92 +352,129 @@ def _rule_of(node: LayerNode) -> KindRule:
     return rule
 
 
-def _reject_unknown(doc: dict, allowed: set, path: str) -> None:
-    if doc.keys() <= allowed:
-        return
-    for key in doc:
-        if key not in allowed:
-            raise ParseError(f"unknown key {key!r}", f"{path}.{key}")
+def _reject_unknown(doc: dict, allowed: FrozenSet[str], path: str) -> None:
+    """Raise for the first key of ``doc``, in document order, that is not
+    in ``allowed``; callers test ``doc.keys() <= allowed`` first."""
+    key = next(key for key in doc if key not in allowed)
+    raise ParseError(f"unknown key {key!r}", f"{path}.{key}")
 
 
+def _at(i: int, where: str = "") -> str:
+    """The JSON path of ``where`` in node ``i``, built only to raise."""
+    return f"$.nodes[{i}]{where}"
+
+
+_ROOT_KEYS = frozenset({"ir_version", "name", "input", "nodes"})
+_INPUT_KEYS = frozenset({"n", "h", "w", "c"})
 _NODE_KEYS = frozenset({"id", "kind", "params", "inputs", "weight_format",
                         "act_format", "quant"})
 _FORMAT_KEYS = frozenset({"kind", "bits", "exp", "man"})
+_QUANT_KEYS = frozenset({"granularity", "vectors_per_channel", "scale",
+                         "weight_quantizer"})
 _WIDTH_TYPES = (int, type(None))  # exp and man may be absent
 
 
-def _parse_format(doc, path: str, formats: dict) -> NumericFormat:
-    """The format ``doc`` describes, shared through ``formats``, one
-    parse's memo keyed on type-checked values (8, 8.0 and true differ)."""
+def _parse_format(doc, memo: dict, i: int, where: str) -> NumericFormat:
+    """The format ``doc`` at ``where`` in node ``i`` describes, shared
+    through ``memo``, one parse's memo keyed on type-checked values (8,
+    8.0 and true differ)."""
     if not isinstance(doc, dict):
-        raise ParseError("format must be an object", path)
-    _reject_unknown(doc, _FORMAT_KEYS, path)
+        raise ParseError("format must be an object", _at(i, where))
+    if not doc.keys() <= _FORMAT_KEYS:
+        _reject_unknown(doc, _FORMAT_KEYS, _at(i, where))
     try:
         key = kind, bits, exp, man = (doc["kind"], doc["bits"],
                                       doc.get("exp"), doc.get("man"))
     except KeyError as exc:
-        raise ParseError(f"missing format key {exc}", path) from exc
+        raise ParseError(f"missing format key {exc}", _at(i, where)) from exc
     if not (type(kind) is str and type(bits) is int
             and type(exp) in _WIDTH_TYPES and type(man) in _WIDTH_TYPES):
-        raise ParseError("format kind must be a string, widths integers", path)
-    fmt = formats.get(key)
+        raise ParseError("format kind must be a string, widths integers",
+                         _at(i, where))
+    fmt = memo.get(key)
     if fmt is None:
         try:
-            fmt = formats[key] = NumericFormat(*key)
+            fmt = memo[key] = NumericFormat(*key)
         except OutOfRangeError as exc:
-            raise ParseError(str(exc), path) from exc
+            raise ParseError(str(exc), _at(i, where)) from exc
     return fmt
 
 
-def _check_params(params, rule: KindRule, path: str) -> None:
+def _parse_quant(doc, memo: dict, i: int) -> QuantizationAnnotation:
+    """The annotation ``doc`` in node ``i`` describes, shared through
+    ``memo`` like formats, keyed on checked values only and tagged with
+    the class so that no format's key equals it."""
+    if not isinstance(doc, dict):
+        raise ParseError("quant must be an object", _at(i, ".quant"))
+    if not doc.keys() <= _QUANT_KEYS:
+        _reject_unknown(doc, _QUANT_KEYS, _at(i, ".quant"))
+    scale = doc.get("scale", POT_SCALE)
+    if scale != POT_SCALE:
+        scale = _parse_format(scale, memo, i, ".quant.scale")
+    granularity = doc.get("granularity", GRANULARITY_CHANNELWISE)
+    weight_quantizer = doc.get("weight_quantizer", "linear")
+    vectors = doc.get("vectors_per_channel")
+    problem = _quant_problem(granularity, weight_quantizer, vectors)
+    if problem:
+        raise ParseError(problem[1], _at(i, f".quant.{problem[0]}"))
+    key = (QuantizationAnnotation, granularity, scale, weight_quantizer,
+           vectors)
+    quant = memo.get(key)
+    if quant is None:
+        quant = memo[key] = QuantizationAnnotation(
+            granularity, scale, weight_quantizer, vectors)
+    return quant
+
+
+def _check_params(params, rule: KindRule, i: int) -> None:
     if not isinstance(params, dict):
-        raise ParseError("params must be an object", path)
+        raise ParseError("params must be an object", _at(i, ".params"))
     for key, value in params.items():
         if key not in rule.params:
-            raise ParseError(f"unknown key {key!r}", f"{path}.{key}")
+            raise ParseError(f"unknown key {key!r}", _at(i, f".params.{key}"))
         accepts, expected = _PARAM_CHECKS[key]
         if not accepts(value):
             raise ParseError(f"{key} must be {expected}, got {value!r}",
-                             f"{path}.{key}")
+                             _at(i, f".params.{key}"))
     required = rule.required
     if params.get("pool", "global_avg") != "global_avg":
         required = required | {"kernel"}  # a windowed pool
     if not params.keys() >= required:
         key = min(required - params.keys())
-        raise ParseError(f"missing param {key!r}", f"{path}.{key}")
+        raise ParseError(f"missing param {key!r}", _at(i, f".params.{key}"))
 
 
-def _parse_node(doc, path: str, formats: dict) -> LayerNode:
+def _parse_node(doc, i: int, memo: dict) -> LayerNode:
     if not isinstance(doc, dict):
-        raise ParseError("node must be an object", path)
-    _reject_unknown(doc, _NODE_KEYS, path)
+        raise ParseError("node must be an object", _at(i))
+    if not doc.keys() <= _NODE_KEYS:
+        _reject_unknown(doc, _NODE_KEYS, _at(i))
     try:
         node_id = doc["id"]
         kind = doc["kind"]
     except KeyError as exc:
-        raise ParseError(f"missing node key {exc}", path) from exc
+        raise ParseError(f"missing node key {exc}", _at(i)) from exc
     if type(node_id) is not str:
-        raise ParseError("node id must be a string", f"{path}.id")
+        raise ParseError("node id must be a string", _at(i, ".id"))
     rule = KIND_RULES.get(kind) if type(kind) is str else None
     if rule is None:
-        raise UnknownKindError(f"unknown node kind {kind!r}", f"{path}.kind")
+        raise UnknownKindError(f"unknown node kind {kind!r}", _at(i, ".kind"))
     params = doc.get("params", {})
-    _check_params(params, rule, f"{path}.params")
+    _check_params(params, rule, i)
     inputs = doc.get("inputs", [])
     if type(inputs) is not list:  # parse_graph resolves each entry
-        raise ParseError("inputs must be a list", f"{path}.inputs")
-    # The document is this parse's own, so the node takes its containers.
-    node = LayerNode(id=node_id, kind=kind, params=params, inputs=inputs)
+        raise ParseError("inputs must be a list", _at(i, ".inputs"))
+    weight_format = act_format = quant = None
     if "weight_format" in doc:
-        node.weight_format = _parse_format(doc["weight_format"],
-                                           f"{path}.weight_format", formats)
+        weight_format = _parse_format(doc["weight_format"], memo, i,
+                                      ".weight_format")
     if "act_format" in doc:
-        node.act_format = _parse_format(doc["act_format"],
-                                        f"{path}.act_format", formats)
+        act_format = _parse_format(doc["act_format"], memo, i, ".act_format")
     if "quant" in doc:
-        node.quant = QuantizationAnnotation.from_json(
-            doc["quant"], f"{path}.quant", formats)
-    return node
+        quant = _parse_quant(doc["quant"], memo, i)
+    # The document is this parse's own, so the node takes its containers.
+    return LayerNode(node_id, kind, params, inputs, weight_format, act_format,
+                     quant)
 
 
 def parse_graph(text: str) -> Graph:
@@ -444,14 +485,20 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
-    _reject_unknown(doc, {"ir_version", "name", "input", "nodes"}, "$")
+    if not doc.keys() <= _ROOT_KEYS:
+        _reject_unknown(doc, _ROOT_KEYS, "$")
     version = doc.get("ir_version")
     if type(version) is not int or version != IR_VERSION:
         raise ParseError(f"unsupported ir_version {version!r}", "$.ir_version")
     inp = doc.get("input")
     if not isinstance(inp, dict):
         raise ParseError("missing input shape", "$.input")
-    _reject_unknown(inp, {"n", "h", "w", "c"}, "$.input")
+    if not inp.keys() <= _INPUT_KEYS:
+        _reject_unknown(inp, _INPUT_KEYS, "$.input")
+    for key, value in inp.items():
+        if not _positive_int(value):
+            raise ParseError(f"{key} must be a positive integer, got "
+                             f"{value!r}", f"$.input.{key}")
     try:
         shape = TensorShape(**inp)
     except TypeError as exc:
@@ -460,15 +507,15 @@ def parse_graph(text: str) -> Graph:
     docs = doc.get("nodes", [])
     if not isinstance(docs, list):
         raise ParseError("nodes must be a list", "$.nodes")
-    formats: Dict[tuple, NumericFormat] = {}
-    nodes = [_parse_node(nd, f"$.nodes[{i}]", formats)
-             for i, nd in enumerate(docs)]
+    memo: dict = {}  # this parse's formats and quant annotations
+    nodes = [_parse_node(nd, i, memo) for i, nd in enumerate(docs)]
     graph = Graph(name=doc.get("name", ""), input_shape=shape, nodes=nodes)
 
-    for i, node in enumerate(graph.nodes):
+    ids = graph._index
+    for i, node in enumerate(nodes):
         for ref in node.inputs:  # a ref that resolves is a string, like ids
-            if type(ref) is not str or ref not in graph:
-                raise DanglingInputError(ref, f"$.nodes[{i}].inputs")
+            if type(ref) is not str or ref not in ids:
+                raise DanglingInputError(ref, _at(i, ".inputs"))
     return graph
 
 
@@ -519,17 +566,13 @@ def validate_with_order(g: Graph) -> Tuple[List[Diagnostic], Optional[list]]:
     """``validate`` and the order its cycle check sorted (None if none)."""
     diags: List[Diagnostic] = []
     order = None
-
-    for node in g.nodes:
-        for ref in node.inputs:
-            if ref not in g:
-                diags.append(Diagnostic(node.id, "dangling-input",
-                                        f"input {ref!r} does not resolve"))
-
     try:
         order = topological_order(g)
-    except DanglingInputError:
-        pass  # reported above
+    except DanglingInputError as exc:  # parse_graph rejects these first
+        ref = exc.missing_id  # the sort stops at the first node holding it
+        node = next(n for n in g.nodes if ref in n.inputs)
+        diags.append(Diagnostic(node.id, "dangling-input",
+                                f"input {ref!r} does not resolve"))
     except ParseError:
         diags.append(Diagnostic("<graph>", "dag-violation",
                                 "graph contains a cycle"))

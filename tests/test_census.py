@@ -9,6 +9,7 @@ from acev2.census import (
     CAT_CONV,
     CAT_QUANT_SCALE,
     CAT_SKIP,
+    TallyEntry,
     census_graph,
     census_layer,
 )
@@ -27,6 +28,34 @@ from acev2.ir import (
 
 INT4 = NumericFormat.fixed(4)
 INT8 = NumericFormat.fixed(8)
+
+
+class TestTallyEntry:
+    FIELDS = ("layer_id", "op_class", "count", "format_a", "format_b",
+              "category", "shift_range")
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = TallyEntry("pw", SHIFT, 10, INT8, None, CAT_CONV, 8)
+        keyword = TallyEntry(layer_id="pw", op_class=SHIFT, count=10,
+                             format_a=INT8, format_b=None, category=CAT_CONV,
+                             shift_range=8)
+        assert positional == keyword
+        assert hash(positional) == hash(keyword)
+        assert positional.shift_range == 8
+        assert TallyEntry._fields == self.FIELDS
+
+    def test_shift_range_defaults_to_none(self):
+        entry = TallyEntry("pw", MAC, 10, INT8, INT4, CAT_CONV)
+        assert entry.shift_range is None
+        assert entry == TallyEntry("pw", MAC, 10, INT8, INT4, CAT_CONV, None)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_fields_cannot_be_set(self, name):
+        entry = TallyEntry("pw", MAC, 10, INT8, INT4, CAT_CONV)
+        with pytest.raises(AttributeError):
+            setattr(entry, name, None)
+        assert entry._replace(count=3).count == 3
+        assert entry.count == 10
 
 
 def one_conv_graph(quant=None, weight=INT4, act=INT4):

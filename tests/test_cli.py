@@ -383,8 +383,30 @@ def replace_conv(params):
         "id": "pw", "kind": "Conv2D", "params": params, "inputs": ["in"]})
 
 
+def set_quant(**fields):
+    return lambda doc: doc["nodes"][1]["quant"].update(fields)
+
+
+def set_input(key, value):
+    return lambda doc: doc["input"].__setitem__(key, value)
+
+
 CONV = {"kernel": [3, 3], "out_channels": 4}
+SUB = "subchannelwise"
+QUANT = "$.nodes[1].quant"
 BAD_DOCS = {  # case -> (document, the JSON path its error names)
+    "vectors_string": (bad_doc(set_quant(granularity=SUB,
+                                         vectors_per_channel="2")),
+                       f"{QUANT}.vectors_per_channel"),
+    "vectors_float": (bad_doc(set_quant(granularity=SUB,
+                                        vectors_per_channel=2.5)),
+                      f"{QUANT}.vectors_per_channel"),
+    "granularity_number": (bad_doc(set_quant(granularity=7)),
+                           f"{QUANT}.granularity"),
+    "weight_quantizer_number": (bad_doc(set_quant(weight_quantizer=3)),
+                                f"{QUANT}.weight_quantizer"),
+    "input_n_float": (bad_doc(set_input("n", 1.5)), "$.input.n"),
+    "input_n_true": (bad_doc(set_input("n", True)), "$.input.n"),
     "node_list": (bad_doc(lambda doc: doc["nodes"].append([])),
                   "$.nodes[3]"),
     "params_list": (bad_doc(lambda doc: doc["nodes"][2].__setitem__(

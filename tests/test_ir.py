@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from acev2.errors import DanglingInputError, ParseError, ShapeMismatchError, UnknownKindError
 from acev2.formats import NumericFormat
 from acev2.ir import (
+    Diagnostic,
     Graph,
     LayerNode,
     QuantizationAnnotation,
@@ -148,6 +149,21 @@ class TestValidate:
         )
         assert "single-input" in [d.rule for d in validate(g)]
 
+    def test_dangling_input_of_a_built_graph(self):
+        """parse_graph rejects a dangling input; a graph built in code gets
+        one diagnostic, for the first node holding one, and no order."""
+        g = chain(
+            LayerNode("in", "Input"),
+            LayerNode("a", "Add", {}, ["in", "ghost"]),
+            LayerNode("b", "Activation", {}, ["phantom"]),
+            LayerNode("out", "Output", {}, ["a"]),
+        )
+        diags, order = validate_with_order(g)
+        assert diags == [Diagnostic("a", "dangling-input",
+                                    "input 'ghost' does not resolve")]
+        assert order is None
+        assert validate(g) == diags
+
     def test_with_order_returns_the_cycle_check_order(self, mbv2_relu):
         diags, order = validate_with_order(mbv2_relu)
         assert diags == validate(mbv2_relu) == []
@@ -209,6 +225,19 @@ class TestFormats:
         assert serialize_graph(first) == serialize_graph(second)
         ids = {id(f) for f in parsed_formats(first)}
         assert not ids & {id(f) for f in parsed_formats(second)}
+
+    def test_equal_quant_documents_in_one_parse_are_one_object(self):
+        text = format_graph()
+        g = parse_graph(text)
+        assert g.node("pw0").quant is g.node("pw1").quant
+        other = parse_graph(text)
+        assert other.node("pw0").quant == g.node("pw0").quant
+        assert other.node("pw0").quant is not g.node("pw0").quant
+        doc = json.loads(text)
+        doc["nodes"][2]["quant"]["granularity"] = "layerwise"
+        g = parse_graph(json.dumps(doc))
+        assert g.node("pw0").quant is not g.node("pw1").quant
+        assert g.node("pw1").quant.granularity == "layerwise"
 
     @pytest.mark.parametrize("weight,scale,path", [
         ({"kind": "fixed", "bits": 70}, None, "$.nodes[1].weight_format"),
@@ -536,3 +565,58 @@ def test_good_params_parse(kind, params):
     g = parse_graph(mutated(with_node(kind, params)))
     assert validate(g) == []
     assert g.node("x").params == params
+
+
+def set_quant(i, **fields):
+    return set_node(i, "quant", dict({"scale": "pot"}, **fields))
+
+
+def set_input(key, value):
+    return lambda doc: doc["input"].__setitem__(key, value)
+
+
+SUB = "subchannelwise"
+QUANT = "$.nodes[1].quant"
+BAD_FIELDS = {  # case -> (mutation, the JSON path its error names)
+    "vectors_string": (set_quant(1, granularity=SUB, vectors_per_channel="2"),
+                       f"{QUANT}.vectors_per_channel"),
+    "vectors_float": (set_quant(1, granularity=SUB, vectors_per_channel=2.5),
+                      f"{QUANT}.vectors_per_channel"),
+    "vectors_true": (set_quant(1, granularity=SUB, vectors_per_channel=True),
+                     f"{QUANT}.vectors_per_channel"),
+    "vectors_one": (set_quant(1, granularity=SUB, vectors_per_channel=1),
+                    f"{QUANT}.vectors_per_channel"),
+    "vectors_missing": (set_quant(1, granularity=SUB),
+                        f"{QUANT}.vectors_per_channel"),
+    "vectors_not_subchannelwise": (set_quant(1, vectors_per_channel=2),
+                                   f"{QUANT}.vectors_per_channel"),
+    "granularity_number": (set_quant(1, granularity=7),
+                           f"{QUANT}.granularity"),
+    "granularity_list": (set_quant(1, granularity=[SUB]),
+                         f"{QUANT}.granularity"),
+    "weight_quantizer_number": (set_quant(1, weight_quantizer=3),
+                                f"{QUANT}.weight_quantizer"),
+    "weight_quantizer_unknown": (set_quant(1, weight_quantizer="log"),
+                                 f"{QUANT}.weight_quantizer"),
+    "input_n_float": (set_input("n", 1.5), "$.input.n"),
+    "input_n_true": (set_input("n", True), "$.input.n"),
+    "input_h_string": (set_input("h", "8"), "$.input.h"),
+    "input_w_zero": (set_input("w", 0), "$.input.w"),
+    "input_c_negative": (set_input("c", -3), "$.input.c"),
+    "input_c_null": (set_input("c", None), "$.input.c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+def test_bad_quant_or_input_field_is_a_parse_error_with_its_path(case):
+    change, path = BAD_FIELDS[case]
+    with pytest.raises(ParseError) as err:
+        parse_graph(mutated(change))
+    assert err.value.path == path
+
+
+def test_good_subchannelwise_quant_parses():
+    g = parse_graph(mutated(set_quant(1, granularity=SUB,
+                                      vectors_per_channel=4)))
+    assert validate(g) == []
+    assert g.node("conv").quant.vectors_per_channel == 4

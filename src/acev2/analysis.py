@@ -2,7 +2,11 @@
 
 Bit-adder totals accumulate as exact rationals so reports are
 bit-reproducible; energy accumulates in floating point because the
-underlying table is measured/extrapolated anyway.
+underlying table is measured/extrapolated anyway. Every report reads
+one pass over the census tally: it sums counts per pricing key, sums
+energy entry by entry in tally order (a float sum depends on its order,
+and this one is fixed), collects the extrapolated ops and counts the ops;
+bit-adders are then priced once per key.
 
 Arithmetic intensity is ops per data element:
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cost
@@ -82,31 +87,87 @@ def entry_ace(entry: TallyEntry) -> Fraction:
     return unit.bitadders * entry.count
 
 
+class _TallyPricing:
+    """One walk over a tally, in tally order, that every report reads.
+
+    Counts are summed per distinct (category, op class, formats, shift
+    range) key; each new key's energy is looked up once per distinct
+    (op class, formats, shift range), and energy is summed entry by entry
+    so the float total keeps its bits. Ops count a MAC as two. Bit-adders
+    are priced exactly, once per key, only when asked for. An energy
+    failure is held, not raised, so a caller that wants bit-adders sees
+    the bit-adder failure first, and one that wants neither sees none."""
+
+    def __init__(self, tally: OpTally):
+        # key -> [first entry, summed count, pJ per op, extrapolated]
+        groups: Dict[tuple, list] = {}
+        units: Dict[tuple, tuple] = {}  # energy key -> (pJ, extrapolated)
+        self.energy_error = None  # (layer id, error) of the first failure
+        total_pj = 0.0
+        flagged: List[Tuple[str, str]] = []
+        for entry in tally.entries:  # unpacking beats reads by field name
+            layer_id, op_class, count, format_a, format_b, category, \
+                shift_range = entry
+            key = (category, op_class, format_a, format_b, shift_range)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = [entry, 0,
+                                       *self._energy_unit(units, entry)]
+            group[1] += count
+            total_pj += group[2] * count
+            if group[3]:
+                flagged.append((layer_id, op_class))
+        self.groups = groups
+        self.energy_pj = total_pj
+        self.flagged = flagged
+        self.ops = sum(count * (2 if first.op_class == cost.MAC else 1)
+                       for first, count, _, _ in groups.values())
+
+    def _energy_unit(self, units: dict, entry: TallyEntry) -> tuple:
+        key = (entry.op_class, entry.format_a, entry.format_b,
+               entry.shift_range)
+        unit = units.get(key)
+        if unit is None:
+            try:
+                energy = cost.energy_of_op(*key[:3], shift_range=key[3])
+                unit = energy.picojoules, energy.extrapolated
+            except AceV2Error as exc:
+                if self.energy_error is None:
+                    self.energy_error = entry.layer_id, exc
+                unit = 0.0, False  # never reported: energy() raises
+            units[key] = unit
+        return unit
+
+    def ace(self) -> Tuple[Fraction, Dict[str, Fraction],
+                           Optional[Tuple[float, float]]]:
+        by_category: Dict[str, Fraction] = {}
+        for first, count, _, _ in self.groups.values():
+            by_category[first.category] = (
+                by_category.get(first.category, Fraction(0))
+                + entry_ace(first._replace(count=count)))
+        total = sum(by_category.values(), Fraction(0))
+        if total == 0:
+            return total, by_category, None
+        mac = sum((v for k, v in by_category.items()
+                   if k in MAC_CATEGORIES), Fraction(0))
+        mac_share = float(mac / total)
+        return total, by_category, (mac_share, 1.0 - mac_share)
+
+    def energy(self) -> Tuple[float, List[Tuple[str, str]]]:
+        if self.energy_error is not None:
+            layer_id, exc = self.energy_error
+            raise AnalysisError(layer_id, str(exc)) from exc
+        return self.energy_pj / PJ_PER_MJ, self.flagged
+
+
 def ace_report(tally: OpTally) -> Tuple[Fraction, Dict[str, Fraction],
                                         Optional[Tuple[float, float]]]:
     """Total bit-adders, per-category breakdown, and the
     (mac_share, elementwise_share) split. Shares are None for an empty
-    tally. Counts are summed per distinct (category, op class, formats,
-    shift range) key and each key is priced once, exactly: O(E) for E
-    entries plus one rational product per key. An AnalysisError names
-    the first entry, in tally order, whose op cannot be priced."""
-    groups: Dict[tuple, list] = {}  # key -> [first entry, summed count]
-    for entry in tally.entries:  # unpacking beats reads by field name
-        _, op_class, count, format_a, format_b, category, shift_range = entry
-        key = (category, op_class, format_a, format_b, shift_range)
-        groups.setdefault(key, [entry, 0])[1] += count
-    by_category: Dict[str, Fraction] = {}
-    for first, count in groups.values():
-        by_category[first.category] = (
-            by_category.get(first.category, Fraction(0))
-            + entry_ace(first._replace(count=count)))
-    total = sum(by_category.values(), Fraction(0))
-    if total == 0:
-        return total, by_category, None
-    mac = sum((v for k, v in by_category.items() if k in MAC_CATEGORIES),
-              Fraction(0))
-    mac_share = float(mac / total)
-    return total, by_category, (mac_share, 1.0 - mac_share)
+    tally. O(E) for E entries plus one exact rational product per
+    distinct key. An AnalysisError names the first entry, in tally
+    order, whose op cannot be priced."""
+    return _TallyPricing(tally).ace()
 
 
 def bn_share(report: CostReport) -> float:
@@ -120,48 +181,27 @@ def bn_share(report: CostReport) -> float:
 
 def energy_report(tally: OpTally) -> Tuple[float, List[Tuple[str, str]]]:
     """Total energy in millijoules plus the (layer, op) pairs whose
-    per-op energy was extrapolated, in tally order. O(E): each distinct
-    (op class, formats, shift range) key is looked up once, and the sum
-    still runs entry by entry, so the float total does not change."""
-    total_pj = 0.0
-    flagged: List[Tuple[str, str]] = []
-    units: Dict[tuple, cost.EnergyCost] = {}
-    for layer_id, op_class, count, format_a, format_b, _, shift_range \
-            in tally.entries:
-        key = (op_class, format_a, format_b, shift_range)
-        unit = units.get(key)
-        if unit is None:
-            try:
-                unit = units[key] = cost.energy_of_op(
-                    op_class, format_a, format_b, shift_range=shift_range)
-            except AceV2Error as exc:
-                raise AnalysisError(layer_id, str(exc)) from exc
-        total_pj += unit.picojoules * count
-        if unit.extrapolated:
-            flagged.append((layer_id, op_class))
-    return total_pj / PJ_PER_MJ, flagged
+    per-op energy was extrapolated, in tally order. O(E), summed entry by
+    entry in tally order. An AnalysisError names the first entry whose
+    energy cannot be priced."""
+    return _TallyPricing(tally).energy()
 
 
 def branch_factor(g: Graph, order: Optional[List[LayerNode]] = None) -> int:
     """Maximum number of producer-to-consumer edges crossing any
-    topological cut: the widest set of simultaneously-live paths."""
+    topological cut: the widest set of simultaneously-live paths, at
+    least 1. Each edge adds +1 at its producer's cut and -1 at its
+    consumer's straight into a difference array, and a running sum
+    sweeps the cuts: O(V + E), no edge list."""
     order = order or topological_order(g)
-    position = {node.id: i for i, node in enumerate(order)}
-    edges = [(position[ref], position[node.id])
-             for node in g.nodes for ref in node.inputs]
-    if not edges:
-        return 1
-    # Sweep cut points between consecutive positions.
+    # deltas[p] changes the live count on the cut after position p - 1.
+    position = {node.id: p for p, node in enumerate(order, 1)}
     deltas = [0] * (len(order) + 1)
-    for src, dst in edges:
-        deltas[src + 1] += 1
-        deltas[dst + 1] -= 1
-    widest = 0
-    live = 0
-    for i in range(1, len(order)):
-        live += deltas[i]
-        widest = max(widest, live)
-    return max(1, widest)
+    for p, node in enumerate(order, 1):
+        deltas[p] -= len(node.inputs)
+        for ref in node.inputs:
+            deltas[position[ref]] += 1
+    return max(1, max(accumulate(deltas[1:-1]), default=0))
 
 
 def data_footprint(g: Graph,
@@ -180,25 +220,29 @@ def data_footprint(g: Graph,
     return Footprint(weights, activations, branch_factor(g, order))
 
 
-def arithmetic_intensity(g: Graph, tally: OpTally,
-                         shapes: Optional[Dict[str, TensorShape]] = None,
-                         footprint: Optional[Footprint] = None) -> float:
-    """Ops per concurrently-resident data element (see module docs)."""
-    ops = sum(e.count * (2 if e.op_class == cost.MAC else 1)
-              for e in tally.entries)
-    fp = footprint or data_footprint(g, shapes)
+def _intensity(ops: int, fp: Footprint) -> float:
     data = fp.concurrent_branch_factor * (fp.weight_elems + fp.activation_elems)
     return ops / data if data else 0.0
 
 
+def arithmetic_intensity(g: Graph, tally: OpTally,
+                         shapes: Optional[Dict[str, TensorShape]] = None,
+                         footprint: Optional[Footprint] = None) -> float:
+    """Ops per concurrently-resident data element (see module docs)."""
+    return _intensity(_TallyPricing(tally).ops,
+                      footprint or data_footprint(g, shapes))
+
+
 def analyze(g: Graph, order: Optional[List[LayerNode]] = None) -> CostReport:
     """Full pipeline: shapes, census, bit-adders, energy, intensity, over
-    one topological order (``order`` if the caller already has it)."""
+    one topological order (``order`` if the caller already has it) and
+    one pricing pass over the tally. A bit-adder failure is raised before
+    an energy failure."""
     order = order or topological_order(g)
     shapes = infer_shapes(g, None, order)
-    tally = census_graph(g, shapes, order)
-    total, by_category, shares = ace_report(tally)
-    energy_mj, flagged = energy_report(tally)
+    pricing = _TallyPricing(census_graph(g, shapes, order))
+    total, by_category, shares = pricing.ace()
+    energy_mj, flagged = pricing.energy()
     footprint = data_footprint(g, shapes, order)
     return CostReport(
         name=g.name,
@@ -207,8 +251,7 @@ def analyze(g: Graph, order: Optional[List[LayerNode]] = None) -> CostReport:
         mac_share=shares[0] if shares else None,
         elementwise_share=shares[1] if shares else None,
         energy_mj=energy_mj,
-        arithmetic_intensity=arithmetic_intensity(g, tally, shapes,
-                                                  footprint),
+        arithmetic_intensity=_intensity(pricing.ops, footprint),
         footprint=footprint,
         extrapolated_energy_ops=flagged,
     )

@@ -69,6 +69,18 @@ def fraction_decimal(value: Fraction) -> str:
     return f"{sign}{digits[:-scale]}.{digits[-scale:]}"
 
 
+def _bit_width(text: str) -> int:
+    """An argparse type: a bit width in [1, 64], else a usage error."""
+    try:
+        bits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not 1 <= bits <= 64:
+        raise argparse.ArgumentTypeError(
+            f"bit width must be in [1, 64], got {bits}")
+    return bits
+
+
 def _sig4(x: float) -> str:
     return f"{x:.4g}"
 
@@ -368,8 +380,8 @@ def build_parser() -> _Parser:
     pe.add_argument("model", choices=("pikelpn", "mobilenet_v1",
                                       "mobilenet_v2", "resnet50"))
     pe.add_argument("--scale", choices=sorted(zoo.PIKE_SCALES), default="1x")
-    pe.add_argument("--weight-bits", type=int, default=8)
-    pe.add_argument("--act-bits", type=int, default=8)
+    pe.add_argument("--weight-bits", type=_bit_width, default=8)
+    pe.add_argument("--act-bits", type=_bit_width, default=8)
     pe.add_argument("--activation", choices=("relu", "prelu", "dprelu"),
                     default="relu")
     pe.add_argument("--granularity",

@@ -188,6 +188,16 @@ class LayerNode:
         return doc
 
 
+def _first_duplicate(nodes: List[LayerNode]) -> int:
+    """The index of the first node whose id an earlier node holds; the
+    caller knows there is one."""
+    seen = set()
+    for i, node in enumerate(nodes):
+        if node.id in seen:
+            return i
+        seen.add(node.id)
+
+
 @dataclass
 class Graph:
     name: str
@@ -197,11 +207,8 @@ class Graph:
     def __post_init__(self):
         self._index = {n.id: n for n in self.nodes}
         if len(self._index) != len(self.nodes):
-            seen = set()
-            for n in self.nodes:
-                if n.id in seen:
-                    raise ParseError(f"duplicate node id {n.id!r}")
-                seen.add(n.id)
+            node = self.nodes[_first_duplicate(self.nodes)]
+            raise ParseError(f"duplicate node id {node.id!r}")
 
     def node(self, node_id: str) -> LayerNode:
         return self._index[node_id]
@@ -507,9 +514,16 @@ def parse_graph(text: str) -> Graph:
     docs = doc.get("nodes", [])
     if not isinstance(docs, list):
         raise ParseError("nodes must be a list", "$.nodes")
+    name = doc.get("name", "")
+    if type(name) is not str:
+        raise ParseError(f"name must be a string, got {name!r}", "$.name")
     memo: dict = {}  # this parse's formats and quant annotations
     nodes = [_parse_node(nd, i, memo) for i, nd in enumerate(docs)]
-    graph = Graph(name=doc.get("name", ""), input_shape=shape, nodes=nodes)
+    try:
+        graph = Graph(name=name, input_shape=shape, nodes=nodes)
+    except ParseError as exc:  # a duplicate id: name the node repeating it
+        raise ParseError(str(exc), _at(_first_duplicate(nodes), ".id")) \
+            from None
 
     ids = graph._index
     for i, node in enumerate(nodes):
@@ -532,9 +546,23 @@ def serialize_graph(g: Graph) -> str:
 
 
 def topological_order(g: Graph) -> List[LayerNode]:
-    """Kahn topological sort, stable with respect to declaration order,
-    in O((V + E) log V) with a heap keyed on declaration index. Raises
-    DanglingInputError on an unresolved input, ParseError on cycles."""
+    """Kahn topological sort, stable with respect to declaration order:
+    of the nodes ready at each step, the first declared comes first.
+    Raises DanglingInputError on an unresolved input, ParseError on
+    cycles.
+
+    A graph declared in topological order, every input naming an
+    earlier-declared node, sorts to its declaration order; one set test
+    per node finds that in O(V + E) and returns it. The scan stops at the
+    first forward, dangling or self reference, and the full sort, a heap
+    keyed on declaration index in O((V + E) log V), runs from scratch."""
+    seen = set()
+    for node in g.nodes:
+        if not seen.issuperset(node.inputs):
+            break
+        seen.add(node.id)
+    else:
+        return list(g.nodes)
     position = {n.id: i for i, n in enumerate(g.nodes)}
     indegree = [len(n.inputs) for n in g.nodes]
     consumers: List[List[int]] = [[] for _ in g.nodes]

@@ -159,6 +159,26 @@ class TestOnePass:
             energy_report(tally)
         assert err.value.layer_id == "fp8_mul"
 
+    def test_analyze_reports_a_bitadder_failure_before_an_energy_one(self):
+        fp8 = NumericFormat.flt(4, 3)
+        g = Graph("t", TensorShape(1, 8, 8, 3), [
+            LayerNode("in", "Input"),
+            LayerNode("bn", "BatchNorm", {}, ["in"], weight_format=fp8),
+            LayerNode("pw", "PointwiseConv2D", {"out_channels": 4}, ["bn"],
+                      quant=ir.QuantizationAnnotation(scale_format="pot")),
+            LayerNode("out", "Output", {}, ["pw"]),
+        ])
+        tally = census_graph(g)
+        with pytest.raises(AnalysisError) as err:
+            energy_report(tally)
+        assert err.value.layer_id == "bn"
+        for report in (ace_report, lambda t: analyze(g)):
+            with pytest.raises(AnalysisError) as err:
+                report(tally)
+            assert err.value.layer_id == "pw"
+        # No energy error escapes a report that prices no energy.
+        assert arithmetic_intensity(g, tally) > 0
+
 
 class TestBnShare:
     def test_no_norm_layers_means_zero(self):

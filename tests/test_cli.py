@@ -429,6 +429,10 @@ BAD_DOCS = {  # case -> (document, the JSON path its error names)
                               "$.nodes[1].params.out_channels"),
     "padding_full": (bad_doc(replace_conv(dict(CONV, padding="full"))),
                      "$.nodes[1].params.padding"),
+    "name_number": (bad_doc(lambda doc: doc.__setitem__("name", 5)),
+                    "$.name"),
+    "duplicate_id": (bad_doc(lambda doc: doc["nodes"][2].__setitem__(
+        "id", "pw")), "$.nodes[2].id"),
 }
 
 
@@ -448,6 +452,17 @@ class TestBadDocuments:
         path = tmp_path / "good.json"
         path.write_text(json.dumps(bad_doc(replace_conv(CONV))))
         assert main(["analyze", str(path)]) == 0
+
+    def test_compare_of_a_number_name_and_a_same_cost_file(self, tmp_path,
+                                                           capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "name_number.json"
+        good.write_text(json.dumps(format_doc()))
+        bad.write_text(json.dumps(BAD_DOCS["name_number"][0]))
+        assert main(["compare", str(bad), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("formats,")
+        assert f"error: {bad}: $.name: " in captured.err
+        assert "Traceback" not in captured.err
 
     def test_compare_reports_the_file_and_keeps_good_rows(self, pike_file,
                                                           tmp_path, capsys):
@@ -473,3 +488,55 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--weight-bits", "--act-bits"])
+    @pytest.mark.parametrize("bits", ["0", "70"])
+    def test_zoo_emit_bit_width_out_of_range(self, flag, bits, tmp_path,
+                                             capsys):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as err:
+            main(["zoo", "emit", "resnet50", flag, bits, "-o", str(out)])
+        assert err.value.code == 64
+        assert (f"argument {flag}: bit width must be in [1, 64], got {bits}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bits", ["1", "64"])
+    def test_zoo_emit_bit_width_bounds_are_accepted(self, bits, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["zoo", "emit", "resnet50", "--weight-bits", bits,
+                     "--act-bits", bits, "-o", str(out)]) == 0
+        parse_graph(out.read_text())
+
+
+FP8 = {"kind": "float", "bits": 8, "exp": 4, "man": 3}
+
+
+def fp8_norm_doc(then_pot_scale: bool) -> dict:
+    """Input -> BatchNorm at fp8 (energy has no fp8 anchor; bit-adders
+    price it) -> Output, with a power-of-two scaled conv on fp32
+    activations (bit-adders cannot price that shift) before the Output
+    if ``then_pot_scale``."""
+    nodes = [{"id": "in", "kind": "Input", "params": {}, "inputs": []},
+             {"id": "bn", "kind": "BatchNorm", "params": {}, "inputs": ["in"],
+              "weight_format": FP8}]
+    if then_pot_scale:
+        nodes.append({"id": "pw", "kind": "PointwiseConv2D",
+                      "params": {"out_channels": 4}, "inputs": ["bn"],
+                      "quant": {"scale": "pot"}})
+    nodes.append({"id": "out", "kind": "Output", "params": {},
+                  "inputs": [nodes[-1]["id"]]})
+    return {"ir_version": 1, "name": "fp8", "nodes": nodes,
+            "input": {"n": 1, "h": 8, "w": 8, "c": 3}}
+
+
+@pytest.mark.parametrize("then_pot_scale,message", [
+    (False, "bn: no measured multiply energy for 8-bit floats"),
+    (True, "pw: shift cost is defined for fixed-point values, got fp32"),
+], ids=["energy_only", "energy_then_bitadders"])
+def test_a_bitadder_failure_is_reported_before_an_energy_failure(
+        then_pot_scale, message, tmp_path, capsys):
+    path = tmp_path / "fp8.json"
+    path.write_text(json.dumps(fp8_norm_doc(then_pot_scale)))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"analysis error: {message}\n"

@@ -85,8 +85,33 @@ def test_wrong_ir_version():
 
 
 def test_duplicate_ids_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_graph(MINIMAL.replace('"id": "out"', '"id": "in"'))
+    assert err.value.path == "$.nodes[1].id"
+    assert str(err.value) == "$.nodes[1].id: duplicate node id 'in'"
+
+
+def test_duplicate_ids_in_a_built_graph_rejected():
+    with pytest.raises(ParseError, match="duplicate node id 'a'") as err:
+        chain(LayerNode("in", "Input"), LayerNode("a", "Output", {}, ["in"]),
+              LayerNode("b", "Output", {}, ["in"]),
+              LayerNode("a", "Output", {}, ["b"]))
+    assert err.value.path == ""
+
+
+@pytest.mark.parametrize("name", [5, None, ["x"], {"a": 1}, True])
+def test_non_string_name_is_a_parse_error_with_its_path(name):
+    doc = json.loads(MINIMAL)
+    doc["name"] = name
+    with pytest.raises(ParseError) as err:
+        parse_graph(json.dumps(doc))
+    assert err.value.path == "$.name"
+
+
+def test_absent_name_is_empty():
+    doc = json.loads(MINIMAL)
+    del doc["name"]
+    assert parse_graph(json.dumps(doc)).name == ""
 
 
 def test_first_unknown_key_in_document_order_is_named():
@@ -422,6 +447,41 @@ class TestTopologicalOrder:
                   LayerNode("out", "Output", {}, ["missing"]))
         with pytest.raises(DanglingInputError):
             topological_order(g)
+
+    def test_declared_order_with_repeats_and_merges_is_kept(self):
+        g = chain(
+            LayerNode("in", "Input"),
+            LayerNode("a", "Activation", {}, ["in"]),
+            LayerNode("b", "Add", {}, ["in", "a", "in"]),
+            LayerNode("c", "Concat", {}, ["b", "b"]),
+            LayerNode("d", "Add", {}, ["a", "c", "b"]),
+            LayerNode("out", "Output", {}, ["d"]),
+        )
+        order = topological_order(g)
+        assert order == g.nodes
+        assert order is not g.nodes
+        assert [n.id for n in order] == reference_order(g)
+
+    def test_self_reference_in_declared_order_is_a_cycle(self):
+        g = chain(LayerNode("in", "Input"),
+                  LayerNode("a", "Add", {}, ["in", "a"]))
+        with pytest.raises(ParseError, match="cycle"):
+            topological_order(g)
+
+    def test_inputs_changed_after_a_sort_are_seen(self):
+        g = chain(LayerNode("in", "Input"),
+                  LayerNode("a", "Activation", {}, ["in"]),
+                  LayerNode("b", "Activation", {}, ["a"]))
+        assert [n.id for n in topological_order(g)] == ["in", "a", "b"]
+        g.node("a").inputs[0] = "b"
+        with pytest.raises(ParseError, match="cycle"):
+            topological_order(g)
+        g.node("a").inputs[0] = "ghost"
+        with pytest.raises(DanglingInputError):
+            topological_order(g)
+        g.node("a").inputs[0] = "in"
+        g.nodes.reverse()  # every input now a forward reference
+        assert [n.id for n in topological_order(g)] == ["in", "a", "b"]
 
 
 def probe_doc():

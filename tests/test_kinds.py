@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acev2 import ir
-from acev2.analysis import ace_report, data_footprint
+from acev2.analysis import (
+    ace_report,
+    analyze,
+    arithmetic_intensity,
+    branch_factor,
+    data_footprint,
+    energy_report,
+)
 from acev2.census import census_graph
 from acev2.formats import NumericFormat
 from acev2.ir import (
@@ -158,6 +165,40 @@ def test_random_graphs_are_linear_in_batch_and_round_trip(g, n):
             macs = reference_macs(node, shapes[node.inputs[0]],
                                   shapes[node.id])
             assert core and set(core) == {macs}
+
+
+def reference_branch_factor(g, order):
+    """The widest topological cut, from an explicit edge list swept over
+    every cut."""
+    position = {node.id: i for i, node in enumerate(order)}
+    edges = [(position[ref], position[node.id])
+             for node in g.nodes for ref in node.inputs]
+    cuts = [sum(src < cut <= dst for src, dst in edges)
+            for cut in range(1, len(order))]
+    return max([1] + cuts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_analyze_equals_its_reports_called_separately(g, rng):
+    report = analyze(g)
+    tally = census_graph(g)
+    total, by_category, shares = ace_report(tally)
+    assert (report.total_ace, report.ace_by_category) == (total, by_category)
+    assert (report.mac_share, report.elementwise_share) == (
+        shares or (None, None))
+    assert (report.energy_mj, report.extrapolated_energy_ops) \
+        == energy_report(tally)
+    assert report.footprint == data_footprint(g)
+    assert report.arithmetic_intensity == arithmetic_intensity(g, tally)
+    assert report.footprint.concurrent_branch_factor \
+        == reference_branch_factor(g, g.nodes)
+
+    nodes = list(g.nodes)
+    rng.shuffle(nodes)  # forward references: the full sort runs
+    shuffled = Graph(g.name, g.input_shape, nodes)
+    order = ir.topological_order(shuffled)
+    assert branch_factor(shuffled) == reference_branch_factor(shuffled, order)
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")),

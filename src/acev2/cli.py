@@ -91,6 +91,9 @@ def _load_graph(path: str) -> Tuple[Graph, list]:
             text = fh.read()
     except OSError as exc:
         raise ParseError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
     graph = parse_graph(text)
     diags, order = validate_with_order(graph)
     if diags:
@@ -166,12 +169,18 @@ def _report_table(report: analysis.CostReport) -> str:
     return "\n".join([header, rule] + lines) + "\n"
 
 
-def _write_out(text: str, out: Optional[str]) -> None:
-    if out:
+def _write_out(text: str, out: Optional[str]) -> int:
+    """Write ``text`` to the file ``out``, or to stdout; the exit code."""
+    if not out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
@@ -193,8 +202,7 @@ def cmd_analyze(args) -> int:
         text = _report_table(report)
     if args.stamp:
         text = f"# acev2 {__version__}\n" + text
-    _write_out(text, args.out)
-    return EXIT_OK
+    return _write_out(text, args.out)
 
 
 def cmd_census(args) -> int:
@@ -217,8 +225,7 @@ def cmd_census(args) -> int:
             e.format_b.total_bits if e.format_b else "")
         writer.writerow([e.layer_id, e.category, e.op_class, e.count,
                          e.format_a.total_bits, bits_b])
-    _write_out(buf.getvalue(), args.out)
-    return EXIT_OK
+    return _write_out(buf.getvalue(), args.out)
 
 
 def cmd_oracle(args) -> int:
@@ -295,8 +302,7 @@ def cmd_zoo_emit(args) -> int:
     except (AceV2Error, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _write_out(serialize_graph(graph), args.out)
-    return EXIT_OK
+    return _write_out(serialize_graph(graph), args.out)
 
 
 def cmd_compare(args) -> int:
@@ -319,10 +325,10 @@ def cmd_compare(args) -> int:
                          _sig4(row.energy_mj),
                          _sig4(row.arithmetic_intensity),
                          int(row.pareto)])
-    _write_out(buf.getvalue(), args.out)
+    status = _write_out(buf.getvalue(), args.out)
     for path, message in failures:
         print(f"error: {path}: {message}", file=sys.stderr)
-    return EXIT_INPUT if failures else EXIT_OK
+    return EXIT_INPUT if failures else status
 
 
 def cmd_quantsim(args) -> int:
@@ -340,11 +346,12 @@ def cmd_quantsim(args) -> int:
     for idx, t in enumerate(trials):
         writer.writerow([idx, f"{t.quantnorm_mse:.6e}",
                          f"{t.vanilla_mse:.6e}"])
-    wins = sum(t.quantnorm_mse <= t.vanilla_mse for t in trials)
-    _write_out(buf.getvalue(), args.out)
-    print(f"fused norm at or below vanilla in {wins}/{len(trials)} trials",
-          file=sys.stderr)
-    return EXIT_OK
+    status = _write_out(buf.getvalue(), args.out)
+    if status == EXIT_OK:
+        wins = sum(t.quantnorm_mse <= t.vanilla_mse for t in trials)
+        print(f"fused norm at or below vanilla in {wins}/{len(trials)} "
+              "trials", file=sys.stderr)
+    return status
 
 
 @functools.cache

@@ -166,6 +166,7 @@ class QuantizationAnnotation:
         doc["weight_quantizer"] = self.weight_quantizer
         return doc
 
+
 @dataclass(slots=True)
 class LayerNode:
     id: str
@@ -175,17 +176,6 @@ class LayerNode:
     weight_format: Optional[NumericFormat] = None
     act_format: Optional[NumericFormat] = None
     quant: Optional[QuantizationAnnotation] = None
-
-    def to_json(self) -> dict:
-        doc = {"id": self.id, "kind": self.kind, "params": dict(self.params),
-               "inputs": list(self.inputs)}
-        if self.weight_format is not None:
-            doc["weight_format"] = self.weight_format.to_json()
-        if self.act_format is not None:
-            doc["act_format"] = self.act_format.to_json()
-        if self.quant is not None:
-            doc["quant"] = self.quant.to_json()
-        return doc
 
 
 def _first_duplicate(nodes: List[LayerNode]) -> int:
@@ -490,6 +480,8 @@ def parse_graph(text: str) -> Graph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     if not doc.keys() <= _ROOT_KEYS:
@@ -533,16 +525,123 @@ def parse_graph(text: str) -> Graph:
     return graph
 
 
+_escape = json.encoder.encode_basestring_ascii  # the C escaper json uses
+_INF = float("inf")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps coerces it to a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_value(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it when nested
+    at ``indent``: ASCII-escaped strings, tuples as lists, ``{}`` and
+    ``[]`` for empty containers, and json's TypeError for other types."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_json_value(item, inner) for item in value]
+    elif isinstance(value, dict):
+        brackets = "{}"
+        items = [_escape(_json_key(key)) + ": " + _json_value(item, inner)
+                 for key, item in value.items()]
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        "is not JSON serializable")
+    if not items:
+        return brackets
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n"
+            + indent + brackets[1])
+
+
+_KEY = ",\n      "  # ends a node's key: the next one sits at depth 3
+
+
 def serialize_graph(g: Graph) -> str:
     """Canonical JSON rendering; parse(serialize(g)) == g and the byte
-    stream is stable for golden-file diffs."""
-    doc = {
-        "ir_version": IR_VERSION,
-        "name": g.name,
-        "input": g.input_shape.to_json(),
-        "nodes": [n.to_json() for n in g.nodes],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    stream is stable for golden-file diffs.
+
+    The bytes equal ``json.dumps(doc, indent=2) + "\\n"``, where ``doc``
+    holds the root keys and each node's id, kind, a dict of its params, a
+    list of its inputs and the formats and quant it carries. They are
+    written without json's pure-Python indenting encoder: the fixed keys
+    directly, each format or quant object rendered once per call (a
+    parse shares one object per distinct block), and strings through the
+    C escaper json.dumps uses."""
+    # id of a format or quant annotation -> its text in a node. Not keyed
+    # on equality: a format of width 8.0 equals one of width 8, but json
+    # writes them differently. The graph keeps each object, so its id.
+    blocks: Dict[int, str] = {}
+
+    def block(value) -> str:
+        text = blocks.get(id(value))
+        if text is None:
+            text = blocks[id(value)] = _json_value(value.to_json(), "      ")
+        return text
+
+    nodes = []
+    for node in g.nodes:
+        try:  # ids, kinds and refs are strings in any parsed graph
+            refs = ",\n        ".join(map(_escape, node.inputs))
+            text = ('    {\n      "id": ' + _escape(node.id)
+                    + _KEY + '"kind": ' + _escape(node.kind))
+        except TypeError:  # one is not: render them as params are
+            refs = ",\n        ".join(_json_value(ref, "        ")
+                                       for ref in node.inputs)
+            text = ('    {\n      "id": ' + _json_value(node.id, "      ")
+                    + _KEY + '"kind": ' + _json_value(node.kind, "      "))
+        text += (_KEY + '"params": '
+                 + _json_value(dict(node.params), "      ")
+                 + _KEY + '"inputs": '
+                 + ("[\n        " + refs + "\n      ]" if refs else "[]"))
+        if node.weight_format is not None:
+            text += _KEY + '"weight_format": ' + block(node.weight_format)
+        if node.act_format is not None:
+            text += _KEY + '"act_format": ' + block(node.act_format)
+        if node.quant is not None:
+            text += _KEY + '"quant": ' + block(node.quant)
+        nodes.append(text + "\n    }")
+    body = "[\n" + ",\n".join(nodes) + "\n  ]" if nodes else "[]"
+    return (f'{{\n  "ir_version": {IR_VERSION},\n  "name": '
+            + _json_value(g.name, "  ") + ',\n  "input": '
+            + _json_value(g.input_shape.to_json(), "  ")
+            + ',\n  "nodes": ' + body + "\n}\n")
 
 
 def topological_order(g: Graph) -> List[LayerNode]:

@@ -370,6 +370,79 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.strip() == "False"
 
 
+def test_importing_oracle_and_formats_loads_no_graph_module():
+    """The package loads a submodule only when one of its names is used."""
+    src = str(Path(acev2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, acev2.oracle, acev2.formats; print(sorted(m for m "
+            "in ('acev2.analysis', 'acev2.census', 'acev2.ir', 'acev2.zoo') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_package_names_resolve_to_their_submodules():
+    for name in acev2.__all__:
+        value = getattr(acev2, name)
+        assert value.__module__.startswith("acev2.")
+    assert acev2.dadda_adder_count.__module__ == "acev2.oracle"
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        acev2.nope
+
+
+OUT_ARGV = {
+    "zoo emit": ["zoo", "emit", "pikelpn"],
+    "analyze": ["analyze", str(FIXTURES / "pikelpn_1x.json")],
+    "census": ["census", str(FIXTURES / "pikelpn_1x.json")],
+    "compare": ["compare", str(FIXTURES / "pikelpn_1x.json")],
+    "quantsim": ["quantsim", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(OUT_ARGV))
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+def test_unwritable_out_is_an_input_error(sub, where, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.out" if where == "missing_dir" \
+        else tmp_path
+    reason = ("No such file or directory" if where == "missing_dir"
+              else "Is a directory")
+    assert main(OUT_ARGV[sub] + ["-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: {reason}\n"
+    assert captured.out == ""
+
+
+class TestNotUtf8:
+    @pytest.fixture
+    def utf16_file(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes((FIXTURES / "pikelpn_1x.json").read_text()
+                         .encode("utf-16"))  # starts \xff\xfe
+        return path
+
+    @pytest.mark.parametrize("sub", ["analyze", "census"])
+    def test_exits_one(self, sub, utf16_file, capsys):
+        assert main([sub, str(utf16_file)]) == 1
+        assert capsys.readouterr().err == (
+            "error: not UTF-8 text: invalid start byte at byte 0\n")
+
+    def test_compare_lists_it_as_one_failure(self, utf16_file, pike_file,
+                                             capsys):
+        assert main(["compare", str(utf16_file), str(pike_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("pikelpn_1x,")
+        assert captured.err == (f"error: {utf16_file}: not UTF-8 text: "
+                                "invalid start byte at byte 0\n")
+
+
+def test_deeply_nested_document_exits_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
+
 def bad_doc(change):
     """``format_doc()`` (Input -> PointwiseConv2D -> Output) after
     ``change``."""

@@ -84,6 +84,12 @@ def test_wrong_ir_version():
         parse_graph(MINIMAL.replace('"ir_version": 1', '"ir_version": 2'))
 
 
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"a": ' * 200_000])
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="^invalid JSON: nested too deeply$"):
+        parse_graph(text)
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(ParseError) as err:
         parse_graph(MINIMAL.replace('"id": "out"', '"id": "in"'))

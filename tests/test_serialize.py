@@ -1,0 +1,191 @@
+"""serialize_graph against json.dumps: its bytes equal
+``json.dumps(reference_doc(g), indent=2) + "\\n"``, where ``reference_doc``
+is the dict builder that serialize_graph rendered through json.dumps."""
+
+import itertools
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from acev2 import zoo
+from acev2.formats import NumericFormat
+from acev2.ir import (
+    Graph,
+    LayerNode,
+    QuantizationAnnotation,
+    TensorShape,
+    serialize_graph,
+)
+
+from test_kinds import graphs
+
+
+def format_doc(fmt):
+    doc = {"kind": fmt.kind, "bits": fmt.total_bits}
+    if fmt.is_float:
+        doc["exp"] = fmt.exponent_bits
+        doc["man"] = fmt.mantissa_bits
+    return doc
+
+
+def quant_doc(quant):
+    doc = {"granularity": quant.granularity}
+    if quant.vectors_per_channel is not None:
+        doc["vectors_per_channel"] = quant.vectors_per_channel
+    doc["scale"] = ("pot" if quant.scale_format == "pot"
+                    else format_doc(quant.scale_format))
+    doc["weight_quantizer"] = quant.weight_quantizer
+    return doc
+
+
+def reference_doc(g):
+    nodes = []
+    for node in g.nodes:
+        doc = {"id": node.id, "kind": node.kind, "params": dict(node.params),
+               "inputs": list(node.inputs)}
+        if node.weight_format is not None:
+            doc["weight_format"] = format_doc(node.weight_format)
+        if node.act_format is not None:
+            doc["act_format"] = format_doc(node.act_format)
+        if node.quant is not None:
+            doc["quant"] = quant_doc(node.quant)
+        nodes.append(doc)
+    s = g.input_shape
+    return {"ir_version": 1, "name": g.name,
+            "input": {"n": s.n, "h": s.h, "w": s.w, "c": s.c},
+            "nodes": nodes}
+
+
+def reference(g):
+    return json.dumps(reference_doc(g), indent=2) + "\n"
+
+
+# Any code point, lone surrogates and control characters included.
+TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]))
+INTS = st.one_of(st.integers(), st.integers(2 ** 63, 2 ** 200),
+                 st.integers(-2 ** 200, -2 ** 63))
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, TEXT)
+# json.dumps coerces these keys to strings; serialize_graph does the same.
+KEYS = st.one_of(TEXT, st.booleans(), st.none(), INTS, FLOATS)
+JSON = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(KEYS, inner, max_size=3),
+), max_leaves=12)
+# Ids must hash for the graph's index, and not repeat (1 == True == 1.0).
+IDS = st.one_of(TEXT, st.booleans(), st.none(), INTS,
+                st.floats(allow_nan=False))
+FORMATS = st.one_of(
+    st.none(), st.integers(1, 64).map(NumericFormat.fixed),
+    st.just(NumericFormat.binary()),
+    st.builds(NumericFormat.flt, st.integers(1, 11), st.integers(0, 52)))
+QUANTS = st.one_of(st.none(), st.builds(
+    QuantizationAnnotation, st.sampled_from(["layerwise", "channelwise"]),
+    st.one_of(st.just("pot"), FORMATS.filter(bool)),
+    st.sampled_from(["linear", "pot"])))
+
+
+@st.composite
+def json_graphs(draw):
+    """A random valid graph, then renamed with JSON values for its name
+    and ids (inputs follow the ids), with some params and formats
+    replaced by arbitrary ones; serializing checks none of it."""
+    g = draw(graphs())
+    ids = draw(st.lists(IDS, min_size=len(g.nodes), max_size=len(g.nodes),
+                        unique=True))
+    rename = dict(zip((node.id for node in g.nodes), ids))
+    nodes = []
+    for node in g.nodes:
+        params = draw(st.one_of(st.just(node.params),
+                                st.dictionaries(KEYS, JSON, max_size=4)))
+        weight, act, quant = node.weight_format, node.act_format, node.quant
+        if draw(st.booleans()):
+            weight, act, quant = draw(FORMATS), draw(FORMATS), draw(QUANTS)
+        nodes.append(LayerNode(rename[node.id], node.kind, params,
+                               [rename[ref] for ref in node.inputs],
+                               weight, act, quant))
+    return Graph(draw(st.one_of(TEXT, JSON)), g.input_shape, nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_graphs())
+def test_bytes_equal_json_dumps_of_the_reference_document(g):
+    assert serialize_graph(g) == reference(g)
+
+
+def zoo_builds():
+    """Every zoo builder under each combination of its flags, keyed by
+    the `zoo emit` arguments that select it."""
+    builds = {f"pikelpn-{s}": lambda s=s: zoo.build_pikelpn(s)
+              for s in sorted(zoo.PIKE_SCALES)}
+    for w, a, act, gran in itertools.product(
+            (4, 8), (4, 8), ("relu", "prelu", "dprelu"),
+            ("layerwise", "channelwise", "subchannelwise")):
+        builds[f"mobilenet_v2-{w}w{a}a-{act}-{gran}"] = (
+            lambda w=w, a=a, act=act, gran=gran:
+            zoo.build_mobilenet_v2(w, a, act, gran))
+    fixed = NumericFormat.fixed
+    for w, a in itertools.product((2, 8), (4, 8)):
+        builds[f"mobilenet_v1-{w}w{a}a"] = lambda w=w, a=a: \
+            zoo.build_mobilenet_v1(weight_fmt=fixed(w), act_fmt=fixed(a))
+    for b, bits in itertools.product((2, 3, 4), (1, 4)):
+        fmt = NumericFormat.binary() if bits == 1 else fixed(bits)
+        builds[f"resnet50-{b}branches-{bits}bit"] = lambda b=b, fmt=fmt: \
+            zoo.build_resnet50_branches(b, fmt, fmt)
+    return builds
+
+
+ZOO_BUILDS = zoo_builds()
+
+
+@pytest.mark.parametrize("key", sorted(ZOO_BUILDS))
+def test_zoo_bytes_equal_json_dumps(key):
+    g = ZOO_BUILDS[key]()
+    assert serialize_graph(g) == reference(g)
+
+
+def node_with_params(params):
+    return Graph("t", TensorShape(1, 1, 1, 1),
+                 [LayerNode("in", "Input", params)])
+
+
+def test_empty_graph():
+    g = Graph("", TensorShape(1, 1, 1, 1), [])
+    assert serialize_graph(g) == reference(g)
+    assert serialize_graph(g).endswith('"nodes": []\n}\n')
+
+
+def test_non_string_keys_are_coerced_as_json_dumps_coerces_them():
+    g = node_with_params({1: 2, 2.5: [], False: {}, None: (1,)})
+    text = serialize_graph(g)
+    assert text == reference(g)
+    assert json.loads(text)["nodes"][0]["params"] == {
+        "1": 2, "2.5": [], "false": {}, "null": [1]}
+
+
+@pytest.mark.parametrize("params,message", [
+    ({(1, 2): 3}, "keys must be str, int, float, bool or None, not tuple"),
+    ({"x": {1, 2}}, "Object of type set is not JSON serializable"),
+])
+def test_what_json_dumps_rejects_is_the_same_type_error(params, message):
+    g = node_with_params(params)
+    with pytest.raises(TypeError, match=message):
+        reference(g)
+    with pytest.raises(TypeError, match=message):
+        serialize_graph(g)
+
+
+def test_equal_formats_of_different_field_types_render_apart():
+    """8.0 == 8, but json writes them differently: blocks are shared by
+    object, not by equality."""
+    exact, loose = NumericFormat.fixed(8), NumericFormat("fixed", 8.0)
+    assert exact == loose
+    g = Graph("t", TensorShape(1, 1, 1, 1), [
+        LayerNode("a", "Input", weight_format=exact),
+        LayerNode("b", "Input", weight_format=loose)])
+    assert serialize_graph(g) == reference(g)
+    assert '"bits": 8.0' in serialize_graph(g)

@@ -86,11 +86,11 @@ def _sig4(x: float) -> str:
 
 
 def _load_graph(path: str) -> Tuple[Graph, list]:
+    """The graph at ``path`` and its order. An unreadable file raises
+    OSError; text that is not UTF-8 or not a valid graph, ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ParseError(str(exc))
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte "
                          f"{exc.start}") from None
@@ -183,12 +183,22 @@ def _write_out(text: str, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
+def _load_or_report(path: str) -> Optional[Tuple[Graph, list]]:
+    """``_load_graph(path)``, or None once its error line is printed."""
     try:
-        graph, order = _load_graph(args.model)
+        return _load_graph(path)
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_analyze(args) -> int:
+    loaded = _load_or_report(args.model)
+    if loaded is None:
         return EXIT_INPUT
+    graph, order = loaded
     try:
         report = analysis.analyze(graph, order)
     except AceV2Error as exc:
@@ -206,11 +216,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_census(args) -> int:
-    try:
-        graph, order = _load_graph(args.model)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    loaded = _load_or_report(args.model)
+    if loaded is None:
         return EXIT_INPUT
+    graph, order = loaded
     try:
         tally = census_graph(graph, None, order)
     except AceV2Error as exc:
@@ -263,12 +272,13 @@ def cmd_oracle(args) -> int:
                   file=sys.stderr)
             status = EXIT_MISMATCH
     else:
+        max_bits = oracle.MAX_BITS if args.max_bits is None else args.max_bits
         try:
-            mismatches = oracle.verify_multiply_formula(args.max_bits)
+            mismatches = oracle.verify_multiply_formula(max_bits)
         except AceV2Error as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        pairs = args.max_bits * args.max_bits
+        pairs = max_bits * max_bits
         print(f"{len(mismatches)} mismatches / {pairs} pairs")
         for i, j, built, predicted in mismatches[:20]:
             print(f"  {i}x{j}: built {built}, predicted {predicted}")
@@ -312,6 +322,8 @@ def cmd_compare(args) -> int:
         try:
             report = analysis.analyze(*_load_graph(path))
             results.append((report.name or path, report))
+        except OSError as exc:
+            failures.append((path, exc.strerror or str(exc)))
         except AceV2Error as exc:
             failures.append((path, str(exc)))
 
@@ -376,9 +388,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle",
                        help="construction-vs-formula verification")
-    p.add_argument("--max-bits", type=int, default=oracle.MAX_BITS)
-    p.add_argument("--fp-adder", type=int, nargs=2, metavar=("E", "M"))
-    p.add_argument("--shifter", type=int, nargs=2, metavar=("I", "J"))
+    # One mode per call. --max-bits defaults to None, not MAX_BITS:
+    # argparse checks the group by identity with the default, and
+    # int("64") is the cached 64, so an explicit 64 would slip through.
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--max-bits", type=int,
+                      help=f"sweep widths 1..N (default {oracle.MAX_BITS})")
+    mode.add_argument("--fp-adder", type=int, nargs=2, metavar=("E", "M"))
+    mode.add_argument("--shifter", type=int, nargs=2, metavar=("I", "J"))
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("zoo", help="built-in model graphs")

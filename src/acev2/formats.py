@@ -37,6 +37,14 @@ class NumericFormat:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise OutOfRangeError(f"unknown format kind {self.kind!r}")
+        for name in ("total_bits", "exponent_bits", "mantissa_bits"):
+            value = getattr(self, name)
+            # exactly int, as a parsed document must have it: 8.0 and
+            # True compare equal to widths but print and serialize apart
+            if type(value) is not int and (value is not None
+                                           or name == "total_bits"):
+                raise OutOfRangeError(
+                    f"{name} must be an integer, got {value!r}")
         if not 1 <= self.total_bits <= 64:
             raise OutOfRangeError(
                 f"total_bits must be in [1, 64], got {self.total_bits}")

@@ -604,9 +604,9 @@ def serialize_graph(g: Graph) -> str:
     directly, each format or quant object rendered once per call (a
     parse shares one object per distinct block), and strings through the
     C escaper json.dumps uses."""
-    # id of a format or quant annotation -> its text in a node. Not keyed
-    # on equality: a format of width 8.0 equals one of width 8, but json
-    # writes them differently. The graph keeps each object, so its id.
+    # id of a format or quant annotation -> its text in a node. A parse
+    # shares one object per distinct block, so the id finds it without
+    # hashing; the graph keeps each object, so its id stays valid.
     blocks: Dict[int, str] = {}
 
     def block(value) -> str:

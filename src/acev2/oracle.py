@@ -62,14 +62,8 @@ def _dadda_targets(max_height: int) -> List[int]:
 
 
 def _partial_product_heights(i: int, j: int) -> List[int]:
-    ncols = i + j - 1
-    heights = [0] * ncols
-    for col in range(ncols):
-        # bits (a, b) with a + b == col, a < i, b < j
-        lo = max(0, col - j + 1)
-        hi = min(i - 1, col)
-        heights[col] = hi - lo + 1
-    return heights
+    # bits (a, b) with a + b == col, a < i, b < j
+    return [min(col + 1, i, j, i + j - 1 - col) for col in range(i + j - 1)]
 
 
 def dadda_stage_counts(i: int, j: int) -> Tuple[CircuitTally, CircuitTally]:
@@ -78,8 +72,10 @@ def dadda_stage_counts(i: int, j: int) -> Tuple[CircuitTally, CircuitTally]:
     Reduction runs the staged height sequence, placing adders greedily
     per column from least significant to most significant; carries
     produced in a stage land one column left in the next stage's matrix.
-    Completion ripples a carry-propagate adder across the two surviving
-    rows.
+    A column at or below the stage target d passes through; a column
+    above it gets exactly enough adders to keep d bits, so each stage
+    leaves no column higher than d. Completion ripples a carry-propagate
+    adder across the two surviving rows.
     """
     if not 1 <= i <= MAX_BITS or not 1 <= j <= MAX_BITS:
         raise OutOfRangeError(f"operand bits must be in [1, {MAX_BITS}]")
@@ -88,20 +84,22 @@ def dadda_stage_counts(i: int, j: int) -> Tuple[CircuitTally, CircuitTally]:
     red_fa = red_ha = 0
 
     for d in reversed(_dadda_targets(max(heights))):
-        ncols = len(heights)
-        nxt = [0] * (ncols + 1)
-        carry_in = 0
-        for c in range(ncols):
-            t = heights[c] + carry_in
-            excess = t - d
-            fa = max(0, excess) // 2
-            ha = max(0, excess) % 2
-            red_fa += fa
-            red_ha += ha
-            nxt[c] = t - 2 * fa - ha
-            carry_in = fa + ha
-        nxt[ncols] = carry_in
-        heights = nxt if nxt[ncols] else nxt[:ncols]
+        nxt = []
+        carry = 0
+        for h in heights:
+            t = h + carry
+            if t <= d:
+                nxt.append(t)
+                carry = 0
+            else:
+                fa, ha = divmod(t - d, 2)
+                red_fa += fa
+                red_ha += ha
+                nxt.append(d)
+                carry = fa + ha
+        if carry:
+            nxt.append(carry)
+        heights = nxt
 
     # Ripple-carry completion: one unit per column position the carry
     # chain touches; two inputs make a half adder, three a full adder.

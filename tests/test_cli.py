@@ -413,6 +413,21 @@ def test_unwritable_out_is_an_input_error(sub, where, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("sub", ["analyze", "census", "compare"])
+@pytest.mark.parametrize("where", ["missing", "a_directory"])
+def test_unreadable_input_names_the_file_once(sub, where, tmp_path,
+                                              capsys):
+    path = tmp_path / "missing.json" if where == "missing" else tmp_path
+    reason = ("No such file or directory" if where == "missing"
+              else "Is a directory")
+    good = [str(FIXTURES / "pikelpn_1x.json")] if sub == "compare" else []
+    assert main([sub, str(path)] + good) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {reason}\n"
+    if sub == "compare":
+        assert captured.out.splitlines()[1].startswith("pikelpn_1x,")
+
+
 class TestNotUtf8:
     @pytest.fixture
     def utf16_file(self, tmp_path):
@@ -560,6 +575,21 @@ class TestUsageErrors:
         assert main(argv) == 64
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("first,second", [
+        (["--max-bits", "4"], ["--shifter", "8", "8"]),
+        (["--max-bits", "64"], ["--fp-adder", "8", "23"]),
+        (["--fp-adder", "8", "23"], ["--shifter", "8", "8"]),
+    ], ids=["max_bits_shifter", "max_bits_fp_adder", "fp_adder_shifter"])
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_oracle_modes_are_exclusive(self, first, second, order, capsys):
+        argv = first + second if order == "forward" else second + first
+        with pytest.raises(SystemExit) as err:
+            main(["oracle"] + argv)
+        assert err.value.code == 64
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--weight-bits", "--act-bits"])

@@ -1,5 +1,6 @@
 """Gate-level constructions versus the closed-form costs."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,32 @@ class TestDaddaConstruction:
         reduction, completion = dadda_stage_counts(n, n)
         assert reduction.adder_units == n * n - 3 * n + 2
         assert completion.adder_units == 2 * n - 2
+
+    def test_split_reduction_vs_completion_on_every_pair(self):
+        for i in range(2, 65):
+            for j in range(2, 65):
+                reduction, completion = dadda_stage_counts(i, j)
+                assert completion.adder_units == i + j - 2, (i, j)
+                assert reduction.adder_units == (
+                    i * j - max(i, j) - (i + j - 2)), (i, j)
+
+    def test_full_and_half_adder_tallies_are_pinned(self):
+        """No closed form fixes the full/half split, so the exact tallies
+        of every pair are pinned by digest; any change to the greedy
+        placement shows here."""
+        lines = []
+        sums = [0, 0, 0, 0]
+        for i in range(1, 65):
+            for j in range(1, 65):
+                red, cpa = dadda_stage_counts(i, j)
+                counts = (red.full_adders, red.half_adders,
+                          cpa.full_adders, cpa.half_adders)
+                sums = [s + c for s, c in zip(sums, counts)]
+                lines.append(f"{i} {j} " + " ".join(map(str, counts)))
+        assert sums == [3_810_365, 85_219, 249_922, 4_094]
+        digest = hashlib.sha256(("\n".join(lines) + "\n").encode())
+        assert digest.hexdigest() == (
+            "23a53f6ef5fa57314102d2cc20ba8c1e17b5d6f65a4f80c43cbadf614e6f1f53")
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acev2 import zoo
+from acev2.errors import OutOfRangeError
 from acev2.formats import NumericFormat
 from acev2.ir import (
     Graph,
@@ -179,13 +180,12 @@ def test_what_json_dumps_rejects_is_the_same_type_error(params, message):
         serialize_graph(g)
 
 
-def test_equal_formats_of_different_field_types_render_apart():
-    """8.0 == 8, but json writes them differently: blocks are shared by
-    object, not by equality."""
-    exact, loose = NumericFormat.fixed(8), NumericFormat("fixed", 8.0)
-    assert exact == loose
-    g = Graph("t", TensorShape(1, 1, 1, 1), [
-        LayerNode("a", "Input", weight_format=exact),
-        LayerNode("b", "Input", weight_format=loose)])
-    assert serialize_graph(g) == reference(g)
-    assert '"bits": 8.0' in serialize_graph(g)
+@pytest.mark.parametrize("fields", [
+    ("fixed", 8.0), ("fixed", True), ("fixed", 8.5),
+    ("float", 16.0, 5, 10), ("float", 16, True, 14), ("float", 16, 5, 10.0),
+], ids=lambda fields: "-".join(map(str, fields)))
+def test_formats_with_non_integer_widths_do_not_construct(fields):
+    """8.0 and True equal widths but print and serialize apart, and a
+    document holding them does not parse: no such format exists."""
+    with pytest.raises(OutOfRangeError, match="must be an integer"):
+        NumericFormat(*fields)

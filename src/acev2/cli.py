@@ -26,10 +26,10 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import __version__, analysis, oracle, zoo
+from . import __version__, analysis
 from .census import census_graph
 from .errors import AceV2Error, ParseError
-from .formats import NumericFormat
+from .formats import MAX_BITS, NumericFormat
 from .ir import Graph, parse_graph, serialize_graph, validate_with_order
 
 EXIT_OK = 0
@@ -70,15 +70,26 @@ def fraction_decimal(value: Fraction) -> str:
 
 
 def _bit_width(text: str) -> int:
-    """An argparse type: a bit width in [1, 64], else a usage error."""
+    """An argparse type: a bit width in [1, MAX_BITS], else a usage error."""
     try:
         bits = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if not 1 <= bits <= 64:
+    if not 1 <= bits <= MAX_BITS:
         raise argparse.ArgumentTypeError(
-            f"bit width must be in [1, 64], got {bits}")
+            f"bit width must be in [1, {MAX_BITS}], got {bits}")
     return bits
+
+
+def _pike_scale(text: str) -> str:
+    """An argparse type: a pikelpn scale name, else a usage error. It reads
+    the names from ``zoo``, which only ``zoo emit`` imports."""
+    from .zoo import PIKE_SCALES
+    if text not in PIKE_SCALES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from "
+            f"{', '.join(map(repr, sorted(PIKE_SCALES)))})")
+    return text
 
 
 def _sig4(x: float) -> str:
@@ -238,6 +249,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     status = EXIT_OK
     if args.fp_adder:
         e, m = args.fp_adder
@@ -272,7 +285,7 @@ def cmd_oracle(args) -> int:
                   file=sys.stderr)
             status = EXIT_MISMATCH
     else:
-        max_bits = oracle.MAX_BITS if args.max_bits is None else args.max_bits
+        max_bits = MAX_BITS if args.max_bits is None else args.max_bits
         try:
             mismatches = oracle.verify_multiply_formula(max_bits)
         except AceV2Error as exc:
@@ -288,6 +301,8 @@ def cmd_oracle(args) -> int:
 
 
 def _build_zoo_model(args) -> Graph:
+    from . import zoo
+
     if args.model == "pikelpn":
         return zoo.build_pikelpn(args.scale)
     if args.model == "mobilenet_v1":
@@ -393,7 +408,7 @@ def build_parser() -> _Parser:
     # int("64") is the cached 64, so an explicit 64 would slip through.
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--max-bits", type=int,
-                      help=f"sweep widths 1..N (default {oracle.MAX_BITS})")
+                      help=f"sweep widths 1..N (default {MAX_BITS})")
     mode.add_argument("--fp-adder", type=int, nargs=2, metavar=("E", "M"))
     mode.add_argument("--shifter", type=int, nargs=2, metavar=("I", "J"))
     p.set_defaults(func=cmd_oracle)
@@ -403,7 +418,8 @@ def build_parser() -> _Parser:
     pe = zoo_sub.add_parser("emit", help="write a model graph as JSON")
     pe.add_argument("model", choices=("pikelpn", "mobilenet_v1",
                                       "mobilenet_v2", "resnet50"))
-    pe.add_argument("--scale", choices=sorted(zoo.PIKE_SCALES), default="1x")
+    pe.add_argument("--scale", type=_pike_scale, default="1x",
+                    help="pikelpn cost scale (default 1x)")
     pe.add_argument("--weight-bits", type=_bit_width, default=8)
     pe.add_argument("--act-bits", type=_bit_width, default=8)
     pe.add_argument("--activation", choices=("relu", "prelu", "dprelu"),

@@ -18,13 +18,15 @@ BINARY = "binary"
 
 _KINDS = (FIXED, FLOAT, BINARY)
 
+MAX_BITS = 64  # widest format, and so the widest operand the oracle builds
+
 
 @dataclass(frozen=True)
 class NumericFormat:
     """Representation of one tensor element, hashed once at construction.
 
     kind: "fixed", "float", or "binary".
-    total_bits: full width including sign, in [1, 64].
+    total_bits: full width including sign, in [1, MAX_BITS].
     exponent_bits / mantissa_bits: float only; exponent + mantissa + 1
     (sign) must equal total_bits.
     """
@@ -45,9 +47,9 @@ class NumericFormat:
                                            or name == "total_bits"):
                 raise OutOfRangeError(
                     f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.total_bits <= 64:
+        if not 1 <= self.total_bits <= MAX_BITS:
             raise OutOfRangeError(
-                f"total_bits must be in [1, 64], got {self.total_bits}")
+                f"total_bits must be in [1, {MAX_BITS}], got {self.total_bits}")
         if self.kind == BINARY and self.total_bits != 1:
             raise OutOfRangeError("binary formats are exactly 1 bit wide")
         if self.kind == FLOAT:

@@ -22,9 +22,16 @@ from typing import List, Tuple
 
 from .cost import MUX_PER_ADDER, ace_shift, shift_stages
 from .errors import OutOfRangeError
-from .formats import NumericFormat
+from .formats import MAX_BITS, NumericFormat
 
-MAX_BITS = 64
+
+def _require_int_widths(*widths) -> None:
+    """Widths must be exactly int, the rule NumericFormat applies: 8.0
+    and True compare equal to widths but would leak into the tallies."""
+    for width in widths:
+        if type(width) is not int:
+            raise OutOfRangeError(
+                f"bit widths must be integers, got {width!r}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,7 @@ def dadda_stage_counts(i: int, j: int) -> Tuple[CircuitTally, CircuitTally]:
     leaves no column higher than d. Completion ripples a carry-propagate
     adder across the two surviving rows.
     """
+    _require_int_widths(i, j)
     if not 1 <= i <= MAX_BITS or not 1 <= j <= MAX_BITS:
         raise OutOfRangeError(f"operand bits must be in [1, {MAX_BITS}]")
 
@@ -134,6 +142,7 @@ def multiply_formula(i: int, j: int) -> int:
 def verify_multiply_formula(max_bits: int = MAX_BITS) -> List[Tuple[int, int, int, int]]:
     """Compare the construction against i*j - max(i, j) for every pair
     up to ``max_bits``; return (i, j, built, predicted) mismatches."""
+    _require_int_widths(max_bits)
     if not 1 <= max_bits <= MAX_BITS:
         raise OutOfRangeError(f"max_bits must be in [1, {MAX_BITS}]")
     mismatches = []
@@ -200,6 +209,7 @@ def fp_adder_breakdown(e: int, m: int) -> FpAdderBreakdown:
     two m-bit adds; normalization shifts across the e-coded range; the
     final round/post-normalize is one more m-bit add.
     """
+    _require_int_widths(e, m)
     if e < 2 or m < 2:
         raise OutOfRangeError("need at least 2 exponent and 2 mantissa bits")
     return FpAdderBreakdown(
@@ -220,6 +230,7 @@ def fp_adder_breakdown(e: int, m: int) -> FpAdderBreakdown:
 def barrel_mux_count(i: int, j: int) -> CircuitTally:
     """2:1 multiplexer count of a barrel shifter moving an i-bit value
     across j positions: one mux per bit per stage."""
+    _require_int_widths(i, j)
     if i < 1:
         raise OutOfRangeError("need at least one data bit")
     return CircuitTally(mux21=i * shift_stages(j))

@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -348,6 +349,14 @@ class TestQuantsim:
         assert len(lines) == 26
         assert "25 trials" in captured.err
 
+    def test_thousand_trial_output_is_pinned(self, capsys):
+        # the bytes of the one-trial-at-a-time study
+        assert main(["quantsim", "--trials", "1000"]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "3d9d703bd5c135c4eca51362b8e07f740bc1ceeeb7389a261d695e871f12e333")
+        assert "936/1000 trials" in captured.err
+
 
 def test_stamp_flag_adds_version_comment(pike_file, capsys):
     assert main(["analyze", str(pike_file), "--stamp"]) == 0
@@ -368,6 +377,18 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_leaves_oracle_and_zoo_unloaded():
+    """analyze, census and compare use neither; their subcommands and
+    the argument types that need them import them on use."""
+    src = str(Path(acev2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, acev2.cli; acev2.cli.build_parser(); print(sorted("
+            "m for m in ('acev2.oracle', 'acev2.zoo') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_importing_oracle_and_formats_loads_no_graph_module():
@@ -591,6 +612,18 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert "not allowed with argument" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("scale", ["5x", "1X", ""])
+    def test_zoo_emit_unknown_scale(self, scale, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as err:
+            main(["zoo", "emit", "pikelpn", "--scale", scale,
+                  "-o", str(out)])
+        assert err.value.code == 64
+        captured = capsys.readouterr()
+        assert (f"invalid choice: {scale!r} (choose from '1x', '2x', '3x', "
+                "'6x')") in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--weight-bits", "--act-bits"])
     @pytest.mark.parametrize("bits", ["0", "70"])

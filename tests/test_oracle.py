@@ -144,3 +144,42 @@ class TestBarrelShifter:
         for j in range(2, 40):
             assert (barrel_mux_count(13, j).bitadder_equivalent
                     == ace_shift(fmt, j).bitadders)
+
+
+# Widths must be exactly int, as NumericFormat requires: each of these
+# compares or converts like a width, and each used to leak into a tally
+# as a float or escape as a bare TypeError / AttributeError.
+NOT_INT_WIDTHS = pytest.mark.parametrize(
+    "width", [8.0, 2.5, True, "8", None], ids=repr)
+
+
+@NOT_INT_WIDTHS
+class TestWidthsMustBeIntegers:
+    def test_dadda_stage_counts(self, width):
+        for args in ((width, 8), (8, width)):
+            with pytest.raises(OutOfRangeError, match="must be integers"):
+                dadda_stage_counts(*args)
+
+    def test_dadda_adder_count(self, width):
+        for args in ((width, 8), (8, width)):
+            with pytest.raises(OutOfRangeError, match="must be integers"):
+                dadda_adder_count(*args)
+
+    def test_verify_multiply_formula(self, width):
+        with pytest.raises(OutOfRangeError, match="must be integers"):
+            verify_multiply_formula(width)
+
+    def test_barrel_mux_count(self, width):
+        for args in ((width, 8), (8, width)):
+            with pytest.raises(OutOfRangeError, match="must be integers"):
+                barrel_mux_count(*args)
+
+    def test_barrel_matches_closed_form(self, width):
+        for args in ((width, 8), (8, width)):
+            with pytest.raises(OutOfRangeError, match="must be integers"):
+                barrel_matches_closed_form(*args)
+
+    def test_fp_adder_breakdown(self, width):
+        for args in ((width, 23), (8, width)):
+            with pytest.raises(OutOfRangeError, match="must be integers"):
+                fp_adder_breakdown(*args)

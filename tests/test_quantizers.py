@@ -1,13 +1,16 @@
 """Quantizer numerics: grid laws, power-of-two laws, normalization variants."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acev2.errors import NonPositiveScaleError, ShapeMismatchError
+from acev2.errors import NonPositiveScaleError, OutOfRangeError, ShapeMismatchError
 from acev2.quantizers import (
+    _per_trial_quantizer,
     BatchNormParams,
     DPReLUParams,
     LinearQuantizer,
@@ -284,3 +287,118 @@ class TestMse:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             quantization_mse(np.zeros(3), np.zeros(4))
+
+
+class TestSymmetricQuantizer:
+    @pytest.mark.parametrize("bits", [1, 0, -3])
+    def test_fewer_than_two_bits_rejected_at_construction(self, bits):
+        with pytest.raises(OutOfRangeError, match="at least 2 bits"):
+            symmetric_linear_quantizer(bits)
+        with pytest.raises(OutOfRangeError, match="at least 2 bits"):
+            _per_trial_quantizer(bits)
+
+    def test_two_bits_is_ternary(self):
+        q = symmetric_linear_quantizer(2)
+        np.testing.assert_array_equal(q(np.array([-2.0, -0.4, 1.2, 2.0])),
+                                      [-2.0, 0.0, 2.0, 2.0])
+
+    def test_scale_follows_the_absolute_maximum(self):
+        # 4 bits: codes -7..7 on a grid of 0.7 / 7 = 0.1
+        v = np.array([0.7, -0.25, 0.04, 0.05, -0.35])
+        got = symmetric_linear_quantizer(4)(v)
+        np.testing.assert_allclose(got, [0.7, -0.3, 0.0, 0.1, -0.4],
+                                   atol=1e-15)
+        lq = LinearQuantizer(bits=4, scale=0.7 / 7)
+        np.testing.assert_array_equal(got, linear_quantize(v, lq).values)
+
+    def test_all_zero_tensor_passes_through_as_a_copy(self):
+        v = np.zeros((3, 4))
+        got = symmetric_linear_quantizer(8)(v)
+        np.testing.assert_array_equal(got, v)
+        assert got is not v
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    @pytest.mark.parametrize("tensor", [
+        RNG.normal(0, 1, (1, 16)),
+        RNG.normal(0, 1, (1, 1, 16)),
+        RNG.normal(0, 1, (1, 64, 16)),
+        np.zeros((1, 1, 16)),
+        np.array([[[0.0, -3.0, 1.5, 3.0]]]),
+    ], ids=["row", "params", "inputs", "zeros", "ties"])
+    def test_one_trial_block_equals_the_tensor_quantizer(self, bits, tensor):
+        np.testing.assert_array_equal(_per_trial_quantizer(bits)(tensor),
+                                      symmetric_linear_quantizer(bits)(tensor))
+
+    def test_each_trial_of_a_block_gets_its_own_scale(self):
+        block = RNG.normal(0, 1, (5, 3, 16)) * np.array(
+            [1.0, 1e-3, 0.0, 50.0, 1.0])[:, None, None]
+        got = _per_trial_quantizer(8)(block)
+        q = symmetric_linear_quantizer(8)
+        for k in range(len(block)):
+            np.testing.assert_array_equal(got[k], q(block[k]))
+
+
+def study_one_trial_at_a_time(trials, seed, channels=16, samples=64, bits=8):
+    """The study as a plain per-trial loop over the public layers: the
+    reference the blocked study must reproduce bit for bit."""
+    q = symmetric_linear_quantizer(bits)
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        p = BatchNormParams(mu=rng.normal(0.0, 1.0, channels),
+                            gamma=rng.normal(1.0, 0.2, channels),
+                            sigma=rng.lognormal(0.0, 0.5, channels),
+                            beta=rng.normal(0.0, 1.0, channels))
+        x = rng.normal(0.0, 1.0, (samples, channels))
+        ref = fp_batchnorm(x, p)
+        out.append((quantization_mse(ref, quantnorm(x, p, q)),
+                    quantization_mse(ref, vanilla_qbn(x, p, q))))
+    return out
+
+
+class TestNormStudy:
+    @pytest.mark.parametrize("trials,seed,kwargs", [
+        (1, 3, {}), (16, 4, {}), (17, 5, {}), (40, 6, {}),
+        (19, 7, {"channels": 1, "samples": 1}),
+        (18, 8, {"channels": 3, "samples": 5, "bits": 2}),
+        (33, 9, {"channels": 32, "samples": 7, "bits": 16}),
+    ])
+    def test_matches_the_per_trial_loop_exactly(self, trials, seed, kwargs):
+        got = norm_quantization_study(trials=trials, seed=seed, **kwargs)
+        assert [(t.quantnorm_mse, t.vanilla_mse) for t in got] == \
+            study_one_trial_at_a_time(trials, seed, **kwargs)
+        assert all(type(t.quantnorm_mse) is float
+                   and type(t.vanilla_mse) is float for t in got)
+
+    def test_per_trial_output_is_pinned(self):
+        # every MSE bit of these runs, taken from the one-trial-at-a-time
+        # study; the trial counts straddle the block size
+        lines = []
+        for trials, seed in [(0, 1), (1, 1), (7, 2), (8, 3), (9, 4),
+                             (15, 5), (16, 6), (17, 7), (31, 8), (32, 9),
+                             (33, 42), (100, 20240817), (1000, 20240817)]:
+            for k, r in enumerate(norm_quantization_study(trials=trials,
+                                                          seed=seed)):
+                lines.append(f"{trials} {seed} {k} {r.quantnorm_mse.hex()} "
+                             f"{r.vanilla_mse.hex()}")
+        assert len(lines) == 1269
+        digest = hashlib.sha256(("\n".join(lines) + "\n").encode())
+        assert digest.hexdigest() == (
+            "f3aae14dde20b13d40cb1d06a6a56ed0421149a8bbbc60106939cfd7a276476a")
+
+    def test_zero_trials_is_empty(self):
+        assert norm_quantization_study(trials=0) == []
+
+    @pytest.mark.parametrize("kwargs", [
+        {"trials": True}, {"trials": 2.0}, {"trials": np.int64(2)},
+        {"seed": 1.0}, {"seed": False}, {"bits": 8.0}, {"bits": True},
+        {"channels": 16.0}, {"samples": "64"}, {"samples": None},
+        {"bits": 1}, {"bits": 0}, {"channels": 0}, {"samples": 0},
+        {"channels": -1}, {"trials": -1}, {"seed": -1},
+        {"trials": 0, "bits": 1}, {"trials": 0, "channels": 0},
+    ], ids=repr)
+    def test_bad_arguments_rejected_up_front(self, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError):
+                norm_quantization_study(**{"trials": 3, **kwargs})

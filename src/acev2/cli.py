@@ -9,10 +9,15 @@ Subcommands:
   compare   multi-model cost table, ascending by total cost
   quantsim  normalization-quantization error study as CSV
 
-Exit codes: 0 success, 1 input error, 2 analysis error, 3 oracle
-mismatch, 64 usage error. Output is deterministic for identical inputs;
---stamp adds a comment line with the tool version outside any data
-body. The argument parser is built once per process.
+Exit codes: 0 success; 1 input error: an unreadable file, an unwritable
+-o, or a malformed document (a shape mismatch too), named by its JSON
+path; 2 analysis error, only for a cost-model gap such as an op with no
+energy anchor; 3 oracle mismatch; 64 usage error, out-of-range oracle
+and quantsim arguments included. Subcommands raise, and ``main`` alone
+turns an error into its stderr line and exit code. Output is
+deterministic for identical inputs; --stamp adds a comment line with the
+tool version outside any data body. The argument parser is built once
+per process.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__, analysis
 from .census import census_graph
-from .errors import AceV2Error, ParseError
+from .errors import AceV2Error, OutOfRangeError, ParseError
 from .formats import MAX_BITS, NumericFormat
 from .ir import Graph, parse_graph, serialize_graph, validate_with_order
 
@@ -180,41 +185,17 @@ def _report_table(report: analysis.CostReport) -> str:
     return "\n".join([header, rule] + lines) + "\n"
 
 
-def _write_out(text: str, out: Optional[str]) -> int:
-    """Write ``text`` to the file ``out``, or to stdout; the exit code."""
+def _write_out(text: str, out: Optional[str]) -> None:
+    """Write ``text`` to the file ``out``, or to stdout."""
     if not out:
         sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return EXIT_OK
-
-
-def _load_or_report(path: str) -> Optional[Tuple[Graph, list]]:
-    """``_load_graph(path)``, or None once its error line is printed."""
-    try:
-        return _load_graph(path)
-    except OSError as exc:
-        print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    return None
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def cmd_analyze(args) -> int:
-    loaded = _load_or_report(args.model)
-    if loaded is None:
-        return EXIT_INPUT
-    graph, order = loaded
-    try:
-        report = analysis.analyze(graph, order)
-    except AceV2Error as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    report = analysis.analyze(*_load_graph(args.model))
     if args.format == "json":
         text = json.dumps(_report_payload(report), indent=2) + "\n"
     elif args.format == "csv":
@@ -223,19 +204,13 @@ def cmd_analyze(args) -> int:
         text = _report_table(report)
     if args.stamp:
         text = f"# acev2 {__version__}\n" + text
-    return _write_out(text, args.out)
+    _write_out(text, args.out)
+    return EXIT_OK
 
 
 def cmd_census(args) -> int:
-    loaded = _load_or_report(args.model)
-    if loaded is None:
-        return EXIT_INPUT
-    graph, order = loaded
-    try:
-        tally = census_graph(graph, None, order)
-    except AceV2Error as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    graph, order = _load_graph(args.model)
+    tally = census_graph(graph, None, order)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["layer_id", "category", "op_class", "count",
@@ -245,7 +220,8 @@ def cmd_census(args) -> int:
             e.format_b.total_bits if e.format_b else "")
         writer.writerow([e.layer_id, e.category, e.op_class, e.count,
                          e.format_a.total_bits, bits_b])
-    return _write_out(buf.getvalue(), args.out)
+    _write_out(buf.getvalue(), args.out)
+    return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
@@ -253,12 +229,7 @@ def cmd_oracle(args) -> int:
 
     status = EXIT_OK
     if args.fp_adder:
-        e, m = args.fp_adder
-        try:
-            breakdown = oracle.fp_adder_breakdown(e, m)
-        except AceV2Error as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        breakdown = oracle.fp_adder_breakdown(*args.fp_adder)
         names = ("exponent_subtraction", "operand_swapping", "alignment_limit",
                  "alignment_shift", "significand_negation",
                  "significand_addition", "significand_conversion",
@@ -272,12 +243,8 @@ def cmd_oracle(args) -> int:
             status = EXIT_MISMATCH
     elif args.shifter:
         i, j = args.shifter
-        try:
-            built = oracle.barrel_mux_count(i, j)
-            matches = oracle.barrel_matches_closed_form(i, j)
-        except AceV2Error as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        built = oracle.barrel_mux_count(i, j)
+        matches = oracle.barrel_matches_closed_form(i, j)
         print(f"{built.mux21} muxes -> "
               f"{fraction_decimal(built.bitadder_equivalent)} bitadders")
         if not matches:
@@ -286,11 +253,7 @@ def cmd_oracle(args) -> int:
             status = EXIT_MISMATCH
     else:
         max_bits = MAX_BITS if args.max_bits is None else args.max_bits
-        try:
-            mismatches = oracle.verify_multiply_formula(max_bits)
-        except AceV2Error as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        mismatches = oracle.verify_multiply_formula(max_bits)
         pairs = max_bits * max_bits
         print(f"{len(mismatches)} mismatches / {pairs} pairs")
         for i, j, built, predicted in mismatches[:20]:
@@ -322,12 +285,8 @@ def _build_zoo_model(args) -> Graph:
 
 
 def cmd_zoo_emit(args) -> int:
-    try:
-        graph = _build_zoo_model(args)
-    except (AceV2Error, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return _write_out(serialize_graph(graph), args.out)
+    _write_out(serialize_graph(_build_zoo_model(args)), args.out)
+    return EXIT_OK
 
 
 def cmd_compare(args) -> int:
@@ -342,6 +301,8 @@ def cmd_compare(args) -> int:
         except AceV2Error as exc:
             failures.append((path, str(exc)))
 
+    for path, message in failures:  # before a failed -o write can raise
+        print(f"error: {path}: {message}", file=sys.stderr)
     rows = analysis.compare(results)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -352,33 +313,26 @@ def cmd_compare(args) -> int:
                          _sig4(row.energy_mj),
                          _sig4(row.arithmetic_intensity),
                          int(row.pareto)])
-    status = _write_out(buf.getvalue(), args.out)
-    for path, message in failures:
-        print(f"error: {path}: {message}", file=sys.stderr)
-    return EXIT_INPUT if failures else status
+    _write_out(buf.getvalue(), args.out)
+    return EXIT_INPUT if failures else EXIT_OK
 
 
 def cmd_quantsim(args) -> int:
     from . import quantizers  # numpy: only this subcommand needs it
 
-    try:
-        trials = quantizers.norm_quantization_study(trials=args.trials,
-                                                    seed=args.seed)
-    except AceV2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    trials = quantizers.norm_quantization_study(trials=args.trials,
+                                                seed=args.seed)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["trial", "quantnorm_mse", "vanilla_mse"])
     for idx, t in enumerate(trials):
         writer.writerow([idx, f"{t.quantnorm_mse:.6e}",
                          f"{t.vanilla_mse:.6e}"])
-    status = _write_out(buf.getvalue(), args.out)
-    if status == EXIT_OK:
-        wins = sum(t.quantnorm_mse <= t.vanilla_mse for t in trials)
-        print(f"fused norm at or below vanilla in {wins}/{len(trials)} "
-              "trials", file=sys.stderr)
-    return status
+    _write_out(buf.getvalue(), args.out)
+    wins = sum(t.quantnorm_mse <= t.vanilla_mse for t in trials)
+    print(f"fused norm at or below vanilla in {wins}/{len(trials)} trials",
+          file=sys.stderr)
+    return EXIT_OK
 
 
 @functools.cache
@@ -447,8 +401,23 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand, mapping each error type to its exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OutOfRangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except AceV2Error as exc:
+        print(f"analysis error: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
 
 
 if __name__ == "__main__":

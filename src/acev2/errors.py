@@ -53,12 +53,15 @@ class DanglingInputError(ParseError):
         super().__init__(f"unresolved input id {missing_id!r}", path)
 
 
-class ShapeMismatchError(AceV2Error):
-    """Incompatible tensor shapes at a merge node."""
+class ShapeMismatchError(ParseError):
+    """Incompatible tensor shapes at a node, which makes the document
+    malformed; ``path`` is the node's ``$.nodes[i]`` once shape inference
+    names it."""
 
-    def __init__(self, node_id: str, message: str):
+    def __init__(self, node_id: str, message: str, path: str = ""):
         self.node_id = node_id
-        super().__init__(f"{node_id}: {message}")
+        self.reason = message
+        super().__init__(f"{node_id}: {message}", path)
 
 
 class MissingShapeError(AceV2Error):

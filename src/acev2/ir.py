@@ -726,12 +726,17 @@ def infer_shapes(g: Graph, input_shape: Optional[TensorShape] = None,
                  order: Optional[List[LayerNode]] = None
                  ) -> Dict[str, TensorShape]:
     """Output shape of every node by its kind's rule, walking in
-    topological order (``order`` if the caller already has it)."""
+    topological order (``order`` if the caller already has it). A shape
+    mismatch raises ``ShapeMismatchError`` at the node's ``$.nodes[i]``."""
     shapes: Dict[str, TensorShape] = {}
     base = [input_shape or g.input_shape]
     for node in order or topological_order(g):
-        shapes[node.id] = _rule_of(node).shape(
-            node, [shapes[ref] for ref in node.inputs] or base)
+        try:
+            shapes[node.id] = _rule_of(node).shape(
+                node, [shapes[ref] for ref in node.inputs] or base)
+        except ShapeMismatchError as exc:
+            raise ShapeMismatchError(exc.node_id, exc.reason,
+                                     _at(g.nodes.index(node))) from None
     return shapes
 
 

@@ -233,6 +233,8 @@ def barrel_mux_count(i: int, j: int) -> CircuitTally:
     _require_int_widths(i, j)
     if i < 1:
         raise OutOfRangeError("need at least one data bit")
+    if j < 2:
+        raise OutOfRangeError("shift range must be at least 2")
     return CircuitTally(mux21=i * shift_stages(j))
 
 

@@ -60,13 +60,17 @@ class LinearQuantizer:
     def __post_init__(self):
         if self.scale <= 0:
             raise NonPositiveScaleError(f"scale must be > 0, got {self.scale}")
+        if type(self.bits) is not int:
+            raise OutOfRangeError(f"bits must be an integer, got {self.bits!r}")
         if self.bits < 1:
             raise NonPositiveScaleError("need at least one bit")
+        if self.symmetric:
+            _symmetric_code_limit(self.bits)  # raises below 2 bits
 
     @property
     def code_range(self) -> Tuple[int, int]:
         if self.symmetric:
-            lim = 2 ** (self.bits - 1) - 1
+            lim = _symmetric_code_limit(self.bits)
             return -lim, lim
         return 0, 2 ** self.bits - 1
 

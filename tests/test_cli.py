@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
+import errno
 import hashlib
 import json
 import os
@@ -434,6 +435,26 @@ def test_unwritable_out_is_an_input_error(sub, where, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_compare_with_a_bad_file_and_an_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.out"
+    bad = tmp_path / "missing.json"
+    assert main(["compare", str(bad), str(FIXTURES / "pikelpn_1x.json"),
+                 "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: No such file or directory\n"
+        f"error: {out}: No such file or directory\n")
+
+
+def test_a_failed_stdout_write_names_no_file(monkeypatch, capsys):
+    class Full:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["census", str(FIXTURES / "pikelpn_1x.json")]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+
+
 @pytest.mark.parametrize("sub", ["analyze", "census", "compare"])
 @pytest.mark.parametrize("where", ["missing", "a_directory"])
 def test_unreadable_input_names_the_file_once(sub, where, tmp_path,
@@ -585,17 +606,25 @@ class TestBadDocuments:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("argv", [
-        ["oracle", "--shifter", "0", "4"],
-        ["oracle", "--shifter", "4", "1"],
-        ["quantsim", "--trials", "-1"],
-        ["quantsim", "--trials", "2", "--seed", "-1"],
-    ], ids=["shifter_no_data_bits", "shifter_range_one", "trials_negative",
+    @pytest.mark.parametrize("argv,message", [
+        (["oracle", "--shifter", "0", "4"], "need at least one data bit"),
+        (["oracle", "--shifter", "4", "1"], "shift range must be at least 2"),
+        (["oracle", "--shifter", "100", "4"],
+         "total_bits must be in [1, 64], got 100"),
+        (["oracle", "--fp-adder", "1", "1"],
+         "need at least 2 exponent and 2 mantissa bits"),
+        (["oracle", "--max-bits", "0"], "max_bits must be in [1, 64]"),
+        (["quantsim", "--trials", "-1"],
+         "trials and seed must be >= 0, got -1 and 20240817"),
+        (["quantsim", "--trials", "2", "--seed", "-1"],
+         "trials and seed must be >= 0, got 2 and -1"),
+    ], ids=["shifter_no_data_bits", "shifter_range_one", "shifter_too_wide",
+            "fp_adder_too_narrow", "max_bits_zero", "trials_negative",
             "seed_negative"])
-    def test_exits_64_with_an_error_line(self, argv, capsys):
+    def test_exits_64_with_an_error_line(self, argv, message, capsys):
         assert main(argv) == 64
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("first,second", [

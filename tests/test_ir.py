@@ -339,6 +339,22 @@ class TestShapes:
         with pytest.raises(ShapeMismatchError):
             infer_shapes(g)
 
+    def test_a_mismatch_is_a_parse_error_at_the_declared_node(self):
+        g = Graph("t", TensorShape(1, 8, 8, 3), [  # declared out of order
+            LayerNode("out", "Output", {}, ["add"]),
+            LayerNode("add", "Add", {}, ["in", "down"]),
+            LayerNode("in", "Input"),
+            LayerNode("down", "Conv2D",
+                      {"kernel": [3, 3], "stride": 2, "out_channels": 3},
+                      ["in"]),
+        ])
+        with pytest.raises(ParseError) as err:
+            infer_shapes(g)
+        assert isinstance(err.value, ShapeMismatchError)
+        assert err.value.path == "$.nodes[1]"
+        assert err.value.node_id == "add"
+        assert str(err.value).startswith("$.nodes[1]: add: add inputs differ")
+
     def test_add_of_matching_shapes(self):
         g = Graph("t", TensorShape(1, 56, 56, 64), [
             LayerNode("in", "Input"),

@@ -1,10 +1,11 @@
 """The per-kind rule table: its coverage, and properties of random valid
 graphs built from every node kind."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from acev2 import ir
 from acev2.analysis import (
@@ -14,9 +15,11 @@ from acev2.analysis import (
     branch_factor,
     data_footprint,
     energy_report,
+    entry_ace,
 )
 from acev2.census import census_graph
-from acev2.formats import NumericFormat
+from acev2.cost import MULTIPLY
+from acev2.formats import FP16, FP32, NumericFormat
 from acev2.ir import (
     KIND_RULES,
     Graph,
@@ -199,6 +202,59 @@ def test_analyze_equals_its_reports_called_separately(g, rng):
     shuffled = Graph(g.name, g.input_shape, nodes)
     order = ir.topological_order(shuffled)
     assert branch_factor(shuffled) == reference_branch_factor(shuffled, order)
+
+
+def with_nodes(g, change):
+    """``g`` with ``change(node)`` in place of each node it returns."""
+    return Graph(g.name, g.input_shape, [change(node) or node
+                                         for node in g.nodes])
+
+
+def layer_ace(g, category):
+    """Bit-adders per layer in one census category, and the op classes
+    that make them up."""
+    ace, ops = {}, set()
+    for e in census_graph(g).entries:
+        if e.category == category:
+            ace[e.layer_id] = ace.get(e.layer_id, 0) + entry_ace(e)
+            ops.add(e.op_class)
+    return ace, ops
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.sampled_from([FP16, FP32]))
+def test_pot_scales_replace_float_scale_multiplies(g, scale):
+    """Double Quantization: a power-of-two scale in place of a float one
+    removes each layer's scale multiplies and never raises its scale
+    cost. (A narrow fixed-point scale can cost less than the shift.)"""
+    def scaled(fmt):
+        return with_nodes(g, lambda node: replace(
+            node, quant=replace(node.quant, scale_format=fmt))
+            if node.quant and node.quant.weight_quantizer == "linear"
+            else None)
+
+    floated, float_ops = layer_ace(scaled(scale), "quant_scale")
+    assume(floated)
+    pot, pot_ops = layer_ace(scaled("pot"), "quant_scale")
+    assert float_ops == {MULTIPLY} and MULTIPLY not in pot_ops
+    assert pot.keys() == floated.keys()
+    assert all(pot[layer] <= floated[layer] for layer in floated)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.integers(1, 16))
+def test_a_fixed_point_batchnorm_costs_less_than_fp32(g, bits):
+    """QuantNorm: a BatchNorm whose parameters are fixed-point at 16 bits
+    or fewer costs fewer bit-adders than the same node at fp32."""
+    def norms_at(fmt):
+        return with_nodes(g, lambda node: replace(node, weight_format=fmt)
+                          if node.kind == "BatchNorm" else None)
+
+    fp32, _ = layer_ace(norms_at(FP32), "batchnorm")
+    assume(fp32)
+    fixed, _ = layer_ace(norms_at(NumericFormat.fixed(bits)), "batchnorm")
+    assert fixed.keys() == fp32.keys()
+    assert all(fixed[layer] < fp32[layer] for layer in fp32)
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")),

@@ -145,6 +145,13 @@ class TestBarrelShifter:
             assert (barrel_mux_count(13, j).bitadder_equivalent
                     == ace_shift(fmt, j).bitadders)
 
+    @pytest.mark.parametrize("j", [1, 0, -4])
+    def test_shift_range_below_two_is_out_of_range(self, j):
+        for check in (barrel_mux_count, barrel_matches_closed_form):
+            with pytest.raises(OutOfRangeError,
+                               match="^shift range must be at least 2$"):
+                check(4, j)
+
 
 # Widths must be exactly int, as NumericFormat requires: each of these
 # compares or converts like a width, and each used to leak into a tally

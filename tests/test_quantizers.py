@@ -88,6 +88,29 @@ class TestLinearQuantizer:
         with pytest.raises(NonPositiveScaleError):
             LinearQuantizer(bits=8, scale=0.0)
 
+    @pytest.mark.parametrize("bits", [8.5, 8.0, True, np.int64(8), "8"])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_rejects_bits_that_are_not_int(self, bits, symmetric):
+        with pytest.raises(OutOfRangeError, match="bits must be an integer"):
+            LinearQuantizer(bits=bits, scale=0.1, symmetric=symmetric)
+
+    def test_symmetric_needs_two_bits(self):
+        with pytest.raises(OutOfRangeError, match="at least 2 bits, got 1"):
+            LinearQuantizer(bits=1, scale=0.1)
+        assert LinearQuantizer(bits=2, scale=0.1).code_range == (-1, 1)
+
+    def test_asymmetric_one_bit_is_valid(self):
+        q = LinearQuantizer(bits=1, scale=0.1, symmetric=False)
+        assert q.code_range == (0, 1)
+        res = linear_quantize(np.array([0.0, 0.1, 5.0]), q)
+        np.testing.assert_array_equal(res.codes, [0, 1, 1])
+        assert res.saturated == 1
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_zero_bits_is_rejected(self, symmetric):
+        with pytest.raises(NonPositiveScaleError, match="at least one bit"):
+            LinearQuantizer(bits=0, scale=0.1, symmetric=symmetric)
+
 
 class TestPoTQuantizer:
     Q = PoTQuantizer(bits=4, max_exponent=0)

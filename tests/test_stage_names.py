@@ -22,6 +22,10 @@ TRACED_STAGES = {
     # priced per distinct key, and counted as pricing calls, by name
     "cost": ("ace_mac", "ace_multiply", "ace_add", "ace_shift",
              "energy_of_op"),
+    # the traced analyze renders through these; without one it falls
+    # back to a single cli.main call and the cli.render stage goes absent
+    "cli": ("_report_payload", "_report_csv", "_report_table",
+            "build_parser", "main"),
 }
 
 

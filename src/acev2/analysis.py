@@ -72,16 +72,9 @@ class CostReport:
 def entry_ace(entry: TallyEntry) -> Fraction:
     """Exact bit-adder cost of one tally entry."""
     try:
-        if entry.op_class == cost.MAC:
-            unit = cost.ace_mac(entry.format_a, entry.format_b)
-        elif entry.op_class == cost.MULTIPLY:
-            unit = cost.ace_multiply(entry.format_a, entry.format_b)
-        elif entry.op_class == cost.ADD:
-            unit = cost.ace_add(entry.format_a, entry.format_b)
-        elif entry.op_class == cost.SHIFT:
-            unit = cost.ace_shift(entry.format_a, entry.shift_range)
-        else:
-            raise AceV2Error(f"unknown op class {entry.op_class!r}")
+        row = cost.op_row(entry.op_class)
+        second = entry.shift_range if row.ranged else entry.format_b
+        unit = getattr(cost, row.ace)(entry.format_a, second)
     except AceV2Error as exc:
         raise AnalysisError(entry.layer_id, str(exc)) from exc
     return unit.bitadders * entry.count

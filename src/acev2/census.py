@@ -28,13 +28,14 @@ surface at their true (high) cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .cost import ADD, MAC, MULTIPLY, SHIFT
-from .errors import MissingFormatError, MissingShapeError
+from .errors import MissingFormatError, MissingShapeError, UnknownKindError
 from .formats import FP32, NumericFormat
 from .ir import (
-    COMPUTE_KINDS,
+    CONV_KINDS,
     Graph,
     KIND_ACTIVATION,
     KIND_ADD,
@@ -43,6 +44,7 @@ from .ir import (
     LayerNode,
     TensorShape,
     infer_shapes,
+    pot_weight_problem,
     topological_order,
     weight_elements,
 )
@@ -83,91 +85,84 @@ class OpTally:
             if (op_class is None or e.op_class == op_class)
             and (category is None or e.category == category))
 
-    def extend(self, other: "OpTally") -> None:
-        self.entries.extend(other.entries)
 
-
-def _census_compute(node: LayerNode, in_shape: TensorShape,
+def _census_compute(category: str, node: LayerNode, in_shape: TensorShape,
                     out_shape: TensorShape) -> List[TallyEntry]:
-    category = CAT_DENSE if node.kind == KIND_DENSE else CAT_CONV
     weight_fmt = node.weight_format or FP32
     act_fmt = node.act_format or FP32
     # Each output element is a dot product over one output channel's weights.
     macs = out_shape.elements * weight_elements(node, in_shape) // out_shape.c
-    entries: List[TallyEntry] = []
-
-    pot_weights = node.quant is not None and node.quant.weight_quantizer == "pot"
-    if pot_weights:
-        if not weight_fmt.is_fixed:
-            raise MissingFormatError(
-                f"{node.id}: power-of-two weights need a fixed-point "
-                f"weight_format, got {weight_fmt}")
+    quant = node.quant
+    if quant is not None and quant.weight_quantizer == "pot":
+        problem = pot_weight_problem(weight_fmt)
+        if problem:
+            raise MissingFormatError(f"{node.id}: {problem}")
         # One sign bit; the remaining code bits select the shift amount.
-        shift_range = 2 ** (weight_fmt.total_bits - 1)
-        entries.append(TallyEntry(node.id, SHIFT, macs, act_fmt, None,
-                                  category, shift_range=shift_range))
-        entries.append(TallyEntry(node.id, ADD, macs, act_fmt, act_fmt,
-                                  category))
-    else:
-        entries.append(TallyEntry(node.id, MAC, macs, weight_fmt, act_fmt,
-                                  category))
-
-    if node.quant is not None and not pot_weights:
-        vectors = node.quant.vectors_per_channel or 1
-        count = vectors * out_shape.elements
-        if node.quant.scale_is_pot:
+        return [TallyEntry(node.id, SHIFT, macs, act_fmt, None, category,
+                           shift_range=2 ** (weight_fmt.total_bits - 1)),
+                TallyEntry(node.id, ADD, macs, act_fmt, act_fmt, category)]
+    entries = [TallyEntry(node.id, MAC, macs, weight_fmt, act_fmt, category)]
+    if quant is not None:
+        count = (quant.vectors_per_channel or 1) * out_shape.elements
+        if quant.scale_is_pot:
             entries.append(TallyEntry(
                 node.id, SHIFT, count, act_fmt, None, CAT_QUANT_SCALE,
                 shift_range=max(2, act_fmt.total_bits)))
         else:
-            scale_fmt = node.quant.scale_format
-            entries.append(TallyEntry(node.id, MULTIPLY, count, scale_fmt,
-                                      scale_fmt, CAT_QUANT_SCALE))
+            entries.append(TallyEntry(node.id, MULTIPLY, count,
+                                      quant.scale_format, quant.scale_format,
+                                      CAT_QUANT_SCALE))
     return entries
+
+
+def _batchnorm(node: LayerNode, in_shape: TensorShape,
+               out_shape: TensorShape) -> List[TallyEntry]:
+    fmt = node.weight_format or FP32
+    n = out_shape.elements
+    return [TallyEntry(node.id, MULTIPLY, n, fmt, fmt, CAT_BATCHNORM),
+            TallyEntry(node.id, ADD, n, fmt, fmt, CAT_BATCHNORM)]
+
+
+# Each activation function's ops per element.
+_ACTIVATION_OPS = {"relu": (), "prelu": (MULTIPLY,), "dprelu": (MULTIPLY, ADD)}
+
+
+def _activation(node: LayerNode, in_shape: TensorShape,
+                out_shape: TensorShape) -> List[TallyEntry]:
+    fn = node.params.get("activation", "relu")
+    if fn not in _ACTIVATION_OPS:  # parse rejects it; a graph built in code
+        raise UnknownKindError(f"{node.id}: unknown activation {fn!r}")
+    fmt = node.weight_format or FP32
+    return [TallyEntry(node.id, op, out_shape.elements, fmt, fmt,
+                       CAT_ACTIVATION) for op in _ACTIVATION_OPS[fn]]
+
+
+def _skip_add(node: LayerNode, in_shape: TensorShape,
+              out_shape: TensorShape) -> List[TallyEntry]:
+    fmt = node.act_format or FP32
+    return [TallyEntry(node.id, ADD, out_shape.elements, fmt, fmt, CAT_SKIP)]
+
+
+# The arithmetic of every kind that does any; the other kinds (Input,
+# Output, Concat, Pool) only move data.
+CENSUS_RULES: Dict[str, Callable] = {
+    **dict.fromkeys(CONV_KINDS, partial(_census_compute, CAT_CONV)),
+    KIND_DENSE: partial(_census_compute, CAT_DENSE),
+    KIND_BATCHNORM: _batchnorm,
+    KIND_ACTIVATION: _activation,
+    KIND_ADD: _skip_add,
+}
 
 
 def census_layer(node: LayerNode, in_shape: Optional[TensorShape],
                  out_shape: Optional[TensorShape]) -> List[TallyEntry]:
-    """Tally one layer's arithmetic. Input/Output/Concat/Pool layers
-    contribute nothing."""
-    if node.kind in COMPUTE_KINDS:
-        if in_shape is None or out_shape is None:
-            raise MissingShapeError(f"{node.id}: shape not inferred")
-        return _census_compute(node, in_shape, out_shape)
-
-    if node.kind in (KIND_BATCHNORM, KIND_ACTIVATION, KIND_ADD) \
-            and out_shape is None:
+    """Tally one layer's arithmetic by its kind's census rule."""
+    rule = CENSUS_RULES.get(node.kind)
+    if rule is None:
+        return []
+    if in_shape is None or out_shape is None:
         raise MissingShapeError(f"{node.id}: shape not inferred")
-
-    if node.kind == KIND_BATCHNORM:
-        param_fmt = node.weight_format or FP32
-        elems = out_shape.elements
-        return [
-            TallyEntry(node.id, MULTIPLY, elems, param_fmt, param_fmt,
-                       CAT_BATCHNORM),
-            TallyEntry(node.id, ADD, elems, param_fmt, param_fmt,
-                       CAT_BATCHNORM),
-        ]
-
-    if node.kind == KIND_ACTIVATION:
-        fn = node.params.get("activation", "relu")
-        if fn == "relu":
-            return []
-        param_fmt = node.weight_format or FP32
-        elems = out_shape.elements
-        entries = [TallyEntry(node.id, MULTIPLY, elems, param_fmt, param_fmt,
-                              CAT_ACTIVATION)]
-        if fn == "dprelu":
-            entries.append(TallyEntry(node.id, ADD, elems, param_fmt,
-                                      param_fmt, CAT_ACTIVATION))
-        return entries
-
-    if node.kind == KIND_ADD:
-        act_fmt = node.act_format or FP32
-        return [TallyEntry(node.id, ADD, out_shape.elements, act_fmt, act_fmt,
-                           CAT_SKIP)]
-
-    return []
+    return rule(node, in_shape, out_shape)
 
 
 def census_graph(g: Graph,

@@ -28,7 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import reduce
+from operator import mul
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateInputError,
@@ -36,14 +38,12 @@ from .errors import (
     UnsupportedExtrapolationError,
     UnsupportedOperandError,
 )
-from .formats import NumericFormat
+from .formats import FP16, FP32, INT8, INT16, INT32, NumericFormat
 
 MULTIPLY = "multiply"
 ADD = "add"
 SHIFT = "shift"
 MAC = "mac"
-
-OP_CLASSES = (MULTIPLY, ADD, SHIFT, MAC)
 
 # Floating-point adds cost this multiple of a fixed-point add of the
 # same width; derived and bounded gate-by-gate in the oracle module.
@@ -128,51 +128,89 @@ def ace_mac(weight: NumericFormat, act: NumericFormat) -> AceCost:
     return AceCost(Fraction(weight.total_bits * act.total_bits))
 
 
-# Measured energy cells, picojoules. Keys: (op class, "float"/"fixed",
-# operand width) for multiply/add; (width, range) for shift.
-_ENERGY_MULTIPLY = {
-    ("float", 32): 3.7,
-    ("float", 16): 1.1,
-    ("fixed", 32): 3.1,
-    ("fixed", 8): 0.2,
+# Measured 45nm energies, picojoules per op (Horowitz, "Computing's
+# energy problem", ISSCC 2014), keyed by the arguments of the class's
+# bit-adder formula.
+_MULTIPLY_CELLS = {(FP32, FP32): 3.7, (FP16, FP16): 1.1,
+                   (INT32, INT32): 3.1, (INT8, INT8): 0.2}
+_ADD_CELLS = {(FP32, FP32): 0.9, (FP16, FP16): 0.4,
+              (INT32, INT32): 0.1, (INT8, INT8): 0.03}
+_SHIFT_CELLS = {(INT32, 32): 0.13, (INT16, 16): 0.057, (INT8, 8): 0.024}
+_MEASURED_FLOATS = {f.total_bits: f for f in (FP16, FP32)}
+
+
+def _pair_cell(op_class: str, a: NumericFormat,
+               b: Optional[NumericFormat]) -> tuple:
+    """The cell a two-operand op reads: its operands, or if it touches a
+    float, the measured float of its widest float operand's width (bf16
+    reads fp16); floats never extrapolate."""
+    if b is None:
+        raise UnsupportedOperandError(f"{op_class} energy needs two operands")
+    width = max((f.total_bits for f in (a, b) if f.is_float), default=None)
+    if width is None:
+        return a, b
+    if width not in _MEASURED_FLOATS:
+        raise UnsupportedExtrapolationError(
+            f"no measured {op_class} energy for {width}-bit floats")
+    return (_MEASURED_FLOATS[width],) * 2
+
+
+def _sum_cell(op_class, a, b):
+    """An add reads the cell of its wider operand's width."""
+    a, b = _pair_cell(op_class, a, b)
+    return (a if a.total_bits >= b.total_bits else b,) * 2
+
+
+def _shift_cell(op_class, value, shift_range):
+    if not value.is_fixed:
+        raise UnsupportedOperandError("shift energy needs a fixed operand")
+    if shift_range is None:
+        raise UnsupportedOperandError("shift energy needs a shift range")
+    return value, shift_range
+
+
+class OpRow(NamedTuple):
+    """One op class. ``ace`` names its bit-adder formula, looked up in
+    this module at each call; ``ranged`` formulas take a shift range, not
+    a second format. ``cell`` maps an op's formula arguments to the
+    measured cell it reads; an unmeasured op scales from the ``anchor``
+    cell by its ``work``, factors multiplied in left to right."""
+
+    ace: str
+    ranged: bool
+    cells: Dict[tuple, float]
+    cell: Callable[..., tuple]
+    work: Callable[..., Tuple[int, ...]]
+    anchor: tuple
+
+
+# Extrapolation scales linearly from the int8 cell for multiplies (in
+# the bit product), the int32 cell for fixed-point adds (in output width)
+# and the 8-bit, 8-place cell for shifts (in bits x stages).
+OP_TABLE = {
+    MULTIPLY: OpRow("ace_multiply", False, _MULTIPLY_CELLS, _pair_cell,
+                    lambda a, b: (a.total_bits, b.total_bits), (INT8, INT8)),
+    ADD: OpRow("ace_add", False, _ADD_CELLS, _sum_cell,
+               lambda a, b: (max(a.total_bits, b.total_bits),),
+               (INT32, INT32)),
+    SHIFT: OpRow("ace_shift", True, _SHIFT_CELLS, _shift_cell,
+                 lambda value, r: (value.total_bits * shift_stages(r),),
+                 (INT8, 8)),
 }
-_ENERGY_ADD = {
-    ("float", 32): 0.9,
-    ("float", 16): 0.4,
-    ("fixed", 32): 0.1,
-    ("fixed", 8): 0.03,
-}
-_ENERGY_SHIFT = {
-    (32, 32): 0.13,
-    (16, 16): 0.057,
-    (8, 8): 0.024,
-}
+OP_TABLE[MAC] = OP_TABLE[MULTIPLY]._replace(ace="ace_mac")  # multiply energy
 
-# Extrapolation anchors: smallest measured integer entry of each class.
-_MULTIPLY_ANCHOR = 0.2 / (8 * 8)      # pJ per unit of bit product
-_ADD_ANCHOR = 0.1 / 32                # pJ per output bit
-_SHIFT_ANCHOR = 0.024 / (8 * 3)       # pJ per (bit x stage)
-
-# The tabulated ACE values alongside measured energies; the correlation
-# between the two columns is the calibration check for the cost model.
-TABLE_ACE_ENERGY_PAIRS = (
-    (Fraction(992), 3.7),    # fp32 multiply
-    (Fraction(240), 1.1),    # fp16 multiply
-    (Fraction(992), 3.1),    # int32 multiply
-    (Fraction(56), 0.2),     # int8 multiply
-    (Fraction(192), 0.9),    # fp32 add
-    (Fraction(96), 0.4),     # fp16 add
-    (Fraction(32), 0.1),     # int32 add
-    (Fraction(8), 0.03),     # int8 add
-    (Fraction(32), 0.13),    # int32 shift
-    (Fraction(64, 5), 0.057),  # int16 shift (12.8)
-    (Fraction(24, 5), 0.024),  # int8 shift (4.8)
-)
+# Each measured cell beside its own class's bit-adder count (MACs read
+# the multiply cells, so add none); the correlation between the two
+# columns is the calibration check for the cost model.
+TABLE_ACE_ENERGY_PAIRS = tuple(
+    (globals()[OP_TABLE[c].ace](*key).bitadders, pj)
+    for c in (MULTIPLY, ADD, SHIFT) for key, pj in OP_TABLE[c].cells.items())
 
 
-def _float_width(a: NumericFormat, b: Optional[NumericFormat]) -> int:
-    widths = [f.total_bits for f in (a, b) if f is not None and f.is_float]
-    return max(widths)
+def op_row(op_class: str) -> OpRow:
+    if op_class not in OP_TABLE:
+        raise UnsupportedOperandError(f"unknown op class {op_class!r}")
+    return OP_TABLE[op_class]
 
 
 def energy_of_op(
@@ -190,42 +228,12 @@ def energy_of_op(
     priced at that float's width and must be FP16 or FP32; other float
     widths have no measured anchor and raise.
     """
-    if op_class not in OP_CLASSES:
-        raise UnsupportedOperandError(f"unknown op class {op_class!r}")
-
-    if op_class == SHIFT:
-        if not a.is_fixed:
-            raise UnsupportedOperandError("shift energy needs a fixed operand")
-        if shift_range is None:
-            raise UnsupportedOperandError("shift energy needs a shift range")
-        key = (a.total_bits, shift_range)
-        if key in _ENERGY_SHIFT:
-            return EnergyCost(_ENERGY_SHIFT[key])
-        work = a.total_bits * shift_stages(shift_range)
-        return EnergyCost(_SHIFT_ANCHOR * work, extrapolated=True)
-
-    if b is None:
-        raise UnsupportedOperandError(f"{op_class} energy needs two operands")
-
-    table = _ENERGY_ADD if op_class == ADD else _ENERGY_MULTIPLY
-    if a.is_float or b.is_float:
-        width = _float_width(a, b)
-        if ("float", width) not in table:
-            raise UnsupportedExtrapolationError(
-                f"no measured {op_class} energy for {width}-bit floats")
-        return EnergyCost(table[("float", width)])
-
-    if op_class == ADD:
-        width = max(a.total_bits, b.total_bits)
-        if ("fixed", width) in table:
-            return EnergyCost(table[("fixed", width)])
-        return EnergyCost(_ADD_ANCHOR * width, extrapolated=True)
-
-    # multiply and mac
-    i, j = a.total_bits, b.total_bits
-    if i == j and ("fixed", i) in table:
-        return EnergyCost(table[("fixed", i)])
-    return EnergyCost(_MULTIPLY_ANCHOR * i * j, extrapolated=True)
+    row = op_row(op_class)
+    key = row.cell(op_class, a, shift_range if row.ranged else b)
+    if key in row.cells:
+        return EnergyCost(row.cells[key])
+    anchor = row.cells[row.anchor] / math.prod(row.work(*row.anchor))
+    return EnergyCost(reduce(mul, row.work(*key), anchor), extrapolated=True)
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:

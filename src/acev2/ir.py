@@ -50,7 +50,7 @@ from .errors import (
     ShapeMismatchError,
     UnknownKindError,
 )
-from .formats import NumericFormat
+from .formats import FP32, NumericFormat
 
 IR_VERSION = 1
 
@@ -127,6 +127,15 @@ def _quant_problem(granularity, weight_quantizer,
     return None
 
 
+def pot_weight_problem(weight_format: NumericFormat) -> Optional[str]:
+    """Why power-of-two weights cannot take ``weight_format``, or None:
+    their code is a sign bit plus at least one bit of shift amount."""
+    if weight_format.is_fixed and weight_format.total_bits >= 2:
+        return None
+    return ("power-of-two weights need a fixed-point weight_format of at "
+            f"least 2 bits, got {weight_format}")
+
+
 @dataclass(frozen=True)
 class QuantizationAnnotation:
     """How a compute layer is quantized.
@@ -146,7 +155,6 @@ class QuantizationAnnotation:
 
     def __post_init__(self):
         if self.scale_format is None:
-            from .formats import FP32
             object.__setattr__(self, "scale_format", FP32)
         problem = _quant_problem(self.granularity, self.weight_quantizer,
                                  self.vectors_per_channel)
@@ -469,6 +477,10 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
         act_format = _parse_format(doc["act_format"], memo, i, ".act_format")
     if "quant" in doc:
         quant = _parse_quant(doc["quant"], memo, i)
+        if quant.weight_quantizer == "pot":
+            problem = pot_weight_problem(weight_format or FP32)
+            if problem:
+                raise ParseError(problem, _at(i, ".quant.weight_quantizer"))
     # The document is this parse's own, so the node takes its containers.
     return LayerNode(node_id, kind, params, inputs, weight_format, act_format,
                      quant)

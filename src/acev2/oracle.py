@@ -239,6 +239,9 @@ def barrel_mux_count(i: int, j: int) -> CircuitTally:
 
 
 def barrel_matches_closed_form(i: int, j: int) -> bool:
-    """The mux construction and the shift formula must agree exactly."""
+    """The mux construction and the shift formula must agree exactly; the
+    formula prices values of up to MAX_BITS data bits."""
     built = barrel_mux_count(i, j).bitadder_equivalent
+    if i > MAX_BITS:
+        raise OutOfRangeError(f"data bits must be in [1, {MAX_BITS}], got {i}")
     return built == ace_shift(NumericFormat.fixed(i), j).bitadders

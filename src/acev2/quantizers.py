@@ -29,7 +29,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import NonPositiveScaleError, OutOfRangeError, ShapeMismatchError
+from .errors import (DegenerateInputError, NonPositiveScaleError,
+                     OutOfRangeError)
 
 DEFAULT_EPS = 1e-3
 
@@ -182,7 +183,8 @@ class BatchNormParams:
         lengths = {np.size(self.mu), np.size(self.gamma),
                    np.size(self.sigma), np.size(self.beta)}
         if len(lengths) != 1:
-            raise ShapeMismatchError("batchnorm", "parameter vectors differ in length")
+            raise DegenerateInputError(
+                "batchnorm: parameter vectors differ in length")
         if np.any(np.asarray(self.sigma) < 0):
             raise NonPositiveScaleError("sigma must be non-negative")
         if self.epsilon <= 0:
@@ -281,8 +283,8 @@ def quantization_mse(reference: np.ndarray, candidate: np.ndarray) -> float:
     reference = np.asarray(reference, dtype=np.float64)
     candidate = np.asarray(candidate, dtype=np.float64)
     if reference.shape != candidate.shape:
-        raise ShapeMismatchError(
-            "mse", f"shapes differ: {reference.shape} vs {candidate.shape}")
+        raise DegenerateInputError(
+            f"mse: shapes differ: {reference.shape} vs {candidate.shape}")
     return float(np.mean((reference - candidate) ** 2))
 
 

@@ -9,15 +9,19 @@ from acev2.census import (
     CAT_CONV,
     CAT_QUANT_SCALE,
     CAT_SKIP,
+    CENSUS_RULES,
     TallyEntry,
     census_graph,
     census_layer,
 )
 from acev2.cost import ADD, MAC, MULTIPLY, SHIFT
-from acev2.errors import MissingShapeError
+from acev2.errors import (MissingFormatError, MissingShapeError,
+                          UnknownKindError)
 from acev2.formats import FP32, NumericFormat
 from acev2.ir import (
+    COMPUTE_KINDS,
     Graph,
+    KIND_RULES,
     LayerNode,
     POT_SCALE,
     QuantizationAnnotation,
@@ -114,6 +118,17 @@ class TestComputeLayers:
         assert by_class[ADD].count == macs
         # no scale ops: power-of-two levels carry no learned scale factor
         assert tally.count(category=CAT_QUANT_SCALE) == 0
+
+    @pytest.mark.parametrize("weight", [FP32, NumericFormat.binary(), None],
+                             ids=str)
+    def test_pot_weights_need_two_fixed_point_bits(self, weight):
+        g = one_conv_graph(QuantizationAnnotation(weight_quantizer="pot",
+                                                  scale_format=POT_SCALE),
+                           weight=weight)
+        with pytest.raises(MissingFormatError, match=(
+                "^pw: power-of-two weights need a fixed-point weight_format "
+                f"of at least 2 bits, got {weight or FP32}$")):
+            census_graph(g)
 
 
 class TestQuantScale:
@@ -269,6 +284,22 @@ class TestModelLevelCounts:
             LayerNode("out", "Output", {}, ["in"]),
         ])
         assert census_graph(g).entries == []
+
+    def test_rule_keys_are_the_kinds_that_do_arithmetic(self):
+        assert list(CENSUS_RULES) == [*COMPUTE_KINDS, "BatchNorm",
+                                      "Activation", "Add"]
+        assert set(CENSUS_RULES) <= set(KIND_RULES)
+
+    def test_unknown_activation_built_in_code_is_named(self):
+        node = LayerNode("act", "Activation", {"activation": "gelu"}, ["in"])
+        shape = TensorShape(1, 2, 2, 3)
+        with pytest.raises(UnknownKindError,
+                           match="^act: unknown activation 'gelu'$"):
+            census_layer(node, shape, shape)
+
+    @pytest.mark.parametrize("kind", ["Input", "Output", "Concat", "Pool"])
+    def test_kinds_without_a_rule_tally_nothing(self, kind):
+        assert census_layer(LayerNode("x", kind), None, None) == []
 
     def test_missing_shape_is_reported(self):
         node = LayerNode("pw", "PointwiseConv2D", {"out_channels": 4}, ["in"],

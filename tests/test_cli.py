@@ -578,6 +578,29 @@ class TestBadDocuments:
         assert err.startswith(f"error: {json_path}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("weight_format,shown", [
+        ({"kind": "float", "bits": 16, "exp": 5, "man": 10}, "fp16"),
+        ({"kind": "binary", "bits": 1}, "binary"),
+        (None, "fp32"),
+    ], ids=["fp16", "binary", "absent"])
+    @pytest.mark.parametrize("sub", ["analyze", "census"])
+    def test_pot_weights_on_too_few_fixed_bits_are_malformed(
+            self, weight_format, shown, sub, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "pikelpn_1x.json").read_text())
+        node = doc["nodes"][5]
+        assert node["id"] == "b1_pw" and node["quant"]["weight_quantizer"] \
+            == "pot"
+        node.pop("weight_format")
+        if weight_format is not None:
+            node["weight_format"] = weight_format
+        path = tmp_path / "pike.json"
+        path.write_text(json.dumps(doc))
+        assert main([sub, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: $.nodes[5].quant.weight_quantizer: power-of-two weights "
+            "need a fixed-point weight_format of at least 2 bits, got "
+            f"{shown}\n")
+
     def test_good_conv_document_analyzes(self, tmp_path):
         path = tmp_path / "good.json"
         path.write_text(json.dumps(bad_doc(replace_conv(CONV))))
@@ -610,7 +633,7 @@ class TestUsageErrors:
         (["oracle", "--shifter", "0", "4"], "need at least one data bit"),
         (["oracle", "--shifter", "4", "1"], "shift range must be at least 2"),
         (["oracle", "--shifter", "100", "4"],
-         "total_bits must be in [1, 64], got 100"),
+         "data bits must be in [1, 64], got 100"),
         (["oracle", "--fp-adder", "1", "1"],
          "need at least 2 exponent and 2 mantissa bits"),
         (["oracle", "--max-bits", "0"], "max_bits must be in [1, 64]"),
@@ -705,3 +728,12 @@ def test_a_bitadder_failure_is_reported_before_an_energy_failure(
     path.write_text(json.dumps(fp8_norm_doc(then_pot_scale)))
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err == f"analysis error: {message}\n"
+
+
+def test_readme_sample_table_is_the_cli_output(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    intro = "`analyze` renders a report as a markdown-ish table, JSON, or CSV:"
+    sample = readme.split(f"{intro}\n\n```\n", 1)[1].split("```\n", 1)[0]
+    argv = ["analyze", str(FIXTURES / "pikelpn_1x.json"), "--format", "table"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == sample

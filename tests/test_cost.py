@@ -1,5 +1,6 @@
 """Closed-form cost formulas against every tabulated 45nm value."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -188,3 +189,48 @@ class TestPearson:
 
     def test_cost_model_tracks_measured_energy(self):
         assert table_energy_correlation() >= 0.99
+
+
+class TestOpClassTable:
+    """Energies, pairs and the correlation, pinned so that restructuring
+    the pricing code cannot move a bit of them."""
+
+    FORMATS = ([fixed(b) for b in range(1, 65)]
+               + [BIN, FP16, FP32, NumericFormat.flt(8, 7),
+                  NumericFormat.flt(4, 3)])
+
+    @staticmethod
+    def _energy_line(op, a, b, shift_range):
+        try:
+            e = energy_of_op(op, a, b, shift_range=shift_range)
+            out = f"{e.picojoules!r} {e.extrapolated}"
+        except Exception as exc:  # noqa: BLE001 - the type is pinned too
+            out = f"{type(exc).__name__}: {exc}"
+        return f"{op} {a!r} {b!r} {shift_range!r} -> {out}\n"
+
+    def test_energy_of_every_class_and_operand_is_pinned(self):
+        # values, extrapolation flags and error messages over every class
+        # (and one unknown), fixed 1-64, binary, fp16/fp32/bf16/fp8 and
+        # shift ranges 0-69 or None
+        cases = [(op, a, b, None)
+                 for op in (cost.MULTIPLY, cost.ADD, cost.MAC, "divide")
+                 for a in self.FORMATS for b in self.FORMATS + [None]]
+        cases += [(cost.SHIFT, a, None, r)
+                  for a in self.FORMATS for r in [*range(70), None]]
+        digest = hashlib.sha256()
+        for case in cases:
+            digest.update(self._energy_line(*case).encode())
+        assert len(cases) == 24219
+        assert digest.hexdigest() == (
+            "41bd7ecb25ec32fdede9ddb9183c02667b1f90bcbc392149ec372486732ef2ee")
+
+    def test_ace_energy_pairs(self):
+        assert cost.TABLE_ACE_ENERGY_PAIRS == (
+            (992, 3.7), (240, 1.1), (992, 3.1), (56, 0.2),       # multiply
+            (192, 0.9), (96, 0.4), (32, 0.1), (8, 0.03),         # add
+            (32, 0.13), (Fraction(64, 5), 0.057), (Fraction(24, 5), 0.024))
+        assert all(type(ace) is Fraction
+                   for ace, _ in cost.TABLE_ACE_ENERGY_PAIRS)
+
+    def test_correlation_is_pinned(self):
+        assert table_energy_correlation() == 0.9915663300823894

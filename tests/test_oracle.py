@@ -152,6 +152,12 @@ class TestBarrelShifter:
                                match="^shift range must be at least 2$"):
                 check(4, j)
 
+    def test_formula_check_names_the_data_bits_beyond_the_widest_format(self):
+        assert barrel_mux_count(100, 4).mux21 == 200  # the build needs no cap
+        with pytest.raises(OutOfRangeError,
+                           match=r"^data bits must be in \[1, 64\], got 100$"):
+            barrel_matches_closed_form(100, 4)
+
 
 # Widths must be exactly int, as NumericFormat requires: each of these
 # compares or converts like a width, and each used to leak into a tally

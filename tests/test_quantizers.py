@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acev2.errors import NonPositiveScaleError, OutOfRangeError, ShapeMismatchError
+from acev2.errors import (DegenerateInputError, NonPositiveScaleError,
+                          OutOfRangeError, ParseError)
 from acev2.quantizers import (
     _per_trial_quantizer,
     BatchNormParams,
@@ -273,9 +274,11 @@ class TestNormalization:
                [(t.quantnorm_mse, t.vanilla_mse) for t in b]
 
     def test_param_length_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DegenerateInputError,
+                           match="parameter vectors differ") as err:
             BatchNormParams(mu=np.zeros(3), gamma=np.ones(4),
                             sigma=np.ones(4), beta=np.zeros(4))
+        assert not isinstance(err.value, ParseError)
 
 
 class TestDPReLU:
@@ -308,8 +311,10 @@ class TestMse:
         assert quantization_mse(x, x + 0.5) == pytest.approx(0.25)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DegenerateInputError,
+                           match=r"shapes differ: \(3,\) vs \(4,\)") as err:
             quantization_mse(np.zeros(3), np.zeros(4))
+        assert not isinstance(err.value, ParseError)
 
 
 class TestSymmetricQuantizer:

@@ -8,6 +8,10 @@ energy entry by entry in tally order (a float sum depends on its order,
 and this one is fixed), collects the extrapolated ops and counts the ops;
 bit-adders are then priced once per key.
 
+``analyze`` computes each distinct layer once (``census.layer_walk``),
+and a node repeating one costs a lookup, so analysis cost scales with
+the distinct layers, plus a small per-node term.
+
 Arithmetic intensity is ops per data element:
 
     intensity = M / (branch_factor * (W + A))
@@ -28,15 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cost
-from .census import MAC_CATEGORIES, OpTally, TallyEntry, census_graph
+from .census import (IN_PLACE_KINDS, MAC_CATEGORIES, OpTally, TallyEntry,
+                     layer_walk)
 from .errors import AceV2Error, AnalysisError
 from .ir import (
     Graph,
-    KIND_ACTIVATION,
-    KIND_OUTPUT,
     LayerNode,
     TensorShape,
     infer_shapes,
@@ -83,33 +86,47 @@ def entry_ace(entry: TallyEntry) -> Fraction:
 class _TallyPricing:
     """One walk over a tally, in tally order, that every report reads.
 
-    Counts are summed per distinct (category, op class, formats, shift
-    range) key; each new key's energy is looked up once per distinct
-    (op class, formats, shift range), and energy is summed entry by entry
-    so the float total keeps its bits. Ops count a MAC as two. Bit-adders
-    are priced exactly, once per key, only when asked for. An energy
-    failure is held, not raised, so a caller that wants bit-adders sees
-    the bit-adder failure first, and one that wants neither sees none."""
+    The tally comes as (layer id, rows) pairs, each row a tally entry
+    less its layer id; the keys of a rows object that several nodes pass
+    are resolved once. Counts are summed per distinct
+    (category, op class, formats, shift range) key; each new key's energy
+    is looked up once per distinct (op class, formats, shift range), and
+    energy is summed entry by entry so the float total keeps its bits.
+    Ops count a MAC as two. Bit-adders are priced exactly, once per key,
+    only when asked for. An energy failure is held, not raised, so a
+    caller that wants bit-adders sees the bit-adder failure first, and
+    one that wants neither sees none."""
 
-    def __init__(self, tally: OpTally):
+    def __init__(self, layers: Iterable[Tuple[str, tuple]]):
         # key -> [first entry, summed count, pJ per op, extrapolated]
         groups: Dict[tuple, list] = {}
         units: Dict[tuple, tuple] = {}  # energy key -> (pJ, extrapolated)
+        # id(rows) -> (rows, held so that no other object takes its id,
+        # and a (group, count, pJ) per row)
+        resolved: Dict[int, tuple] = {}
         self.energy_error = None  # (layer id, error) of the first failure
         total_pj = 0.0
         flagged: List[Tuple[str, str]] = []
-        for entry in tally.entries:  # unpacking beats reads by field name
-            layer_id, op_class, count, format_a, format_b, category, \
-                shift_range = entry
-            key = (category, op_class, format_a, format_b, shift_range)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = [entry, 0,
-                                       *self._energy_unit(units, entry)]
-            group[1] += count
-            total_pj += group[2] * count
-            if group[3]:
-                flagged.append((layer_id, op_class))
+        for layer_id, rows in layers:
+            hit = resolved.get(id(rows))
+            if hit is None:
+                hit = resolved[id(rows)] = rows, []
+                for row in rows:
+                    op_class, count, format_a, format_b, category, \
+                        shift_range = row
+                    key = (category, op_class, format_a, format_b,
+                           shift_range)
+                    group = groups.get(key)
+                    if group is None:
+                        entry = TallyEntry(layer_id, *row)
+                        group = groups[key] = [
+                            entry, 0, *self._energy_unit(units, entry)]
+                    hit[1].append((group, count, group[2] * count))
+            for group, count, pj in hit[1]:
+                group[1] += count
+                total_pj += pj
+                if group[3]:
+                    flagged.append((layer_id, group[0].op_class))
         self.groups = groups
         self.energy_pj = total_pj
         self.flagged = flagged
@@ -153,6 +170,18 @@ class _TallyPricing:
         return self.energy_pj / PJ_PER_MJ, self.flagged
 
 
+def _by_entry(tally: OpTally) -> Iterable[Tuple[str, tuple]]:
+    """A tally as pricing takes it: each entry a layer of one row, and
+    equal rows one rows object, so that pricing resolves each once."""
+    shared: Dict[tuple, tuple] = {}
+    for entry in tally.entries:
+        row = entry[1:]
+        rows = shared.get(row)
+        if rows is None:
+            rows = shared[row] = (row,)
+        yield entry.layer_id, rows
+
+
 def ace_report(tally: OpTally) -> Tuple[Fraction, Dict[str, Fraction],
                                         Optional[Tuple[float, float]]]:
     """Total bit-adders, per-category breakdown, and the
@@ -160,7 +189,7 @@ def ace_report(tally: OpTally) -> Tuple[Fraction, Dict[str, Fraction],
     tally. O(E) for E entries plus one exact rational product per
     distinct key. An AnalysisError names the first entry, in tally
     order, whose op cannot be priced."""
-    return _TallyPricing(tally).ace()
+    return _TallyPricing(_by_entry(tally)).ace()
 
 
 def bn_share(report: CostReport) -> float:
@@ -177,7 +206,7 @@ def energy_report(tally: OpTally) -> Tuple[float, List[Tuple[str, str]]]:
     per-op energy was extrapolated, in tally order. O(E), summed entry by
     entry in tally order. An AnalysisError names the first entry whose
     energy cannot be priced."""
-    return _TallyPricing(tally).energy()
+    return _TallyPricing(_by_entry(tally)).energy()
 
 
 def branch_factor(g: Graph, order: Optional[List[LayerNode]] = None) -> int:
@@ -208,7 +237,7 @@ def data_footprint(g: Graph,
         in_shape = shapes[node.inputs[0]] if node.inputs else None
         if in_shape is not None:
             weights += weight_elements(node, in_shape)
-        if node.kind not in (KIND_ACTIVATION, KIND_OUTPUT):
+        if node.kind not in IN_PLACE_KINDS:
             activations += shapes[node.id].elements
     return Footprint(weights, activations, branch_factor(g, order))
 
@@ -222,21 +251,25 @@ def arithmetic_intensity(g: Graph, tally: OpTally,
                          shapes: Optional[Dict[str, TensorShape]] = None,
                          footprint: Optional[Footprint] = None) -> float:
     """Ops per concurrently-resident data element (see module docs)."""
-    return _intensity(_TallyPricing(tally).ops,
+    return _intensity(_TallyPricing(_by_entry(tally)).ops,
                       footprint or data_footprint(g, shapes))
 
 
 def analyze(g: Graph, order: Optional[List[LayerNode]] = None) -> CostReport:
     """Full pipeline: shapes, census, bit-adders, energy, intensity, over
-    one topological order (``order`` if the caller already has it) and
-    one pricing pass over the tally. A bit-adder failure is raised before
-    an energy failure."""
+    one topological order (``order`` if the caller already has it), one
+    ``layer_walk`` that computes each distinct layer once, and one
+    pricing pass over its rows. Errors come in stage order: a shape
+    error, then a census error, then a bit-adder failure, then an energy
+    failure."""
     order = order or topological_order(g)
-    shapes = infer_shapes(g, None, order)
-    pricing = _TallyPricing(census_graph(g, shapes, order))
+    walk = layer_walk(g, order)
+    pricing = _TallyPricing((node.id, layer.rows) for node, layer in walk)
     total, by_category, shares = pricing.ace()
     energy_mj, flagged = pricing.energy()
-    footprint = data_footprint(g, shapes, order)
+    footprint = Footprint(sum(layer.weights for _, layer in walk),
+                          sum(layer.activations for _, layer in walk),
+                          branch_factor(g, order))
     return CostReport(
         name=g.name,
         total_ace=total,

@@ -23,16 +23,21 @@ hardware would see. Conventions:
 
 Unannotated formats default to 32-bit float, so un-quantized layers
 surface at their true (high) cost.
+
+A layer's shape, weights and census rows depend only on its kind,
+params, formats, ``quant`` and input shapes, so ``layer_walk`` computes
+each distinct layer once: real networks repeat blocks and branches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .cost import ADD, MAC, MULTIPLY, SHIFT
-from .errors import MissingFormatError, MissingShapeError, UnknownKindError
+from .errors import (AceV2Error, MissingFormatError, MissingShapeError,
+                     UnknownKindError)
 from .formats import FP32, NumericFormat
 from .ir import (
     CONV_KINDS,
@@ -41,9 +46,10 @@ from .ir import (
     KIND_ADD,
     KIND_BATCHNORM,
     KIND_DENSE,
+    KIND_OUTPUT,
     LayerNode,
     TensorShape,
-    infer_shapes,
+    node_shape,
     pot_weight_problem,
     topological_order,
     weight_elements,
@@ -63,7 +69,9 @@ MAC_CATEGORIES = frozenset({CAT_CONV, CAT_DENSE})
 
 class TallyEntry(NamedTuple):
     """One kind of operation a layer performs, ``count`` times; a tuple,
-    so immutable and cheap to build, one per census row."""
+    so immutable and cheap to build. A census rule returns each as a row,
+    the same tuple less its layer id: (op_class, count, format_a,
+    format_b, category, shift_range)."""
 
     layer_id: str
     op_class: str
@@ -87,7 +95,7 @@ class OpTally:
 
 
 def _census_compute(category: str, node: LayerNode, in_shape: TensorShape,
-                    out_shape: TensorShape) -> List[TallyEntry]:
+                    out_shape: TensorShape) -> List[tuple]:
     weight_fmt = node.weight_format or FP32
     act_fmt = node.act_format or FP32
     # Each output element is a dot product over one output channel's weights.
@@ -98,29 +106,27 @@ def _census_compute(category: str, node: LayerNode, in_shape: TensorShape,
         if problem:
             raise MissingFormatError(f"{node.id}: {problem}")
         # One sign bit; the remaining code bits select the shift amount.
-        return [TallyEntry(node.id, SHIFT, macs, act_fmt, None, category,
-                           shift_range=2 ** (weight_fmt.total_bits - 1)),
-                TallyEntry(node.id, ADD, macs, act_fmt, act_fmt, category)]
-    entries = [TallyEntry(node.id, MAC, macs, weight_fmt, act_fmt, category)]
+        return [(SHIFT, macs, act_fmt, None, category,
+                 2 ** (weight_fmt.total_bits - 1)),
+                (ADD, macs, act_fmt, act_fmt, category, None)]
+    rows = [(MAC, macs, weight_fmt, act_fmt, category, None)]
     if quant is not None:
         count = (quant.vectors_per_channel or 1) * out_shape.elements
         if quant.scale_is_pot:
-            entries.append(TallyEntry(
-                node.id, SHIFT, count, act_fmt, None, CAT_QUANT_SCALE,
-                shift_range=max(2, act_fmt.total_bits)))
+            rows.append((SHIFT, count, act_fmt, None, CAT_QUANT_SCALE,
+                         max(2, act_fmt.total_bits)))
         else:
-            entries.append(TallyEntry(node.id, MULTIPLY, count,
-                                      quant.scale_format, quant.scale_format,
-                                      CAT_QUANT_SCALE))
-    return entries
+            rows.append((MULTIPLY, count, quant.scale_format,
+                         quant.scale_format, CAT_QUANT_SCALE, None))
+    return rows
 
 
 def _batchnorm(node: LayerNode, in_shape: TensorShape,
-               out_shape: TensorShape) -> List[TallyEntry]:
+               out_shape: TensorShape) -> List[tuple]:
     fmt = node.weight_format or FP32
     n = out_shape.elements
-    return [TallyEntry(node.id, MULTIPLY, n, fmt, fmt, CAT_BATCHNORM),
-            TallyEntry(node.id, ADD, n, fmt, fmt, CAT_BATCHNORM)]
+    return [(MULTIPLY, n, fmt, fmt, CAT_BATCHNORM, None),
+            (ADD, n, fmt, fmt, CAT_BATCHNORM, None)]
 
 
 # Each activation function's ops per element.
@@ -128,19 +134,19 @@ _ACTIVATION_OPS = {"relu": (), "prelu": (MULTIPLY,), "dprelu": (MULTIPLY, ADD)}
 
 
 def _activation(node: LayerNode, in_shape: TensorShape,
-                out_shape: TensorShape) -> List[TallyEntry]:
+                out_shape: TensorShape) -> List[tuple]:
     fn = node.params.get("activation", "relu")
     if fn not in _ACTIVATION_OPS:  # parse rejects it; a graph built in code
         raise UnknownKindError(f"{node.id}: unknown activation {fn!r}")
     fmt = node.weight_format or FP32
-    return [TallyEntry(node.id, op, out_shape.elements, fmt, fmt,
-                       CAT_ACTIVATION) for op in _ACTIVATION_OPS[fn]]
+    return [(op, out_shape.elements, fmt, fmt, CAT_ACTIVATION, None)
+            for op in _ACTIVATION_OPS[fn]]
 
 
 def _skip_add(node: LayerNode, in_shape: TensorShape,
-              out_shape: TensorShape) -> List[TallyEntry]:
+              out_shape: TensorShape) -> List[tuple]:
     fmt = node.act_format or FP32
-    return [TallyEntry(node.id, ADD, out_shape.elements, fmt, fmt, CAT_SKIP)]
+    return [(ADD, out_shape.elements, fmt, fmt, CAT_SKIP, None)]
 
 
 # The arithmetic of every kind that does any; the other kinds (Input,
@@ -154,9 +160,9 @@ CENSUS_RULES: Dict[str, Callable] = {
 }
 
 
-def census_layer(node: LayerNode, in_shape: Optional[TensorShape],
-                 out_shape: Optional[TensorShape]) -> List[TallyEntry]:
-    """Tally one layer's arithmetic by its kind's census rule."""
+def _census_rows(node: LayerNode, in_shape: Optional[TensorShape],
+                 out_shape: Optional[TensorShape]) -> List[tuple]:
+    """One layer's census rows by its kind's census rule."""
     rule = CENSUS_RULES.get(node.kind)
     if rule is None:
         return []
@@ -165,16 +171,73 @@ def census_layer(node: LayerNode, in_shape: Optional[TensorShape],
     return rule(node, in_shape, out_shape)
 
 
+def census_layer(node: LayerNode, in_shape: Optional[TensorShape],
+                 out_shape: Optional[TensorShape]) -> List[TallyEntry]:
+    """Tally one layer's arithmetic by its kind's census rule."""
+    return [TallyEntry(node.id, *row)
+            for row in _census_rows(node, in_shape, out_shape)]
+
+
+# Kinds whose output allocates no tensor: activation functions apply in
+# place, and Output passes its input on.
+IN_PLACE_KINDS = frozenset({KIND_ACTIVATION, KIND_OUTPUT})
+
+
+class Layer(NamedTuple):
+    """What one distinct layer computes, shared by every node that repeats
+    it."""
+
+    shape: TensorShape  # its output shape
+    weights: int        # weight elements per sample; 0 with no inputs
+    activations: int    # elements of the output it allocates
+    rows: tuple         # its census entries, each less the layer id
+
+
+def layer_walk(g: Graph, order: Optional[List[LayerNode]] = None
+               ) -> List[Tuple[LayerNode, Layer]]:
+    """Every node of ``g`` in stable topological order (``order`` if the
+    caller already has it) with its layer, computed once per distinct
+    layer. A node's key is its kind, the identities of its params,
+    formats and ``quant`` (a parse shares one object per distinct
+    document, and the graph keeps them alive) and its input shapes. A
+    shape error is raised where it is met, the first census error only
+    after the walk: a shape error anywhere comes first."""
+    base = [g.input_shape]
+    shapes: Dict[str, TensorShape] = {}
+    memo: Dict[tuple, Layer] = {}
+    walk = []
+    failure = None
+    for node in order or topological_order(g):
+        ins = [shapes[ref] for ref in node.inputs]
+        key = (node.kind, id(node.params), id(node.weight_format),
+               id(node.act_format), id(node.quant), *ins)
+        layer = memo.get(key)
+        if layer is None:
+            out = node_shape(g, node, ins or base)
+            src = ins[0] if ins else None
+            try:
+                rows = tuple(_census_rows(node, src, out))
+            except AceV2Error as exc:
+                failure = failure or exc
+                rows = ()  # never read: the walk raises
+            layer = memo[key] = Layer(
+                out, weight_elements(node, src) if ins else 0,
+                0 if node.kind in IN_PLACE_KINDS else out.elements, rows)
+        shapes[node.id] = layer.shape
+        walk.append((node, layer))
+    if failure is not None:
+        raise failure
+    return walk
+
+
 def census_graph(g: Graph,
                  shapes: Optional[Dict[str, TensorShape]] = None,
                  order: Optional[List[LayerNode]] = None) -> OpTally:
     """Tally the whole graph in stable topological order (``order`` if the
-    caller already has it)."""
-    order = order or topological_order(g)
-    if shapes is None:
-        shapes = infer_shapes(g, None, order)
-    tally = OpTally()
-    for node in order:
-        in_shape = shapes[node.inputs[0]] if node.inputs else None
-        tally.entries.extend(census_layer(node, in_shape, shapes[node.id]))
-    return tally
+    caller already has it), each distinct layer counted once by
+    ``layer_walk``. ``shapes``, the result of ``infer_shapes(g)``, is
+    accepted from callers that have it; the walk infers each distinct
+    layer's shape itself."""
+    return OpTally([TallyEntry(node.id, *row)
+                    for node, layer in layer_walk(g, order)
+                    for row in layer.rows])

@@ -29,9 +29,11 @@ A parse error names its JSON path, such as
 the error is raised, so a valid node pays for no path strings.
 
 A parsed graph is immutable by convention: validate it once, then share
-it freely across threads for analysis. Its formats and quantization
-annotations are shared immutable objects, one per distinct format or
-``quant`` document in the graph; two parses share none.
+it freely across threads for analysis. Its params dicts, formats and
+quantization annotations are shared objects, one per distinct params,
+format or ``quant`` document in the graph; two parses share none. A
+params dict is immutable by convention too: changing one node's params
+would change every node that shares them.
 """
 
 from __future__ import annotations
@@ -431,7 +433,14 @@ def _parse_quant(doc, memo: dict, i: int) -> QuantizationAnnotation:
     return quant
 
 
-def _check_params(params, rule: KindRule, i: int) -> None:
+def _parse_params(params, rule: KindRule, i: int, memo: dict) -> dict:
+    """The params document of node ``i``, checked against its kind's rule
+    and shared through ``memo`` like formats: one dict per distinct
+    document. The values are checked by then, so equal keys mean equal
+    documents. The key keeps the document's key order, which is its
+    serialized order, and unpacks the kernel, the one list value, so that
+    it hashes; it is tagged with ``dict`` so that no format's or quant's
+    key equals it."""
     if not isinstance(params, dict):
         raise ParseError("params must be an object", _at(i, ".params"))
     for key, value in params.items():
@@ -447,6 +456,12 @@ def _check_params(params, rule: KindRule, i: int) -> None:
     if not params.keys() >= required:
         key = min(required - params.keys())
         raise ParseError(f"missing param {key!r}", _at(i, f".params.{key}"))
+    if "kernel" in params:
+        shared = (dict, *params["kernel"], *params.keys(),
+                  *[v for v in params.values() if type(v) is not list])
+    else:
+        shared = (dict, tuple(params.items()))
+    return memo.setdefault(shared, params)
 
 
 def _parse_node(doc, i: int, memo: dict) -> LayerNode:
@@ -464,8 +479,7 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
     rule = KIND_RULES.get(kind) if type(kind) is str else None
     if rule is None:
         raise UnknownKindError(f"unknown node kind {kind!r}", _at(i, ".kind"))
-    params = doc.get("params", {})
-    _check_params(params, rule, i)
+    params = _parse_params(doc.get("params", {}), rule, i, memo)
     inputs = doc.get("inputs", [])
     if type(inputs) is not list:  # parse_graph resolves each entry
         raise ParseError("inputs must be a list", _at(i, ".inputs"))
@@ -476,6 +490,10 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
     if "act_format" in doc:
         act_format = _parse_format(doc["act_format"], memo, i, ".act_format")
     if "quant" in doc:
+        if kind not in COMPUTE_KINDS:
+            raise ParseError(f"quant is only valid on compute layers "
+                             f"({', '.join(COMPUTE_KINDS)}), not {kind}",
+                             _at(i, ".quant"))
         quant = _parse_quant(doc["quant"], memo, i)
         if quant.weight_quantizer == "pot":
             problem = pot_weight_problem(weight_format or FP32)
@@ -521,7 +539,7 @@ def parse_graph(text: str) -> Graph:
     name = doc.get("name", "")
     if type(name) is not str:
         raise ParseError(f"name must be a string, got {name!r}", "$.name")
-    memo: dict = {}  # this parse's formats and quant annotations
+    memo: dict = {}  # this parse's params, formats and quant annotations
     nodes = [_parse_node(nd, i, memo) for i, nd in enumerate(docs)]
     try:
         graph = Graph(name=name, input_shape=shape, nodes=nodes)
@@ -743,13 +761,21 @@ def infer_shapes(g: Graph, input_shape: Optional[TensorShape] = None,
     shapes: Dict[str, TensorShape] = {}
     base = [input_shape or g.input_shape]
     for node in order or topological_order(g):
-        try:
-            shapes[node.id] = _rule_of(node).shape(
-                node, [shapes[ref] for ref in node.inputs] or base)
-        except ShapeMismatchError as exc:
-            raise ShapeMismatchError(exc.node_id, exc.reason,
-                                     _at(g.nodes.index(node))) from None
+        shapes[node.id] = node_shape(
+            g, node, [shapes[ref] for ref in node.inputs] or base)
     return shapes
+
+
+def node_shape(g: Graph, node: LayerNode,
+               ins: List[TensorShape]) -> TensorShape:
+    """The output shape of ``node`` of ``g`` on input shapes ``ins`` (the
+    graph's input shape for a node with no inputs), by its kind's rule. A
+    mismatch raises ``ShapeMismatchError`` at the node's ``$.nodes[i]``."""
+    try:
+        return _rule_of(node).shape(node, ins)
+    except ShapeMismatchError as exc:
+        raise ShapeMismatchError(exc.node_id, exc.reason,
+                                 _at(g.nodes.index(node))) from None
 
 
 def weight_elements(node: LayerNode, in_shape: TensorShape) -> int:

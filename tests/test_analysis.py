@@ -24,7 +24,7 @@ from acev2.census import (
     census_graph,
 )
 from acev2.cost import ADD, MULTIPLY, SHIFT
-from acev2.errors import AnalysisError
+from acev2.errors import AnalysisError, MissingFormatError, ShapeMismatchError
 from acev2.formats import FP32, NumericFormat
 from acev2.ir import Graph, LayerNode, TensorShape
 
@@ -178,6 +178,63 @@ class TestOnePass:
             assert err.value.layer_id == "pw"
         # No energy error escapes a report that prices no energy.
         assert arithmetic_intensity(g, tally) > 0
+
+    def test_errors_come_in_stage_order(self):
+        """Shape, then census, then bit-adders, then energy, wherever the
+        failing nodes sit: each fault lies later in the walk than the
+        faults of the stages after it."""
+        fp16 = NumericFormat.flt(5, 10)
+        pot_weights = ir.QuantizationAnnotation(scale_format="pot",
+                                                weight_quantizer="pot")
+
+        def graph(bn=NumericFormat.flt(4, 3), s_act=None, c_weights=fp16,
+                  d_channels=5):
+            return Graph("t", TensorShape(1, 8, 8, 3), [
+                LayerNode("in", "Input"),
+                LayerNode("bn", "BatchNorm", {}, ["in"], weight_format=bn),
+                LayerNode("s", "PointwiseConv2D", {"out_channels": 4},
+                          ["bn"], act_format=s_act,
+                          quant=ir.QuantizationAnnotation(scale_format="pot")),
+                LayerNode("c", "PointwiseConv2D", {"out_channels": 4}, ["s"],
+                          weight_format=c_weights, act_format=INT8,
+                          quant=pot_weights),
+                LayerNode("d", "PointwiseConv2D",
+                          {"out_channels": d_channels}, ["s"]),
+                LayerNode("add", "Add", {}, ["c", "d"]),
+            ])
+
+        with pytest.raises(ShapeMismatchError) as err:
+            analyze(graph())
+        assert err.value.path == "$.nodes[5]"
+        with pytest.raises(ShapeMismatchError):
+            census_graph(graph())
+        for census_stage in (analyze, census_graph):
+            with pytest.raises(MissingFormatError, match="^c: "):
+                census_stage(graph(d_channels=4))
+        with pytest.raises(AnalysisError) as err:
+            analyze(graph(c_weights=INT8, d_channels=4))
+        assert err.value.layer_id == "s"
+        with pytest.raises(AnalysisError) as err:
+            analyze(graph(s_act=INT8, c_weights=INT8, d_channels=4))
+        assert err.value.layer_id == "bn"
+        assert analyze(graph(bn=INT8, s_act=INT8, c_weights=INT8,
+                             d_channels=4)).total_ace > 0
+
+    def test_in_the_pinned_fan_out_the_shape_error_beats_the_census_one(self):
+        """in -> pw c (pot weights on fp16) and pw d (4 vs 5 channels) ->
+        add: the mismatch at the add is raised, not c's format error."""
+        g = Graph("t", TensorShape(1, 8, 8, 3), [
+            LayerNode("in", "Input"),
+            LayerNode("c", "PointwiseConv2D", {"out_channels": 4}, ["in"],
+                      weight_format=NumericFormat.flt(5, 10),
+                      quant=ir.QuantizationAnnotation(
+                          scale_format="pot", weight_quantizer="pot")),
+            LayerNode("d", "PointwiseConv2D", {"out_channels": 5}, ["in"]),
+            LayerNode("add", "Add", {}, ["c", "d"]),
+        ])
+        with pytest.raises(ShapeMismatchError) as err:
+            analyze(g)
+        assert err.value.path == "$.nodes[3]"
 
 
 class TestBnShare:

@@ -1,5 +1,7 @@
 """Operation tallies over the zoo graphs and hand-built fragments."""
 
+import json
+
 import pytest
 
 from acev2 import zoo
@@ -13,6 +15,7 @@ from acev2.census import (
     TallyEntry,
     census_graph,
     census_layer,
+    layer_walk,
 )
 from acev2.cost import ADD, MAC, MULTIPLY, SHIFT
 from acev2.errors import (MissingFormatError, MissingShapeError,
@@ -27,6 +30,7 @@ from acev2.ir import (
     QuantizationAnnotation,
     TensorShape,
     infer_shapes,
+    parse_graph,
     weight_elements,
 )
 
@@ -306,3 +310,46 @@ class TestModelLevelCounts:
                          weight_format=INT4, act_format=INT4)
         with pytest.raises(MissingShapeError):
             census_layer(node, None, None)
+
+
+def test_layer_walk_tells_apart_nodes_that_share_params():
+    """Nodes of one params document that differ in kind, weight format,
+    activation format, quant or input shape are distinct layers; a true
+    twin repeats one. The walk agrees with a node-by-node census."""
+    def pw(node_id, src="in", wf=8, af=8, quant=None, **params):
+        quant = quant or {"scale": {"kind": "fixed", "bits": 8}}
+        return {"id": node_id, "kind": "PointwiseConv2D",
+                "params": dict({"out_channels": 4}, **params),
+                "inputs": [src],
+                "weight_format": {"kind": "fixed", "bits": wf},
+                "act_format": {"kind": "fixed", "bits": af}, "quant": quant}
+
+    def merge(node_id, kind):
+        return {"id": node_id, "kind": kind, "params": {},
+                "inputs": ["a", "b"]}
+
+    g = parse_graph(json.dumps({
+        "ir_version": 1, "name": "shared",
+        "input": {"n": 1, "h": 8, "w": 8, "c": 4},
+        "nodes": [
+            {"id": "in", "kind": "Input", "params": {}, "inputs": []},
+            pw("a"), pw("twin"), pw("b", quant={"scale": "pot"}),
+            pw("c", wf=4), pw("d", af=4), pw("s", stride=2), pw("e", "s"),
+            merge("add", "Add"), merge("cat", "Concat"),
+            {"id": "out", "kind": "Output", "params": {}, "inputs": ["cat"]},
+        ]}))
+    assert g.node("a").params is g.node("e").params
+    assert g.node("add").params is g.node("cat").params
+    walk = layer_walk(g)
+    layers = {node.id: layer for node, layer in walk}
+    assert layers["twin"] is layers["a"]
+    assert len({id(layer) for layer in layers.values()}) == len(walk) - 1
+
+    shapes = infer_shapes(g)
+    reference = []
+    for node, layer in walk:
+        src = shapes[node.inputs[0]] if node.inputs else None
+        assert layer.shape == shapes[node.id]
+        assert layer.weights == (weight_elements(node, src) if src else 0)
+        reference += census_layer(node, src, shapes[node.id])
+    assert census_graph(g).entries == reference

@@ -601,6 +601,21 @@ class TestBadDocuments:
             "need a fixed-point weight_format of at least 2 bits, got "
             f"{shown}\n")
 
+    @pytest.mark.parametrize("sub", ["analyze", "census"])
+    def test_quant_on_a_batchnorm_is_malformed(self, sub, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "pikelpn_1x.json").read_text())
+        node = doc["nodes"][2]
+        assert (node["id"], node["kind"]) == ("conv1_norm", "BatchNorm")
+        node["quant"] = {"granularity": "layerwise",
+                         "scale": {"kind": "fixed", "bits": 8}}
+        path = tmp_path / "pike.json"
+        path.write_text(json.dumps(doc))
+        assert main([sub, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: $.nodes[2].quant: quant is only valid on compute layers "
+            "(Conv2D, DepthwiseConv2D, PointwiseConv2D, Dense), not "
+            "BatchNorm\n")
+
     def test_good_conv_document_analyzes(self, tmp_path):
         path = tmp_path / "good.json"
         path.write_text(json.dumps(bad_doc(replace_conv(CONV))))

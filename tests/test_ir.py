@@ -702,3 +702,61 @@ def test_good_subchannelwise_quant_parses():
                                       vectors_per_channel=4)))
     assert validate(g) == []
     assert g.node("conv").quant.vectors_per_channel == 4
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("BatchNorm", {}),
+    ("Activation", {"activation": "relu"}),
+    ("Add", {}),
+    ("Concat", {}),
+    ("Pool", {}),
+])
+def test_quant_on_a_kind_outside_the_compute_layers_is_a_parse_error(
+        kind, params):
+    def change(doc):
+        with_node(kind, params)(doc)
+        node = doc["nodes"][3]
+        if kind in ("Add", "Concat"):
+            node["inputs"].append("act")
+        node["quant"] = {"granularity": "layerwise",
+                         "scale": {"kind": "fixed", "bits": 8}}
+    doc = json.loads(mutated(change))
+    del doc["nodes"][3]["quant"]
+    assert validate(parse_graph(json.dumps(doc))) == []
+    with pytest.raises(ParseError) as err:
+        parse_graph(mutated(change))
+    assert err.value.path == "$.nodes[3].quant"
+    assert f"not {kind}" in str(err.value)
+
+
+class TestSharedParams:
+    def test_equal_params_documents_in_one_parse_are_one_dict(self):
+        doc = probe_doc()
+        conv = doc["nodes"][1]
+        doc["nodes"][2:2] = [  # a twin of the conv, then one of each kind
+            dict(conv, id="twin", params=dict(conv["params"])),
+            dict(conv, id="wide", params=dict(conv["params"],
+                                              out_channels=16)),
+            dict(conv, id="tall", params=dict(conv["params"],
+                                              kernel=[3, 1])),
+            dict(conv, id="reordered",
+                 params=dict(reversed(conv["params"].items()))),
+        ]
+        text = json.dumps(doc)
+        g = parse_graph(text)
+        params = {node.id: node.params for node in g.nodes}
+        assert params["twin"] is params["conv"]
+        assert params["in"] is params["out"] == {}
+        distinct = ["conv", "wide", "tall", "reordered", "act", "in"]
+        assert len({id(params[name]) for name in distinct}) == len(distinct)
+        assert list(params["reordered"]) == list(reversed(params["conv"]))
+        assert serialize_graph(g) == json.dumps(doc, indent=2) + "\n"
+        other = parse_graph(text)
+        assert not {id(n.params) for n in g.nodes} \
+            & {id(n.params) for n in other.nodes}
+
+    def test_absent_params_share_the_empty_dict(self):
+        doc = probe_doc()
+        del doc["nodes"][0]["params"]
+        g = parse_graph(json.dumps(doc))
+        assert g.node("in").params is g.node("out").params == {}

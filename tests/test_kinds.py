@@ -1,6 +1,7 @@
 """The per-kind rule table: its coverage, and properties of random valid
 graphs built from every node kind."""
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from acev2.analysis import (
     energy_report,
     entry_ace,
 )
-from acev2.census import census_graph
+from acev2.census import census_graph, layer_walk
 from acev2.cost import MULTIPLY
 from acev2.formats import FP16, FP32, NumericFormat
 from acev2.ir import (
@@ -255,6 +256,57 @@ def test_a_fixed_point_batchnorm_costs_less_than_fp32(g, bits):
     fixed, _ = layer_ace(norms_at(NumericFormat.fixed(bits)), "batchnorm")
     assert fixed.keys() == fp32.keys()
     assert all(fixed[layer] < fp32[layer] for layer in fp32)
+
+
+def with_twins(g):
+    """``g`` with a parallel sibling after each body node: the same kind,
+    params, formats, quant and inputs under a new id, so each twin
+    repeats a layer."""
+    nodes = []
+    for node in g.nodes:
+        nodes.append(node)
+        if node.kind not in ("Input", "Output"):
+            nodes.append(replace(node, id=node.id + "_twin"))
+    return Graph(g.name, g.input_shape, nodes)
+
+
+def renamed(text):
+    """Document ``text`` with every node id, and every reference to it,
+    renamed."""
+    doc = json.loads(text)
+    for node in doc["nodes"]:
+        node["id"] = "r_" + node["id"]
+        node["inputs"] = ["r_" + ref for ref in node["inputs"]]
+    return json.dumps(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_repeated_layers_cost_what_fresh_ones_do(g):
+    """A parse shares one params dict per distinct document, so twins hit
+    the layer memo; with a fresh params dict on every node nothing is
+    shared and every node misses. Both give the same report, to the
+    last bit of the energy, and the same tally. Renaming every id
+    renames the extrapolated ops and changes nothing else."""
+    text = serialize_graph(with_twins(g))
+    shared, fresh = parse_graph(text), parse_graph(text)
+    for node in fresh.nodes:
+        node.params = dict(node.params)
+    walks = layer_walk(shared), layer_walk(fresh)
+    assert len({id(layer) for _, layer in walks[0]}) < len(walks[0])
+    assert len({id(layer) for _, layer in walks[1]}) == len(walks[1])
+
+    report = analyze(shared)
+    assert report == analyze(fresh)
+    assert repr(report.energy_mj) == repr(analyze(fresh).energy_mj)
+    assert census_graph(shared).entries == census_graph(fresh).entries
+
+    other = analyze(parse_graph(renamed(text)))
+    assert other.extrapolated_energy_ops == [
+        ("r_" + layer, op) for layer, op in report.extrapolated_energy_ops]
+    assert replace(other, extrapolated_energy_ops=[]) \
+        == replace(report, extrapolated_energy_ops=[])
+    assert repr(other.energy_mj) == repr(report.energy_mj)
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")),

@@ -35,17 +35,9 @@ from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cost
-from .census import (IN_PLACE_KINDS, MAC_CATEGORIES, OpTally, TallyEntry,
-                     layer_walk)
+from .census import Layer, MAC_CATEGORIES, OpTally, TallyEntry, layer_walk
 from .errors import AceV2Error, AnalysisError
-from .ir import (
-    Graph,
-    LayerNode,
-    TensorShape,
-    infer_shapes,
-    topological_order,
-    weight_elements,
-)
+from .ir import Graph, LayerNode, TensorShape, topological_order
 
 PJ_PER_MJ = 1e9
 
@@ -226,20 +218,24 @@ def branch_factor(g: Graph, order: Optional[List[LayerNode]] = None) -> int:
     return max(1, max(accumulate(deltas[1:-1]), default=0))
 
 
+def _footprint(g: Graph, walk: List[Tuple[LayerNode, Layer]],
+               order: List[LayerNode]) -> Footprint:
+    """The footprint of ``g``: the weights and activations of its
+    ``layer_walk`` summed over the nodes, and the branch factor of
+    ``order``."""
+    return Footprint(sum(layer.weights for _, layer in walk),
+                     sum(layer.activations for _, layer in walk),
+                     branch_factor(g, order))
+
+
 def data_footprint(g: Graph,
-                   shapes: Optional[Dict[str, TensorShape]] = None,
-                   order: Optional[List[LayerNode]] = None) -> Footprint:
-    if shapes is None:
-        shapes = infer_shapes(g, None, order)
-    weights = 0
-    activations = 0
-    for node in g.nodes:
-        in_shape = shapes[node.inputs[0]] if node.inputs else None
-        if in_shape is not None:
-            weights += weight_elements(node, in_shape)
-        if node.kind not in IN_PLACE_KINDS:
-            activations += shapes[node.id].elements
-    return Footprint(weights, activations, branch_factor(g, order))
+                   shapes: Optional[Dict[str, TensorShape]] = None
+                   ) -> Footprint:
+    """Weight and activation elements and the branch factor of ``g``, from
+    one ``layer_walk``, so it raises what the walk raises. ``shapes`` is
+    accepted from callers that have it and not read."""
+    order = topological_order(g)
+    return _footprint(g, layer_walk(g, order), order)
 
 
 def _intensity(ops: int, fp: Footprint) -> float:
@@ -248,11 +244,11 @@ def _intensity(ops: int, fp: Footprint) -> float:
 
 
 def arithmetic_intensity(g: Graph, tally: OpTally,
-                         shapes: Optional[Dict[str, TensorShape]] = None,
-                         footprint: Optional[Footprint] = None) -> float:
-    """Ops per concurrently-resident data element (see module docs)."""
-    return _intensity(_TallyPricing(_by_entry(tally)).ops,
-                      footprint or data_footprint(g, shapes))
+                         shapes: Optional[Dict[str, TensorShape]] = None
+                         ) -> float:
+    """Ops per concurrently-resident data element (see module docs).
+    ``shapes`` is accepted from callers that have it and not read."""
+    return _intensity(_TallyPricing(_by_entry(tally)).ops, data_footprint(g))
 
 
 def analyze(g: Graph, order: Optional[List[LayerNode]] = None) -> CostReport:
@@ -267,9 +263,7 @@ def analyze(g: Graph, order: Optional[List[LayerNode]] = None) -> CostReport:
     pricing = _TallyPricing((node.id, layer.rows) for node, layer in walk)
     total, by_category, shares = pricing.ace()
     energy_mj, flagged = pricing.energy()
-    footprint = Footprint(sum(layer.weights for _, layer in walk),
-                          sum(layer.activations for _, layer in walk),
-                          branch_factor(g, order))
+    footprint = _footprint(g, walk, order)
     return CostReport(
         name=g.name,
         total_ace=total,

@@ -236,8 +236,8 @@ def census_graph(g: Graph,
     """Tally the whole graph in stable topological order (``order`` if the
     caller already has it), each distinct layer counted once by
     ``layer_walk``. ``shapes``, the result of ``infer_shapes(g)``, is
-    accepted from callers that have it; the walk infers each distinct
-    layer's shape itself."""
+    accepted from callers that have it and not read: the walk infers each
+    distinct layer's shape itself."""
     return OpTally([TallyEntry(node.id, *row)
                     for node, layer in layer_walk(g, order)
                     for row in layer.rows])

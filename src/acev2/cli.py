@@ -10,14 +10,14 @@ Subcommands:
   quantsim  normalization-quantization error study as CSV
 
 Exit codes: 0 success; 1 input error: an unreadable file, an unwritable
--o, or a malformed document (a shape mismatch too), named by its JSON
-path; 2 analysis error, only for a cost-model gap such as an op with no
-energy anchor; 3 oracle mismatch; 64 usage error, out-of-range oracle
-and quantsim arguments included. Subcommands raise, and ``main`` alone
-turns an error into its stderr line and exit code. Output is
-deterministic for identical inputs; --stamp adds a comment line with the
-tool version outside any data body. The argument parser is built once
-per process.
+-o, or a malformed document (a broken node rule or a shape mismatch,
+named by its JSON path, or a cycle); 2 analysis error, only for a
+cost-model gap such as an op with no energy anchor; 3 oracle mismatch;
+64 usage error, out-of-range oracle and quantsim arguments included.
+Subcommands raise, and ``main`` alone turns an error into its stderr
+line and exit code. Output is deterministic for identical inputs;
+--stamp adds a comment line with the tool version outside any data body.
+The argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from . import __version__, analysis
 from .census import census_graph
 from .errors import AceV2Error, OutOfRangeError, ParseError
 from .formats import MAX_BITS, NumericFormat
-from .ir import Graph, parse_graph, serialize_graph, validate_with_order
+from .ir import (ACTIVATION_KINDS, GRANULARITIES, Graph, parse_graph,
+                 serialize_graph, topological_order)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -103,7 +104,8 @@ def _sig4(x: float) -> str:
 
 def _load_graph(path: str) -> Tuple[Graph, list]:
     """The graph at ``path`` and its order. An unreadable file raises
-    OSError; text that is not UTF-8 or not a valid graph, ParseError."""
+    OSError; text that is not UTF-8 or not a valid graph, ParseError:
+    ``parse_graph`` checks every node rule, and the sort finds cycles."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -111,10 +113,7 @@ def _load_graph(path: str) -> Tuple[Graph, list]:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte "
                          f"{exc.start}") from None
     graph = parse_graph(text)
-    diags, order = validate_with_order(graph)
-    if diags:
-        raise ParseError("; ".join(str(d) for d in diags))
-    return graph, order
+    return graph, topological_order(graph)
 
 
 def _report_payload(report: analysis.CostReport) -> dict:
@@ -230,11 +229,7 @@ def cmd_oracle(args) -> int:
     status = EXIT_OK
     if args.fp_adder:
         breakdown = oracle.fp_adder_breakdown(*args.fp_adder)
-        names = ("exponent_subtraction", "operand_swapping", "alignment_limit",
-                 "alignment_shift", "significand_negation",
-                 "significand_addition", "significand_conversion",
-                 "normalization", "rounding_postnorm")
-        for name, value in zip(names, breakdown.components):
+        for name, value in zip(oracle.FP_ADDER_STAGES, breakdown.components):
             print(f"{name:24s} {value:10.4f}")
         bound = 6 * breakdown.total_bits
         print(f"{'total':24s} {breakdown.total:10.4f}  (bound {bound})")
@@ -376,10 +371,8 @@ def build_parser() -> _Parser:
                     help="pikelpn cost scale (default 1x)")
     pe.add_argument("--weight-bits", type=_bit_width, default=8)
     pe.add_argument("--act-bits", type=_bit_width, default=8)
-    pe.add_argument("--activation", choices=("relu", "prelu", "dprelu"),
-                    default="relu")
-    pe.add_argument("--granularity",
-                    choices=("layerwise", "channelwise", "subchannelwise"),
+    pe.add_argument("--activation", choices=ACTIVATION_KINDS, default="relu")
+    pe.add_argument("--granularity", choices=GRANULARITIES,
                     default="channelwise")
     pe.add_argument("--branches", type=int, choices=(2, 3, 4), default=2)
     pe.add_argument("--out", "-o")

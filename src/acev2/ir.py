@@ -22,7 +22,9 @@ per-sample weight count (a compute layer's MACs follow from the weights).
 Parsing, validation, shape inference and ``weight_elements`` read the
 table, so adding a kind is one entry there. A param name means the same
 for every kind that takes it: ``_PARAM_CHECKS`` holds one type and range
-check per name, applied at parse time.
+check per name. Every rule a single node must keep is checked in one
+function, ``_node_problem``: ``parse_graph`` raises what it finds, and
+``validate`` reports it for graphs built in code.
 
 A parse error names its JSON path, such as
 ``$.nodes[3].quant.vectors_per_channel``; the path is formatted only when
@@ -101,8 +103,8 @@ class TensorShape:
         return {"n": self.n, "h": self.h, "w": self.w, "c": self.c}
 
 
-_GRANULARITIES = (GRANULARITY_LAYERWISE, GRANULARITY_CHANNELWISE,
-                  GRANULARITY_SUBCHANNELWISE)
+GRANULARITIES = (GRANULARITY_LAYERWISE, GRANULARITY_CHANNELWISE,
+                 GRANULARITY_SUBCHANNELWISE)
 _WEIGHT_QUANTIZERS = ("linear", "pot")
 
 
@@ -111,7 +113,7 @@ def _quant_problem(granularity, weight_quantizer,
     """The first bad field of a quantization annotation and what is wrong
     with it, or None. Only strings pass the membership tests, so a field
     that passes is also hashable."""
-    if granularity not in _GRANULARITIES:
+    if granularity not in GRANULARITIES:
         return "granularity", f"unknown granularity {granularity!r}"
     if weight_quantizer not in _WEIGHT_QUANTIZERS:
         return ("weight_quantizer",
@@ -311,7 +313,7 @@ KIND_RULES: Dict[str, KindRule] = {
         _WINDOW, frozenset({"kernel"}), ARITY_ONE,
         lambda node, ins: _window(node, ins[0], ins[0].c),
         lambda node, src: prod(node.params["kernel"]) * src.c),
-    KIND_PWCONV: KindRule(  # a 1x1 kernel: validate rejects any other
+    KIND_PWCONV: KindRule(  # a 1x1 kernel: _node_problem rejects others
         frozenset({"kernel", "stride", "out_channels"}),
         frozenset({"out_channels"}), ARITY_ONE,
         lambda node, ins: _window(node, ins[0], node.params["out_channels"],
@@ -350,6 +352,50 @@ _PARAM_CHECKS = {
                    "one of " + ", ".join(ACTIVATION_KINDS)),
     "quantnorm": (lambda v: type(v) is bool, "true or false"),
 }
+
+
+def _node_problem(node: LayerNode) -> Optional[Tuple[str, str, str]]:
+    """The first rule ``node`` breaks, as (where in the node, diagnostic
+    rule, message), or None. The rules, in order: a known kind; params
+    with no unknown key, each value passing its ``_PARAM_CHECKS`` entry
+    and every required key present (a windowed pool needs a kernel); the
+    kind's arity; a 1x1 pointwise kernel; ``quant`` only on compute
+    kinds; and weights a power-of-two quantizer can take."""
+    kind = node.kind
+    rule = KIND_RULES.get(kind) if type(kind) is str else None
+    if rule is None:
+        return ".kind", "unknown-kind", f"unknown node kind {kind!r}"
+    params = node.params
+    for key, value in params.items():
+        if key not in rule.params:
+            return f".params.{key}", "params", f"unknown key {key!r}"
+        accepts, expected = _PARAM_CHECKS[key]
+        if not accepts(value):
+            return (f".params.{key}", "params",
+                    f"{key} must be {expected}, got {value!r}")
+    required = rule.required
+    if params.get("pool", "global_avg") != "global_avg":
+        required = required | {"kernel"}  # a windowed pool
+    if not params.keys() >= required:
+        key = min(required - params.keys())
+        return f".params.{key}", "params", f"missing param {key!r}"
+    if min(len(node.inputs), ARITY_MERGE) != rule.arity:
+        check, message = _ARITY_DIAGNOSTICS[rule.arity]
+        return ".inputs", check, message.format(kind)
+    if kind == KIND_PWCONV and params.get("kernel", [1, 1]) != [1, 1]:
+        return (".params.kernel", "pw-kernel-1x1",
+                f"pointwise kernel must be 1x1, got {params['kernel']}")
+    quant = node.quant
+    if quant is None:
+        return None
+    if kind not in COMPUTE_KINDS:
+        return (".quant", "quant-kind", "quant is only valid on compute "
+                f"layers ({', '.join(COMPUTE_KINDS)}), not {kind}")
+    if quant.weight_quantizer == "pot":
+        problem = pot_weight_problem(node.weight_format or FP32)
+        if problem:
+            return ".quant.weight_quantizer", "pot-weights", problem
+    return None
 
 
 def _rule_of(node: LayerNode) -> KindRule:
@@ -433,29 +479,14 @@ def _parse_quant(doc, memo: dict, i: int) -> QuantizationAnnotation:
     return quant
 
 
-def _parse_params(params, rule: KindRule, i: int, memo: dict) -> dict:
-    """The params document of node ``i``, checked against its kind's rule
-    and shared through ``memo`` like formats: one dict per distinct
-    document. The values are checked by then, so equal keys mean equal
-    documents. The key keeps the document's key order, which is its
-    serialized order, and unpacks the kernel, the one list value, so that
-    it hashes; it is tagged with ``dict`` so that no format's or quant's
-    key equals it."""
-    if not isinstance(params, dict):
-        raise ParseError("params must be an object", _at(i, ".params"))
-    for key, value in params.items():
-        if key not in rule.params:
-            raise ParseError(f"unknown key {key!r}", _at(i, f".params.{key}"))
-        accepts, expected = _PARAM_CHECKS[key]
-        if not accepts(value):
-            raise ParseError(f"{key} must be {expected}, got {value!r}",
-                             _at(i, f".params.{key}"))
-    required = rule.required
-    if params.get("pool", "global_avg") != "global_avg":
-        required = required | {"kernel"}  # a windowed pool
-    if not params.keys() >= required:
-        key = min(required - params.keys())
-        raise ParseError(f"missing param {key!r}", _at(i, f".params.{key}"))
+def _shared_params(params: dict, memo: dict) -> dict:
+    """The checked params document ``params``, shared through ``memo``
+    like formats: one dict per distinct document. The values are checked
+    by then, so equal keys mean equal documents (and every key hashes).
+    The key keeps the document's key order, which is its serialized
+    order, and unpacks the kernel, the one list value, so that it hashes;
+    it is tagged with ``dict`` so that no format's or quant's key equals
+    it."""
     if "kernel" in params:
         shared = (dict, *params["kernel"], *params.keys(),
                   *[v for v in params.values() if type(v) is not list])
@@ -476,10 +507,9 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
         raise ParseError(f"missing node key {exc}", _at(i)) from exc
     if type(node_id) is not str:
         raise ParseError("node id must be a string", _at(i, ".id"))
-    rule = KIND_RULES.get(kind) if type(kind) is str else None
-    if rule is None:
-        raise UnknownKindError(f"unknown node kind {kind!r}", _at(i, ".kind"))
-    params = _parse_params(doc.get("params", {}), rule, i, memo)
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ParseError("params must be an object", _at(i, ".params"))
     inputs = doc.get("inputs", [])
     if type(inputs) is not list:  # parse_graph resolves each entry
         raise ParseError("inputs must be a list", _at(i, ".inputs"))
@@ -490,18 +520,17 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
     if "act_format" in doc:
         act_format = _parse_format(doc["act_format"], memo, i, ".act_format")
     if "quant" in doc:
-        if kind not in COMPUTE_KINDS:
-            raise ParseError(f"quant is only valid on compute layers "
-                             f"({', '.join(COMPUTE_KINDS)}), not {kind}",
-                             _at(i, ".quant"))
         quant = _parse_quant(doc["quant"], memo, i)
-        if quant.weight_quantizer == "pot":
-            problem = pot_weight_problem(weight_format or FP32)
-            if problem:
-                raise ParseError(problem, _at(i, ".quant.weight_quantizer"))
     # The document is this parse's own, so the node takes its containers.
-    return LayerNode(node_id, kind, params, inputs, weight_format, act_format,
+    node = LayerNode(node_id, kind, params, inputs, weight_format, act_format,
                      quant)
+    problem = _node_problem(node)
+    if problem:
+        where, check, message = problem
+        error = UnknownKindError if check == "unknown-kind" else ParseError
+        raise error(message, _at(i, where))
+    node.params = _shared_params(params, memo)
+    return node
 
 
 def parse_graph(text: str) -> Graph:
@@ -528,10 +557,10 @@ def parse_graph(text: str) -> Graph:
         if not _positive_int(value):
             raise ParseError(f"{key} must be a positive integer, got "
                              f"{value!r}", f"$.input.{key}")
-    try:
-        shape = TensorShape(**inp)
-    except TypeError as exc:
-        raise ParseError(f"bad input shape: {exc}", "$.input") from exc
+    if not inp.keys() >= _INPUT_KEYS:
+        key = min(_INPUT_KEYS - inp.keys())
+        raise ParseError(f"missing input key {key!r}", f"$.input.{key}")
+    shape = TensorShape(**inp)
 
     docs = doc.get("nodes", [])
     if not isinstance(docs, list):
@@ -715,16 +744,14 @@ def topological_order(g: Graph) -> List[LayerNode]:
 
 
 def validate(g: Graph) -> List[Diagnostic]:
-    """Structural diagnostics; an empty list means all invariants hold."""
-    return validate_with_order(g)[0]
-
-
-def validate_with_order(g: Graph) -> Tuple[List[Diagnostic], Optional[list]]:
-    """``validate`` and the order its cycle check sorted (None if none)."""
+    """Structural diagnostics of a graph built in code; an empty list means
+    all invariants hold. Each node is held to the rules ``parse_graph``
+    raises for (``_node_problem``), and the graph gets the dangling-input
+    and cycle checks. Call it before ``analyze`` on a graph built in
+    code; a parsed graph has passed every check but the cycle check."""
     diags: List[Diagnostic] = []
-    order = None
     try:
-        order = topological_order(g)
+        topological_order(g)
     except DanglingInputError as exc:  # parse_graph rejects these first
         ref = exc.missing_id  # the sort stops at the first node holding it
         node = next(n for n in g.nodes if ref in n.inputs)
@@ -733,34 +760,20 @@ def validate_with_order(g: Graph) -> Tuple[List[Diagnostic], Optional[list]]:
     except ParseError:
         diags.append(Diagnostic("<graph>", "dag-violation",
                                 "graph contains a cycle"))
-
     for node in g.nodes:
-        rule = KIND_RULES.get(node.kind)  # unknown kinds fail shape inference
-        if rule and min(len(node.inputs), ARITY_MERGE) != rule.arity:
-            check, message = _ARITY_DIAGNOSTICS[rule.arity]
-            diags.append(Diagnostic(node.id, check, message.format(node.kind)))
-        if node.kind == KIND_PWCONV:
-            kernel = node.params.get("kernel", [1, 1])
-            if list(kernel) != [1, 1]:
-                diags.append(Diagnostic(node.id, "pw-kernel-1x1",
-                                        f"pointwise kernel must be 1x1, got {kernel}"))
-        if node.kind == KIND_ACTIVATION:
-            act = node.params.get("activation", "relu")
-            if act not in ACTIVATION_KINDS:
-                diags.append(Diagnostic(node.id, "activation-kind",
-                                        f"unknown activation {act!r}"))
-    return diags, order
+        problem = _node_problem(node)
+        if problem:
+            diags.append(Diagnostic(node.id, *problem[1:]))
+    return diags
 
 
-def infer_shapes(g: Graph, input_shape: Optional[TensorShape] = None,
-                 order: Optional[List[LayerNode]] = None
-                 ) -> Dict[str, TensorShape]:
+def infer_shapes(g: Graph) -> Dict[str, TensorShape]:
     """Output shape of every node by its kind's rule, walking in
-    topological order (``order`` if the caller already has it). A shape
-    mismatch raises ``ShapeMismatchError`` at the node's ``$.nodes[i]``."""
+    topological order. A shape mismatch raises ``ShapeMismatchError`` at
+    the node's ``$.nodes[i]``."""
     shapes: Dict[str, TensorShape] = {}
-    base = [input_shape or g.input_shape]
-    for node in order or topological_order(g):
+    base = [g.input_shape]
+    for node in topological_order(g):
         shapes[node.id] = node_shape(
             g, node, [shapes[ref] for ref in node.inputs] or base)
     return shapes

@@ -16,7 +16,7 @@ adders both count as one bit-adder unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -178,17 +178,8 @@ class FpAdderBreakdown:
 
     @property
     def components(self) -> Tuple[float, ...]:
-        return (
-            self.exponent_subtraction,
-            self.operand_swapping,
-            self.alignment_limit,
-            self.alignment_shift,
-            self.significand_negation,
-            self.significand_addition,
-            self.significand_conversion,
-            self.normalization,
-            self.rounding_postnorm,
-        )
+        """The nine stage costs, in ``FP_ADDER_STAGES`` order."""
+        return tuple(getattr(self, name) for name in FP_ADDER_STAGES)
 
     @property
     def total(self) -> float:
@@ -197,6 +188,10 @@ class FpAdderBreakdown:
     @property
     def total_bits(self) -> int:
         return self.exponent_bits + self.mantissa_bits + 1
+
+
+# The nine stages, in data-path order: every field after the two widths.
+FP_ADDER_STAGES = tuple(f.name for f in fields(FpAdderBreakdown))[2:]
 
 
 def fp_adder_breakdown(e: int, m: int) -> FpAdderBreakdown:

@@ -9,13 +9,15 @@ totals, ±15% for cross-family cost totals.
 
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from acev2 import zoo
 from acev2.analysis import analyze, bn_share
-from acev2.census import CAT_BATCHNORM, CAT_QUANT_SCALE, census_graph
+from acev2.census import (CAT_BATCHNORM, CAT_CONV, CAT_QUANT_SCALE,
+                          census_graph)
 from acev2.cost import (
     ADD,
     MULTIPLY,
@@ -215,3 +217,37 @@ def test_12_quantizer_laws():
             k = int(np.log2(pot_scale))
             assert np.array_equal(codes * pot_scale,
                                   np.ldexp(codes.astype(np.float64), k))
+
+
+# Each ablation knob of build_pikelpn: (off, on) and the category the
+# technique makes cheaper.
+ABLATIONS = {
+    "pointwise_pot": ((False, True), CAT_CONV),
+    "pot_scales": ((False, True), CAT_QUANT_SCALE),
+    "quantnorm_bits": ((None, 8), CAT_BATCHNORM),
+}
+
+
+def test_13_ablation_lattice():
+    """Every edge of the technique cube, at every scale: switching one
+    technique on, the others held, lowers the total bit-adders (exactly),
+    the energy and the technique's own category."""
+    with criterion(13, "every technique lowers cost on every lattice edge"):
+        edges = 0
+        for scale in zoo.PIKE_SCALES:
+            reports = {
+                corner: analyze(zoo.build_pikelpn(
+                    scale, **dict(zip(ABLATIONS, corner))))
+                for corner in product(*(values for values, _ in
+                                        ABLATIONS.values()))}
+            for corner, low in reports.items():
+                for k, (values, category) in enumerate(ABLATIONS.values()):
+                    if corner[k] != values[0]:
+                        continue
+                    high = reports[corner[:k] + (values[1],) + corner[k + 1:]]
+                    assert high.total_ace < low.total_ace
+                    assert high.energy_mj < low.energy_mj
+                    assert (high.ace_by_category.get(category, Fraction(0))
+                            < low.ace_by_category[category])
+                    edges += 1
+        assert edges == 48

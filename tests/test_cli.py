@@ -116,7 +116,9 @@ class TestAnalyze:
         }
         bad.write_text(json.dumps(doc))
         assert main(["analyze", str(bad)]) == 1
-        assert "pw-kernel-1x1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: $.nodes[1].params.kernel: pointwise kernel must be 1x1, "
+            "got [3, 3]\n")
 
 
 def format_doc(weight=None, scale=None):
@@ -615,6 +617,28 @@ class TestBadDocuments:
             "error: $.nodes[2].quant: quant is only valid on compute layers "
             "(Conv2D, DepthwiseConv2D, PointwiseConv2D, Dense), not "
             "BatchNorm\n")
+
+    @pytest.mark.parametrize("sub", ["analyze", "census"])
+    def test_missing_input_dim_names_its_key(self, sub, tmp_path, capsys):
+        path = tmp_path / "no_c.json"
+        path.write_text(json.dumps(bad_doc(lambda doc: doc["input"].pop("c"))))
+        assert main([sub, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: $.input.c: missing input key 'c'\n")
+
+    @pytest.mark.parametrize("sub", ["analyze", "census"])
+    def test_a_two_input_activation_names_its_inputs(self, sub, tmp_path,
+                                                     capsys):
+        doc = json.loads((FIXTURES / "pikelpn_1x.json").read_text())
+        i, node = next((i, node) for i, node in enumerate(doc["nodes"])
+                       if node["kind"] == "Activation")
+        node["inputs"] = node["inputs"] * 2
+        path = tmp_path / "pike.json"
+        path.write_text(json.dumps(doc))
+        assert main([sub, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: $.nodes[{i}].inputs: Activation takes exactly one "
+            "input\n")
 
     def test_good_conv_document_analyzes(self, tmp_path):
         path = tmp_path / "good.json"

@@ -18,7 +18,6 @@ from acev2.ir import (
     serialize_graph,
     topological_order,
     validate,
-    validate_with_order,
     weight_elements,
 )
 
@@ -168,7 +167,8 @@ class TestValidate:
             LayerNode("b", "Add", {}, ["in", "a"]),
             LayerNode("out", "Output", {}, ["b"]),
         )
-        assert "dag-violation" in [d.rule for d in validate(g)]
+        assert validate(g) == [Diagnostic("<graph>", "dag-violation",
+                                          "graph contains a cycle")]
         with pytest.raises(ParseError):
             topological_order(g)
 
@@ -180,35 +180,48 @@ class TestValidate:
         )
         assert "single-input" in [d.rule for d in validate(g)]
 
+    @pytest.mark.parametrize("node,rule,message", [
+        (LayerNode("x", "Conv2D", {"kernel": [3, 3]}, ["in"]), "params",
+         "missing param 'out_channels'"),
+        (LayerNode("x", "Pool", {"pool": "max"}, ["in"]), "params",
+         "missing param 'kernel'"),
+        (LayerNode("x", "Activation", {"activation": "gelu"}, ["in"]),
+         "params", "activation must be one of relu, prelu, dprelu, "
+         "got 'gelu'"),
+        (LayerNode("x", "BatchNorm", {}, ["in"],
+                   quant=QuantizationAnnotation()), "quant-kind",
+         "quant is only valid on compute layers (Conv2D, DepthwiseConv2D, "
+         "PointwiseConv2D, Dense), not BatchNorm"),
+        (LayerNode("x", "Dense", {"units": 4}, ["in"],
+                   weight_format=NumericFormat.flt(5, 10),
+                   quant=QuantizationAnnotation(scale_format="pot",
+                                                weight_quantizer="pot")),
+         "pot-weights", "power-of-two weights need a fixed-point "
+         "weight_format of at least 2 bits, got fp16"),
+        (LayerNode("x", "Blob", {}, ["in"]), "unknown-kind",
+         "unknown node kind 'Blob'"),
+    ])
+    def test_built_graph_breaking_a_parse_rule(self, node, rule, message):
+        """A graph built in code is held to the rules parse_graph raises
+        for, and parse_graph raises the same message at the node's path."""
+        g = chain(LayerNode("in", "Input"), node,
+                  LayerNode("out", "Output", {}, ["x"]))
+        assert validate(g) == [Diagnostic("x", rule, message)]
+        with pytest.raises(ParseError, match="^\\$\\.nodes\\[1\\]") as err:
+            parse_graph(serialize_graph(g))
+        assert str(err.value).endswith(": " + message)
+
     def test_dangling_input_of_a_built_graph(self):
         """parse_graph rejects a dangling input; a graph built in code gets
-        one diagnostic, for the first node holding one, and no order."""
+        one diagnostic, for the first node holding one."""
         g = chain(
             LayerNode("in", "Input"),
             LayerNode("a", "Add", {}, ["in", "ghost"]),
             LayerNode("b", "Activation", {}, ["phantom"]),
             LayerNode("out", "Output", {}, ["a"]),
         )
-        diags, order = validate_with_order(g)
-        assert diags == [Diagnostic("a", "dangling-input",
-                                    "input 'ghost' does not resolve")]
-        assert order is None
-        assert validate(g) == diags
-
-    def test_with_order_returns_the_cycle_check_order(self, mbv2_relu):
-        diags, order = validate_with_order(mbv2_relu)
-        assert diags == validate(mbv2_relu) == []
-        assert order == topological_order(mbv2_relu)
-
-    def test_with_order_on_a_cycle_has_no_order(self):
-        g = chain(
-            LayerNode("in", "Input"),
-            LayerNode("a", "Add", {}, ["in", "b"]),
-            LayerNode("b", "Add", {}, ["in", "a"]),
-        )
-        diags, order = validate_with_order(g)
-        assert "dag-violation" in [d.rule for d in diags]
-        assert order is None
+        assert validate(g) == [Diagnostic("a", "dangling-input",
+                                          "input 'ghost' does not resolve")]
 
 
 FP16_DOC = {"kind": "float", "bits": 16, "exp": 5, "man": 10}
@@ -571,6 +584,9 @@ BAD_STRUCTURE = {  # case -> (mutation, the JSON path its error names)
                            "$.nodes[1].inputs"),
     "inputs_object": (set_node(1, "inputs", {"in": 1}), "$.nodes[1].inputs"),
     "kind_list": (set_node(1, "kind", ["Conv2D"]), "$.nodes[1].kind"),
+    "input_missing_c": (lambda doc: doc["input"].pop("c"), "$.input.c"),
+    "activation_two_inputs": (set_node(2, "inputs", ["conv", "conv"]),
+                              "$.nodes[2].inputs"),
 }
 
 
@@ -622,6 +638,9 @@ BAD_PARAMS = {  # case -> (mutation, the JSON path its error names)
     "pool_number": (with_node("Pool", {"pool": 3}), "$.nodes[3].params.pool"),
     "windowed_pool_missing_kernel": (with_node("Pool", {"pool": "max"}),
                                      "$.nodes[3].params.kernel"),
+    "pointwise_kernel_3x3": (with_node("PointwiseConv2D",
+                                       {"out_channels": 2, "kernel": [3, 3]}),
+                             "$.nodes[3].params.kernel"),
 }
 
 

@@ -20,6 +20,7 @@ from acev2.analysis import (
 )
 from acev2.census import census_graph, layer_walk
 from acev2.cost import MULTIPLY
+from acev2.errors import ParseError
 from acev2.formats import FP16, FP32, NumericFormat
 from acev2.ir import (
     KIND_RULES,
@@ -344,3 +345,57 @@ def test_merges_accept_two_or_more_inputs(kind):
     g = Graph("t", TensorShape(1, 4, 4, 3), [
         LayerNode("in", "Input"), LayerNode("x", kind, {}, ["in"] * 5)])
     assert validate(g) == []
+
+
+def broken(node, how, pick):
+    """``node`` breaking one node rule the way ``how`` names (``pick``
+    chooses the param to drop), or None if ``how`` does not apply."""
+    kind = node.kind
+    required = sorted(KIND_RULES[kind].required)
+    if how == "drop a required param" and required:
+        key = required[pick % len(required)]
+        return replace(node, params={k: v for k, v in node.params.items()
+                                     if k != key})
+    if how == "add an input" and kind != "Input":
+        return replace(node, inputs=node.inputs + ["in"])
+    if how == "windowed pool without a kernel" and kind == "Pool":
+        return replace(node, params={"pool": "max"})
+    if how == "quant on a non-compute kind" and kind not in ir.COMPUTE_KINDS:
+        return replace(node, quant=QuantizationAnnotation())
+    if how == "3x3 pointwise kernel" and kind == "PointwiseConv2D":
+        return replace(node, params=dict(node.params, kernel=[3, 3]))
+    if how == "pot weights on fp16" and kind in ir.COMPUTE_KINDS:
+        return replace(node, weight_format=FP16, quant=QuantizationAnnotation(
+            scale_format="pot", weight_quantizer="pot"))
+    return None
+
+
+BREAKS = ("drop a required param", "add an input",
+          "windowed pool without a kernel", "quant on a non-compute kind",
+          "3x3 pointwise kernel", "pot weights on fp16")
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.sampled_from(BREAKS), st.integers(0, 1), st.data())
+def test_validate_and_parse_hold_a_graph_to_one_rule_set(g, how, pick, data):
+    """One node of a valid graph, broken: ``validate`` reports a problem
+    exactly when parsing the serialized graph raises, and both name the
+    same node with the same message. (Adding an input to a merge breaks
+    nothing, and neither complains.)"""
+    candidates = [i for i, node in enumerate(g.nodes)
+                  if broken(node, how, pick) is not None]
+    assume(candidates)
+    i = data.draw(st.sampled_from(candidates))
+    nodes = list(g.nodes)
+    nodes[i] = broken(nodes[i], how, pick)
+    g = Graph(g.name, g.input_shape, nodes)
+    diags = validate(g)
+    try:
+        parse_graph(serialize_graph(g))
+    except ParseError as exc:
+        named = int(exc.path[len("$.nodes["):].split("]")[0])
+        assert [(d.node_id, str(exc)) for d in diags] \
+            == [(nodes[named].id, f"{exc.path}: {diags[0].message}")]
+        assert named == i
+    else:
+        assert diags == []

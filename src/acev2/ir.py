@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import marshal
 from dataclasses import dataclass, field
 from math import prod
 from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
@@ -425,6 +426,7 @@ _FORMAT_KEYS = frozenset({"kind", "bits", "exp", "man"})
 _QUANT_KEYS = frozenset({"granularity", "vectors_per_channel", "scale",
                          "weight_quantizer"})
 _WIDTH_TYPES = (int, type(None))  # exp and man may be absent
+_MISSING = object()  # a node key the document leaves out
 
 
 def _parse_format(doc, memo: dict, i: int, where: str) -> NumericFormat:
@@ -496,21 +498,38 @@ def _shared_params(params: dict, memo: dict) -> dict:
 
 
 def _parse_node(doc, i: int, memo: dict) -> LayerNode:
+    """The node ``doc`` at ``$.nodes[i]`` describes. Its body, every key
+    but ``id`` and ``inputs``, is checked once per parse: a body that
+    passed at the same arity is found in ``memo`` by its ``marshal``
+    encoding, in which 8, 8.0 and true differ (version 2 writes no
+    back-references, so equal bodies encode alike), and then only the id
+    and inputs are checked. A rejected body is never stored."""
     if not isinstance(doc, dict):
         raise ParseError("node must be an object", _at(i))
-    if not doc.keys() <= _NODE_KEYS:
+    # The document is this parse's own, so the node takes its containers.
+    node_id = doc.pop("id", _MISSING)
+    inputs = doc.pop("inputs", [])
+    body = None
+    if type(inputs) is list:
+        try:
+            body = min(len(inputs), ARITY_MERGE), marshal.dumps(doc, 2)
+        except ValueError:  # nested too deeply to encode: it fails a check
+            pass
+    shared = memo.get(body)
+    if shared is None and not doc.keys() <= _NODE_KEYS:
         _reject_unknown(doc, _NODE_KEYS, _at(i))
-    try:
-        node_id = doc["id"]
-        kind = doc["kind"]
-    except KeyError as exc:
-        raise ParseError(f"missing node key {exc}", _at(i)) from exc
+    if node_id is _MISSING or "kind" not in doc:
+        key = "id" if node_id is _MISSING else "kind"
+        raise ParseError(f"missing node key {key!r}", _at(i))
     if type(node_id) is not str:
         raise ParseError("node id must be a string", _at(i, ".id"))
+    if shared is not None:
+        kind, params, weight_format, act_format, quant = shared
+        return LayerNode(node_id, kind, params, inputs, weight_format,
+                         act_format, quant)
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ParseError("params must be an object", _at(i, ".params"))
-    inputs = doc.get("inputs", [])
     if type(inputs) is not list:  # parse_graph resolves each entry
         raise ParseError("inputs must be a list", _at(i, ".inputs"))
     weight_format = act_format = quant = None
@@ -521,20 +540,28 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
         act_format = _parse_format(doc["act_format"], memo, i, ".act_format")
     if "quant" in doc:
         quant = _parse_quant(doc["quant"], memo, i)
-    # The document is this parse's own, so the node takes its containers.
-    node = LayerNode(node_id, kind, params, inputs, weight_format, act_format,
-                     quant)
+    node = LayerNode(node_id, doc["kind"], params, inputs, weight_format,
+                     act_format, quant)
     problem = _node_problem(node)
     if problem:
         where, check, message = problem
         error = UnknownKindError if check == "unknown-kind" else ParseError
         raise error(message, _at(i, where))
     node.params = _shared_params(params, memo)
+    if body is not None:
+        memo[body] = (node.kind, node.params, weight_format, act_format,
+                      quant)
     return node
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse and structurally resolve a graph document (strict mode)."""
+    """Parse and structurally resolve a graph document (strict mode).
+
+    Each node is held to every rule ``_node_problem`` names, and each
+    error names its JSON path. A node body, every key but ``id`` and
+    ``inputs``, is checked once per parse: a node repeating an accepted
+    body at the same arity, keyed type-exactly, only has its id and
+    inputs checked (``_parse_node``)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -568,7 +595,7 @@ def parse_graph(text: str) -> Graph:
     name = doc.get("name", "")
     if type(name) is not str:
         raise ParseError(f"name must be a string, got {name!r}", "$.name")
-    memo: dict = {}  # this parse's params, formats and quant annotations
+    memo: dict = {}  # this parse's params, formats, quants and node bodies
     nodes = [_parse_node(nd, i, memo) for i, nd in enumerate(docs)]
     try:
         graph = Graph(name=name, input_shape=shape, nodes=nodes)
@@ -706,8 +733,9 @@ def serialize_graph(g: Graph) -> str:
 def topological_order(g: Graph) -> List[LayerNode]:
     """Kahn topological sort, stable with respect to declaration order:
     of the nodes ready at each step, the first declared comes first.
-    Raises DanglingInputError on an unresolved input, ParseError on
-    cycles.
+    Raises DanglingInputError on an unresolved input, and on a cycle a
+    ParseError at ``$.nodes[i].inputs`` of the first declared node the
+    sort could not place.
 
     A graph declared in topological order, every input naming an
     earlier-declared node, sorts to its declaration order; one set test
@@ -739,7 +767,9 @@ def topological_order(g: Graph) -> List[LayerNode]:
             if indegree[consumer] == 0:
                 heapq.heappush(ready, consumer)
     if len(order) != len(g.nodes):
-        raise ParseError("graph contains a cycle")
+        raise ParseError("graph contains a cycle",
+                         _at(next(i for i, d in enumerate(indegree) if d),
+                             ".inputs"))
     return order
 
 

@@ -640,6 +640,33 @@ class TestBadDocuments:
             f"error: $.nodes[{i}].inputs: Activation takes exactly one "
             "input\n")
 
+    @pytest.mark.parametrize("sub", ["analyze", "census"])
+    def test_a_cycle_names_the_first_node_it_holds_back(self, sub, tmp_path,
+                                                        capsys):
+        doc = json.loads((FIXTURES / "pikelpn_1x.json").read_text())
+        doc["nodes"][1]["inputs"] = [doc["nodes"][3]["id"]]
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(doc))
+        assert main([sub, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: $.nodes[1].inputs: graph contains a cycle\n")
+
+    def test_float_bits_after_an_accepted_twin_are_malformed(self, tmp_path,
+                                                             capsys):
+        doc = json.loads((FIXTURES / "pikelpn_1x.json").read_text())
+        bodies = [{k: v for k, v in node.items() if k not in ("id", "inputs")}
+                  for node in doc["nodes"]]
+        i = next(i for i, body in enumerate(bodies) if body in bodies[:i]
+                 and body["kind"] in ir.COMPUTE_KINDS
+                 and body["weight_format"]["bits"] == 8)
+        doc["nodes"][i]["weight_format"]["bits"] = 8.0
+        path = tmp_path / "float_bits.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: $.nodes[{i}].weight_format: format kind must be a "
+            "string, widths integers\n")
+
     def test_good_conv_document_analyzes(self, tmp_path):
         path = tmp_path / "good.json"
         path.write_text(json.dumps(bad_doc(replace_conv(CONV))))

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acev2 import ir
 from acev2.errors import DanglingInputError, ParseError, ShapeMismatchError, UnknownKindError
 from acev2.formats import NumericFormat
 from acev2.ir import (
@@ -503,6 +504,18 @@ class TestTopologicalOrder:
         with pytest.raises(ParseError, match="cycle"):
             topological_order(g)
 
+    def test_a_cycle_names_the_first_node_the_sort_cannot_place(self):
+        g = chain(
+            LayerNode("in", "Input"),
+            LayerNode("x", "Activation", {}, ["b"]),  # waits on the cycle
+            LayerNode("a", "Add", {}, ["in", "b"]),
+            LayerNode("b", "Add", {}, ["in", "a"]),
+        )
+        with pytest.raises(ParseError) as err:
+            topological_order(g)
+        assert err.value.path == "$.nodes[1].inputs"
+        assert str(err.value) == "$.nodes[1].inputs: graph contains a cycle"
+
     def test_inputs_changed_after_a_sort_are_seen(self):
         g = chain(LayerNode("in", "Input"),
                   LayerNode("a", "Activation", {}, ["in"]),
@@ -779,3 +792,119 @@ class TestSharedParams:
         del doc["nodes"][0]["params"]
         g = parse_graph(json.dumps(doc))
         assert g.node("in").params is g.node("out").params == {}
+
+
+DROP = object()  # a key to leave out of a node
+CONV_BODY = {"kind": "Conv2D", "params": {"kernel": [1, 1], "out_channels": 4},
+             "weight_format": {"kind": "fixed", "bits": 8}}
+NORM_BODY = {"kind": "BatchNorm", "params": {"quantnorm": True}}
+ADD_BODY = {"kind": "Add", "params": {}}
+FILLER_BODY = {"kind": "Activation", "params": {"activation": "relu"}}
+
+
+def twin_doc(first, second):
+    """A document of an Input and two nodes, ``a`` with body ``first``
+    and ``b`` as ``second`` gives it, both reading the Input (twice for a
+    merge) unless ``second`` says otherwise."""
+    nodes = [{"id": "in", "kind": "Input", "inputs": []}]
+    for node_id, body in (("a", first), ("b", second)):
+        node = {"id": node_id,
+                "inputs": ["in", "in"] if body["kind"] == "Add" else ["in"]}
+        node.update(body)
+        nodes.append({k: v for k, v in node.items() if v is not DROP})
+    return json.dumps({"ir_version": 1, "name": "twins",
+                       "input": {"n": 1, "h": 4, "w": 4, "c": 3},
+                       "nodes": nodes})
+
+
+FORMAT_ERROR = "format kind must be a string, widths integers"
+TWINS = {  # case -> (accepted body, its twin, the twin's error and path)
+    "bits_float": (CONV_BODY, dict(CONV_BODY, weight_format={
+        "kind": "fixed", "bits": 8.0}), FORMAT_ERROR, ".weight_format"),
+    "bits_true": (CONV_BODY, dict(CONV_BODY, weight_format={
+        "kind": "fixed", "bits": True}), FORMAT_ERROR, ".weight_format"),
+    "out_channels_float": (CONV_BODY, dict(CONV_BODY, params={
+        "kernel": [1, 1], "out_channels": 4.0}),
+        "out_channels must be a positive integer, got 4.0",
+        ".params.out_channels"),
+    "quantnorm_one": (NORM_BODY, dict(NORM_BODY, params={"quantnorm": 1}),
+                      "quantnorm must be true or false, got 1",
+                      ".params.quantnorm"),
+    "add_one_input": (ADD_BODY, dict(ADD_BODY, inputs=["in"]),
+                      "Add needs at least two inputs", ".inputs"),
+    "missing_id": (CONV_BODY, dict(CONV_BODY, id=DROP),
+                   "missing node key 'id'", ""),
+    "integer_id": (CONV_BODY, dict(CONV_BODY, id=7),
+                   "node id must be a string", ".id"),
+    "inputs_string": (CONV_BODY, dict(CONV_BODY, inputs="x"),
+                      "inputs must be a list", ".inputs"),
+}
+
+
+class TestBodyMemo:
+    """A parse checks each distinct node body once; a repeat of an
+    accepted body fails exactly as it would with no body before it."""
+
+    @pytest.mark.parametrize("case", sorted(TWINS))
+    def test_a_twin_of_an_accepted_body_fails_as_in_a_fresh_parse(self,
+                                                                   case):
+        accepted, twin, message, where = TWINS[case]
+        parse_graph(twin_doc(accepted, accepted))
+        with pytest.raises(ParseError) as after_twin:
+            parse_graph(twin_doc(accepted, twin))
+        with pytest.raises(ParseError) as fresh:
+            parse_graph(twin_doc(FILLER_BODY, twin))
+        error = after_twin.value
+        assert (type(error), str(error), error.path) == (
+            type(fresh.value), str(fresh.value), fresh.value.path)
+        assert error.path == "$.nodes[2]" + where
+        assert str(error) == f"{error.path}: {message}"
+
+    def test_a_twin_with_its_keys_reordered_is_accepted(self):
+        twin = dict(reversed(CONV_BODY.items()),
+                    params=dict(reversed(CONV_BODY["params"].items())))
+        g = parse_graph(twin_doc(CONV_BODY, twin))
+        a, b = g.node("a"), g.node("b")
+        assert validate(g) == []
+        assert (a.kind, a.params, a.weight_format) \
+            == (b.kind, b.params, b.weight_format)
+        assert list(b.params) == ["out_channels", "kernel"]
+
+    def test_twins_share_one_node_body(self):
+        g = parse_graph(twin_doc(CONV_BODY, CONV_BODY))
+        a, b = g.node("a"), g.node("b")
+        assert a.params is b.params and a.weight_format is b.weight_format
+        assert a.inputs == b.inputs and a.inputs is not b.inputs
+
+    def test_one_node_check_per_distinct_body_and_arity(self, monkeypatch):
+        """A 512-branch fan-out, Input -> 512 x (PointwiseConv2D ->
+        BatchNorm) -> Concat -> Output, with four channel counts: the
+        node rules run once per distinct body and arity, not per node."""
+        nodes = [{"id": "in", "kind": "Input", "params": {}, "inputs": []}]
+        for b in range(512):
+            nodes += [
+                {"id": f"b{b}_pw", "kind": "PointwiseConv2D",
+                 "params": {"out_channels": 1 + b % 4}, "inputs": ["in"],
+                 "weight_format": {"kind": "fixed", "bits": 4}},
+                {"id": f"b{b}_bn", "kind": "BatchNorm", "params": {},
+                 "inputs": [f"b{b}_pw"]}]
+        nodes += [{"id": "cat", "kind": "Concat", "params": {},
+                   "inputs": [f"b{b}_bn" for b in range(512)]},
+                  {"id": "out", "kind": "Output", "params": {},
+                   "inputs": ["cat"]}]
+        distinct = {(json.dumps({k: v for k, v in node.items()
+                                 if k not in ("id", "inputs")}),
+                     min(len(node["inputs"]), 2)) for node in nodes}
+        calls = []
+
+        def counted(node):
+            calls.append(node.id)
+            return node_problem(node)
+
+        node_problem = ir._node_problem
+        monkeypatch.setattr(ir, "_node_problem", counted)
+        g = parse_graph(json.dumps({
+            "ir_version": 1, "name": "fanout",
+            "input": {"n": 1, "h": 4, "w": 4, "c": 3}, "nodes": nodes}))
+        assert len(g.nodes) == 1027
+        assert len(calls) == len(distinct) == 8

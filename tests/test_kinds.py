@@ -399,3 +399,96 @@ def test_validate_and_parse_hold_a_graph_to_one_rule_set(g, how, pick, data):
         assert named == i
     else:
         assert diags == []
+
+
+def int_slots(value):
+    """(container, key) of each integer nested in the JSON value
+    ``value``."""
+    if isinstance(value, dict):
+        keys = list(value)
+    elif isinstance(value, list):
+        keys = range(len(value))
+    else:
+        return []
+    slots = []
+    for key in keys:
+        if type(value[key]) is int:
+            slots.append((value, key))
+        else:
+            slots += int_slots(value[key])
+    return slots
+
+
+def dicts_in(value):
+    """``value`` and every dict nested in it that has two or more keys."""
+    if isinstance(value, list):
+        return [d for item in value for d in dicts_in(item)]
+    if not isinstance(value, dict):
+        return []
+    found = [value] if len(value) > 1 else []
+    return found + [d for item in value.values() for d in dicts_in(item)]
+
+
+@st.composite
+def twinned_documents(draw):
+    """The document of a random valid graph with copies of node bodies
+    under new ids and the same inputs, some of them changed: an integer
+    made a float or a bool (which no rule accepts), or the keys of one of
+    its objects reversed (which changes nothing a rule reads)."""
+    doc = json.loads(serialize_graph(draw(graphs())))
+    nodes = []
+    for node in doc["nodes"]:
+        nodes.append(node)
+        for c in range(draw(st.integers(0, 2))):
+            twin = dict(json.loads(json.dumps(node)), id=f"{node['id']}_{c}")
+            body = {k: v for k, v in twin.items() if k not in ("id", "inputs")}
+            how = draw(st.sampled_from(["same", "float", "bool", "reorder"]))
+            slots = int_slots(body)
+            if how in ("float", "bool") and slots:
+                container, key = draw(st.sampled_from(slots))
+                cast = float if how == "float" else bool
+                container[key] = cast(container[key])
+            elif how == "reorder":
+                target = draw(st.sampled_from(dicts_in(body) + [twin]))
+                items = list(target.items())
+                target.clear()
+                target.update(reversed(items))
+            nodes.append(twin)
+    doc["nodes"] = nodes
+    return doc
+
+
+def alone(doc, k):
+    """How node ``k`` of ``doc`` fares parsed in a document of its own,
+    after an Input for each id it reads: None if accepted, else the
+    error's type, its path within the node and its message."""
+    node = doc["nodes"][k]
+    sources = [{"id": ref, "kind": "Input"}
+               for ref in dict.fromkeys(node["inputs"])]
+    try:
+        parse_graph(json.dumps(dict(doc, nodes=sources + [node])))
+    except ParseError as exc:
+        at = f"$.nodes[{len(sources)}]"
+        assert exc.path.startswith(at)
+        return type(exc), exc.path[len(at):], str(exc)[len(exc.path) + 2:]
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(twinned_documents())
+def test_a_parse_fails_where_the_first_node_failing_alone_does(doc):
+    """A parse checks each distinct node body once, yet it accepts a
+    document exactly when each node, parsed alone, is accepted, and
+    otherwise raises the first such node's error at its path."""
+    verdicts = [alone(doc, k) for k in range(len(doc["nodes"]))]
+    failing = [(k, verdict) for k, verdict in enumerate(verdicts) if verdict]
+    try:
+        parse_graph(json.dumps(doc))
+    except ParseError as exc:
+        assert failing
+        k, (kind, where, message) = failing[0]
+        path = f"$.nodes[{k}]{where}"
+        assert (type(exc), exc.path, str(exc)) \
+            == (kind, path, f"{path}: {message}")
+    else:
+        assert not failing

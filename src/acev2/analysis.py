@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cost
@@ -201,31 +202,36 @@ def energy_report(tally: OpTally) -> Tuple[float, List[Tuple[str, str]]]:
     return _TallyPricing(_by_entry(tally)).energy()
 
 
-def branch_factor(g: Graph, order: Optional[List[LayerNode]] = None) -> int:
+def branch_factor(g: Graph) -> int:
     """Maximum number of producer-to-consumer edges crossing any
     topological cut: the widest set of simultaneously-live paths, at
-    least 1. Each edge adds +1 at its producer's cut and -1 at its
+    least 1."""
+    return _branch_factor(topological_order(g))
+
+
+def _branch_factor(order: Iterable[LayerNode]) -> int:
+    """The branch factor of a graph's nodes in topological ``order``, in
+    one pass. Each edge adds +1 at its producer's cut and -1 at its
     consumer's straight into a difference array, and a running sum
     sweeps the cuts: O(V + E), no edge list."""
-    order = order or topological_order(g)
     # deltas[p] changes the live count on the cut after position p - 1.
-    position = {node.id: p for p, node in enumerate(order, 1)}
-    deltas = [0] * (len(order) + 1)
+    position: Dict[str, int] = {}
+    deltas = [0]
     for p, node in enumerate(order, 1):
-        deltas[p] -= len(node.inputs)
-        for ref in node.inputs:
+        position[node.id] = p
+        deltas.append(-len(node.inputs))
+        for ref in node.inputs:  # placed earlier: the order is topological
             deltas[position[ref]] += 1
     return max(1, max(accumulate(deltas[1:-1]), default=0))
 
 
-def _footprint(g: Graph, walk: List[Tuple[LayerNode, Layer]],
-               order: List[LayerNode]) -> Footprint:
-    """The footprint of ``g``: the weights and activations of its
-    ``layer_walk`` summed over the nodes, and the branch factor of
-    ``order``."""
+def _footprint(walk: List[Tuple[LayerNode, Layer]]) -> Footprint:
+    """The footprint of a graph from its ``layer_walk``: the weights and
+    activations summed over the nodes, and the branch factor of the
+    walk's order."""
     return Footprint(sum(layer.weights for _, layer in walk),
                      sum(layer.activations for _, layer in walk),
-                     branch_factor(g, order))
+                     _branch_factor(map(itemgetter(0), walk)))
 
 
 def data_footprint(g: Graph,
@@ -234,8 +240,7 @@ def data_footprint(g: Graph,
     """Weight and activation elements and the branch factor of ``g``, from
     one ``layer_walk``, so it raises what the walk raises. ``shapes`` is
     accepted from callers that have it and not read."""
-    order = topological_order(g)
-    return _footprint(g, layer_walk(g, order), order)
+    return _footprint(layer_walk(g))
 
 
 def _intensity(ops: int, fp: Footprint) -> float:
@@ -251,19 +256,17 @@ def arithmetic_intensity(g: Graph, tally: OpTally,
     return _intensity(_TallyPricing(_by_entry(tally)).ops, data_footprint(g))
 
 
-def analyze(g: Graph, order: Optional[List[LayerNode]] = None) -> CostReport:
+def analyze(g: Graph) -> CostReport:
     """Full pipeline: shapes, census, bit-adders, energy, intensity, over
-    one topological order (``order`` if the caller already has it), one
-    ``layer_walk`` that computes each distinct layer once, and one
-    pricing pass over its rows. Errors come in stage order: a shape
-    error, then a census error, then a bit-adder failure, then an energy
-    failure."""
-    order = order or topological_order(g)
-    walk = layer_walk(g, order)
+    one ``layer_walk``, which sorts ``g`` once and computes each distinct
+    layer once, and one pricing pass over its rows. Errors come in stage
+    order: a cycle, then a shape error, then a census error, then a
+    bit-adder failure, then an energy failure."""
+    walk = layer_walk(g)
     pricing = _TallyPricing((node.id, layer.rows) for node, layer in walk)
     total, by_category, shares = pricing.ace()
     energy_mj, flagged = pricing.energy()
-    footprint = _footprint(g, walk, order)
+    footprint = _footprint(walk)
     return CostReport(
         name=g.name,
         total_ace=total,

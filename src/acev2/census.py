@@ -193,21 +193,21 @@ class Layer(NamedTuple):
     rows: tuple         # its census entries, each less the layer id
 
 
-def layer_walk(g: Graph, order: Optional[List[LayerNode]] = None
-               ) -> List[Tuple[LayerNode, Layer]]:
-    """Every node of ``g`` in stable topological order (``order`` if the
-    caller already has it) with its layer, computed once per distinct
-    layer. A node's key is its kind, the identities of its params,
-    formats and ``quant`` (a parse shares one object per distinct
-    document, and the graph keeps them alive) and its input shapes. A
-    shape error is raised where it is met, the first census error only
-    after the walk: a shape error anywhere comes first."""
+def layer_walk(g: Graph) -> List[Tuple[LayerNode, Layer]]:
+    """Every node of ``g`` in stable topological order with its layer,
+    computed once per distinct layer. The walk sorts ``g`` before it
+    computes anything, so a cycle is the first error it raises. A node's
+    key is its kind, the identities of its params, formats and ``quant``
+    (a parse shares them between nodes of one body, and the graph keeps
+    them alive) and its input shapes. A shape error is raised where it is
+    met, the first census error only after the walk: a shape error
+    anywhere comes first."""
     base = [g.input_shape]
     shapes: Dict[str, TensorShape] = {}
     memo: Dict[tuple, Layer] = {}
     walk = []
     failure = None
-    for node in order or topological_order(g):
+    for node in topological_order(g):
         ins = [shapes[ref] for ref in node.inputs]
         key = (node.kind, id(node.params), id(node.weight_format),
                id(node.act_format), id(node.quant), *ins)
@@ -231,13 +231,11 @@ def layer_walk(g: Graph, order: Optional[List[LayerNode]] = None
 
 
 def census_graph(g: Graph,
-                 shapes: Optional[Dict[str, TensorShape]] = None,
-                 order: Optional[List[LayerNode]] = None) -> OpTally:
-    """Tally the whole graph in stable topological order (``order`` if the
-    caller already has it), each distinct layer counted once by
-    ``layer_walk``. ``shapes``, the result of ``infer_shapes(g)``, is
-    accepted from callers that have it and not read: the walk infers each
-    distinct layer's shape itself."""
+                 shapes: Optional[Dict[str, TensorShape]] = None) -> OpTally:
+    """Tally the whole graph in stable topological order, each distinct
+    layer counted once by ``layer_walk``. ``shapes``, the result of
+    ``infer_shapes(g)``, is accepted from callers that have it and not
+    read: the walk infers each distinct layer's shape itself."""
     return OpTally([TallyEntry(node.id, *row)
-                    for node, layer in layer_walk(g, order)
+                    for node, layer in layer_walk(g)
                     for row in layer.rows])

@@ -29,14 +29,14 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__, analysis
 from .census import census_graph
 from .errors import AceV2Error, OutOfRangeError, ParseError
 from .formats import MAX_BITS, NumericFormat
 from .ir import (ACTIVATION_KINDS, GRANULARITIES, Graph, parse_graph,
-                 serialize_graph, topological_order)
+                 serialize_graph)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -102,18 +102,18 @@ def _sig4(x: float) -> str:
     return f"{x:.4g}"
 
 
-def _load_graph(path: str) -> Tuple[Graph, list]:
-    """The graph at ``path`` and its order. An unreadable file raises
-    OSError; text that is not UTF-8 or not a valid graph, ParseError:
-    ``parse_graph`` checks every node rule, and the sort finds cycles."""
+def _load_graph(path: str) -> Graph:
+    """The graph at ``path``. An unreadable file raises OSError; text that
+    is not UTF-8 or not a valid graph, ParseError: ``parse_graph`` checks
+    every node rule, and the walk that ``analyze`` and ``census`` start
+    with sorts the graph and finds a cycle before anything else runs."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte "
                          f"{exc.start}") from None
-    graph = parse_graph(text)
-    return graph, topological_order(graph)
+    return parse_graph(text)
 
 
 def _report_payload(report: analysis.CostReport) -> dict:
@@ -138,27 +138,33 @@ def _report_payload(report: analysis.CostReport) -> dict:
     }
 
 
-def _report_csv(report: analysis.CostReport) -> str:
+def _csv(header: List[str], rows: Iterable[list]) -> str:
+    """``header`` and ``rows`` as CSV text, each line ending in ``\n``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["section", "key", "value"])
-    for category, ace in sorted(report.ace_by_category.items()):
-        writer.writerow(["ace_by_category", category, fraction_decimal(ace)])
-    writer.writerow(["totals", "total_ace", fraction_decimal(report.total_ace)])
-    if report.mac_share is not None:
-        writer.writerow(["totals", "mac_share", _sig4(report.mac_share)])
-        writer.writerow(["totals", "elementwise_share",
-                         _sig4(report.elementwise_share)])
-    writer.writerow(["totals", "energy_mj", _sig4(report.energy_mj)])
-    writer.writerow(["totals", "arithmetic_intensity",
-                     _sig4(report.arithmetic_intensity)])
-    writer.writerow(["footprint", "weight_elems",
-                     report.footprint.weight_elems])
-    writer.writerow(["footprint", "activation_elems",
-                     report.footprint.activation_elems])
-    writer.writerow(["footprint", "concurrent_branch_factor",
-                     report.footprint.concurrent_branch_factor])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _report_csv(report: analysis.CostReport) -> str:
+    rows = [["ace_by_category", category, fraction_decimal(ace)]
+            for category, ace in sorted(report.ace_by_category.items())]
+    rows.append(["totals", "total_ace", fraction_decimal(report.total_ace)])
+    if report.mac_share is not None:
+        rows.append(["totals", "mac_share", _sig4(report.mac_share)])
+        rows.append(["totals", "elementwise_share",
+                     _sig4(report.elementwise_share)])
+    fp = report.footprint
+    rows += [
+        ["totals", "energy_mj", _sig4(report.energy_mj)],
+        ["totals", "arithmetic_intensity", _sig4(report.arithmetic_intensity)],
+        ["footprint", "weight_elems", fp.weight_elems],
+        ["footprint", "activation_elems", fp.activation_elems],
+        ["footprint", "concurrent_branch_factor",
+         fp.concurrent_branch_factor],
+    ]
+    return _csv(["section", "key", "value"], rows)
 
 
 def _report_table(report: analysis.CostReport) -> str:
@@ -194,7 +200,7 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 
 def cmd_analyze(args) -> int:
-    report = analysis.analyze(*_load_graph(args.model))
+    report = analysis.analyze(_load_graph(args.model))
     if args.format == "json":
         text = json.dumps(_report_payload(report), indent=2) + "\n"
     elif args.format == "csv":
@@ -208,18 +214,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_census(args) -> int:
-    graph, order = _load_graph(args.model)
-    tally = census_graph(graph, None, order)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["layer_id", "category", "op_class", "count",
-                     "bits_a", "bits_b"])
-    for e in tally.entries:
-        bits_b = e.shift_range if e.op_class == "shift" else (
-            e.format_b.total_bits if e.format_b else "")
-        writer.writerow([e.layer_id, e.category, e.op_class, e.count,
-                         e.format_a.total_bits, bits_b])
-    _write_out(buf.getvalue(), args.out)
+    tally = census_graph(_load_graph(args.model))
+    rows = [[e.layer_id, e.category, e.op_class, e.count,
+             e.format_a.total_bits,
+             e.shift_range if e.op_class == "shift" else (
+                 e.format_b.total_bits if e.format_b else "")]
+            for e in tally.entries]
+    _write_out(_csv(["layer_id", "category", "op_class", "count", "bits_a",
+                     "bits_b"], rows), args.out)
     return EXIT_OK
 
 
@@ -289,7 +291,7 @@ def cmd_compare(args) -> int:
     failures: List[Tuple[str, str]] = []
     for path in args.models:
         try:
-            report = analysis.analyze(*_load_graph(path))
+            report = analysis.analyze(_load_graph(path))
             results.append((report.name or path, report))
         except OSError as exc:
             failures.append((path, exc.strerror or str(exc)))
@@ -298,17 +300,11 @@ def cmd_compare(args) -> int:
 
     for path, message in failures:  # before a failed -o write can raise
         print(f"error: {path}: {message}", file=sys.stderr)
-    rows = analysis.compare(results)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "total_ace", "energy_mj",
-                     "arithmetic_intensity", "pareto"])
-    for row in rows:
-        writer.writerow([row.name, fraction_decimal(row.total_ace),
-                         _sig4(row.energy_mj),
-                         _sig4(row.arithmetic_intensity),
-                         int(row.pareto)])
-    _write_out(buf.getvalue(), args.out)
+    rows = [[row.name, fraction_decimal(row.total_ace), _sig4(row.energy_mj),
+             _sig4(row.arithmetic_intensity), int(row.pareto)]
+            for row in analysis.compare(results)]
+    _write_out(_csv(["name", "total_ace", "energy_mj", "arithmetic_intensity",
+                     "pareto"], rows), args.out)
     return EXIT_INPUT if failures else EXIT_OK
 
 
@@ -317,13 +313,10 @@ def cmd_quantsim(args) -> int:
 
     trials = quantizers.norm_quantization_study(trials=args.trials,
                                                 seed=args.seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial", "quantnorm_mse", "vanilla_mse"])
-    for idx, t in enumerate(trials):
-        writer.writerow([idx, f"{t.quantnorm_mse:.6e}",
-                         f"{t.vanilla_mse:.6e}"])
-    _write_out(buf.getvalue(), args.out)
+    rows = [[idx, f"{t.quantnorm_mse:.6e}", f"{t.vanilla_mse:.6e}"]
+            for idx, t in enumerate(trials)]
+    _write_out(_csv(["trial", "quantnorm_mse", "vanilla_mse"], rows),
+               args.out)
     wins = sum(t.quantnorm_mse <= t.vanilla_mse for t in trials)
     print(f"fused norm at or below vanilla in {wins}/{len(trials)} trials",
           file=sys.stderr)

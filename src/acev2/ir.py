@@ -30,12 +30,14 @@ A parse error names its JSON path, such as
 ``$.nodes[3].quant.vectors_per_channel``; the path is formatted only when
 the error is raised, so a valid node pays for no path strings.
 
-A parsed graph is immutable by convention: validate it once, then share
-it freely across threads for analysis. Its params dicts, formats and
-quantization annotations are shared objects, one per distinct params,
-format or ``quant`` document in the graph; two parses share none. A
-params dict is immutable by convention too: changing one node's params
-would change every node that shares them.
+A parsed graph has passed every rule but the cycle check, which the
+first topological sort makes. It is immutable by convention, so it can
+be shared freely across threads for analysis. Its formats and
+quantization annotations are shared objects, one per distinct format or
+``quant`` document in the graph, and its params dicts one per distinct
+node body; two parses share none. A params dict is immutable by
+convention too: changing one node's params would change every node that
+shares them.
 """
 
 from __future__ import annotations
@@ -457,8 +459,9 @@ def _parse_format(doc, memo: dict, i: int, where: str) -> NumericFormat:
 
 def _parse_quant(doc, memo: dict, i: int) -> QuantizationAnnotation:
     """The annotation ``doc`` in node ``i`` describes, shared through
-    ``memo`` like formats, keyed on checked values only and tagged with
-    the class so that no format's key equals it."""
+    ``memo`` like formats and keyed on checked values only. Its key's
+    third value is a string, a format key's a width or None, so no
+    format's key equals it."""
     if not isinstance(doc, dict):
         raise ParseError("quant must be an object", _at(i, ".quant"))
     if not doc.keys() <= _QUANT_KEYS:
@@ -472,29 +475,12 @@ def _parse_quant(doc, memo: dict, i: int) -> QuantizationAnnotation:
     problem = _quant_problem(granularity, weight_quantizer, vectors)
     if problem:
         raise ParseError(problem[1], _at(i, f".quant.{problem[0]}"))
-    key = (QuantizationAnnotation, granularity, scale, weight_quantizer,
-           vectors)
+    key = granularity, scale, weight_quantizer, vectors
     quant = memo.get(key)
     if quant is None:
         quant = memo[key] = QuantizationAnnotation(
             granularity, scale, weight_quantizer, vectors)
     return quant
-
-
-def _shared_params(params: dict, memo: dict) -> dict:
-    """The checked params document ``params``, shared through ``memo``
-    like formats: one dict per distinct document. The values are checked
-    by then, so equal keys mean equal documents (and every key hashes).
-    The key keeps the document's key order, which is its serialized
-    order, and unpacks the kernel, the one list value, so that it hashes;
-    it is tagged with ``dict`` so that no format's or quant's key equals
-    it."""
-    if "kernel" in params:
-        shared = (dict, *params["kernel"], *params.keys(),
-                  *[v for v in params.values() if type(v) is not list])
-    else:
-        shared = (dict, tuple(params.items()))
-    return memo.setdefault(shared, params)
 
 
 def _parse_node(doc, i: int, memo: dict) -> LayerNode:
@@ -503,7 +489,8 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
     passed at the same arity is found in ``memo`` by its ``marshal``
     encoding, in which 8, 8.0 and true differ (version 2 writes no
     back-references, so equal bodies encode alike), and then only the id
-    and inputs are checked. A rejected body is never stored."""
+    and inputs are checked, and the node shares the first one's params
+    dict, formats and quant. A rejected body is never stored."""
     if not isinstance(doc, dict):
         raise ParseError("node must be an object", _at(i))
     # The document is this parse's own, so the node takes its containers.
@@ -547,10 +534,8 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
         where, check, message = problem
         error = UnknownKindError if check == "unknown-kind" else ParseError
         raise error(message, _at(i, where))
-    node.params = _shared_params(params, memo)
     if body is not None:
-        memo[body] = (node.kind, node.params, weight_format, act_format,
-                      quant)
+        memo[body] = (node.kind, params, weight_format, act_format, quant)
     return node
 
 
@@ -564,7 +549,7 @@ def parse_graph(text: str) -> Graph:
     inputs checked (``_parse_node``)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer too long to read
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
@@ -595,7 +580,7 @@ def parse_graph(text: str) -> Graph:
     name = doc.get("name", "")
     if type(name) is not str:
         raise ParseError(f"name must be a string, got {name!r}", "$.name")
-    memo: dict = {}  # this parse's params, formats, quants and node bodies
+    memo: dict = {}  # this parse's formats, quants and node bodies
     nodes = [_parse_node(nd, i, memo) for i, nd in enumerate(docs)]
     try:
         graph = Graph(name=name, input_shape=shape, nodes=nodes)

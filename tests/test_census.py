@@ -313,8 +313,9 @@ class TestModelLevelCounts:
 
 
 def test_layer_walk_tells_apart_nodes_that_share_params():
-    """Nodes of one params document that differ in kind, weight format,
-    activation format, quant or input shape are distinct layers; a true
+    """Nodes of one body share a params dict, yet over different input
+    shapes they are distinct layers, as are nodes of equal params that
+    differ in kind, weight format, activation format or quant; a true
     twin repeats one. The walk agrees with a node-by-node census."""
     def pw(node_id, src="in", wf=8, af=8, quant=None, **params):
         quant = quant or {"scale": {"kind": "fixed", "bits": 8}}
@@ -339,7 +340,9 @@ def test_layer_walk_tells_apart_nodes_that_share_params():
             {"id": "out", "kind": "Output", "params": {}, "inputs": ["cat"]},
         ]}))
     assert g.node("a").params is g.node("e").params
-    assert g.node("add").params is g.node("cat").params
+    # A params dict is shared by node body only, not across kinds.
+    assert g.node("add").params == g.node("cat").params
+    assert g.node("add").params is not g.node("cat").params
     walk = layer_walk(g)
     layers = {node.id: layer for node, layer in walk}
     assert layers["twin"] is layers["a"]

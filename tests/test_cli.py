@@ -502,6 +502,18 @@ def test_deeply_nested_document_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
 
 
+@pytest.mark.parametrize("sub", ["analyze", "census"])
+def test_an_integer_too_long_to_read_exits_one(sub, pike_file, tmp_path,
+                                                capsys):
+    path = tmp_path / "long_h.json"
+    path.write_text(pike_file.read_text().replace(
+        '"h": 224', '"h": 1' + "0" * 5002, 1))
+    assert main([sub, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: ")
+    assert "5003 digits" in err and err.count("\n") == 1
+
+
 def bad_doc(change):
     """``format_doc()`` (Input -> PointwiseConv2D -> Output) after
     ``change``."""

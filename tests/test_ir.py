@@ -90,6 +90,14 @@ def test_deep_nesting_is_a_parse_error(text):
         parse_graph(text)
 
 
+def test_an_integer_too_long_to_read_is_a_parse_error():
+    """json.loads refuses an integer of more than 4,300 digits with a
+    plain ValueError; the parse reports it as invalid JSON."""
+    text = MINIMAL.replace('"h": 8', '"h": 1' + "0" * 5002)
+    with pytest.raises(ParseError, match="^invalid JSON: .*5003 digits"):
+        parse_graph(text)
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(ParseError) as err:
         parse_graph(MINIMAL.replace('"id": "out"', '"id": "in"'))
@@ -762,7 +770,7 @@ def test_quant_on_a_kind_outside_the_compute_layers_is_a_parse_error(
 
 
 class TestSharedParams:
-    def test_equal_params_documents_in_one_parse_are_one_dict(self):
+    def test_only_nodes_of_one_body_share_a_params_dict(self):
         doc = probe_doc()
         conv = doc["nodes"][1]
         doc["nodes"][2:2] = [  # a twin of the conv, then one of each kind
@@ -773,13 +781,18 @@ class TestSharedParams:
                                               kernel=[3, 1])),
             dict(conv, id="reordered",
                  params=dict(reversed(conv["params"].items()))),
+            dict(conv, id="narrow", params=dict(conv["params"]),
+                 weight_format={"kind": "fixed", "bits": 4}),
         ]
         text = json.dumps(doc)
         g = parse_graph(text)
         params = {node.id: node.params for node in g.nodes}
         assert params["twin"] is params["conv"]
-        assert params["in"] is params["out"] == {}
-        distinct = ["conv", "wide", "tall", "reordered", "act", "in"]
+        # Equal params of different bodies are equal, not shared.
+        assert params["in"] == params["out"] == {}
+        assert params["narrow"] == params["conv"]
+        distinct = ["conv", "wide", "tall", "reordered", "narrow", "act",
+                    "in", "out"]
         assert len({id(params[name]) for name in distinct}) == len(distinct)
         assert list(params["reordered"]) == list(reversed(params["conv"]))
         assert serialize_graph(g) == json.dumps(doc, indent=2) + "\n"
@@ -787,11 +800,26 @@ class TestSharedParams:
         assert not {id(n.params) for n in g.nodes} \
             & {id(n.params) for n in other.nodes}
 
-    def test_absent_params_share_the_empty_dict(self):
+    def test_twins_share_one_params_dict(self):
+        """Nodes of one body share its params dict, formats and quant,
+        whatever their ids and inputs, absent params included."""
         doc = probe_doc()
-        del doc["nodes"][0]["params"]
+        conv = dict(doc["nodes"][1], quant={"scale": "pot"},
+                    weight_format={"kind": "fixed", "bits": 8})
+        act = doc["nodes"][2]
+        del act["params"]
+        doc["nodes"][1] = conv
+        doc["nodes"][3:3] = [dict(conv, id="conv2", inputs=["act"]),
+                             dict(act, id="act2", inputs=["conv2"])]
+        doc["nodes"][-1]["inputs"] = ["act2"]
         g = parse_graph(json.dumps(doc))
-        assert g.node("in").params is g.node("out").params == {}
+        for first, twin in (("conv", "conv2"), ("act", "act2")):
+            a, b = g.node(first), g.node(twin)
+            assert b.params is a.params
+            assert b.weight_format is a.weight_format
+            assert b.quant is a.quant
+        assert g.node("act2").params == {}
+        assert g.node("conv2").quant is not None
 
 
 DROP = object()  # a key to leave out of a node

@@ -2,6 +2,7 @@
 graphs built from every node kind."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -259,6 +260,79 @@ def test_a_fixed_point_batchnorm_costs_less_than_fp32(g, bits):
     assert all(fixed[layer] < fp32[layer] for layer in fp32)
 
 
+WIDTH_SLOTS = ("weight_format", "act_format", "scale_format")
+
+
+def fixed_at(node, slot):
+    """The fixed-point format in ``slot`` of ``node`` (its quant's, for
+    the scale), or None."""
+    fmt = getattr(node.quant if slot == "scale_format" else node, slot, None)
+    return fmt if isinstance(fmt, NumericFormat) and fmt.is_fixed else None
+
+
+def total_ace(g):
+    return ace_report(census_graph(g))[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.data())
+def test_lowering_a_fixed_point_width_never_raises_total_ace(g, data):
+    """Any weight, activation or scale width of any node, lowered (pot
+    weights keep their 2-bit minimum), costs no more bit-adders."""
+    slots = [(i, slot) for i, node in enumerate(g.nodes)
+             for slot in WIDTH_SLOTS if fixed_at(node, slot)]
+    assume(slots)
+    i, slot = data.draw(st.sampled_from(slots))
+    node = g.nodes[i]
+    pot = node.quant is not None and node.quant.weight_quantizer == "pot"
+    floor = 2 if pot and slot == "weight_format" else 1
+    bits = fixed_at(node, slot).total_bits
+    assume(bits > floor)
+    lower = NumericFormat.fixed(data.draw(st.integers(floor, bits - 1)))
+    if slot == "scale_format":
+        lowered = replace(node, quant=replace(node.quant, scale_format=lower))
+    else:
+        lowered = replace(node, **{slot: lower})
+    nodes = list(g.nodes)
+    nodes[i] = lowered
+    narrow = Graph(g.name, g.input_shape, nodes)
+    assert validate(narrow) == []
+    assert total_ace(narrow) <= total_ace(g)
+
+
+def conv_costs(g):
+    """Conv bit-adders, conv op counts per op class, and weights."""
+    entries = [e for e in census_graph(g).entries if e.category == "conv"]
+    counts = Counter()
+    for e in entries:
+        counts[e.op_class] += e.count
+    return (sum(map(entry_ace, entries)), counts,
+            data_footprint(g).weight_elems)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.data())
+def test_splitting_a_conv_across_a_concat_keeps_its_cost(g, data):
+    """A Conv2D of c output channels, replaced by two convs of c1 and
+    c - c1 channels on the same input joined by a Concat under its id,
+    keeps the graph's conv bit-adders, MACs and weights."""
+    convs = [i for i, node in enumerate(g.nodes)
+             if node.kind == "Conv2D" and node.params["out_channels"] > 1]
+    assume(convs)
+    i = data.draw(st.sampled_from(convs))
+    conv = g.nodes[i]
+    channels = conv.params["out_channels"]
+    first = data.draw(st.integers(1, channels - 1))
+    halves = [replace(conv, id=f"{conv.id}_{half}",
+                      params=dict(conv.params, out_channels=c))
+              for half, c in (("a", first), ("b", channels - first))]
+    cat = LayerNode(conv.id, "Concat", {}, [half.id for half in halves])
+    split = Graph(g.name, g.input_shape,
+                  g.nodes[:i] + halves + [cat] + g.nodes[i + 1:])
+    assert validate(split) == []
+    assert conv_costs(split) == conv_costs(g)
+
+
 def with_twins(g):
     """``g`` with a parallel sibling after each body node: the same kind,
     params, formats, quant and inputs under a new id, so each twin
@@ -284,8 +358,8 @@ def renamed(text):
 @settings(max_examples=100, deadline=None)
 @given(graphs())
 def test_repeated_layers_cost_what_fresh_ones_do(g):
-    """A parse shares one params dict per distinct document, so twins hit
-    the layer memo; with a fresh params dict on every node nothing is
+    """A parse shares one params dict per distinct node body, so twins
+    hit the layer memo; with a fresh params dict on every node nothing is
     shared and every node misses. Both give the same report, to the
     last bit of the energy, and the same tally. Renaming every id
     renames the extrapolated ops and changes nothing else."""

@@ -5,11 +5,15 @@ reconstruction supports; element counts are exact properties of the
 architectures and assert tightly.
 """
 
+from itertools import dropwhile, takewhile
+from pathlib import Path
+
 import pytest
 
 from acev2 import zoo
 from acev2.analysis import analyze
 from acev2.census import CAT_BATCHNORM, MAC_CATEGORIES, census_graph
+from acev2.cli import fraction_decimal
 from acev2.cost import MAC, MULTIPLY
 from acev2.formats import NumericFormat
 from acev2.ir import (
@@ -180,3 +184,39 @@ class TestResNetBranches:
         tally = census_graph(resnet_binary)
         macs = tally.count(MAC)
         assert macs == pytest.approx(3.86e9, rel=0.03)
+
+
+# The README's pikelpn 1x technique ladder: each row switches one more
+# technique on (DHQ: power-of-two pointwise weights, DQ: power-of-two
+# scale factors, QN: QuantNorm), the last row being the default build.
+LADDER = (
+    ("none", dict(pointwise_pot=False, pot_scales=False,
+                  quantnorm_bits=None)),
+    ("DHQ", dict(pot_scales=False, quantnorm_bits=None)),
+    ("DHQ + DQ", dict(quantnorm_bits=None)),
+    ("DHQ + DQ + QN", {}),
+)
+
+
+def ladder_table() -> str:
+    """The technique ladder as a markdown table, from ``analyze``."""
+    rows = [("pikelpn 1x", "Total ACE (bitadders)", "Energy (mJ)",
+             "Elementwise share")]
+    for name, knobs in LADDER:
+        report = analyze(zoo.build_pikelpn("1x", **knobs))
+        rows.append((name, fraction_decimal(report.total_ace),
+                     f"{report.energy_mj:.4g}",
+                     f"{100 * report.elementwise_share:.2f}%"))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["| " + " | ".join(cell.ljust(w) for cell, w in zip(row, widths))
+             + " |" for row in rows]
+    lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
+    return "\n".join(lines) + "\n"
+
+
+def test_readme_technique_ladder_is_regenerated():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    lines = dropwhile(lambda line: not line.startswith("| pikelpn 1x "),
+                      readme.splitlines())
+    table = takewhile(lambda line: line.startswith("|"), lines)
+    assert "".join(line + "\n" for line in table) == ladder_table()

@@ -2,15 +2,14 @@
 
 Bit-adder totals accumulate as exact rationals so reports are
 bit-reproducible; energy accumulates in floating point because the
-underlying table is measured/extrapolated anyway. Every report reads
-one pass over the census tally: it sums counts per pricing key, sums
-energy entry by entry in tally order (a float sum depends on its order,
-and this one is fixed), collects the extrapolated ops and counts the ops;
-bit-adders are then priced once per key.
-
-``analyze`` computes each distinct layer once (``census.layer_walk``),
-and a node repeating one costs a lookup, so analysis cost scales with
-the distinct layers, plus a small per-node term.
+underlying table is measured/extrapolated anyway. ``analyze`` computes
+each distinct layer once (``census.layer_walk``) and prices the walk's
+census rows in one pass: it sums counts per pricing key, sums energy
+entry by entry in walk order (a float sum depends on its order, and this
+one is fixed), collects the extrapolated ops and counts the ops;
+bit-adders are then priced once per key. A node repeating a layer costs
+a lookup, so analysis cost scales with the distinct layers, plus a small
+per-node term.
 
 Arithmetic intensity is ops per data element:
 
@@ -36,9 +35,9 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cost
-from .census import Layer, MAC_CATEGORIES, OpTally, TallyEntry, layer_walk
+from .census import Layer, MAC_CATEGORIES, TallyEntry, layer_walk
 from .errors import AceV2Error, AnalysisError
-from .ir import Graph, LayerNode, TensorShape, topological_order
+from .ir import Graph, LayerNode
 
 PJ_PER_MJ = 1e9
 
@@ -77,18 +76,18 @@ def entry_ace(entry: TallyEntry) -> Fraction:
 
 
 class _TallyPricing:
-    """One walk over a tally, in tally order, that every report reads.
+    """One pass over a ``layer_walk``'s census rows, in walk order, that
+    ``analyze`` reads for bit-adders, energy and ops.
 
-    The tally comes as (layer id, rows) pairs, each row a tally entry
-    less its layer id; the keys of a rows object that several nodes pass
-    are resolved once. Counts are summed per distinct
+    The rows come as (layer id, rows) pairs, each row a tally entry less
+    its layer id; the keys of a rows object that several nodes share are
+    resolved once. Counts are summed per distinct
     (category, op class, formats, shift range) key; each new key's energy
     is looked up once per distinct (op class, formats, shift range), and
     energy is summed entry by entry so the float total keeps its bits.
     Ops count a MAC as two. Bit-adders are priced exactly, once per key,
-    only when asked for. An energy failure is held, not raised, so a
-    caller that wants bit-adders sees the bit-adder failure first, and
-    one that wants neither sees none."""
+    only when asked for. An energy failure is held, not raised, so the
+    bit-adder failure, if any, is seen first."""
 
     def __init__(self, layers: Iterable[Tuple[str, tuple]]):
         # key -> [first entry, summed count, pJ per op, extrapolated]
@@ -163,28 +162,6 @@ class _TallyPricing:
         return self.energy_pj / PJ_PER_MJ, self.flagged
 
 
-def _by_entry(tally: OpTally) -> Iterable[Tuple[str, tuple]]:
-    """A tally as pricing takes it: each entry a layer of one row, and
-    equal rows one rows object, so that pricing resolves each once."""
-    shared: Dict[tuple, tuple] = {}
-    for entry in tally.entries:
-        row = entry[1:]
-        rows = shared.get(row)
-        if rows is None:
-            rows = shared[row] = (row,)
-        yield entry.layer_id, rows
-
-
-def ace_report(tally: OpTally) -> Tuple[Fraction, Dict[str, Fraction],
-                                        Optional[Tuple[float, float]]]:
-    """Total bit-adders, per-category breakdown, and the
-    (mac_share, elementwise_share) split. Shares are None for an empty
-    tally. O(E) for E entries plus one exact rational product per
-    distinct key. An AnalysisError names the first entry, in tally
-    order, whose op cannot be priced."""
-    return _TallyPricing(_by_entry(tally)).ace()
-
-
 def bn_share(report: CostReport) -> float:
     """Fraction of the total bit-adder cost spent in normalization."""
     from .census import CAT_BATCHNORM
@@ -192,21 +169,6 @@ def bn_share(report: CostReport) -> float:
         return 0.0
     return float(report.ace_by_category.get(CAT_BATCHNORM, Fraction(0))
                  / report.total_ace)
-
-
-def energy_report(tally: OpTally) -> Tuple[float, List[Tuple[str, str]]]:
-    """Total energy in millijoules plus the (layer, op) pairs whose
-    per-op energy was extrapolated, in tally order. O(E), summed entry by
-    entry in tally order. An AnalysisError names the first entry whose
-    energy cannot be priced."""
-    return _TallyPricing(_by_entry(tally)).energy()
-
-
-def branch_factor(g: Graph) -> int:
-    """Maximum number of producer-to-consumer edges crossing any
-    topological cut: the widest set of simultaneously-live paths, at
-    least 1."""
-    return _branch_factor(topological_order(g))
 
 
 def _branch_factor(order: Iterable[LayerNode]) -> int:
@@ -234,34 +196,18 @@ def _footprint(walk: List[Tuple[LayerNode, Layer]]) -> Footprint:
                      _branch_factor(map(itemgetter(0), walk)))
 
 
-def data_footprint(g: Graph,
-                   shapes: Optional[Dict[str, TensorShape]] = None
-                   ) -> Footprint:
-    """Weight and activation elements and the branch factor of ``g``, from
-    one ``layer_walk``, so it raises what the walk raises. ``shapes`` is
-    accepted from callers that have it and not read."""
-    return _footprint(layer_walk(g))
-
-
 def _intensity(ops: int, fp: Footprint) -> float:
     data = fp.concurrent_branch_factor * (fp.weight_elems + fp.activation_elems)
     return ops / data if data else 0.0
-
-
-def arithmetic_intensity(g: Graph, tally: OpTally,
-                         shapes: Optional[Dict[str, TensorShape]] = None
-                         ) -> float:
-    """Ops per concurrently-resident data element (see module docs).
-    ``shapes`` is accepted from callers that have it and not read."""
-    return _intensity(_TallyPricing(_by_entry(tally)).ops, data_footprint(g))
 
 
 def analyze(g: Graph) -> CostReport:
     """Full pipeline: shapes, census, bit-adders, energy, intensity, over
     one ``layer_walk``, which sorts ``g`` once and computes each distinct
     layer once, and one pricing pass over its rows. Errors come in stage
-    order: a cycle, then a shape error, then a census error, then a
-    bit-adder failure, then an energy failure."""
+    order: a cycle, then the first node in walk order that breaks a node
+    rule or whose shape fails, then a bit-adder failure, then an energy
+    failure."""
     walk = layer_walk(g)
     pricing = _TallyPricing((node.id, layer.rows) for node, layer in walk)
     total, by_category, shares = pricing.ace()

@@ -36,8 +36,6 @@ from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .cost import ADD, MAC, MULTIPLY, SHIFT
-from .errors import (AceV2Error, MissingFormatError, MissingShapeError,
-                     UnknownKindError)
 from .formats import FP32, NumericFormat
 from .ir import (
     CONV_KINDS,
@@ -49,8 +47,8 @@ from .ir import (
     KIND_OUTPUT,
     LayerNode,
     TensorShape,
+    check_node,
     node_shape,
-    pot_weight_problem,
     topological_order,
     weight_elements,
 )
@@ -102,9 +100,6 @@ def _census_compute(category: str, node: LayerNode, in_shape: TensorShape,
     macs = out_shape.elements * weight_elements(node, in_shape) // out_shape.c
     quant = node.quant
     if quant is not None and quant.weight_quantizer == "pot":
-        problem = pot_weight_problem(weight_fmt)
-        if problem:
-            raise MissingFormatError(f"{node.id}: {problem}")
         # One sign bit; the remaining code bits select the shift amount.
         return [(SHIFT, macs, act_fmt, None, category,
                  2 ** (weight_fmt.total_bits - 1)),
@@ -135,12 +130,9 @@ _ACTIVATION_OPS = {"relu": (), "prelu": (MULTIPLY,), "dprelu": (MULTIPLY, ADD)}
 
 def _activation(node: LayerNode, in_shape: TensorShape,
                 out_shape: TensorShape) -> List[tuple]:
-    fn = node.params.get("activation", "relu")
-    if fn not in _ACTIVATION_OPS:  # parse rejects it; a graph built in code
-        raise UnknownKindError(f"{node.id}: unknown activation {fn!r}")
     fmt = node.weight_format or FP32
     return [(op, out_shape.elements, fmt, fmt, CAT_ACTIVATION, None)
-            for op in _ACTIVATION_OPS[fn]]
+            for op in _ACTIVATION_OPS[node.params.get("activation", "relu")]]
 
 
 def _skip_add(node: LayerNode, in_shape: TensorShape,
@@ -158,24 +150,6 @@ CENSUS_RULES: Dict[str, Callable] = {
     KIND_ACTIVATION: _activation,
     KIND_ADD: _skip_add,
 }
-
-
-def _census_rows(node: LayerNode, in_shape: Optional[TensorShape],
-                 out_shape: Optional[TensorShape]) -> List[tuple]:
-    """One layer's census rows by its kind's census rule."""
-    rule = CENSUS_RULES.get(node.kind)
-    if rule is None:
-        return []
-    if in_shape is None or out_shape is None:
-        raise MissingShapeError(f"{node.id}: shape not inferred")
-    return rule(node, in_shape, out_shape)
-
-
-def census_layer(node: LayerNode, in_shape: Optional[TensorShape],
-                 out_shape: Optional[TensorShape]) -> List[TallyEntry]:
-    """Tally one layer's arithmetic by its kind's census rule."""
-    return [TallyEntry(node.id, *row)
-            for row in _census_rows(node, in_shape, out_shape)]
 
 
 # Kinds whose output allocates no tensor: activation functions apply in
@@ -199,43 +173,40 @@ def layer_walk(g: Graph) -> List[Tuple[LayerNode, Layer]]:
     computes anything, so a cycle is the first error it raises. A node's
     key is its kind, the identities of its params, formats and ``quant``
     (a parse shares them between nodes of one body, and the graph keeps
-    them alive) and its input shapes. A shape error is raised where it is
-    met, the first census error only after the walk: a shape error
-    anywhere comes first."""
+    them alive) and its input shapes, all that the node rules read. Each
+    distinct layer is held to the node rules as a parse holds a node
+    (``check_node``) before its shape is inferred, so the first faulty
+    node in walk order raises, whether a rule or its shape fails; a parsed
+    graph has passed every rule already."""
     base = [g.input_shape]
     shapes: Dict[str, TensorShape] = {}
     memo: Dict[tuple, Layer] = {}
     walk = []
-    failure = None
     for node in topological_order(g):
         ins = [shapes[ref] for ref in node.inputs]
         key = (node.kind, id(node.params), id(node.weight_format),
                id(node.act_format), id(node.quant), *ins)
         layer = memo.get(key)
         if layer is None:
+            check_node(node, partial(g.nodes.index, node))
             out = node_shape(g, node, ins or base)
             src = ins[0] if ins else None
-            try:
-                rows = tuple(_census_rows(node, src, out))
-            except AceV2Error as exc:
-                failure = failure or exc
-                rows = ()  # never read: the walk raises
+            rule = CENSUS_RULES.get(node.kind)
             layer = memo[key] = Layer(
                 out, weight_elements(node, src) if ins else 0,
-                0 if node.kind in IN_PLACE_KINDS else out.elements, rows)
+                0 if node.kind in IN_PLACE_KINDS else out.elements,
+                tuple(rule(node, src, out)) if rule else ())
         shapes[node.id] = layer.shape
         walk.append((node, layer))
-    if failure is not None:
-        raise failure
     return walk
 
 
 def census_graph(g: Graph,
                  shapes: Optional[Dict[str, TensorShape]] = None) -> OpTally:
     """Tally the whole graph in stable topological order, each distinct
-    layer counted once by ``layer_walk``. ``shapes``, the result of
-    ``infer_shapes(g)``, is accepted from callers that have it and not
-    read: the walk infers each distinct layer's shape itself."""
+    layer counted once by ``layer_walk``. ``shapes`` is accepted from
+    callers that still pass it and not read: the walk infers each
+    distinct layer's shape itself."""
     return OpTally([TallyEntry(node.id, *row)
                     for node, layer in layer_walk(g)
                     for row in layer.rows])

@@ -64,14 +64,6 @@ class ShapeMismatchError(ParseError):
         super().__init__(f"{node_id}: {message}", path)
 
 
-class MissingShapeError(AceV2Error):
-    """A layer was counted before its shapes were inferred."""
-
-
-class MissingFormatError(AceV2Error):
-    """A layer needs an explicit numeric format for this configuration."""
-
-
 class AnalysisError(AceV2Error):
     """Cost evaluation failed for a tally entry; carries the layer id."""
 

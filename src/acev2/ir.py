@@ -23,8 +23,9 @@ Parsing, validation, shape inference and ``weight_elements`` read the
 table, so adding a kind is one entry there. A param name means the same
 for every kind that takes it: ``_PARAM_CHECKS`` holds one type and range
 check per name. Every rule a single node must keep is checked in one
-function, ``_node_problem``: ``parse_graph`` raises what it finds, and
-``validate`` reports it for graphs built in code.
+function, ``_node_problem``: ``parse_graph`` raises what it finds
+(``check_node``), the analysis walk raises it for each distinct layer of
+a graph built in code, and ``validate`` reports it for every node.
 
 A parse error names its JSON path, such as
 ``$.nodes[3].quant.vectors_per_channel``; the path is formatted only when
@@ -401,11 +402,15 @@ def _node_problem(node: LayerNode) -> Optional[Tuple[str, str, str]]:
     return None
 
 
-def _rule_of(node: LayerNode) -> KindRule:
-    rule = KIND_RULES.get(node.kind)
-    if rule is None:
-        raise UnknownKindError(f"unhandled kind {node.kind!r}")
-    return rule
+def check_node(node: LayerNode, index: Callable[[], int]) -> None:
+    """Raise the first rule ``node`` breaks (``_node_problem``) as a parse
+    does: an ``UnknownKindError`` or ``ParseError`` at ``$.nodes[i]``,
+    where ``i = index()`` is asked for only then."""
+    problem = _node_problem(node)
+    if problem:
+        where, check, message = problem
+        error = UnknownKindError if check == "unknown-kind" else ParseError
+        raise error(message, _at(index(), where))
 
 
 def _reject_unknown(doc: dict, allowed: FrozenSet[str], path: str) -> None:
@@ -529,11 +534,7 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
         quant = _parse_quant(doc["quant"], memo, i)
     node = LayerNode(node_id, doc["kind"], params, inputs, weight_format,
                      act_format, quant)
-    problem = _node_problem(node)
-    if problem:
-        where, check, message = problem
-        error = UnknownKindError if check == "unknown-kind" else ParseError
-        raise error(message, _at(i, where))
+    check_node(node, lambda: i)
     if body is not None:
         memo[body] = (node.kind, params, weight_format, act_format, quant)
     return node
@@ -762,8 +763,9 @@ def validate(g: Graph) -> List[Diagnostic]:
     """Structural diagnostics of a graph built in code; an empty list means
     all invariants hold. Each node is held to the rules ``parse_graph``
     raises for (``_node_problem``), and the graph gets the dangling-input
-    and cycle checks. Call it before ``analyze`` on a graph built in
-    code; a parsed graph has passed every check but the cycle check."""
+    and cycle checks. ``analyze`` raises only a built graph's first bad
+    node; this collects every diagnostic. A parsed graph has passed every
+    check but the cycle check."""
     diags: List[Diagnostic] = []
     try:
         topological_order(g)
@@ -782,25 +784,14 @@ def validate(g: Graph) -> List[Diagnostic]:
     return diags
 
 
-def infer_shapes(g: Graph) -> Dict[str, TensorShape]:
-    """Output shape of every node by its kind's rule, walking in
-    topological order. A shape mismatch raises ``ShapeMismatchError`` at
-    the node's ``$.nodes[i]``."""
-    shapes: Dict[str, TensorShape] = {}
-    base = [g.input_shape]
-    for node in topological_order(g):
-        shapes[node.id] = node_shape(
-            g, node, [shapes[ref] for ref in node.inputs] or base)
-    return shapes
-
-
 def node_shape(g: Graph, node: LayerNode,
                ins: List[TensorShape]) -> TensorShape:
     """The output shape of ``node`` of ``g`` on input shapes ``ins`` (the
-    graph's input shape for a node with no inputs), by its kind's rule. A
-    mismatch raises ``ShapeMismatchError`` at the node's ``$.nodes[i]``."""
+    graph's input shape for a node with no inputs), by its kind's rule,
+    for a node that keeps the node rules (``check_node``). A mismatch
+    raises ``ShapeMismatchError`` at the node's ``$.nodes[i]``."""
     try:
-        return _rule_of(node).shape(node, ins)
+        return KIND_RULES[node.kind].shape(node, ins)
     except ShapeMismatchError as exc:
         raise ShapeMismatchError(exc.node_id, exc.reason,
                                  _at(g.nodes.index(node))) from None
@@ -809,4 +800,4 @@ def node_shape(g: Graph, node: LayerNode,
 def weight_elements(node: LayerNode, in_shape: TensorShape) -> int:
     """Parameter count of one node per sample (kernel weights, or 4 per
     channel for normalization layers; zero for everything else)."""
-    return _rule_of(node).weights(node, in_shape)
+    return KIND_RULES[node.kind].weights(node, in_shape)

@@ -5,26 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from acev2 import analysis, census, cost, ir, zoo
-from acev2.analysis import (
-    ace_report,
-    analyze,
-    arithmetic_intensity,
-    bn_share,
-    branch_factor,
-    compare,
-    data_footprint,
-    energy_report,
-    entry_ace,
-)
-from acev2.census import (
-    CAT_QUANT_SCALE,
-    OpTally,
-    TallyEntry,
-    census_graph,
-)
-from acev2.cost import ADD, MULTIPLY, SHIFT
-from acev2.errors import AnalysisError, MissingFormatError, ShapeMismatchError
+from acev2 import census, cost, ir, zoo
+from acev2.analysis import analyze, bn_share, compare, entry_ace
+from acev2.census import CAT_QUANT_SCALE, TallyEntry, census_graph
+from acev2.cost import MULTIPLY, SHIFT
+from acev2.errors import AnalysisError, ParseError, ShapeMismatchError
 from acev2.formats import FP32, NumericFormat
 from acev2.ir import Graph, LayerNode, TensorShape
 
@@ -34,18 +19,18 @@ INT8 = NumericFormat.fixed(8)
 
 class TestAceReport:
     def test_empty_tally_flags_undefined_shares(self):
-        total, by_cat, shares = ace_report(OpTally())
-        assert total == 0
-        assert by_cat == {}
-        assert shares is None
+        report = analyze(Graph("t", TensorShape(1, 8, 8, 3), [
+            LayerNode("in", "Input"), LayerNode("out", "Output", {}, ["in"])]))
+        assert report.total_ace == 0
+        assert report.ace_by_category == {}
+        assert (report.mac_share, report.elementwise_share) == (None, None)
 
     def test_total_is_exact_and_permutation_invariant(self, mbv2_relu):
-        tally = census_graph(mbv2_relu)
-        total, _, _ = ace_report(tally)
-        shuffled = OpTally(entries=list(tally.entries))
-        random.Random(7).shuffle(shuffled.entries)
-        total2, _, _ = ace_report(shuffled)
-        assert total == total2
+        total = analyze(mbv2_relu).total_ace
+        nodes = list(mbv2_relu.nodes)
+        random.Random(7).shuffle(nodes)  # a new walk order, so tally order
+        shuffled = Graph(mbv2_relu.name, mbv2_relu.input_shape, nodes)
+        assert analyze(shuffled).total_ace == total
         assert isinstance(total, Fraction)
 
     def test_shares_sum_to_one(self, mbv2_relu_report):
@@ -98,7 +83,7 @@ class TestOnePass:
             calls.append(g.name)
             return sort(g)
 
-        for module in (ir, census, analysis):
+        for module in (ir, census):  # analysis sorts only through census
             monkeypatch.setattr(module, "topological_order", counted)
         expected = analyze(mbv2_relu)
         calls.clear()
@@ -126,7 +111,8 @@ class TestOnePass:
 
     @pytest.mark.parametrize("build", MODELS)
     def test_per_key_pricing_equals_per_entry_pricing(self, build):
-        tally = census_graph(build())
+        g = build()
+        tally = census_graph(g)
         by_category = {}
         total_pj = 0.0
         flagged = []
@@ -138,50 +124,70 @@ class TestOnePass:
             total_pj += unit.picojoules * e.count
             if unit.extrapolated:
                 flagged.append((e.layer_id, e.op_class))
-        _, ace_by_category, _ = ace_report(tally)
-        assert list(ace_by_category.items()) == list(by_category.items())
-        assert energy_report(tally) == (total_pj / 1e9, flagged)
+        report = analyze(g)
+        assert list(report.ace_by_category.items()) \
+            == list(by_category.items())
+        assert (report.energy_mj, report.extrapolated_energy_ops) \
+            == (total_pj / 1e9, flagged)
 
     def test_first_unpriceable_entry_in_tally_order_is_named(self):
+        """Of the layers whose bit-adders cannot be priced (a shift of
+        fp32 activations by a power-of-two scale), the first in walk order
+        is named, though an energy failure (an fp8 multiply) comes before
+        it; with no bit-adder failure, the first energy failure is."""
         fp8 = NumericFormat.flt(4, 3)
-        tally = OpTally([
-            TallyEntry("ok", MULTIPLY, 3, INT8, INT8, "conv"),
-            TallyEntry("fp8_mul", MULTIPLY, 2, fp8, fp8, "conv"),
-            TallyEntry("float_shift", SHIFT, 2, FP32, None, "conv",
-                       shift_range=8),
-            TallyEntry("mixed_add", ADD, 2, INT8, FP32, "skip"),
-            TallyEntry("fp8_mul_again", MULTIPLY, 2, fp8, fp8, "conv"),
-        ])
+
+        def chain(*kinds):
+            nodes = [LayerNode("in", "Input")]
+            for name in kinds:
+                if name.startswith("fp8_mul"):
+                    node = LayerNode(name, "BatchNorm", {}, [nodes[-1].id],
+                                     weight_format=fp8)
+                elif name.startswith("float_shift"):
+                    node = LayerNode(
+                        name, "PointwiseConv2D", {"out_channels": 3},
+                        [nodes[-1].id], weight_format=INT8,
+                        quant=ir.QuantizationAnnotation(scale_format="pot"))
+                else:
+                    node = LayerNode(name, "BatchNorm", {}, [nodes[-1].id],
+                                     weight_format=INT8)
+                nodes.append(node)
+            return Graph("t", TensorShape(1, 4, 4, 3), nodes)
+
         with pytest.raises(AnalysisError) as err:
-            ace_report(tally)
+            analyze(chain("ok", "fp8_mul", "float_shift", "fp8_mul_again",
+                          "float_shift_again"))
         assert err.value.layer_id == "float_shift"
         with pytest.raises(AnalysisError) as err:
-            energy_report(tally)
+            analyze(chain("ok", "fp8_mul", "ok_again", "fp8_mul_again"))
         assert err.value.layer_id == "fp8_mul"
 
     def test_analyze_reports_a_bitadder_failure_before_an_energy_one(self):
         fp8 = NumericFormat.flt(4, 3)
-        g = Graph("t", TensorShape(1, 8, 8, 3), [
-            LayerNode("in", "Input"),
-            LayerNode("bn", "BatchNorm", {}, ["in"], weight_format=fp8),
-            LayerNode("pw", "PointwiseConv2D", {"out_channels": 4}, ["bn"],
-                      quant=ir.QuantizationAnnotation(scale_format="pot")),
-            LayerNode("out", "Output", {}, ["pw"]),
-        ])
-        tally = census_graph(g)
+
+        def graph(scale):
+            return Graph("t", TensorShape(1, 8, 8, 3), [
+                LayerNode("in", "Input"),
+                LayerNode("bn", "BatchNorm", {}, ["in"], weight_format=fp8),
+                LayerNode("pw", "PointwiseConv2D", {"out_channels": 4},
+                          ["bn"],
+                          quant=ir.QuantizationAnnotation(scale_format=scale)),
+                LayerNode("out", "Output", {}, ["pw"]),
+            ])
+
         with pytest.raises(AnalysisError) as err:
-            energy_report(tally)
+            analyze(graph(FP32))
         assert err.value.layer_id == "bn"
-        for report in (ace_report, lambda t: analyze(g)):
-            with pytest.raises(AnalysisError) as err:
-                report(tally)
-            assert err.value.layer_id == "pw"
-        # No energy error escapes a report that prices no energy.
-        assert arithmetic_intensity(g, tally) > 0
+        with pytest.raises(AnalysisError) as err:
+            analyze(graph("pot"))
+        assert err.value.layer_id == "pw"
+        # No pricing error escapes the census, which prices nothing.
+        assert census_graph(graph("pot")).entries
 
     def test_errors_come_in_stage_order(self):
-        """Shape, then census, then bit-adders, then energy, wherever the
-        failing nodes sit: each fault lies later in the walk than the
+        """The first node in walk order that breaks a node rule or whose
+        shape fails, then bit-adders, then energy, wherever the failing
+        nodes sit: each pricing fault lies later in the walk than the
         faults of the stages after it."""
         fp16 = NumericFormat.flt(5, 10)
         pot_weights = ir.QuantizationAnnotation(scale_format="pot",
@@ -203,14 +209,17 @@ class TestOnePass:
                 LayerNode("add", "Add", {}, ["c", "d"]),
             ])
 
-        with pytest.raises(ShapeMismatchError) as err:
-            analyze(graph())
-        assert err.value.path == "$.nodes[5]"
-        with pytest.raises(ShapeMismatchError):
-            census_graph(graph())
-        for census_stage in (analyze, census_graph):
-            with pytest.raises(MissingFormatError, match="^c: "):
-                census_stage(graph(d_channels=4))
+        for walk_stage in (analyze, census_graph):
+            # c's pot weights on fp16, met before the add's mismatch
+            with pytest.raises(ParseError) as err:
+                walk_stage(graph())
+            assert err.value.path == "$.nodes[3].quant.weight_quantizer"
+            with pytest.raises(ParseError) as err:
+                walk_stage(graph(d_channels=4))
+            assert err.value.path == "$.nodes[3].quant.weight_quantizer"
+            with pytest.raises(ShapeMismatchError) as err:
+                walk_stage(graph(c_weights=INT8))
+            assert err.value.path == "$.nodes[5]"
         with pytest.raises(AnalysisError) as err:
             analyze(graph(c_weights=INT8, d_channels=4))
         assert err.value.layer_id == "s"
@@ -220,20 +229,32 @@ class TestOnePass:
         assert analyze(graph(bn=INT8, s_act=INT8, c_weights=INT8,
                              d_channels=4)).total_ace > 0
 
-    def test_in_the_pinned_fan_out_the_shape_error_beats_the_census_one(self):
-        """in -> pw c (pot weights on fp16) and pw d (4 vs 5 channels) ->
-        add: the mismatch at the add is raised, not c's format error."""
-        g = Graph("t", TensorShape(1, 8, 8, 3), [
-            LayerNode("in", "Input"),
-            LayerNode("c", "PointwiseConv2D", {"out_channels": 4}, ["in"],
-                      weight_format=NumericFormat.flt(5, 10),
-                      quant=ir.QuantizationAnnotation(
-                          scale_format="pot", weight_quantizer="pot")),
-            LayerNode("d", "PointwiseConv2D", {"out_channels": 5}, ["in"]),
-            LayerNode("add", "Add", {}, ["c", "d"]),
-        ])
+    def test_in_the_pinned_fan_out_the_first_fault_in_walk_order_is_raised(
+            self):
+        """in -> pw c (pot weights on c_weights) and pw d (4 vs 5
+        channels) -> add -> out: c's node rule, met first, is raised as a
+        parse raises it; with c valid, the mismatch at the add is raised,
+        not a later node's rule (a quant on the Output)."""
+        def graph(c_weights, out_quant=None):
+            return Graph("t", TensorShape(1, 8, 8, 3), [
+                LayerNode("in", "Input"),
+                LayerNode("c", "PointwiseConv2D", {"out_channels": 4}, ["in"],
+                          weight_format=c_weights,
+                          quant=ir.QuantizationAnnotation(
+                              scale_format="pot", weight_quantizer="pot")),
+                LayerNode("d", "PointwiseConv2D", {"out_channels": 5}, ["in"]),
+                LayerNode("add", "Add", {}, ["c", "d"]),
+                LayerNode("out", "Output", {}, ["add"], quant=out_quant),
+            ])
+
+        with pytest.raises(ParseError) as err:
+            analyze(graph(NumericFormat.flt(5, 10)))
+        assert err.value.path == "$.nodes[1].quant.weight_quantizer"
+        assert str(err.value).endswith(
+            ": power-of-two weights need a fixed-point weight_format of at "
+            "least 2 bits, got fp16")
         with pytest.raises(ShapeMismatchError) as err:
-            analyze(g)
+            analyze(graph(INT8, ir.QuantizationAnnotation()))
         assert err.value.path == "$.nodes[3]"
 
 
@@ -251,18 +272,26 @@ class TestBnShare:
         assert bn_share(mbv2_relu_report) == pytest.approx(0.4187, abs=0.03)
 
 
+def prelu(fmt, channels):
+    """A prelu over a 1x1 input of ``channels``: one multiply at ``fmt``
+    per element, and nothing else."""
+    return Graph("t", TensorShape(1, 1, 1, channels), [
+        LayerNode("in", "Input"),
+        LayerNode("x", "Activation", {"activation": "prelu"}, ["in"],
+                  weight_format=fmt),
+    ])
+
+
 class TestEnergy:
     def test_single_fp32_multiply_in_millijoules(self):
-        tally = OpTally([TallyEntry("x", MULTIPLY, 1, FP32, FP32, "conv")])
-        mj, flagged = energy_report(tally)
-        assert mj == pytest.approx(3.7e-9)
-        assert flagged == []
+        report = analyze(prelu(FP32, 1))
+        assert report.energy_mj == pytest.approx(3.7e-9)
+        assert report.extrapolated_energy_ops == []
 
     def test_extrapolated_entries_are_flagged(self):
-        tally = OpTally([TallyEntry("x", MULTIPLY, 5, INT4, INT4, "conv")])
-        mj, flagged = energy_report(tally)
-        assert flagged == [("x", MULTIPLY)]
-        assert mj == pytest.approx(5 * 0.05e-9)
+        report = analyze(prelu(INT4, 5))
+        assert report.extrapolated_energy_ops == [("x", MULTIPLY)]
+        assert report.energy_mj == pytest.approx(5 * 0.05e-9)
 
 
 class TestArithmeticIntensity:
@@ -275,21 +304,22 @@ class TestArithmeticIntensity:
                       weight_format=INT8, act_format=INT8),
             LayerNode("out", "Output", {}, ["conv"]),
         ])
-        tally = census_graph(g)
         macs = 8 * 8 * 4 * 9 * 3
         weights = 3 * 3 * 3 * 4
         activations = 8 * 8 * 3 + 8 * 8 * 4  # input tensor + conv output
         expected = 2 * macs / (weights + activations)
-        assert arithmetic_intensity(g, tally) == pytest.approx(expected)
+        assert analyze(g).arithmetic_intensity == pytest.approx(expected)
 
-    def test_chain_has_branch_factor_one(self, mbv2_relu):
-        assert branch_factor(zoo.build_pikelpn("1x")) == 1
-        assert branch_factor(mbv2_relu) == 2  # inverted residuals skip
+    def test_chain_has_branch_factor_one(self, pike_reports,
+                                         mbv2_relu_report):
+        assert pike_reports["1x"].footprint.concurrent_branch_factor == 1
+        # inverted residuals skip
+        assert mbv2_relu_report.footprint.concurrent_branch_factor == 2
 
     def test_residual_branch_factors(self):
         for n in (2, 3, 4):
-            g = zoo.build_resnet50_branches(n)
-            assert branch_factor(g) == n
+            footprint = analyze(zoo.build_resnet50_branches(n)).footprint
+            assert footprint.concurrent_branch_factor == n
 
     def test_doubling_branches_halves_intensity_exactly(self):
         two = analyze(zoo.build_resnet50_branches(2))
@@ -302,7 +332,7 @@ class TestArithmeticIntensity:
             LayerNode("relu", "Activation", {"activation": "relu"}, ["in"]),
             LayerNode("out", "Output", {}, ["relu"]),
         ])
-        fp = data_footprint(base)
+        fp = analyze(base).footprint
         assert fp.activation_elems == 8 * 8 * 3  # just the input tensor
 
 

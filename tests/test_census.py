@@ -1,6 +1,7 @@
 """Operation tallies over the zoo graphs and hand-built fragments."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,12 +15,10 @@ from acev2.census import (
     CENSUS_RULES,
     TallyEntry,
     census_graph,
-    census_layer,
     layer_walk,
 )
 from acev2.cost import ADD, MAC, MULTIPLY, SHIFT
-from acev2.errors import (MissingFormatError, MissingShapeError,
-                          UnknownKindError)
+from acev2.errors import ParseError
 from acev2.formats import FP32, NumericFormat
 from acev2.ir import (
     COMPUTE_KINDS,
@@ -29,7 +28,6 @@ from acev2.ir import (
     POT_SCALE,
     QuantizationAnnotation,
     TensorShape,
-    infer_shapes,
     parse_graph,
     weight_elements,
 )
@@ -64,6 +62,13 @@ class TestTallyEntry:
             setattr(entry, name, None)
         assert entry._replace(count=3).count == 3
         assert entry.count == 10
+
+
+def without_memo(g):
+    """``g`` with a fresh params dict on every node, so no two nodes share
+    a layer key and ``layer_walk`` computes every node's layer afresh."""
+    return Graph(g.name, g.input_shape,
+                 [replace(node, params=dict(node.params)) for node in g.nodes])
 
 
 def one_conv_graph(quant=None, weight=INT4, act=INT4):
@@ -129,10 +134,11 @@ class TestComputeLayers:
         g = one_conv_graph(QuantizationAnnotation(weight_quantizer="pot",
                                                   scale_format=POT_SCALE),
                            weight=weight)
-        with pytest.raises(MissingFormatError, match=(
-                "^pw: power-of-two weights need a fixed-point weight_format "
-                f"of at least 2 bits, got {weight or FP32}$")):
+        with pytest.raises(ParseError) as err:
             census_graph(g)
+        assert str(err.value) == (
+            "$.nodes[1].quant.weight_quantizer: power-of-two weights need a "
+            f"fixed-point weight_format of at least 2 bits, got {weight or FP32}")
 
 
 class TestQuantScale:
@@ -255,13 +261,11 @@ class TestModelLevelCounts:
         assert n2 == 2 * n1
 
     def test_tally_is_additive_over_layers(self, mbv2_relu):
-        shapes = infer_shapes(mbv2_relu)
         total = census_graph(mbv2_relu)
-        per_layer = []
-        for node in mbv2_relu.nodes:
-            in_shape = shapes[node.inputs[0]] if node.inputs else None
-            per_layer.extend(census_layer(node, in_shape, shapes[node.id]))
-        assert sum(e.count for e in per_layer) == sum(
+        walk = layer_walk(without_memo(mbv2_relu))
+        assert len({id(layer) for _, layer in walk}) == len(walk)
+        per_layer = [row for _, layer in walk for row in layer.rows]
+        assert sum(row[1] for row in per_layer) == sum(
             e.count for e in total.entries)
 
     def test_dense_scales_with_batch_and_weights_do_not(self):
@@ -270,8 +274,8 @@ class TestModelLevelCounts:
         two = Graph(one.name, TensorShape(2, s.h, s.w, s.c), one.nodes)
 
         def fc(g):
-            shapes = infer_shapes(g)
-            (entry,) = [e for e in census_graph(g, shapes).entries
+            shapes = {n.id: layer.shape for n, layer in layer_walk(g)}
+            (entry,) = [e for e in census_graph(g).entries
                         if e.layer_id == "fc" and e.op_class == MAC]
             node = g.node("fc")
             return entry.count, weight_elements(node, shapes[node.inputs[0]])
@@ -295,28 +299,44 @@ class TestModelLevelCounts:
         assert set(CENSUS_RULES) <= set(KIND_RULES)
 
     def test_unknown_activation_built_in_code_is_named(self):
-        node = LayerNode("act", "Activation", {"activation": "gelu"}, ["in"])
-        shape = TensorShape(1, 2, 2, 3)
-        with pytest.raises(UnknownKindError,
-                           match="^act: unknown activation 'gelu'$"):
-            census_layer(node, shape, shape)
+        """The walk holds a graph built in code to the param rule a parse
+        raises for, at the node's path."""
+        g = Graph("t", TensorShape(1, 2, 2, 3), [
+            LayerNode("in", "Input"),
+            LayerNode("act", "Activation", {"activation": "gelu"}, ["in"]),
+        ])
+        with pytest.raises(ParseError) as err:
+            census_graph(g)
+        assert str(err.value) == (
+            "$.nodes[1].params.activation: activation must be one of relu, "
+            "prelu, dprelu, got 'gelu'")
 
     @pytest.mark.parametrize("kind", ["Input", "Output", "Concat", "Pool"])
     def test_kinds_without_a_rule_tally_nothing(self, kind):
-        assert census_layer(LayerNode("x", kind), None, None) == []
+        inputs = {"Input": [], "Concat": ["in", "in"]}.get(kind, ["in"])
+        g = Graph("t", TensorShape(1, 2, 2, 3), [
+            LayerNode("in", "Input"), LayerNode("x", kind, {}, inputs)])
+        layers = {node.id: layer for node, layer in layer_walk(g)}
+        assert layers["x"].rows == ()
 
     def test_missing_shape_is_reported(self):
-        node = LayerNode("pw", "PointwiseConv2D", {"out_channels": 4}, ["in"],
-                         weight_format=INT4, act_format=INT4)
-        with pytest.raises(MissingShapeError):
-            census_layer(node, None, None)
+        """A compute layer with no input to take a shape from breaks its
+        arity rule, reported at its path before any count is made."""
+        g = Graph("t", TensorShape(1, 2, 2, 3), [
+            LayerNode("pw", "PointwiseConv2D", {"out_channels": 4}, [],
+                      weight_format=INT4, act_format=INT4)])
+        with pytest.raises(ParseError) as err:
+            census_graph(g)
+        assert str(err.value) == (
+            "$.nodes[0].inputs: PointwiseConv2D takes exactly one input")
 
 
 def test_layer_walk_tells_apart_nodes_that_share_params():
     """Nodes of one body share a params dict, yet over different input
     shapes they are distinct layers, as are nodes of equal params that
     differ in kind, weight format, activation format or quant; a true
-    twin repeats one. The walk agrees with a node-by-node census."""
+    twin repeats one. The walk agrees with a walk that computes every
+    node afresh."""
     def pw(node_id, src="in", wf=8, af=8, quant=None, **params):
         quant = quant or {"scale": {"kind": "fixed", "bits": 8}}
         return {"id": node_id, "kind": "PointwiseConv2D",
@@ -348,11 +368,13 @@ def test_layer_walk_tells_apart_nodes_that_share_params():
     assert layers["twin"] is layers["a"]
     assert len({id(layer) for layer in layers.values()}) == len(walk) - 1
 
-    shapes = infer_shapes(g)
-    reference = []
-    for node, layer in walk:
+    fresh = layer_walk(without_memo(g))
+    assert len({id(layer) for _, layer in fresh}) == len(fresh)
+    shapes = {node.id: layer.shape for node, layer in fresh}
+    for (node, layer), (_, reference) in zip(walk, fresh, strict=True):
+        assert layer == reference
         src = shapes[node.inputs[0]] if node.inputs else None
-        assert layer.shape == shapes[node.id]
         assert layer.weights == (weight_elements(node, src) if src else 0)
-        reference += census_layer(node, src, shapes[node.id])
-    assert census_graph(g).entries == reference
+    assert census_graph(g).entries == [TallyEntry(node.id, *row)
+                                       for node, layer in fresh
+                                       for row in layer.rows]

@@ -808,10 +808,36 @@ def test_a_bitadder_failure_is_reported_before_an_energy_failure(
     assert capsys.readouterr().err == f"analysis error: {message}\n"
 
 
+README = Path(__file__).parent.parent / "README.md"
+
+
 def test_readme_sample_table_is_the_cli_output(capsys):
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    readme = README.read_text()
     intro = "`analyze` renders a report as a markdown-ish table, JSON, or CSV:"
     sample = readme.split(f"{intro}\n\n```\n", 1)[1].split("```\n", 1)[0]
     argv = ["analyze", str(FIXTURES / "pikelpn_1x.json"), "--format", "table"]
     assert main(argv) == 0
     assert capsys.readouterr().out == sample
+
+
+def test_readme_exit_codes_are_the_cli_constants():
+    section = README.read_text().split(
+        "Exit codes, each with one `error:` line on stderr:\n\n", 1)[1]
+    listed = {}
+    for line in section.split("\n\n", 1)[0].splitlines():
+        if line.startswith("- "):
+            code, label = line[2:].split(": ", 1)
+            listed[int(code)] = label.split(".")[0].split(",")[0]
+    assert listed == {cli.EXIT_OK: "success", cli.EXIT_INPUT: "input error",
+                      cli.EXIT_ANALYSIS: "analysis error",
+                      cli.EXIT_MISMATCH: "oracle mismatch",
+                      cli.EXIT_USAGE: "usage error"}
+
+
+def test_readme_python_api_block_runs_and_its_figure_holds(capsys):
+    section = README.read_text().split("## Python API\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    total = capsys.readouterr().out.splitlines()[0]
+    claimed = block.split("# ~", 1)[1].split(" bit-adders", 1)[0]
+    assert f"{float(total):.3g}" == f"{float(claimed):.3g}" == "1.94e+10"

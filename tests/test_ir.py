@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acev2 import ir
+from acev2.analysis import analyze
+from acev2.census import census_graph, layer_walk
 from acev2.errors import DanglingInputError, ParseError, ShapeMismatchError, UnknownKindError
 from acev2.formats import NumericFormat
 from acev2.ir import (
@@ -14,7 +16,6 @@ from acev2.ir import (
     LayerNode,
     QuantizationAnnotation,
     TensorShape,
-    infer_shapes,
     parse_graph,
     serialize_graph,
     topological_order,
@@ -37,6 +38,11 @@ MINIMAL = """
 
 def chain(*nodes):
     return Graph("t", TensorShape(1, 8, 8, 3), list(nodes))
+
+
+def walk_shapes(g):
+    """Every node's output shape, from the analysis walk."""
+    return {node.id: layer.shape for node, layer in layer_walk(g)}
 
 
 def test_parse_minimal_graph():
@@ -209,16 +215,26 @@ class TestValidate:
          "weight_format of at least 2 bits, got fp16"),
         (LayerNode("x", "Blob", {}, ["in"]), "unknown-kind",
          "unknown node kind 'Blob'"),
+        (LayerNode("x", "Conv2D", {"kernel": [3, 3], "out_channels": 4},
+                   ["in", "in"]), "single-input",
+         "Conv2D takes exactly one input"),
     ])
     def test_built_graph_breaking_a_parse_rule(self, node, rule, message):
         """A graph built in code is held to the rules parse_graph raises
-        for, and parse_graph raises the same message at the node's path."""
+        for, and parse_graph raises the same message at the node's path.
+        ``analyze`` and ``census_graph`` of the built graph raise the very
+        error the parse does: its type, path and message."""
         g = chain(LayerNode("in", "Input"), node,
                   LayerNode("out", "Output", {}, ["x"]))
         assert validate(g) == [Diagnostic("x", rule, message)]
         with pytest.raises(ParseError, match="^\\$\\.nodes\\[1\\]") as err:
             parse_graph(serialize_graph(g))
         assert str(err.value).endswith(": " + message)
+        parsed = type(err.value), err.value.path, str(err.value)
+        for walk_stage in (analyze, census_graph):
+            with pytest.raises(ParseError) as err:
+                walk_stage(g)
+            assert (type(err.value), err.value.path, str(err.value)) == parsed
 
     def test_dangling_input_of_a_built_graph(self):
         """parse_graph rejects a dangling input; a graph built in code gets
@@ -337,7 +353,7 @@ class TestShapes:
                        "padding": "same"}, ["in"]),
             LayerNode("out", "Output", {}, ["conv"]),
         ])
-        assert infer_shapes(g)["conv"] == TensorShape(1, 112, 112, 32)
+        assert walk_shapes(g)["conv"] == TensorShape(1, 112, 112, 32)
 
     def test_valid_padding(self):
         g = Graph("t", TensorShape(1, 10, 10, 3), [
@@ -347,7 +363,7 @@ class TestShapes:
                        "padding": "valid"}, ["in"]),
             LayerNode("out", "Output", {}, ["conv"]),
         ])
-        assert infer_shapes(g)["conv"] == TensorShape(1, 8, 8, 8)
+        assert walk_shapes(g)["conv"] == TensorShape(1, 8, 8, 8)
 
     def test_add_requires_equal_shapes(self):
         g = Graph("t", TensorShape(1, 56, 56, 64), [
@@ -359,7 +375,7 @@ class TestShapes:
             LayerNode("out", "Output", {}, ["add"]),
         ])
         with pytest.raises(ShapeMismatchError):
-            infer_shapes(g)
+            walk_shapes(g)
 
     def test_a_mismatch_is_a_parse_error_at_the_declared_node(self):
         g = Graph("t", TensorShape(1, 8, 8, 3), [  # declared out of order
@@ -371,7 +387,7 @@ class TestShapes:
                       ["in"]),
         ])
         with pytest.raises(ParseError) as err:
-            infer_shapes(g)
+            walk_shapes(g)
         assert isinstance(err.value, ShapeMismatchError)
         assert err.value.path == "$.nodes[1]"
         assert err.value.node_id == "add"
@@ -384,7 +400,7 @@ class TestShapes:
             LayerNode("add", "Add", {}, ["id1", "in"]),
             LayerNode("out", "Output", {}, ["add"]),
         ])
-        assert infer_shapes(g)["add"] == TensorShape(1, 56, 56, 64)
+        assert walk_shapes(g)["add"] == TensorShape(1, 56, 56, 64)
 
     def test_concat_sums_channels(self):
         g = Graph("t", TensorShape(1, 8, 8, 3), [
@@ -394,7 +410,7 @@ class TestShapes:
             LayerNode("cat", "Concat", {}, ["a", "b"]),
             LayerNode("out", "Output", {}, ["cat"]),
         ])
-        assert infer_shapes(g)["cat"].c == 10
+        assert walk_shapes(g)["cat"].c == 10
 
     def test_dense_and_global_pool(self):
         g = Graph("t", TensorShape(1, 7, 7, 64), [
@@ -403,13 +419,13 @@ class TestShapes:
             LayerNode("fc", "Dense", {"units": 10}, ["pool"]),
             LayerNode("out", "Output", {}, ["fc"]),
         ])
-        shapes = infer_shapes(g)
+        shapes = walk_shapes(g)
         assert shapes["pool"] == TensorShape(1, 1, 1, 64)
         assert shapes["fc"] == TensorShape(1, 1, 1, 10)
         assert weight_elements(g.node("fc"), shapes["pool"]) == 640
 
     def test_deterministic(self, mbv2_relu):
-        assert infer_shapes(mbv2_relu) == infer_shapes(mbv2_relu)
+        assert walk_shapes(mbv2_relu) == walk_shapes(mbv2_relu)
 
 
 def test_weight_elements_by_kind():

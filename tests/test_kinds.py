@@ -2,6 +2,7 @@
 graphs built from every node kind."""
 
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -9,18 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from acev2 import ir
-from acev2.analysis import (
-    ace_report,
-    analyze,
-    arithmetic_intensity,
-    branch_factor,
-    data_footprint,
-    energy_report,
-    entry_ace,
-)
-from acev2.census import census_graph, layer_walk
-from acev2.cost import MULTIPLY
+from acev2 import cost, ir
+from acev2.analysis import analyze, entry_ace
+from acev2.census import MAC_CATEGORIES, census_graph, layer_walk
+from acev2.cost import MAC, MULTIPLY
 from acev2.errors import ParseError
 from acev2.formats import FP16, FP32, NumericFormat
 from acev2.ir import (
@@ -29,10 +22,10 @@ from acev2.ir import (
     LayerNode,
     QuantizationAnnotation,
     TensorShape,
-    infer_shapes,
     parse_graph,
     serialize_graph,
     validate,
+    weight_elements,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -139,6 +132,11 @@ def graphs(draw):
     return Graph("random", shape, nodes)
 
 
+def walk_shapes(g):
+    """Every node's output shape, from the analysis walk."""
+    return {node.id: layer.shape for node, layer in layer_walk(g)}
+
+
 def at_batch(g, n):
     s = g.input_shape
     return Graph(g.name, TensorShape(n, s.h, s.w, s.c), g.nodes)
@@ -157,13 +155,14 @@ def test_random_graphs_are_linear_in_batch_and_round_trip(g, n):
         == [(e.layer_id, e.op_class, e.category) for e in tally1.entries]
     assert [e.count for e in tally_n.entries] \
         == [n * e.count for e in tally1.entries]
-    assert ace_report(tally_n)[0] == n * ace_report(tally1)[0]
+    report1, report_n = analyze(one), analyze(many)
+    assert report_n.total_ace == n * report1.total_ace
 
-    fp1, fp_n = data_footprint(one), data_footprint(many)
+    fp1, fp_n = report1.footprint, report_n.footprint
     assert fp_n.weight_elems == fp1.weight_elems
     assert fp_n.activation_elems == n * fp1.activation_elems
 
-    shapes = infer_shapes(many)
+    shapes = walk_shapes(many)
     for node in many.nodes:
         if node.kind in ir.COMPUTE_KINDS:
             core = [e.count for e in tally_n.entries
@@ -185,26 +184,73 @@ def reference_branch_factor(g, order):
 
 
 @settings(max_examples=100, deadline=None)
-@given(graphs(), st.randoms(use_true_random=False))
-def test_analyze_equals_its_reports_called_separately(g, rng):
+@given(graphs())
+def test_analyze_equals_its_reports_called_separately(g):
+    """Each figure of ``analyze``, priced in one pass per distinct key,
+    equals the same figure priced entry by entry over ``census_graph``
+    in walk order, with the footprint counted node by node."""
     report = analyze(g)
-    tally = census_graph(g)
-    total, by_category, shares = ace_report(tally)
+    by_category, total_pj, flagged, ops = {}, 0.0, [], 0
+    for e in census_graph(g).entries:
+        by_category[e.category] = (by_category.get(e.category, 0)
+                                   + entry_ace(e))
+        unit = cost.energy_of_op(e.op_class, e.format_a, e.format_b,
+                                 shift_range=e.shift_range)
+        total_pj += unit.picojoules * e.count
+        if unit.extrapolated:
+            flagged.append((e.layer_id, e.op_class))
+        ops += e.count * (2 if e.op_class == MAC else 1)
+    total = sum(by_category.values())
     assert (report.total_ace, report.ace_by_category) == (total, by_category)
-    assert (report.mac_share, report.elementwise_share) == (
-        shares or (None, None))
+    mac = sum(v for k, v in by_category.items() if k in MAC_CATEGORIES)
+    assert report.mac_share == (float(mac / total) if total else None)
     assert (report.energy_mj, report.extrapolated_energy_ops) \
-        == energy_report(tally)
-    assert report.footprint == data_footprint(g)
-    assert report.arithmetic_intensity == arithmetic_intensity(g, tally)
-    assert report.footprint.concurrent_branch_factor \
-        == reference_branch_factor(g, g.nodes)
+        == (total_pj / 1e9, flagged)
 
+    shapes = walk_shapes(g)
+    weights = sum(weight_elements(node, shapes[node.inputs[0]])
+                  for node in g.nodes if node.inputs)
+    activations = sum(shapes[node.id].elements for node in g.nodes
+                      if node.kind not in ("Activation", "Output"))
+    factor = reference_branch_factor(g, g.nodes)
+    assert (report.footprint.weight_elems, report.footprint.activation_elems,
+            report.footprint.concurrent_branch_factor) \
+        == (weights, activations, factor)
+    assert report.arithmetic_intensity == ops / (
+        factor * (weights + activations))
+
+
+def op_counts(g):
+    """Census op counts per (op class, category)."""
+    counts = Counter()
+    for e in census_graph(g).entries:
+        counts[e.op_class, e.category] += e.count
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_declaration_order_changes_no_cost(g, rng):
+    """Declaring the nodes in another order, with a forward reference so
+    that the full sort runs, changes the walk order and no cost: the same
+    exact bit-adders, op counts, weights, activations and extrapolated
+    ops, and the energy to within float rounding. The branch factor is
+    that of the order the sort gives."""
     nodes = list(g.nodes)
-    rng.shuffle(nodes)  # forward references: the full sort runs
+    rng.shuffle(nodes)
+    nodes.sort(key=lambda node: node.kind != "Output")  # a forward reference
     shuffled = Graph(g.name, g.input_shape, nodes)
-    order = ir.topological_order(shuffled)
-    assert branch_factor(shuffled) == reference_branch_factor(shuffled, order)
+    report, other = analyze(g), analyze(shuffled)
+    assert (other.total_ace, other.ace_by_category) \
+        == (report.total_ace, report.ace_by_category)
+    assert op_counts(shuffled) == op_counts(g)
+    assert (other.footprint.weight_elems, other.footprint.activation_elems) \
+        == (report.footprint.weight_elems, report.footprint.activation_elems)
+    assert Counter(other.extrapolated_energy_ops) \
+        == Counter(report.extrapolated_energy_ops)
+    assert math.isclose(other.energy_mj, report.energy_mj, rel_tol=1e-12)
+    assert other.footprint.concurrent_branch_factor == reference_branch_factor(
+        shuffled, ir.topological_order(shuffled))
 
 
 def with_nodes(g, change):
@@ -271,7 +317,7 @@ def fixed_at(node, slot):
 
 
 def total_ace(g):
-    return ace_report(census_graph(g))[0]
+    return sum(map(entry_ace, census_graph(g).entries))
 
 
 @settings(max_examples=150, deadline=None)
@@ -307,7 +353,7 @@ def conv_costs(g):
     for e in entries:
         counts[e.op_class] += e.count
     return (sum(map(entry_ace, entries)), counts,
-            data_footprint(g).weight_elems)
+            sum(layer.weights for _, layer in layer_walk(g)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -388,8 +434,8 @@ def test_repeated_layers_cost_what_fresh_ones_do(g):
                          ids=lambda p: p.name)
 def test_macs_from_weights_match_the_written_out_count(fixture):
     g = parse_graph(fixture.read_text())
-    shapes = infer_shapes(g)
-    macs = {e.layer_id: e.count for e in census_graph(g, shapes).entries
+    shapes = walk_shapes(g)
+    macs = {e.layer_id: e.count for e in census_graph(g).entries
             if e.category in ("conv", "dense")}
     for node in g.nodes:
         if node.kind in ir.COMPUTE_KINDS:
@@ -454,8 +500,10 @@ BREAKS = ("drop a required param", "add an input",
 def test_validate_and_parse_hold_a_graph_to_one_rule_set(g, how, pick, data):
     """One node of a valid graph, broken: ``validate`` reports a problem
     exactly when parsing the serialized graph raises, and both name the
-    same node with the same message. (Adding an input to a merge breaks
-    nothing, and neither complains.)"""
+    same node with the same message; ``analyze`` and ``census_graph`` of
+    the broken graph then raise the parse's error, type, path and
+    message. (Adding an input to a merge breaks nothing, and neither
+    complains.)"""
     candidates = [i for i, node in enumerate(g.nodes)
                   if broken(node, how, pick) is not None]
     assume(candidates)
@@ -471,6 +519,11 @@ def test_validate_and_parse_hold_a_graph_to_one_rule_set(g, how, pick, data):
         assert [(d.node_id, str(exc)) for d in diags] \
             == [(nodes[named].id, f"{exc.path}: {diags[0].message}")]
         assert named == i
+        for walk_stage in (analyze, census_graph):
+            with pytest.raises(ParseError) as walked:
+                walk_stage(g)
+            assert (type(walked.value), walked.value.path, str(walked.value)) \
+                == (type(exc), exc.path, str(exc))
     else:
         assert diags == []
 

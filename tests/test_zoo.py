@@ -12,7 +12,8 @@ import pytest
 
 from acev2 import zoo
 from acev2.analysis import analyze
-from acev2.census import CAT_BATCHNORM, MAC_CATEGORIES, census_graph
+from acev2.census import (CAT_BATCHNORM, MAC_CATEGORIES, census_graph,
+                          layer_walk)
 from acev2.cli import fraction_decimal
 from acev2.cost import MAC, MULTIPLY
 from acev2.formats import NumericFormat
@@ -20,7 +21,6 @@ from acev2.ir import (
     KIND_ADD,
     KIND_CONCAT,
     KIND_PWCONV,
-    infer_shapes,
     parse_graph,
     serialize_graph,
     validate,
@@ -70,8 +70,7 @@ class TestPikeFamily:
 
     def test_pointwise_dominates_the_mac_count(self):
         g = zoo.build_pikelpn("1x")
-        shapes = infer_shapes(g)
-        tally = census_graph(g, shapes)
+        tally = census_graph(g)
         per_layer = {}
         for e in tally.entries:
             if e.category in MAC_CATEGORIES:
@@ -132,7 +131,7 @@ class TestMobileNetV1:
 
     def test_width_multiplier_scales_channels(self):
         g = zoo.build_mobilenet_v1(width=0.5)
-        shapes = infer_shapes(g)
+        shapes = {node.id: layer.shape for node, layer in layer_walk(g)}
         assert shapes["conv1"].c == 16
         assert shapes["b13_pw"].c == 512
 

@@ -3,13 +3,15 @@
 Bit-adder totals accumulate as exact rationals so reports are
 bit-reproducible; energy accumulates in floating point because the
 underlying table is measured/extrapolated anyway. ``analyze`` computes
-each distinct layer once (``census.layer_walk``) and prices the walk's
-census rows in one pass: it sums counts per pricing key, sums energy
-entry by entry in walk order (a float sum depends on its order, and this
-one is fixed), collects the extrapolated ops and counts the ops;
-bit-adders are then priced once per key. A node repeating a layer costs
-a lookup, so analysis cost scales with the distinct layers, plus a small
-per-node term.
+each distinct layer once (``census.layer_walk``) and prices the walk in
+three steps (``_price``): it resolves each distinct layer's rows once
+into groups keyed by (category, op class, formats, shift range); it
+prices each group's bit-adders per op, then its energy once per distinct
+(op class, formats, shift range); and it walks the nodes once to sum the
+counts, the energy row by row in walk order (a float sum depends on its
+order, and this one is fixed) and the extrapolated ops. A node repeating
+a layer costs a lookup, so analysis cost scales with the distinct
+layers, plus a small per-node term.
 
 Arithmetic intensity is ops per data element:
 
@@ -35,7 +37,8 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cost
-from .census import Layer, MAC_CATEGORIES, TallyEntry, layer_walk
+from .census import (CAT_BATCHNORM, Layer, MAC_CATEGORIES, TallyEntry,
+                     layer_walk)
 from .errors import AceV2Error, AnalysisError
 from .ir import Graph, LayerNode
 
@@ -75,96 +78,66 @@ def entry_ace(entry: TallyEntry) -> Fraction:
     return unit.bitadders * entry.count
 
 
-class _TallyPricing:
-    """One pass over a ``layer_walk``'s census rows, in walk order, that
-    ``analyze`` reads for bit-adders, energy and ops.
+def _price(walk: List[Tuple[LayerNode, Layer]]
+           ) -> Tuple[Dict[str, Fraction], float, List[Tuple[str, str]], int]:
+    """The bit-adders by category, the energy in mJ, the extrapolated
+    (layer id, op class) pairs and the op count (a MAC is two) of a
+    ``layer_walk``, priced in the module's three steps. The walk keeps
+    every layer alive, so no ``id(layer)`` is reused."""
+    # 1. Resolve each distinct layer's rows into groups; record the walk.
+    firsts: List[TallyEntry] = []  # each group's first entry
+    groups: Dict[tuple, int] = {}  # a row less its count -> its group
+    resolved: Dict[int, list] = {}  # id(layer) -> (group, count) per row
+    order = []  # each node's resolved rows, in walk order
+    for node, layer in walk:
+        rows = resolved.get(id(layer))
+        if rows is None:
+            rows = resolved[id(layer)] = []
+            for row in layer.rows:
+                group = groups.setdefault(row[:1] + row[2:], len(firsts))
+                if group == len(firsts):
+                    firsts.append(TallyEntry(node.id, *row))
+                rows.append((group, row[1]))
+        order.append(rows)
 
-    The rows come as (layer id, rows) pairs, each row a tally entry less
-    its layer id; the keys of a rows object that several nodes share are
-    resolved once. Counts are summed per distinct
-    (category, op class, formats, shift range) key; each new key's energy
-    is looked up once per distinct (op class, formats, shift range), and
-    energy is summed entry by entry so the float total keeps its bits.
-    Ops count a MAC as two. Bit-adders are priced exactly, once per key,
-    only when asked for. An energy failure is held, not raised, so the
-    bit-adder failure, if any, is seen first."""
-
-    def __init__(self, layers: Iterable[Tuple[str, tuple]]):
-        # key -> [first entry, summed count, pJ per op, extrapolated]
-        groups: Dict[tuple, list] = {}
-        units: Dict[tuple, tuple] = {}  # energy key -> (pJ, extrapolated)
-        # id(rows) -> (rows, held so that no other object takes its id,
-        # and a (group, count, pJ) per row)
-        resolved: Dict[int, tuple] = {}
-        self.energy_error = None  # (layer id, error) of the first failure
-        total_pj = 0.0
-        flagged: List[Tuple[str, str]] = []
-        for layer_id, rows in layers:
-            hit = resolved.get(id(rows))
-            if hit is None:
-                hit = resolved[id(rows)] = rows, []
-                for row in rows:
-                    op_class, count, format_a, format_b, category, \
-                        shift_range = row
-                    key = (category, op_class, format_a, format_b,
-                           shift_range)
-                    group = groups.get(key)
-                    if group is None:
-                        entry = TallyEntry(layer_id, *row)
-                        group = groups[key] = [
-                            entry, 0, *self._energy_unit(units, entry)]
-                    hit[1].append((group, count, group[2] * count))
-            for group, count, pj in hit[1]:
-                group[1] += count
-                total_pj += pj
-                if group[3]:
-                    flagged.append((layer_id, group[0].op_class))
-        self.groups = groups
-        self.energy_pj = total_pj
-        self.flagged = flagged
-        self.ops = sum(count * (2 if first.op_class == cost.MAC else 1)
-                       for first, count, _, _ in groups.values())
-
-    def _energy_unit(self, units: dict, entry: TallyEntry) -> tuple:
-        key = (entry.op_class, entry.format_a, entry.format_b,
-               entry.shift_range)
-        unit = units.get(key)
-        if unit is None:
+    # 2. Bit-adders per op for every group, then energy per energy key.
+    ace = [entry_ace(first._replace(count=1)) for first in firsts]
+    energies: Dict[tuple, cost.EnergyCost] = {}
+    units = []  # each group's energy per op
+    for first in firsts:
+        key = (first.op_class, first.format_a, first.format_b,
+               first.shift_range)
+        if key not in energies:
             try:
-                energy = cost.energy_of_op(*key[:3], shift_range=key[3])
-                unit = energy.picojoules, energy.extrapolated
+                energies[key] = cost.energy_of_op(*key[:3],
+                                                  shift_range=key[3])
             except AceV2Error as exc:
-                if self.energy_error is None:
-                    self.energy_error = entry.layer_id, exc
-                unit = 0.0, False  # never reported: energy() raises
-            units[key] = unit
-        return unit
+                raise AnalysisError(first.layer_id, str(exc)) from exc
+        units.append(energies[key])
+    pjs = [unit.picojoules for unit in units]
+    flags = [unit.extrapolated for unit in units]
 
-    def ace(self) -> Tuple[Fraction, Dict[str, Fraction],
-                           Optional[Tuple[float, float]]]:
-        by_category: Dict[str, Fraction] = {}
-        for first, count, _, _ in self.groups.values():
-            by_category[first.category] = (
-                by_category.get(first.category, Fraction(0))
-                + entry_ace(first._replace(count=count)))
-        total = sum(by_category.values(), Fraction(0))
-        if total == 0:
-            return total, by_category, None
-        mac = sum((v for k, v in by_category.items()
-                   if k in MAC_CATEGORIES), Fraction(0))
-        mac_share = float(mac / total)
-        return total, by_category, (mac_share, 1.0 - mac_share)
-
-    def energy(self) -> Tuple[float, List[Tuple[str, str]]]:
-        if self.energy_error is not None:
-            layer_id, exc = self.energy_error
-            raise AnalysisError(layer_id, str(exc)) from exc
-        return self.energy_pj / PJ_PER_MJ, self.flagged
+    # 3. Sum the walk.
+    counts = [0] * len(firsts)
+    total_pj = 0.0
+    flagged: List[Tuple[str, str]] = []
+    for (node, _), rows in zip(walk, order):
+        for group, count in rows:
+            counts[group] += count
+            total_pj += pjs[group] * count
+            if flags[group]:
+                flagged.append((node.id, firsts[group].op_class))
+    by_category: Dict[str, Fraction] = {}
+    ops = 0
+    for first, unit, count in zip(firsts, ace, counts):
+        by_category[first.category] = (
+            by_category.get(first.category, Fraction(0)) + unit * count)
+        ops += count * (2 if first.op_class == cost.MAC else 1)
+    return by_category, total_pj / PJ_PER_MJ, flagged, ops
 
 
 def bn_share(report: CostReport) -> float:
     """Fraction of the total bit-adder cost spent in normalization."""
-    from .census import CAT_BATCHNORM
     if report.total_ace == 0:
         return 0.0
     return float(report.ace_by_category.get(CAT_BATCHNORM, Fraction(0))
@@ -209,18 +182,21 @@ def analyze(g: Graph) -> CostReport:
     rule or whose shape fails, then a bit-adder failure, then an energy
     failure."""
     walk = layer_walk(g)
-    pricing = _TallyPricing((node.id, layer.rows) for node, layer in walk)
-    total, by_category, shares = pricing.ace()
-    energy_mj, flagged = pricing.energy()
+    by_category, energy_mj, flagged, ops = _price(walk)
+    total = sum(by_category.values(), Fraction(0))
+    mac_share = None
+    if total:
+        mac_share = float(sum((v for k, v in by_category.items()
+                               if k in MAC_CATEGORIES), Fraction(0)) / total)
     footprint = _footprint(walk)
     return CostReport(
         name=g.name,
         total_ace=total,
         ace_by_category=by_category,
-        mac_share=shares[0] if shares else None,
-        elementwise_share=shares[1] if shares else None,
+        mac_share=mac_share,
+        elementwise_share=None if mac_share is None else 1.0 - mac_share,
         energy_mj=energy_mj,
-        arithmetic_intensity=_intensity(pricing.ops, footprint),
+        arithmetic_intensity=_intensity(ops, footprint),
         footprint=footprint,
         extrapolated_energy_ops=flagged,
     )
@@ -248,18 +224,14 @@ def compare(reports: Sequence[Tuple[str, CostReport]],
     accuracies = accuracies or {}
     keyed = sorted(reports, key=lambda nr: (nr[1].total_ace, nr[0]))
     rows: List[ComparisonRow] = []
-    for i, (name, report) in enumerate(keyed):
+    for name, report in keyed:
         acc = accuracies.get(name)
-        dominated = False
-        for j, (other_name, other) in enumerate(keyed):
-            if j == i:
-                continue
-            other_acc = accuracies.get(other_name)
-            cheaper = other.total_ace < report.total_ace
-            if acc is None or other_acc is None:
-                dominated = dominated or cheaper
-            else:
-                dominated = dominated or (cheaper and other_acc >= acc)
+        # A row is never cheaper than itself, so it cannot dominate itself.
+        dominated = any(
+            other.total_ace < report.total_ace
+            and (acc is None or accuracies.get(other_name) is None
+                 or accuracies[other_name] >= acc)
+            for other_name, other in keyed)
         rows.append(ComparisonRow(
             name=name,
             total_ace=report.total_ace,

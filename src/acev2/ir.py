@@ -135,15 +135,6 @@ def _quant_problem(granularity, weight_quantizer,
     return None
 
 
-def pot_weight_problem(weight_format: NumericFormat) -> Optional[str]:
-    """Why power-of-two weights cannot take ``weight_format``, or None:
-    their code is a sign bit plus at least one bit of shift amount."""
-    if weight_format.is_fixed and weight_format.total_bits >= 2:
-        return None
-    return ("power-of-two weights need a fixed-point weight_format of at "
-            f"least 2 bits, got {weight_format}")
-
-
 @dataclass(frozen=True)
 class QuantizationAnnotation:
     """How a compute layer is quantized.
@@ -395,10 +386,13 @@ def _node_problem(node: LayerNode) -> Optional[Tuple[str, str, str]]:
     if kind not in COMPUTE_KINDS:
         return (".quant", "quant-kind", "quant is only valid on compute "
                 f"layers ({', '.join(COMPUTE_KINDS)}), not {kind}")
-    if quant.weight_quantizer == "pot":
-        problem = pot_weight_problem(node.weight_format or FP32)
-        if problem:
-            return ".quant.weight_quantizer", "pot-weights", problem
+    # Power-of-two weights code a sign bit plus at least one shift bit.
+    weights = node.weight_format or FP32
+    if (quant.weight_quantizer == "pot"
+            and not (weights.is_fixed and weights.total_bits >= 2)):
+        return (".quant.weight_quantizer", "pot-weights", "power-of-two "
+                "weights need a fixed-point weight_format of at least 2 "
+                f"bits, got {weights}")
     return None
 
 
@@ -763,12 +757,16 @@ def validate(g: Graph) -> List[Diagnostic]:
     """Structural diagnostics of a graph built in code; an empty list means
     all invariants hold. Each node is held to the rules ``parse_graph``
     raises for (``_node_problem``), and the graph gets the dangling-input
-    and cycle checks. ``analyze`` raises only a built graph's first bad
-    node; this collects every diagnostic. A parsed graph has passed every
-    check but the cycle check."""
+    and cycle checks. With none of those found, shapes are inferred in
+    topological order (``node_shape``): each node whose shape fails gets
+    a ``shape`` diagnostic, and a node with a failed input is skipped.
+    ``analyze`` raises only a built graph's first bad node; this collects
+    every diagnostic. A parsed graph has passed every check but the cycle
+    check and the shapes."""
     diags: List[Diagnostic] = []
+    order: List[LayerNode] = []
     try:
-        topological_order(g)
+        order = topological_order(g)
     except DanglingInputError as exc:  # parse_graph rejects these first
         ref = exc.missing_id  # the sort stops at the first node holding it
         node = next(n for n in g.nodes if ref in n.inputs)
@@ -781,6 +779,17 @@ def validate(g: Graph) -> List[Diagnostic]:
         problem = _node_problem(node)
         if problem:
             diags.append(Diagnostic(node.id, *problem[1:]))
+    if diags:
+        return diags
+    shapes: Dict[str, TensorShape] = {}
+    for node in order:
+        if all(ref in shapes for ref in node.inputs):
+            try:
+                shapes[node.id] = node_shape(
+                    g, node, [shapes[ref] for ref in node.inputs]
+                    or [g.input_shape])
+            except ShapeMismatchError as exc:
+                diags.append(Diagnostic(node.id, "shape", exc.reason))
     return diags
 
 

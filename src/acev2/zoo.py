@@ -13,8 +13,8 @@ All builders emit 224x224x3 single-image graphs:
 PROVENANCE: layer tables follow the original public architecture
 definitions (the residual network uses the variant that strides the
 first 1x1 convolution of each downsampling block). Any format choice
-made to match a published operating point is a keyword default here,
-never a hidden constant.
+made to match a published operating point is a keyword default or is
+named in its builder's docstring, never a hidden constant.
 """
 
 from __future__ import annotations
@@ -96,19 +96,16 @@ def build_mobilenet_v1(
     width: float = 1.0,
     weight_fmt: NumericFormat = INT8,
     act_fmt: NumericFormat = INT8,
-    first_last_fmt: Optional[Tuple[NumericFormat, NumericFormat]] = (FP32, INT8),
 ) -> Graph:
     """Classic 28-layer depthwise-separable classifier.
 
-    ``first_last_fmt`` is the (weight, activation) pair for the stem
-    convolution and the classifier head; mixed-precision deployments
-    conventionally keep those at higher precision than the body. Pass
-    None to run them at the body formats. Integer-weight layers carry
+    The stem convolution and the classifier head run at fp32 weights and
+    int8 activations: mixed-precision deployments conventionally keep
+    those at higher precision than the body. Integer-weight layers carry
     channelwise float scales; float-weight layers are unquantized.
     """
     if width <= 0:
         raise ValueError("width multiplier must be positive")
-    head_w, head_a = first_last_fmt if first_last_fmt else (weight_fmt, act_fmt)
 
     def quant_for(fmt: NumericFormat) -> Optional[QuantizationAnnotation]:
         return _linear_quant(FP32) if fmt.is_fixed else None
@@ -118,8 +115,7 @@ def build_mobilenet_v1(
     prev = b.add("conv1", KIND_CONV, ["in"],
                  {"kernel": [3, 3], "stride": 2, "out_channels": stem,
                   "padding": "same"},
-                 weight_format=head_w, act_format=head_a,
-                 quant=quant_for(head_w))
+                 weight_format=FP32, act_format=INT8)
     prev = b.add("conv1_bn", KIND_BATCHNORM, [prev])
     prev = b.add("conv1_relu", KIND_ACTIVATION, [prev], {"activation": "relu"})
 
@@ -141,8 +137,7 @@ def build_mobilenet_v1(
 
     pool = b.add("pool", KIND_POOL, [prev], {"pool": "global_avg"})
     fc = b.add("fc", KIND_DENSE, [pool], {"units": NUM_CLASSES},
-               weight_format=head_w, act_format=head_a,
-               quant=quant_for(head_w))
+               weight_format=FP32, act_format=INT8)
     return b.finish(fc)
 
 
@@ -332,7 +327,6 @@ def build_resnet50_branches(
     branch_count: int = 2,
     weight_fmt: NumericFormat = NumericFormat.binary(),
     act_fmt: NumericFormat = NumericFormat.binary(),
-    first_last_act: NumericFormat = INT8,
 ) -> Graph:
     """Bottleneck-residual classifier with a configurable merge width.
 
@@ -340,9 +334,8 @@ def build_resnet50_branches(
     2 is the standard residual form (main path plus one skip); 3 and 4
     add further skip reads into each merge, mirroring the multi-branch
     designs whose memory pressure the intensity metric exposes. Stem and
-    head activations default to 8 bits, the usual concession in
-    otherwise binary deployments; every conv carries a layerwise float32
-    scale.
+    head activations are 8 bits, the usual concession in otherwise
+    binary deployments; every conv carries a layerwise float32 scale.
     """
     if branch_count not in (2, 3, 4):
         raise ValueError("branch_count must be 2, 3, or 4")
@@ -355,7 +348,7 @@ def build_resnet50_branches(
              head: bool = False) -> str:
         node = b.add(node_id, kind, [src], params,
                      weight_format=weight_fmt,
-                     act_format=first_last_act if head else act_fmt,
+                     act_format=INT8 if head else act_fmt,
                      quant=_linear_quant(FP32, granularity="layerwise"))
         return b.add(f"{node_id}_bn", KIND_BATCHNORM, [node])
 
@@ -400,6 +393,6 @@ def build_resnet50_branches(
 
     pool = b.add("pool", KIND_POOL, [prev], {"pool": "global_avg"})
     fc = b.add("fc", KIND_DENSE, [pool], {"units": NUM_CLASSES},
-               weight_format=weight_fmt, act_format=first_last_act,
+               weight_format=weight_fmt, act_format=INT8,
                quant=_linear_quant(FP32, granularity="layerwise"))
     return b.finish(fc)

@@ -244,6 +244,14 @@ def test_output_matches_golden_bytes(fixture, sub, fmt, capsys):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+def test_compare_matches_golden_bytes(capsys):
+    """``compare`` over every checked-in fixture is locked byte for byte."""
+    argv = ["compare", *map(str, sorted(FIXTURES.glob("*.json")))]
+    assert main(argv) == 0
+    assert capsys.readouterr().out \
+        == (GOLDEN / "compare.csv").read_text(encoding="utf-8")
+
+
 class TestCensus:
     def test_csv_columns(self, pike_file, capsys):
         assert main(["census", str(pike_file)]) == 0

@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -234,3 +235,37 @@ class TestOpClassTable:
 
     def test_correlation_is_pinned(self):
         assert table_energy_correlation() == 0.9915663300823894
+
+
+def test_readme_non_monotone_energy_table_is_what_energy_of_op_gives():
+    """README's table of extrapolated energies priced below a narrower, or
+    above a wider, measured cell, regenerated cell by cell."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("priced in the wrong order (`cost.energy_of_op`):"
+                         "\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = [[cell.strip() for cell in line.strip("|").split("|")]
+              for line in table.splitlines()[2:]]
+
+    def energy(bits, shift_range):
+        op = cost.ADD if shift_range is None else cost.SHIFT
+        other = fixed(bits) if shift_range is None else None
+        return energy_of_op(op, fixed(bits), other, shift_range=shift_range)
+
+    def pj(e):
+        return f"{e.picojoules:.6f}".rstrip("0").ljust(5, "0") + " pJ"
+
+    rows = []
+    for bits, neighbour, shift_range in ((9, 8, None), (15, 16, 16),
+                                         (31, 32, 32)):
+        low, high = energy(bits, shift_range), energy(neighbour, shift_range)
+        assert (low.extrapolated, high.extrapolated) == (True, False)
+        # the two are priced in the wrong order for their widths
+        assert (low.picojoules < high.picojoules) is (bits > neighbour)
+        if shift_range is None:
+            rows.append([f"{bits}-bit add", pj(low),
+                         f"{neighbour}-bit add: {pj(high)}"])
+        else:
+            rows.append([f"{bits}-bit shift over {shift_range} places",
+                         pj(low), f"{neighbour}-bit over {shift_range}: "
+                         f"{pj(high)}"])
+    assert listed == rows

@@ -248,6 +248,28 @@ class TestValidate:
         assert validate(g) == [Diagnostic("a", "dangling-input",
                                           "input 'ghost' does not resolve")]
 
+    def test_shape_mismatches_of_a_built_graph(self):
+        """A parse infers no shapes; ``validate`` reports each node whose
+        shape fails, skips the nodes fed by one, and names the node that
+        ``analyze`` raises for first."""
+        g = chain(
+            LayerNode("in", "Input"),
+            LayerNode("pw", "PointwiseConv2D", {"out_channels": 4}, ["in"]),
+            LayerNode("add", "Add", {}, ["in", "pw"]),
+            LayerNode("relu", "Activation", {}, ["add"]),
+            LayerNode("cat", "Concat", {}, ["pw", "relu"]),
+            LayerNode("add2", "Add", {}, ["pw", "in"]),
+            LayerNode("out", "Output", {}, ["cat"]),
+        )
+        three, four = (str(TensorShape(1, 8, 8, c)) for c in (3, 4))
+        differ = "add inputs differ: ['{}', '{}']".format
+        assert validate(g) == [
+            Diagnostic("add", "shape", differ(three, four)),
+            Diagnostic("add2", "shape", differ(four, three))]
+        with pytest.raises(ShapeMismatchError) as err:
+            analyze(g)
+        assert (err.value.node_id, err.value.path) == ("add", "$.nodes[2]")
+
 
 FP16_DOC = {"kind": "float", "bits": 16, "exp": 5, "man": 10}
 

@@ -14,7 +14,7 @@ from acev2 import cost, ir
 from acev2.analysis import analyze, entry_ace
 from acev2.census import MAC_CATEGORIES, census_graph, layer_walk
 from acev2.cost import MAC, MULTIPLY
-from acev2.errors import ParseError
+from acev2.errors import ParseError, ShapeMismatchError
 from acev2.formats import FP16, FP32, NumericFormat
 from acev2.ir import (
     KIND_RULES,
@@ -188,36 +188,41 @@ def reference_branch_factor(g, order):
 def test_analyze_equals_its_reports_called_separately(g):
     """Each figure of ``analyze``, priced in one pass per distinct key,
     equals the same figure priced entry by entry over ``census_graph``
-    in walk order, with the footprint counted node by node."""
-    report = analyze(g)
-    by_category, total_pj, flagged, ops = {}, 0.0, [], 0
-    for e in census_graph(g).entries:
-        by_category[e.category] = (by_category.get(e.category, 0)
-                                   + entry_ace(e))
-        unit = cost.energy_of_op(e.op_class, e.format_a, e.format_b,
-                                 shift_range=e.shift_range)
-        total_pj += unit.picojoules * e.count
-        if unit.extrapolated:
-            flagged.append((e.layer_id, e.op_class))
-        ops += e.count * (2 if e.op_class == MAC else 1)
-    total = sum(by_category.values())
-    assert (report.total_ace, report.ace_by_category) == (total, by_category)
-    mac = sum(v for k, v in by_category.items() if k in MAC_CATEGORIES)
-    assert report.mac_share == (float(mac / total) if total else None)
-    assert (report.energy_mj, report.extrapolated_energy_ops) \
-        == (total_pj / 1e9, flagged)
+    in walk order, with the footprint counted node by node. So does each
+    figure of ``g`` with twins, built or parsed, whose repeated layers the
+    pricing pass resolves once."""
+    twins = with_twins(g)
+    for graph in (g, twins, parse_graph(serialize_graph(twins))):
+        report = analyze(graph)
+        by_category, total_pj, flagged, ops = {}, 0.0, [], 0
+        for e in census_graph(graph).entries:
+            by_category[e.category] = (by_category.get(e.category, 0)
+                                       + entry_ace(e))
+            unit = cost.energy_of_op(e.op_class, e.format_a, e.format_b,
+                                     shift_range=e.shift_range)
+            total_pj += unit.picojoules * e.count
+            if unit.extrapolated:
+                flagged.append((e.layer_id, e.op_class))
+            ops += e.count * (2 if e.op_class == MAC else 1)
+        total = sum(by_category.values())
+        assert (report.total_ace, report.ace_by_category) \
+            == (total, by_category)
+        mac = sum(v for k, v in by_category.items() if k in MAC_CATEGORIES)
+        assert report.mac_share == (float(mac / total) if total else None)
+        assert (report.energy_mj, report.extrapolated_energy_ops) \
+            == (total_pj / 1e9, flagged)
 
-    shapes = walk_shapes(g)
-    weights = sum(weight_elements(node, shapes[node.inputs[0]])
-                  for node in g.nodes if node.inputs)
-    activations = sum(shapes[node.id].elements for node in g.nodes
-                      if node.kind not in ("Activation", "Output"))
-    factor = reference_branch_factor(g, g.nodes)
-    assert (report.footprint.weight_elems, report.footprint.activation_elems,
-            report.footprint.concurrent_branch_factor) \
-        == (weights, activations, factor)
-    assert report.arithmetic_intensity == ops / (
-        factor * (weights + activations))
+        shapes = walk_shapes(graph)
+        weights = sum(weight_elements(node, shapes[node.inputs[0]])
+                      for node in graph.nodes if node.inputs)
+        activations = sum(shapes[node.id].elements for node in graph.nodes
+                          if node.kind not in ("Activation", "Output"))
+        factor = reference_branch_factor(graph, graph.nodes)
+        fp = report.footprint
+        assert (fp.weight_elems, fp.activation_elems,
+                fp.concurrent_branch_factor) == (weights, activations, factor)
+        assert report.arithmetic_intensity == ops / (
+            factor * (weights + activations))
 
 
 def op_counts(g):
@@ -502,8 +507,9 @@ def test_validate_and_parse_hold_a_graph_to_one_rule_set(g, how, pick, data):
     exactly when parsing the serialized graph raises, and both name the
     same node with the same message; ``analyze`` and ``census_graph`` of
     the broken graph then raise the parse's error, type, path and
-    message. (Adding an input to a merge breaks nothing, and neither
-    complains.)"""
+    message. (Adding an input to a merge breaks no node rule, and the
+    parse does not complain; it can break the merge's shape, which
+    ``validate`` reports for the node that ``analyze`` raises for.)"""
     candidates = [i for i, node in enumerate(g.nodes)
                   if broken(node, how, pick) is not None]
     assume(candidates)
@@ -525,7 +531,12 @@ def test_validate_and_parse_hold_a_graph_to_one_rule_set(g, how, pick, data):
             assert (type(walked.value), walked.value.path, str(walked.value)) \
                 == (type(exc), exc.path, str(exc))
     else:
-        assert diags == []
+        assert [d.rule for d in diags] in ([], ["shape"])
+        if diags:
+            with pytest.raises(ShapeMismatchError) as walked:
+                analyze(g)
+            assert (walked.value.node_id, diags[0].node_id) \
+                == (nodes[i].id, nodes[i].id)
 
 
 def int_slots(value):

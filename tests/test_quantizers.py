@@ -3,6 +3,7 @@
 import hashlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,3 +431,25 @@ class TestNormStudy:
             warnings.simplefilter("error")
             with pytest.raises(OutOfRangeError):
                 norm_quantization_study(**{"trials": 3, **kwargs})
+
+
+def test_readme_heterogeneous_quantizer_figures_hold():
+    """README's "Why heterogeneous weight quantizers" block runs, and each
+    ``# ~x`` figure holds to the significant digits it gives."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Why heterogeneous weight quantizers\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, pending, checked = {}, [], []
+    for line in block.splitlines():
+        if "# ~" not in line:
+            pending.append(line)
+            continue
+        exec(compile("\n".join(pending), "README.md", "exec"), namespace)
+        pending = []
+        expression, claim = line.split("# ~")
+        claimed = claim.split()[0]
+        digits = len(claimed.replace(".", "").lstrip("0"))
+        value = eval(expression, namespace)
+        assert float(f"{value:.{digits}g}") == float(claimed), line
+        checked.append(claimed)
+    assert checked == ["0.036", "1.0", "0.038", "0.0001"]

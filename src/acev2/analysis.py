@@ -30,11 +30,11 @@ applied in place and allocate nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import cost
 from .census import (CAT_BATCHNORM, Layer, MAC_CATEGORIES, TallyEntry,
@@ -45,15 +45,13 @@ from .ir import Graph, LayerNode
 PJ_PER_MJ = 1e9
 
 
-@dataclass(frozen=True)
-class Footprint:
+class Footprint(NamedTuple):
     weight_elems: int
     activation_elems: int
     concurrent_branch_factor: int
 
 
-@dataclass
-class CostReport:
+class CostReport(NamedTuple):
     """Everything the analyzer knows about one graph."""
 
     name: str
@@ -64,7 +62,7 @@ class CostReport:
     energy_mj: float
     arithmetic_intensity: float
     footprint: Footprint
-    extrapolated_energy_ops: List[Tuple[str, str]] = field(default_factory=list)
+    extrapolated_energy_ops: List[Tuple[str, str]]
 
 
 def entry_ace(entry: TallyEntry) -> Fraction:
@@ -202,8 +200,7 @@ def analyze(g: Graph) -> CostReport:
     )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     name: str
     total_ace: Fraction
     energy_mj: float

@@ -31,13 +31,13 @@ each distinct layer once: real networks repeat blocks and branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .cost import ADD, MAC, MULTIPLY, SHIFT
 from .formats import FP32, NumericFormat
 from .ir import (
+    ARITY_MERGE,
     CONV_KINDS,
     Graph,
     KIND_ACTIVATION,
@@ -80,9 +80,22 @@ class TallyEntry(NamedTuple):
     shift_range: Optional[int] = None
 
 
-@dataclass
 class OpTally:
-    entries: List[TallyEntry] = field(default_factory=list)
+    """A graph's census entries in walk order: mutable, and equal to a
+    tally of equal entries. ``entries`` defaults to a new list."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Optional[List[TallyEntry]] = None):
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"OpTally(entries={self.entries!r})"
 
     def count(self, op_class: Optional[str] = None,
               category: Optional[str] = None) -> int:
@@ -173,14 +186,16 @@ def layer_walk(g: Graph) -> List[Tuple[LayerNode, Layer]]:
     computes anything, so a cycle is the first error it raises. A node's
     key is its kind, the identities of its params, formats and ``quant``
     (a parse shares them between nodes of one body, and the graph keeps
-    them alive) and its input shapes, all that the node rules read. Each
-    distinct layer is held to the node rules as a parse holds a node
-    (``check_node``) before its shape is inferred, so the first faulty
-    node in walk order raises, whether a rule or its shape fails; a parsed
-    graph has passed every rule already."""
+    them alive) and its input shapes. The node rules read all of that but
+    the shapes, and the arity in their place, so each distinct body and
+    arity is held to them once, as a parse holds a node (``check_node``),
+    before a layer's shape is inferred: the first faulty node in walk
+    order raises, whether a rule or its shape fails. A parsed graph has
+    passed every rule already."""
     base = [g.input_shape]
     shapes: Dict[str, TensorShape] = {}
     memo: Dict[tuple, Layer] = {}
+    checked = set()  # the (body, arity) keys that passed the node rules
     walk = []
     for node in topological_order(g):
         ins = [shapes[ref] for ref in node.inputs]
@@ -188,7 +203,10 @@ def layer_walk(g: Graph) -> List[Tuple[LayerNode, Layer]]:
                id(node.act_format), id(node.quant), *ins)
         layer = memo.get(key)
         if layer is None:
-            check_node(node, partial(g.nodes.index, node))
+            body = key[:5] + (min(len(ins), ARITY_MERGE),)
+            if body not in checked:
+                check_node(node, partial(g.nodes.index, node))
+                checked.add(body)
             out = node_shape(g, node, ins or base)
             src = ins[0] if ins else None
             rule = CENSUS_RULES.get(node.kind)

@@ -26,7 +26,7 @@ linearly in the bit product (quadratic in width) for multiplies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -53,34 +53,34 @@ FLOAT_ADD_FACTOR = 6
 MUX_PER_ADDER = 5
 
 
-@dataclass(frozen=True)
-class AceCost:
+class AceCost(namedtuple("AceCost", ("bitadders",))):
     """An exact bit-adder count. May be fractional for shifts."""
 
-    bitadders: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bitadders < 0:
+    def __new__(cls, bitadders: Fraction) -> "AceCost":
+        if bitadders < 0:
             raise UnsupportedOperandError("negative bit-adder count")
+        return tuple.__new__(cls, (bitadders,))
 
     def __float__(self) -> float:
         return float(self.bitadders)
 
 
-@dataclass(frozen=True)
-class EnergyCost:
+class EnergyCost(namedtuple("EnergyCost", ("picojoules", "extrapolated"))):
     """Per-operation energy in picojoules at the 45nm node.
 
     ``extrapolated`` is True when the value came from a scaling law
     rather than a measured table cell.
     """
 
-    picojoules: float
-    extrapolated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.picojoules < 0:
+    def __new__(cls, picojoules: float,
+                extrapolated: bool = False) -> "EnergyCost":
+        if picojoules < 0:
             raise UnsupportedOperandError("negative energy")
+        return tuple.__new__(cls, (picojoules, extrapolated))
 
 
 def shift_stages(shift_range: int) -> int:

@@ -7,7 +7,7 @@ excluded from the mantissa count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .errors import OutOfRangeError
@@ -21,9 +21,14 @@ _KINDS = (FIXED, FLOAT, BINARY)
 MAX_BITS = 64  # widest format, and so the widest operand the oracle builds
 
 
-@dataclass(frozen=True)
-class NumericFormat:
-    """Representation of one tensor element, hashed once at construction.
+# A value type that checks its fields subclasses a ``namedtuple`` and
+# checks them in ``__new__``, which a ``typing.NamedTuple`` body may not
+# define. ``_replace`` and ``_make`` skip ``__new__`` and so the checks.
+class NumericFormat(namedtuple("NumericFormat", ("kind", "total_bits",
+                                                 "exponent_bits",
+                                                 "mantissa_bits"))):
+    """Representation of one tensor element: a named tuple, so it hashes
+    and compares as the tuple of its fields.
 
     kind: "fixed", "float", or "binary".
     total_bits: full width including sign, in [1, MAX_BITS].
@@ -31,43 +36,39 @@ class NumericFormat:
     (sign) must equal total_bits.
     """
 
-    kind: str
-    total_bits: int
-    exponent_bits: Optional[int] = None
-    mantissa_bits: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise OutOfRangeError(f"unknown format kind {self.kind!r}")
-        for name in ("total_bits", "exponent_bits", "mantissa_bits"):
-            value = getattr(self, name)
+    def __new__(cls, kind: str, total_bits: int,
+                exponent_bits: Optional[int] = None,
+                mantissa_bits: Optional[int] = None) -> "NumericFormat":
+        if kind not in _KINDS:
+            raise OutOfRangeError(f"unknown format kind {kind!r}")
+        for name, value in (("total_bits", total_bits),
+                            ("exponent_bits", exponent_bits),
+                            ("mantissa_bits", mantissa_bits)):
             # exactly int, as a parsed document must have it: 8.0 and
             # True compare equal to widths but print and serialize apart
             if type(value) is not int and (value is not None
                                            or name == "total_bits"):
                 raise OutOfRangeError(
                     f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.total_bits <= MAX_BITS:
+        if not 1 <= total_bits <= MAX_BITS:
             raise OutOfRangeError(
-                f"total_bits must be in [1, {MAX_BITS}], got {self.total_bits}")
-        if self.kind == BINARY and self.total_bits != 1:
+                f"total_bits must be in [1, {MAX_BITS}], got {total_bits}")
+        if kind == BINARY and total_bits != 1:
             raise OutOfRangeError("binary formats are exactly 1 bit wide")
-        if self.kind == FLOAT:
-            if self.exponent_bits is None or self.mantissa_bits is None:
+        if kind == FLOAT:
+            if exponent_bits is None or mantissa_bits is None:
                 raise OutOfRangeError(
                     "float formats need exponent_bits and mantissa_bits")
-            if self.exponent_bits + self.mantissa_bits + 1 != self.total_bits:
+            if exponent_bits + mantissa_bits + 1 != total_bits:
                 raise OutOfRangeError(
                     "exponent_bits + mantissa_bits + 1 must equal total_bits")
-        elif self.exponent_bits is not None or self.mantissa_bits is not None:
+        elif exponent_bits is not None or mantissa_bits is not None:
             raise OutOfRangeError(
-                f"{self.kind} formats carry no exponent/mantissa split")
-        object.__setattr__(self, "_hash", hash((self.kind, self.total_bits,
-                                                self.exponent_bits,
-                                                self.mantissa_bits)))
-
-    def __hash__(self) -> int:
-        return self._hash
+                f"{kind} formats carry no exponent/mantissa split")
+        return tuple.__new__(cls, (kind, total_bits, exponent_bits,
+                                   mantissa_bits))
 
     @property
     def is_float(self) -> bool:

@@ -1,7 +1,8 @@
 """Model graph IR: layers, shapes, connectivity, formats, quantization.
 
-Graphs are plain dataclasses parsed from (and serialized back to) a
-strict JSON schema, version 1:
+A ``Graph`` is a mutable list of mutable ``LayerNode`` objects; shapes,
+formats and quantization annotations are named tuples. Graphs are
+parsed from (and serialized back to) a strict JSON schema, version 1:
 
     {
       "ir_version": 1,
@@ -24,8 +25,8 @@ table, so adding a kind is one entry there. A param name means the same
 for every kind that takes it: ``_PARAM_CHECKS`` holds one type and range
 check per name. Every rule a single node must keep is checked in one
 function, ``_node_problem``: ``parse_graph`` raises what it finds
-(``check_node``), the analysis walk raises it for each distinct layer of
-a graph built in code, and ``validate`` reports it for every node.
+(``check_node``), so does the analysis walk, once per distinct node body
+and arity, and ``validate`` reports it for every node.
 
 A parse error names its JSON path, such as
 ``$.nodes[3].quant.vectors_per_channel``; the path is formatted only when
@@ -46,8 +47,9 @@ from __future__ import annotations
 import heapq
 import json
 import marshal
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import prod
+from operator import attrgetter
 from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
                     Tuple, Union)
 
@@ -86,18 +88,20 @@ GRANULARITY_SUBCHANNELWISE = "subchannelwise"
 POT_SCALE = "pot"
 
 
-@dataclass(frozen=True)
-class TensorShape:
-    """NHWC activation shape; weights are derived from layer params."""
+class TensorShape(namedtuple("TensorShape", ("n", "h", "w", "c"))):
+    """NHWC activation shape; weights are derived from layer params. It
+    prints as ``1x8x8x3``."""
 
-    n: int
-    h: int
-    w: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.n, self.h, self.w, self.c) < 1:
-            raise ParseError(f"shape dims must be >= 1, got {self}")
+    def __new__(cls, n: int, h: int, w: int, c: int) -> "TensorShape":
+        shape = tuple.__new__(cls, (n, h, w, c))
+        if min(shape) < 1:
+            raise ParseError(f"shape dims must be >= 1, got {shape!r}")
+        return shape
+
+    def __str__(self) -> str:
+        return f"{self.n}x{self.h}x{self.w}x{self.c}"
 
     @property
     def elements(self) -> int:
@@ -135,8 +139,9 @@ def _quant_problem(granularity, weight_quantizer,
     return None
 
 
-@dataclass(frozen=True)
-class QuantizationAnnotation:
+class QuantizationAnnotation(namedtuple(
+        "QuantizationAnnotation", ("granularity", "scale_format",
+                                   "weight_quantizer", "vectors_per_channel"))):
     """How a compute layer is quantized.
 
     granularity: scope of the scale factors; subchannelwise carries the
@@ -147,18 +152,20 @@ class QuantizationAnnotation:
     (power-of-two levels, multiplications become shifts, no scale op).
     """
 
-    granularity: str = GRANULARITY_CHANNELWISE
-    scale_format: Union[str, NumericFormat] = None  # set in __post_init__
-    weight_quantizer: str = "linear"
-    vectors_per_channel: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.scale_format is None:
-            object.__setattr__(self, "scale_format", FP32)
-        problem = _quant_problem(self.granularity, self.weight_quantizer,
-                                 self.vectors_per_channel)
+    def __new__(cls, granularity: str = GRANULARITY_CHANNELWISE,
+                scale_format: Union[str, NumericFormat, None] = None,
+                weight_quantizer: str = "linear",
+                vectors_per_channel: Optional[int] = None
+                ) -> "QuantizationAnnotation":
+        problem = _quant_problem(granularity, weight_quantizer,
+                                 vectors_per_channel)
         if problem:
             raise ParseError(problem[1])
+        return tuple.__new__(cls, (
+            granularity, FP32 if scale_format is None else scale_format,
+            weight_quantizer, vectors_per_channel))
 
     @property
     def scale_is_pot(self) -> bool:
@@ -174,15 +181,38 @@ class QuantizationAnnotation:
         return doc
 
 
-@dataclass(slots=True)
 class LayerNode:
-    id: str
-    kind: str
-    params: dict = field(default_factory=dict)
-    inputs: List[str] = field(default_factory=list)
-    weight_format: Optional[NumericFormat] = None
-    act_format: Optional[NumericFormat] = None
-    quant: Optional[QuantizationAnnotation] = None
+    """One node of a graph: mutable, and equal to a node of equal fields.
+    ``params`` and ``inputs`` default to a new dict and list."""
+
+    __slots__ = ("id", "kind", "params", "inputs", "weight_format",
+                 "act_format", "quant")
+
+    def __init__(self, id: str, kind: str, params: Optional[dict] = None,
+                 inputs: Optional[List[str]] = None,
+                 weight_format: Optional[NumericFormat] = None,
+                 act_format: Optional[NumericFormat] = None,
+                 quant: Optional[QuantizationAnnotation] = None):
+        self.id = id
+        self.kind = kind
+        self.params = {} if params is None else params
+        self.inputs = [] if inputs is None else inputs
+        self.weight_format = weight_format
+        self.act_format = act_format
+        self.quant = quant
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _node_fields(self) == _node_fields(other)
+
+    def __repr__(self) -> str:
+        return "LayerNode(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, _node_fields(self))) + ")"
+
+
+_node_fields = attrgetter(*LayerNode.__slots__)  # a node -> its field tuple
 
 
 def _first_duplicate(nodes: List[LayerNode]) -> int:
@@ -195,17 +225,32 @@ def _first_duplicate(nodes: List[LayerNode]) -> int:
         seen.add(node.id)
 
 
-@dataclass
 class Graph:
-    name: str
-    input_shape: TensorShape
-    nodes: List[LayerNode]
+    """A named list of nodes over an input shape: mutable, and equal to a
+    graph of equal fields. Node ids are indexed at construction, so they
+    must be unique."""
 
-    def __post_init__(self):
-        self._index = {n.id: n for n in self.nodes}
-        if len(self._index) != len(self.nodes):
-            node = self.nodes[_first_duplicate(self.nodes)]
+    __slots__ = ("name", "input_shape", "nodes", "_index")
+
+    def __init__(self, name: str, input_shape: TensorShape,
+                 nodes: List[LayerNode]):
+        self.name = name
+        self.input_shape = input_shape
+        self.nodes = nodes
+        self._index = {n.id: n for n in nodes}
+        if len(self._index) != len(nodes):
+            node = nodes[_first_duplicate(nodes)]
             raise ParseError(f"duplicate node id {node.id!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.input_shape, self.nodes)
+                == (other.name, other.input_shape, other.nodes))
+
+    def __repr__(self) -> str:
+        return (f"Graph(name={self.name!r}, input_shape={self.input_shape!r},"
+                f" nodes={self.nodes!r})")
 
     def node(self, node_id: str) -> LayerNode:
         return self._index[node_id]
@@ -214,8 +259,7 @@ class Graph:
         return node_id in self._index
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     node_id: str
     rule: str
     message: str

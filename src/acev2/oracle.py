@@ -16,9 +16,8 @@ adders both count as one bit-adder unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .cost import MUX_PER_ADDER, ace_shift, shift_stages
 from .errors import OutOfRangeError
@@ -34,8 +33,7 @@ def _require_int_widths(*widths) -> None:
                 f"bit widths must be integers, got {width!r}")
 
 
-@dataclass(frozen=True)
-class CircuitTally:
+class CircuitTally(NamedTuple):
     """Unit counts for a constructed circuit."""
 
     full_adders: int = 0
@@ -53,6 +51,7 @@ class CircuitTally:
         return Fraction(self.adder_units) + Fraction(self.mux21, MUX_PER_ADDER)
 
     def __add__(self, other: "CircuitTally") -> "CircuitTally":
+        """Unit counts add field by field (not as tuples concatenate)."""
         return CircuitTally(
             self.full_adders + other.full_adders,
             self.half_adders + other.half_adders,
@@ -155,8 +154,7 @@ def verify_multiply_formula(max_bits: int = MAX_BITS) -> List[Tuple[int, int, in
     return mismatches
 
 
-@dataclass(frozen=True)
-class FpAdderBreakdown:
+class FpAdderBreakdown(NamedTuple):
     """Stage-by-stage bit-adder cost of a floating-point adder with ``e``
     exponent bits and ``m`` mantissa bits.
 
@@ -179,7 +177,7 @@ class FpAdderBreakdown:
     @property
     def components(self) -> Tuple[float, ...]:
         """The nine stage costs, in ``FP_ADDER_STAGES`` order."""
-        return tuple(getattr(self, name) for name in FP_ADDER_STAGES)
+        return self[2:]
 
     @property
     def total(self) -> float:
@@ -191,7 +189,7 @@ class FpAdderBreakdown:
 
 
 # The nine stages, in data-path order: every field after the two widths.
-FP_ADDER_STAGES = tuple(f.name for f in fields(FpAdderBreakdown))[2:]
+FP_ADDER_STAGES = FpAdderBreakdown._fields[2:]
 
 
 def fp_adder_breakdown(e: int, m: int) -> FpAdderBreakdown:

@@ -24,8 +24,8 @@ reduces exactly to the floating-point layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from collections import namedtuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -45,28 +45,28 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-@dataclass(frozen=True)
-class LinearQuantizer:
+class LinearQuantizer(namedtuple("LinearQuantizer", ("bits", "scale",
+                                                     "zero_point",
+                                                     "symmetric"))):
     """Affine quantizer: real values live on the grid scale * (q - zero_point).
 
     Symmetric quantizers use the code range [-(2^(bits-1) - 1), 2^(bits-1) - 1];
     asymmetric ones use [0, 2^bits - 1].
     """
 
-    bits: int
-    scale: float
-    zero_point: int = 0
-    symmetric: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise NonPositiveScaleError(f"scale must be > 0, got {self.scale}")
-        if type(self.bits) is not int:
-            raise OutOfRangeError(f"bits must be an integer, got {self.bits!r}")
-        if self.bits < 1:
+    def __new__(cls, bits: int, scale: float, zero_point: int = 0,
+                symmetric: bool = True) -> "LinearQuantizer":
+        if scale <= 0:
+            raise NonPositiveScaleError(f"scale must be > 0, got {scale}")
+        if type(bits) is not int:
+            raise OutOfRangeError(f"bits must be an integer, got {bits!r}")
+        if bits < 1:
             raise NonPositiveScaleError("need at least one bit")
-        if self.symmetric:
-            _symmetric_code_limit(self.bits)  # raises below 2 bits
+        if symmetric:
+            _symmetric_code_limit(bits)  # raises below 2 bits
+        return tuple.__new__(cls, (bits, scale, zero_point, symmetric))
 
     @property
     def code_range(self) -> Tuple[int, int]:
@@ -81,8 +81,7 @@ class LinearQuantizer:
         return (np.arange(lo, hi + 1) - self.zero_point) * self.scale
 
 
-@dataclass(frozen=True)
-class LinearQuantResult:
+class LinearQuantResult(NamedTuple):
     codes: np.ndarray
     values: np.ndarray
     saturated: int
@@ -103,8 +102,7 @@ def linear_quantize(x: np.ndarray, q: LinearQuantizer) -> LinearQuantResult:
     return LinearQuantResult(codes.astype(np.int64), values, saturated)
 
 
-@dataclass(frozen=True)
-class PoTQuantizer:
+class PoTQuantizer(namedtuple("PoTQuantizer", ("bits", "max_exponent"))):
     """Power-of-two quantizer: levels are 0 and +/- 2^k.
 
     One bit carries the sign; the remaining code space indexes exponents
@@ -112,12 +110,12 @@ class PoTQuantizer:
     (including zero) stays within 2^bits.
     """
 
-    bits: int
-    max_exponent: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bits < 2:
+    def __new__(cls, bits: int, max_exponent: int) -> "PoTQuantizer":
+        if bits < 2:
             raise NonPositiveScaleError("need at least two bits (sign + level)")
+        return tuple.__new__(cls, (bits, max_exponent))
 
     @property
     def exponents(self) -> range:
@@ -169,26 +167,24 @@ def double_quantize_scale(scale: float) -> float:
     return 2.0 ** k
 
 
-@dataclass(frozen=True)
-class BatchNormParams:
+class BatchNormParams(namedtuple("BatchNormParams", ("mu", "gamma", "sigma",
+                                                     "beta", "epsilon"))):
     """Per-channel normalization statistics and affine parameters."""
 
-    mu: np.ndarray
-    gamma: np.ndarray
-    sigma: np.ndarray
-    beta: np.ndarray
-    epsilon: float = DEFAULT_EPS
+    __slots__ = ()
 
-    def __post_init__(self):
-        lengths = {np.size(self.mu), np.size(self.gamma),
-                   np.size(self.sigma), np.size(self.beta)}
+    def __new__(cls, mu: np.ndarray, gamma: np.ndarray, sigma: np.ndarray,
+                beta: np.ndarray, epsilon: float = DEFAULT_EPS
+                ) -> "BatchNormParams":
+        lengths = {np.size(mu), np.size(gamma), np.size(sigma), np.size(beta)}
         if len(lengths) != 1:
             raise DegenerateInputError(
                 "batchnorm: parameter vectors differ in length")
-        if np.any(np.asarray(self.sigma) < 0):
+        if np.any(np.asarray(sigma) < 0):
             raise NonPositiveScaleError("sigma must be non-negative")
-        if self.epsilon <= 0:
+        if epsilon <= 0:
             raise NonPositiveScaleError("epsilon must be > 0")
+        return tuple.__new__(cls, (mu, gamma, sigma, beta, epsilon))
 
 
 Quantizer = Callable[[np.ndarray], np.ndarray]
@@ -261,8 +257,7 @@ def quantnorm(x: np.ndarray, p: BatchNormParams,
     return x * s - b
 
 
-@dataclass(frozen=True)
-class DPReLUParams:
+class DPReLUParams(NamedTuple):
     """Learned two-slope activation: eta and gamma are the positive and
     negative slopes around the knee at alpha, shifted down by beta."""
 
@@ -288,8 +283,7 @@ def quantization_mse(reference: np.ndarray, candidate: np.ndarray) -> float:
     return float(np.mean((reference - candidate) ** 2))
 
 
-@dataclass(frozen=True)
-class NormComparisonTrial:
+class NormComparisonTrial(NamedTuple):
     quantnorm_mse: float
     vanilla_mse: float
 

@@ -19,8 +19,7 @@ named in its builder's docstring, never a hidden constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .formats import FP32, INT4, INT8, INT16, NumericFormat
 from .ir import (
@@ -141,8 +140,7 @@ def build_mobilenet_v1(
     return b.finish(fc)
 
 
-@dataclass(frozen=True)
-class PikeScaleConfig:
+class PikeScaleConfig(NamedTuple):
     """Operating point of one pike-family scale."""
 
     channel_multiplier: float

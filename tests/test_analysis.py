@@ -1,5 +1,6 @@
 """Cost reports: exact totals, shares, energy, intensity, comparisons."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -129,6 +130,30 @@ class TestOnePass:
             == list(by_category.items())
         assert (report.energy_mj, report.extrapolated_energy_ops) \
             == (total_pj / 1e9, flagged)
+
+    @pytest.mark.parametrize("build", MODELS)
+    def test_each_node_body_is_checked_once(self, monkeypatch, build):
+        """The node rules read a node's body, every key but ``id`` and
+        ``inputs``, and its arity, never its input shapes. So ``analyze``
+        of a parsed graph checks each distinct body and arity once, though
+        a body recurs as distinct layers over different input shapes."""
+        text = ir.serialize_graph(build())
+        bodies = {(json.dumps({k: v for k, v in node.items()
+                               if k not in ("id", "inputs")}),
+                   min(len(node["inputs"]), 2))
+                  for node in json.loads(text)["nodes"]}
+        g = ir.parse_graph(text)
+        layers = {id(layer) for _, layer in census.layer_walk(g)}
+        calls = []
+        node_problem = ir._node_problem
+
+        def counted(node):
+            calls.append(node.id)
+            return node_problem(node)
+
+        monkeypatch.setattr(ir, "_node_problem", counted)
+        analyze(g)
+        assert len(calls) == len(bodies) < len(layers)
 
     def test_first_unpriceable_entry_in_tally_order_is_named(self):
         """Of the layers whose bit-adders cannot be priced (a shift of

@@ -1,7 +1,6 @@
 """Operation tallies over the zoo graphs and hand-built fragments."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -68,7 +67,9 @@ def without_memo(g):
     """``g`` with a fresh params dict on every node, so no two nodes share
     a layer key and ``layer_walk`` computes every node's layer afresh."""
     return Graph(g.name, g.input_shape,
-                 [replace(node, params=dict(node.params)) for node in g.nodes])
+                 [LayerNode(node.id, node.kind, dict(node.params), node.inputs,
+                            node.weight_format, node.act_format, node.quant)
+                  for node in g.nodes])
 
 
 def one_conv_graph(quant=None, weight=INT4, act=INT4):

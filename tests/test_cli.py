@@ -390,6 +390,22 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.strip() == "False"
 
 
+def test_start_up_modules_load_no_dataclasses_inspect_or_numpy():
+    """Every module but quantizers, imported in a fresh interpreter with
+    no site hooks (``-S``), loads none of ``dataclasses`` (which pulls in
+    ``inspect``, ``ast`` and ``dis``), ``inspect`` or ``numpy``: their
+    import would be most of the start-up of each acev2 process."""
+    src = str(Path(acev2.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import acev2.cli, acev2.ir, acev2.census, acev2.analysis, "
+            "acev2.cost, acev2.formats, acev2.zoo, acev2.oracle; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'numpy') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_cli_import_leaves_oracle_and_zoo_unloaded():
     """analyze, census and compare use neither; their subcommands and
     the argument types that need them import them on use."""

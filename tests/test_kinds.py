@@ -4,7 +4,6 @@ graphs built from every node kind."""
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -258,6 +257,12 @@ def test_declaration_order_changes_no_cost(g, rng):
         shuffled, ir.topological_order(shuffled))
 
 
+def node_with(node, **changes):
+    """A new node with the fields of ``node`` but ``changes``."""
+    fields = {name: getattr(node, name) for name in LayerNode.__slots__}
+    return LayerNode(**dict(fields, **changes))
+
+
 def with_nodes(g, change):
     """``g`` with ``change(node)`` in place of each node it returns."""
     return Graph(g.name, g.input_shape, [change(node) or node
@@ -282,8 +287,8 @@ def test_pot_scales_replace_float_scale_multiplies(g, scale):
     removes each layer's scale multiplies and never raises its scale
     cost. (A narrow fixed-point scale can cost less than the shift.)"""
     def scaled(fmt):
-        return with_nodes(g, lambda node: replace(
-            node, quant=replace(node.quant, scale_format=fmt))
+        return with_nodes(g, lambda node: node_with(
+            node, quant=node.quant._replace(scale_format=fmt))
             if node.quant and node.quant.weight_quantizer == "linear"
             else None)
 
@@ -301,7 +306,7 @@ def test_a_fixed_point_batchnorm_costs_less_than_fp32(g, bits):
     """QuantNorm: a BatchNorm whose parameters are fixed-point at 16 bits
     or fewer costs fewer bit-adders than the same node at fp32."""
     def norms_at(fmt):
-        return with_nodes(g, lambda node: replace(node, weight_format=fmt)
+        return with_nodes(g, lambda node: node_with(node, weight_format=fmt)
                           if node.kind == "BatchNorm" else None)
 
     fp32, _ = layer_ace(norms_at(FP32), "batchnorm")
@@ -341,9 +346,10 @@ def test_lowering_a_fixed_point_width_never_raises_total_ace(g, data):
     assume(bits > floor)
     lower = NumericFormat.fixed(data.draw(st.integers(floor, bits - 1)))
     if slot == "scale_format":
-        lowered = replace(node, quant=replace(node.quant, scale_format=lower))
+        lowered = node_with(node,
+                            quant=node.quant._replace(scale_format=lower))
     else:
-        lowered = replace(node, **{slot: lower})
+        lowered = node_with(node, **{slot: lower})
     nodes = list(g.nodes)
     nodes[i] = lowered
     narrow = Graph(g.name, g.input_shape, nodes)
@@ -374,8 +380,8 @@ def test_splitting_a_conv_across_a_concat_keeps_its_cost(g, data):
     conv = g.nodes[i]
     channels = conv.params["out_channels"]
     first = data.draw(st.integers(1, channels - 1))
-    halves = [replace(conv, id=f"{conv.id}_{half}",
-                      params=dict(conv.params, out_channels=c))
+    halves = [node_with(conv, id=f"{conv.id}_{half}",
+                        params=dict(conv.params, out_channels=c))
               for half, c in (("a", first), ("b", channels - first))]
     cat = LayerNode(conv.id, "Concat", {}, [half.id for half in halves])
     split = Graph(g.name, g.input_shape,
@@ -392,7 +398,7 @@ def with_twins(g):
     for node in g.nodes:
         nodes.append(node)
         if node.kind not in ("Input", "Output"):
-            nodes.append(replace(node, id=node.id + "_twin"))
+            nodes.append(node_with(node, id=node.id + "_twin"))
     return Graph(g.name, g.input_shape, nodes)
 
 
@@ -430,8 +436,8 @@ def test_repeated_layers_cost_what_fresh_ones_do(g):
     other = analyze(parse_graph(renamed(text)))
     assert other.extrapolated_energy_ops == [
         ("r_" + layer, op) for layer, op in report.extrapolated_energy_ops]
-    assert replace(other, extrapolated_energy_ops=[]) \
-        == replace(report, extrapolated_energy_ops=[])
+    assert other._replace(extrapolated_energy_ops=[]) \
+        == report._replace(extrapolated_energy_ops=[])
     assert repr(other.energy_mj) == repr(report.energy_mj)
 
 
@@ -479,19 +485,20 @@ def broken(node, how, pick):
     required = sorted(KIND_RULES[kind].required)
     if how == "drop a required param" and required:
         key = required[pick % len(required)]
-        return replace(node, params={k: v for k, v in node.params.items()
-                                     if k != key})
+        return node_with(node, params={k: v for k, v in node.params.items()
+                                       if k != key})
     if how == "add an input" and kind != "Input":
-        return replace(node, inputs=node.inputs + ["in"])
+        return node_with(node, inputs=node.inputs + ["in"])
     if how == "windowed pool without a kernel" and kind == "Pool":
-        return replace(node, params={"pool": "max"})
+        return node_with(node, params={"pool": "max"})
     if how == "quant on a non-compute kind" and kind not in ir.COMPUTE_KINDS:
-        return replace(node, quant=QuantizationAnnotation())
+        return node_with(node, quant=QuantizationAnnotation())
     if how == "3x3 pointwise kernel" and kind == "PointwiseConv2D":
-        return replace(node, params=dict(node.params, kernel=[3, 3]))
+        return node_with(node, params=dict(node.params, kernel=[3, 3]))
     if how == "pot weights on fp16" and kind in ir.COMPUTE_KINDS:
-        return replace(node, weight_format=FP16, quant=QuantizationAnnotation(
-            scale_format="pot", weight_quantizer="pot"))
+        return node_with(node, weight_format=FP16,
+                         quant=QuantizationAnnotation(scale_format="pot",
+                                                      weight_quantizer="pot"))
     return None
 
 

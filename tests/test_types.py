@@ -1,0 +1,115 @@
+"""The value types: named tuples that keep every field they are given,
+and the mutable graph classes, which compare and print by their fields."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from acev2 import analysis, census, cost, formats, ir, oracle, quantizers, zoo
+
+INT8 = formats.NumericFormat.fixed(8)
+FP16 = formats.NumericFormat.flt(5, 10)
+
+# Each tuple type with a value for every field, none of them a default.
+TUPLES = [
+    (formats.NumericFormat, dict(kind="float", total_bits=16,
+                                 exponent_bits=5, mantissa_bits=10)),
+    (cost.AceCost, dict(bitadders=Fraction(24, 5))),
+    (cost.EnergyCost, dict(picojoules=0.25, extrapolated=True)),
+    (ir.TensorShape, dict(n=2, h=3, w=5, c=7)),
+    (ir.QuantizationAnnotation, dict(granularity="subchannelwise",
+                                     scale_format=INT8,
+                                     weight_quantizer="pot",
+                                     vectors_per_channel=3)),
+    (ir.Diagnostic, dict(node_id="x", rule="shape", message="differ")),
+    (analysis.Footprint, dict(weight_elems=11, activation_elems=13,
+                              concurrent_branch_factor=2)),
+    (analysis.CostReport, dict(name="m", total_ace=Fraction(7, 5),
+                               ace_by_category={"conv": Fraction(7, 5)},
+                               mac_share=1.0, elementwise_share=0.0,
+                               energy_mj=3e-9, arithmetic_intensity=0.5,
+                               footprint=analysis.Footprint(1, 2, 3),
+                               extrapolated_energy_ops=[("x", "add")])),
+    (analysis.ComparisonRow, dict(name="m", total_ace=Fraction(3),
+                                  energy_mj=1e-6, arithmetic_intensity=2.5,
+                                  accuracy=0.75, pareto=False)),
+    (zoo.PikeScaleConfig, dict(channel_multiplier=1.5, pointwise_act=FP16,
+                               remove_mid_norm=False)),
+    (oracle.CircuitTally, dict(full_adders=1, half_adders=2, mux21=3)),
+    (oracle.FpAdderBreakdown, dict(
+        exponent_bits=5, mantissa_bits=10,
+        **{name: float(k) for k, name in enumerate(oracle.FP_ADDER_STAGES)})),
+    (quantizers.LinearQuantizer, dict(bits=4, scale=0.5, zero_point=3,
+                                      symmetric=False)),
+    (quantizers.LinearQuantResult, dict(codes=np.arange(3),
+                                        values=np.ones(3), saturated=1)),
+    (quantizers.PoTQuantizer, dict(bits=3, max_exponent=-2)),
+    (quantizers.BatchNormParams, dict(mu=np.zeros(2), gamma=np.ones(2),
+                                      sigma=np.ones(2), beta=np.zeros(2),
+                                      epsilon=0.5)),
+    (quantizers.DPReLUParams, dict(eta=1.5, alpha=0.25, beta=0.125,
+                                   gamma=0.5)),
+    (quantizers.NormComparisonTrial, dict(quantnorm_mse=0.5,
+                                          vanilla_mse=0.75)),
+]
+
+
+@pytest.mark.parametrize("cls,values", TUPLES,
+                         ids=[cls.__name__ for cls, _ in TUPLES])
+def test_each_tuple_type_keeps_every_field_it_is_given(cls, values):
+    """A name re-declared with a default in a subclass body would shadow
+    the tuple's field, so reading it would give the default."""
+    assert cls._fields == tuple(values)
+    for value in (cls(**values), cls(*values.values())):
+        assert isinstance(value, tuple)
+        for name, given in values.items():
+            assert getattr(value, name) is given
+            assert value._asdict()[name] is given
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 1, 1), (1, 1, 1, -1)])
+def test_a_checked_tuple_type_checks_keyword_and_positional_arguments(dims):
+    message = f"shape dims must be >= 1, got {ir.TensorShape._make(dims)!r}"
+    for shape in (lambda: ir.TensorShape(*dims),
+                  lambda: ir.TensorShape(**dict(zip("nhwc", dims)))):
+        with pytest.raises(ir.ParseError) as err:
+            shape()
+        assert str(err.value) == message
+
+
+def test_shapes_print_compactly_and_repr_by_field():
+    shape = ir.TensorShape(1, 8, 8, 3)
+    assert str(shape) == "1x8x8x3"
+    assert repr(shape) == "TensorShape(n=1, h=8, w=8, c=3)"
+    assert shape == (1, 8, 8, 3)
+
+
+def test_a_node_defaults_to_its_own_params_and_inputs():
+    a, b = ir.LayerNode("a", "Input"), ir.LayerNode("b", "Input")
+    assert a.params == b.params == {} and a.params is not b.params
+    assert a.inputs == b.inputs == [] and a.inputs is not b.inputs
+    a.params["x"] = 1
+    assert b.params == {}
+
+
+def test_graph_classes_compare_and_print_by_their_fields():
+    quant = ir.QuantizationAnnotation(scale_format=ir.POT_SCALE)
+    nodes = [ir.LayerNode("in", "Input"),
+             ir.LayerNode("pw", "PointwiseConv2D", {"out_channels": 4},
+                          ["in"], INT8, FP16, quant)]
+    g = ir.Graph("g", ir.TensorShape(1, 2, 2, 3), nodes)
+    names = {**vars(ir), **vars(formats), **vars(census)}
+    assert eval(repr(g), names) == g
+    assert eval(repr(nodes[1]), names) == nodes[1]
+    tally = census.census_graph(g)
+    assert eval(repr(tally), names) == tally
+    assert census.OpTally().entries == [] != tally.entries
+
+    changed = ir.LayerNode("pw", "PointwiseConv2D", {"out_channels": 4},
+                           ["in"], INT8, FP16, quant)
+    assert changed == nodes[1]
+    changed.act_format = INT8
+    assert changed != nodes[1]
+    assert ir.Graph("g", g.input_shape, [nodes[0], changed]) != g
+    assert nodes[0] != ("in", "Input", {}, [], None, None, None)

@@ -18,6 +18,12 @@ Subcommands raise, and ``main`` alone turns an error into its stderr
 line and exit code. Output is deterministic for identical inputs;
 --stamp adds a comment line with the tool version outside any data body.
 The argument parser is built once per process.
+
+``main`` pauses the cyclic garbage collector while a subcommand runs and
+restores it on every exit. The graph path builds no reference cycles, so
+reference counting frees everything it allocates, and a collection would
+only scan a large graph's live objects; a test pins both properties. The
+library functions leave the collector to their callers.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
-import json
 import sys
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -35,8 +41,8 @@ from . import __version__, analysis
 from .census import census_graph
 from .errors import AceV2Error, OutOfRangeError, ParseError
 from .formats import MAX_BITS, NumericFormat
-from .ir import (ACTIVATION_KINDS, GRANULARITIES, Graph, parse_graph,
-                 serialize_graph)
+from .ir import (ACTIVATION_KINDS, GRANULARITIES, Graph, json_value,
+                 parse_graph, serialize_graph)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -202,7 +208,7 @@ def _write_out(text: str, out: Optional[str]) -> None:
 def cmd_analyze(args) -> int:
     report = analysis.analyze(_load_graph(args.model))
     if args.format == "json":
-        text = json.dumps(_report_payload(report), indent=2) + "\n"
+        text = json_value(_report_payload(report)) + "\n"
     elif args.format == "csv":
         text = _report_csv(report)
     else:
@@ -387,8 +393,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand, mapping each error type to its exit code."""
+    """Run one subcommand, mapping each error type to its exit code. The
+    cyclic garbage collector, if enabled, is paused while it runs (see
+    the module docstring)."""
     args = build_parser().parse_args(argv)
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
     try:
         return args.func(args)
     except OSError as exc:
@@ -404,6 +415,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AceV2Error as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
+    finally:
+        if paused:
+            gc.enable()
 
 
 if __name__ == "__main__":

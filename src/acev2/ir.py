@@ -667,10 +667,12 @@ def _json_key(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _json_value(value, indent: str) -> str:
+def json_value(value, indent: str = "") -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it when nested
     at ``indent``: ASCII-escaped strings, tuples as lists, ``{}`` and
-    ``[]`` for empty containers, and json's TypeError for other types."""
+    ``[]`` for empty containers, and json's TypeError for other types.
+    Unlike ``dumps`` with an indent, whose pure-Python encoder leaves a
+    reference cycle behind on every call, it leaves no cyclic garbage."""
     if isinstance(value, str):
         return _escape(value)
     if value is None:
@@ -686,10 +688,10 @@ def _json_value(value, indent: str) -> str:
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         brackets = "[]"
-        items = [_json_value(item, inner) for item in value]
+        items = [json_value(item, inner) for item in value]
     elif isinstance(value, dict):
         brackets = "{}"
-        items = [_escape(_json_key(key)) + ": " + _json_value(item, inner)
+        items = [_escape(_json_key(key)) + ": " + json_value(item, inner)
                  for key, item in value.items()]
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} "
@@ -722,7 +724,7 @@ def serialize_graph(g: Graph) -> str:
     def block(value) -> str:
         text = blocks.get(id(value))
         if text is None:
-            text = blocks[id(value)] = _json_value(value.to_json(), "      ")
+            text = blocks[id(value)] = json_value(value.to_json(), "      ")
         return text
 
     nodes = []
@@ -732,12 +734,12 @@ def serialize_graph(g: Graph) -> str:
             text = ('    {\n      "id": ' + _escape(node.id)
                     + _KEY + '"kind": ' + _escape(node.kind))
         except TypeError:  # one is not: render them as params are
-            refs = ",\n        ".join(_json_value(ref, "        ")
+            refs = ",\n        ".join(json_value(ref, "        ")
                                        for ref in node.inputs)
-            text = ('    {\n      "id": ' + _json_value(node.id, "      ")
-                    + _KEY + '"kind": ' + _json_value(node.kind, "      "))
+            text = ('    {\n      "id": ' + json_value(node.id, "      ")
+                    + _KEY + '"kind": ' + json_value(node.kind, "      "))
         text += (_KEY + '"params": '
-                 + _json_value(dict(node.params), "      ")
+                 + json_value(dict(node.params), "      ")
                  + _KEY + '"inputs": '
                  + ("[\n        " + refs + "\n      ]" if refs else "[]"))
         if node.weight_format is not None:
@@ -749,8 +751,8 @@ def serialize_graph(g: Graph) -> str:
         nodes.append(text + "\n    }")
     body = "[\n" + ",\n".join(nodes) + "\n  ]" if nodes else "[]"
     return (f'{{\n  "ir_version": {IR_VERSION},\n  "name": '
-            + _json_value(g.name, "  ") + ',\n  "input": '
-            + _json_value(g.input_shape.to_json(), "  ")
+            + json_value(g.name, "  ") + ',\n  "input": '
+            + json_value(g.input_shape.to_json(), "  ")
             + ',\n  "nodes": ' + body + "\n}\n")
 
 

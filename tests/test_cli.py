@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -830,6 +831,127 @@ def test_a_bitadder_failure_is_reported_before_an_energy_failure(
     path.write_text(json.dumps(fp8_norm_doc(then_pot_scale)))
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err == f"analysis error: {message}\n"
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def exit_status(argv) -> int:
+    """``main``'s return value, or the code of the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture
+def tmp_inputs(tmp_path):
+    """tmp_path, holding a malformed document and one that fails
+    analysis; "{tmp}" in an argv below stands for it."""
+    (tmp_path / "broken.json").write_text('{"ir_version": 1, "nodes": 5}')
+    (tmp_path / "fp8.json").write_text(json.dumps(fp8_norm_doc(False)))
+    return tmp_path
+
+
+PIKE = str(FIXTURES / "pikelpn_1x.json")
+EXIT_PATHS = {  # case -> (argv, exit status)
+    "analyze": (["analyze", PIKE, "--format", "json"], 0),
+    "census": (["census", PIKE], 0),
+    "compare": (["compare", PIKE], 0),
+    "oracle": (["oracle", "--max-bits", "4"], 0),
+    "zoo_emit": (["zoo", "emit", "pikelpn"], 0),
+    "quantsim": (["quantsim", "--trials", "2"], 0),
+    "parse_error": (["analyze", "{tmp}/broken.json"], 1),
+    "os_error": (["census", "{tmp}/missing.json"], 1),
+    "analysis_error": (["analyze", "{tmp}/fp8.json"], 2),
+    "out_of_range": (["oracle", "--max-bits", "65"], 64),
+    "usage": (["oracle", "--bogus"], 64),
+    "version": (["--version"], 0),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["gc_enabled", "gc_disabled"])
+@pytest.mark.parametrize("case", sorted(EXIT_PATHS))
+def test_main_leaves_the_collector_as_it_found_it(case, enabled, tmp_inputs,
+                                                  collector, capsys):
+    argv, status = EXIT_PATHS[case]
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    assert exit_status([a.format(tmp=tmp_inputs) for a in argv]) == status
+    assert gc.isenabled() is enabled
+
+
+def test_the_subcommand_runs_with_the_collector_paused(monkeypatch,
+                                                       collector, capsys):
+    seen = []
+
+    def census_graph(g):
+        seen.append(gc.isenabled())
+        return census.census_graph(g)
+
+    monkeypatch.setattr(cli, "census_graph", census_graph)
+    gc.enable()
+    assert main(["census", PIKE]) == 0
+    assert seen == [False] and gc.isenabled()
+
+
+FIXTURE_FILES = [str(p) for p in sorted(FIXTURES.glob("*.json"))]
+
+
+def test_the_library_leaves_the_collector_alone(monkeypatch):
+    """The collector is process-wide state that callers own: parsing,
+    analyzing, a census and serializing never touch it."""
+    def touched(*args):
+        raise AssertionError("the library called into gc")
+
+    for name in ("enable", "disable", "isenabled", "collect", "freeze"):
+        monkeypatch.setattr(gc, name, touched)
+    for path in FIXTURE_FILES:
+        g = parse_graph(Path(path).read_text(encoding="utf-8"))
+        analysis.analyze(g)
+        census.census_graph(g)
+        serialize_graph(g)
+
+
+GRAPH_PATH_RUNS = {  # case -> the argv of each run
+    **{f"analyze_{fmt}": [["analyze", f, "--format", fmt]
+                          for f in FIXTURE_FILES]
+       for fmt in ("json", "csv", "table")},
+    "census": [["census", f] for f in FIXTURE_FILES],
+    "compare": [["compare", *FIXTURE_FILES, "{tmp}/broken.json",
+                 "{tmp}/missing.json"]],
+    "zoo_emit": [["zoo", "emit", model] for model in
+                 ("pikelpn", "mobilenet_v1", "mobilenet_v2", "resnet50")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_PATH_RUNS))
+def test_the_graph_path_leaves_no_cyclic_garbage(case, tmp_inputs, collector,
+                                                 capsys):
+    """What makes pausing the collector free: with it off, reference
+    counting alone frees everything a graph-path subcommand allocates.
+    The warm-up call takes the first import of a module, whose objects
+    refer to each other, out of the count."""
+    runs = [[a.format(tmp=tmp_inputs) for a in argv]
+            for argv in GRAPH_PATH_RUNS[case]]
+    exit_status(runs[0])
+    gc.collect()
+    gc.disable()
+    for argv in runs:
+        exit_status(argv)
+        capsys.readouterr()
+        assert gc.collect() == 0, argv
 
 
 README = Path(__file__).parent.parent / "README.md"

@@ -17,6 +17,7 @@ from acev2.ir import (
     LayerNode,
     QuantizationAnnotation,
     TensorShape,
+    json_value,
     serialize_graph,
 )
 
@@ -116,6 +117,14 @@ def json_graphs(draw):
 @given(json_graphs())
 def test_bytes_equal_json_dumps_of_the_reference_document(g):
     assert serialize_graph(g) == reference(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON)
+def test_json_value_equals_json_dumps_with_an_indent(value):
+    """``json_value`` renders ``analyze --format json``'s report too, at
+    the root of a document."""
+    assert json_value(value) == json.dumps(value, indent=2)
 
 
 def zoo_builds():

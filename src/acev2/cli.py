@@ -15,9 +15,11 @@ named by its JSON path, or a cycle); 2 analysis error, only for a
 cost-model gap such as an op with no energy anchor; 3 oracle mismatch;
 64 usage error, out-of-range oracle and quantsim arguments included.
 Subcommands raise, and ``main`` alone turns an error into its stderr
-line and exit code. Output is deterministic for identical inputs;
---stamp adds a comment line with the tool version outside any data body.
-The argument parser is built once per process.
+line and exit code. ``_report_payload`` is the report's one field list:
+the JSON body, of which the CSV and the table are views. Output is
+deterministic for identical inputs; --stamp adds a comment line with the
+tool version outside any data body. The argument parser is built once
+per process.
 
 ``main`` pauses the cyclic garbage collector while a subcommand runs and
 restores it on every exit. The graph path builds no reference cycles, so
@@ -59,26 +61,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def fraction_decimal(value: Fraction) -> str:
-    """Exact decimal rendering of a rational whose denominator divides a
-    power of ten (all bit-adder totals do)."""
-    sign = "-" if value < 0 else ""
-    value = abs(value)
-    num, den = value.numerator, value.denominator
-    scale = 0
-    while den % 2 == 0:
-        den //= 2
-        scale += 1
-        num *= 5
-    while den % 5 == 0:
-        den //= 5
-        scale += 1
-        num *= 2
-    if den != 1:
+    """Exact decimal rendering, in the fewest digits, of a rational whose
+    denominator divides a power of ten (all bit-adder totals do). The
+    least such power is below the denominator's bit length."""
+    num, den = abs(value.numerator), value.denominator
+    for scale in range(den.bit_length()):
+        if 10 ** scale % den == 0:
+            break
+    else:
         raise ValueError(f"{value} has no finite decimal form")
-    digits = str(num).rjust(scale + 1, "0")
-    if scale == 0:
-        return sign + digits
-    return f"{sign}{digits[:-scale]}.{digits[-scale:]}"
+    sign = "-" if value < 0 else ""
+    digits = str(num * 10 ** scale // den).rjust(scale + 1, "0")
+    return f"{sign}{digits[:-scale]}.{digits[-scale:]}" if scale else (
+        sign + digits)
 
 
 def _bit_width(text: str) -> int:
@@ -104,8 +99,8 @@ def _pike_scale(text: str) -> str:
     return text
 
 
-def _sig4(x: float) -> str:
-    return f"{x:.4g}"
+def _cell(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
 def _load_graph(path: str) -> Graph:
@@ -123,6 +118,8 @@ def _load_graph(path: str) -> Graph:
 
 
 def _report_payload(report: analysis.CostReport) -> dict:
+    """The report's fields, each value computed once: the JSON body, and
+    what the CSV and the table show."""
     return {
         "report_version": 1,
         "name": report.name,
@@ -135,12 +132,7 @@ def _report_payload(report: analysis.CostReport) -> dict:
         "energy_mj": report.energy_mj,
         "energy_extrapolated_ops": len(report.extrapolated_energy_ops),
         "arithmetic_intensity": report.arithmetic_intensity,
-        "footprint": {
-            "weight_elems": report.footprint.weight_elems,
-            "activation_elems": report.footprint.activation_elems,
-            "concurrent_branch_factor":
-                report.footprint.concurrent_branch_factor,
-        },
+        "footprint": report.footprint._asdict(),
     }
 
 
@@ -154,46 +146,49 @@ def _csv(header: List[str], rows: Iterable[list]) -> str:
 
 
 def _report_csv(report: analysis.CostReport) -> str:
-    rows = [["ace_by_category", category, fraction_decimal(ace)]
-            for category, ace in sorted(report.ace_by_category.items())]
-    rows.append(["totals", "total_ace", fraction_decimal(report.total_ace)])
-    if report.mac_share is not None:
-        rows.append(["totals", "mac_share", _sig4(report.mac_share)])
-        rows.append(["totals", "elementwise_share",
-                     _sig4(report.elementwise_share)])
-    fp = report.footprint
-    rows += [
-        ["totals", "energy_mj", _sig4(report.energy_mj)],
-        ["totals", "arithmetic_intensity", _sig4(report.arithmetic_intensity)],
-        ["footprint", "weight_elems", fp.weight_elems],
-        ["footprint", "activation_elems", fp.activation_elems],
-        ["footprint", "concurrent_branch_factor",
-         fp.concurrent_branch_factor],
-    ]
+    payload = _report_payload(report)
+    rows = [["ace_by_category", key, value]
+            for key, value in payload["ace_by_category"].items()]
+    rows += [["totals", key, _cell(payload[key])] for key in (
+        "total_ace", "mac_share", "elementwise_share", "energy_mj",
+        "arithmetic_intensity") if payload[key] is not None]
+    rows += [["footprint", key, value]
+             for key, value in payload["footprint"].items()]
     return _csv(["section", "key", "value"], rows)
 
 
-def _report_table(report: analysis.CostReport) -> str:
-    def pct(x: Optional[float]) -> str:
-        return "-" if x is None else f"{100 * x:.2f}%"
+_TABLE_ROWS = (  # (label, payload key), footprint keys included
+    ("Model", "name"),
+    ("Total ACE (bitadders)", "total_ace"),
+    ("MAC share", "mac_share"),
+    ("Elementwise share", "elementwise_share"),
+    ("Energy (mJ)", "energy_mj"),
+    ("Arithmetic intensity (ops/elem)", "arithmetic_intensity"),
+    ("Weights (elems)", "weight_elems"),
+    ("Activations (elems)", "activation_elems"),
+    ("Branch factor", "concurrent_branch_factor"))
 
-    rows = [
-        ("Model", report.name),
-        ("Total ACE (bitadders)", fraction_decimal(report.total_ace)),
-        ("MAC share", pct(report.mac_share)),
-        ("Elementwise share", pct(report.elementwise_share)),
-        ("Energy (mJ)", _sig4(report.energy_mj)),
-        ("Arithmetic intensity (ops/elem)",
-         _sig4(report.arithmetic_intensity)),
-        ("Weights (elems)", str(report.footprint.weight_elems)),
-        ("Activations (elems)", str(report.footprint.activation_elems)),
-        ("Branch factor", str(report.footprint.concurrent_branch_factor)),
-    ]
+
+def _report_table(report: analysis.CostReport) -> str:
+    payload = _report_payload(report)
+    values = dict(payload, **payload["footprint"])
+    for key in ("mac_share", "elementwise_share"):
+        share = values[key]
+        values[key] = "-" if share is None else f"{100 * share:.2f}%"
+    rows = [(label, _cell(values[key])) for label, key in _TABLE_ROWS]
     width = max(len(k) for k, _ in rows)
     lines = [f"| {k.ljust(width)} | {v} |" for k, v in rows]
     header = f"| {'Metric'.ljust(width)} | Value |"
     rule = f"|{'-' * (width + 2)}|-------|"
     return "\n".join([header, rule] + lines) + "\n"
+
+
+# analyze --format's choices, in usage order, and their renderers
+_FORMATS = {
+    "json": lambda report: json_value(_report_payload(report)) + "\n",
+    "csv": _report_csv,
+    "table": _report_table,
+}
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -206,13 +201,7 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 
 def cmd_analyze(args) -> int:
-    report = analysis.analyze(_load_graph(args.model))
-    if args.format == "json":
-        text = json_value(_report_payload(report)) + "\n"
-    elif args.format == "csv":
-        text = _report_csv(report)
-    else:
-        text = _report_table(report)
+    text = _FORMATS[args.format](analysis.analyze(_load_graph(args.model)))
     if args.stamp:
         text = f"# acev2 {__version__}\n" + text
     _write_out(text, args.out)
@@ -266,29 +255,28 @@ def cmd_oracle(args) -> int:
     return status
 
 
-def _build_zoo_model(args) -> Graph:
-    from . import zoo
+def _fixed_or_binary(bits: int) -> NumericFormat:
+    return NumericFormat.binary() if bits == 1 else NumericFormat.fixed(bits)
 
-    if args.model == "pikelpn":
-        return zoo.build_pikelpn(args.scale)
-    if args.model == "mobilenet_v1":
-        wf = NumericFormat.fixed(args.weight_bits)
-        af = NumericFormat.fixed(args.act_bits)
-        return zoo.build_mobilenet_v1(weight_fmt=wf, act_fmt=af)
-    if args.model == "mobilenet_v2":
-        return zoo.build_mobilenet_v2(args.weight_bits, args.act_bits,
-                                      args.activation, args.granularity)
-    if args.model == "resnet50":
-        wf = (NumericFormat.binary() if args.weight_bits == 1
-              else NumericFormat.fixed(args.weight_bits))
-        af = (NumericFormat.binary() if args.act_bits == 1
-              else NumericFormat.fixed(args.act_bits))
-        return zoo.build_resnet50_branches(args.branches, wf, af)
-    raise AceV2Error(f"unknown zoo model {args.model!r}")
+
+# zoo emit's models, in usage order: (zoo module, arguments) -> graph
+_ZOO_MODELS = {
+    "pikelpn": lambda zoo, args: zoo.build_pikelpn(args.scale),
+    "mobilenet_v1": lambda zoo, args: zoo.build_mobilenet_v1(
+        weight_fmt=NumericFormat.fixed(args.weight_bits),
+        act_fmt=NumericFormat.fixed(args.act_bits)),
+    "mobilenet_v2": lambda zoo, args: zoo.build_mobilenet_v2(
+        args.weight_bits, args.act_bits, args.activation, args.granularity),
+    "resnet50": lambda zoo, args: zoo.build_resnet50_branches(
+        args.branches, _fixed_or_binary(args.weight_bits),
+        _fixed_or_binary(args.act_bits)),
+}
 
 
 def cmd_zoo_emit(args) -> int:
-    _write_out(serialize_graph(_build_zoo_model(args)), args.out)
+    from . import zoo
+
+    _write_out(serialize_graph(_ZOO_MODELS[args.model](zoo, args)), args.out)
     return EXIT_OK
 
 
@@ -306,8 +294,8 @@ def cmd_compare(args) -> int:
 
     for path, message in failures:  # before a failed -o write can raise
         print(f"error: {path}: {message}", file=sys.stderr)
-    rows = [[row.name, fraction_decimal(row.total_ace), _sig4(row.energy_mj),
-             _sig4(row.arithmetic_intensity), int(row.pareto)]
+    rows = [[row.name, fraction_decimal(row.total_ace), _cell(row.energy_mj),
+             _cell(row.arithmetic_intensity), int(row.pareto)]
             for row in analysis.compare(results)]
     _write_out(_csv(["name", "total_ace", "energy_mj", "arithmetic_intensity",
                      "pareto"], rows), args.out)
@@ -337,8 +325,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="cost report for a graph file")
     p.add_argument("model")
-    p.add_argument("--format", choices=("json", "csv", "table"),
-                   default="table")
+    p.add_argument("--format", choices=_FORMATS, default="table")
     p.add_argument("--out", "-o")
     p.add_argument("--stamp", action="store_true",
                    help="prefix output with a tool-version comment")
@@ -364,8 +351,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("zoo", help="built-in model graphs")
     zoo_sub = p.add_subparsers(dest="zoo_command", required=True)
     pe = zoo_sub.add_parser("emit", help="write a model graph as JSON")
-    pe.add_argument("model", choices=("pikelpn", "mobilenet_v1",
-                                      "mobilenet_v2", "resnet50"))
+    pe.add_argument("model", choices=_ZOO_MODELS)
     pe.add_argument("--scale", type=_pike_scale, default="1x",
                     help="pikelpn cost scale (default 1x)")
     pe.add_argument("--weight-bits", type=_bit_width, default=8)

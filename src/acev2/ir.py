@@ -272,11 +272,11 @@ def _spatial(extent: int, kernel: int, stride: int, padding: str,
              node_id: str) -> int:
     if padding == "same":
         return -(-extent // stride)  # ceil division
-    if padding == "valid":
-        if extent < kernel:
-            raise ShapeMismatchError(node_id, "kernel larger than input")
-        return (extent - kernel) // stride + 1
-    raise ShapeMismatchError(node_id, f"unknown padding {padding!r}")
+    # "valid": the node rules, which run before any shape rule, admit no
+    # other padding
+    if extent < kernel:
+        raise ShapeMismatchError(node_id, "kernel larger than input")
+    return (extent - kernel) // stride + 1
 
 
 def _window(node: LayerNode, src: TensorShape, channels: int,

@@ -14,6 +14,7 @@ import pytest
 import acev2
 from acev2 import analysis, census, cli, ir, zoo
 from acev2.cli import build_parser, fraction_decimal, main
+from acev2.formats import NumericFormat
 from acev2.ir import parse_graph, serialize_graph
 from fractions import Fraction
 
@@ -44,6 +45,13 @@ class TestFractionDecimal:
         (Fraction(992), "992"),
         (Fraction(-3, 4), "-0.75"),
         (Fraction(1, 8), "0.125"),
+        # the fewest digits: the least power of ten the denominator divides
+        (Fraction(1, 10), "0.1"),
+        (Fraction(3, 10), "0.3"),
+        (Fraction(1, 20), "0.05"),
+        (Fraction(-7, 40), "-0.175"),
+        (Fraction(1, 320), "0.003125"),  # the multiply and add anchors
+        (Fraction(1, 1000), "0.001"),  # the shift anchor
     ])
     def test_exact_rendering(self, frac, text):
         assert fraction_decimal(frac) == text
@@ -317,6 +325,34 @@ class TestZooEmit:
                      "-o", str(path)]) == 0
         g = parse_graph(path.read_text())
         assert g.name.startswith("resnet50_3b")
+
+    @pytest.mark.parametrize("model", list(cli._ZOO_MODELS))
+    def test_each_model_writes_its_builder_graph(self, model, tmp_path):
+        fixed, binary = NumericFormat.fixed, NumericFormat.binary()
+        cases = {  # model -> [(arguments, the zoo call they must build)]
+            "pikelpn": [(["--scale", "3x"], lambda: zoo.build_pikelpn("3x"))],
+            "mobilenet_v1": [
+                ([], lambda: zoo.build_mobilenet_v1()),
+                (["--weight-bits", "1", "--act-bits", "4"],
+                 lambda: zoo.build_mobilenet_v1(weight_fmt=fixed(1),
+                                                act_fmt=fixed(4)))],
+            "mobilenet_v2": [
+                ([], lambda: zoo.build_mobilenet_v2(8, 8)),
+                (["--weight-bits", "2", "--act-bits", "4", "--activation",
+                  "dprelu", "--granularity", "subchannelwise"],
+                 lambda: zoo.build_mobilenet_v2(2, 4, "dprelu",
+                                                "subchannelwise"))],
+            "resnet50": [
+                ([], lambda: zoo.build_resnet50_branches(2, fixed(8),
+                                                         fixed(8))),
+                (["--branches", "4", "--weight-bits", "1", "--act-bits",
+                  "4"],
+                 lambda: zoo.build_resnet50_branches(4, binary, fixed(4)))],
+        }
+        for argv, build in cases[model]:
+            out = tmp_path / "model.json"
+            assert main(["zoo", "emit", model, *argv, "-o", str(out)]) == 0
+            assert out.read_text() == serialize_graph(build()), argv
 
     def test_golden_fixtures_are_current(self):
         builders = {
@@ -731,6 +767,68 @@ class TestBadDocuments:
         assert f"error: {bad}: {json_path}: " in captured.err
 
 
+def shape_doc(*nodes, **input_dims):
+    """A document over a 2x2x3 input: Input, ``nodes``, then an Output of
+    the last node."""
+    last = nodes[-1]["id"] if nodes else "in"
+    return {"ir_version": 1, "name": "shapes",
+            "input": {"n": 1, "h": 2, "w": 2, "c": 3, **input_dims},
+            "nodes": [{"id": "in", "kind": "Input", "params": {},
+                       "inputs": []}, *nodes,
+                      {"id": "out", "kind": "Output", "params": {},
+                       "inputs": [last]}]}
+
+
+ERROR_LINES = {  # case -> (document, its whole stderr)
+    "input_extra_key": (shape_doc(d=4),
+                        "error: $.input.d: unknown key 'd'\n"),
+    # README's example of a shape mismatch
+    "valid_kernel_over_input": (shape_doc(
+        {"id": "c", "kind": "Conv2D", "inputs": ["in"],
+         "params": {"kernel": [3, 3], "out_channels": 4,
+                    "padding": "valid"}}),
+        "error: $.nodes[1]: c: kernel larger than input\n"),
+    "concat_2x2_and_1x1": (shape_doc(
+        {"id": "p", "kind": "Pool", "params": {"pool": "global_avg"},
+         "inputs": ["in"]},
+        {"id": "cat", "kind": "Concat", "params": {}, "inputs": ["in", "p"]}),
+        "error: $.nodes[2]: cat: concat spatial dims differ\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_LINES))
+@pytest.mark.parametrize("sub", ["analyze", "census"])
+def test_a_malformed_input_or_shape_exits_one_with_its_line(case, sub,
+                                                            tmp_path, capsys):
+    doc, err = ERROR_LINES[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    assert main([sub, str(path)]) == 1
+    assert capsys.readouterr().err == err
+
+
+def test_a_zero_cost_report_shows_no_shares(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(shape_doc()))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["total_ace"], payload["mac_share"],
+            payload["elementwise_share"]) == ("0", None, None)
+    assert main(["analyze", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "section,key,value\n"
+        "totals,total_ace,0\n"
+        "totals,energy_mj,0\n"
+        "totals,arithmetic_intensity,0\n"
+        "footprint,weight_elems,0\n"
+        "footprint,activation_elems,12\n"
+        "footprint,concurrent_branch_factor,1\n")
+    assert main(["analyze", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[4] == "| MAC share                       | - |"
+    assert rows[5] == "| Elementwise share               | - |"
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv,message", [
         (["oracle", "--shifter", "0", "4"], "need at least one data bit"),
@@ -789,6 +887,16 @@ class TestUsageErrors:
             main(["zoo", "emit", "resnet50", flag, bits, "-o", str(out)])
         assert err.value.code == 64
         assert (f"argument {flag}: bit width must be in [1, 64], got {bits}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_zoo_emit_bit_width_not_an_integer(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as err:
+            main(["zoo", "emit", "pikelpn", "--weight-bits", "x",
+                  "-o", str(out)])
+        assert err.value.code == 64
+        assert ("argument --weight-bits: invalid int value: 'x'"
                 in capsys.readouterr().err)
         assert not out.exists()
 

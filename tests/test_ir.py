@@ -60,6 +60,14 @@ def test_roundtrip_is_identity():
     assert [n.id for n in again.nodes] == [n.id for n in g.nodes]
 
 
+@pytest.mark.parametrize("text", ["[]", "3", '"doc"', "null"])
+def test_a_document_that_is_not_an_object_is_a_parse_error(text):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert (str(err.value), err.value.path) == (
+        "document root must be an object", "")
+
+
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ParseError):
         parse_graph(MINIMAL.replace('"name": "trivial",',

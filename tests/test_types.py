@@ -1,12 +1,14 @@
-"""The value types: named tuples that keep every field they are given,
-and the mutable graph classes, which compare and print by their fields."""
+"""The value types: named tuples that keep every field they are given and
+reject what their checks rule out, and the mutable graph classes, which
+compare and print by their fields."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from acev2 import analysis, census, cost, formats, ir, oracle, quantizers, zoo
+from acev2 import (analysis, census, cost, errors, formats, ir, oracle,
+                   quantizers, zoo)
 
 INT8 = formats.NumericFormat.fixed(8)
 FP16 = formats.NumericFormat.flt(5, 10)
@@ -113,3 +115,39 @@ def test_graph_classes_compare_and_print_by_their_fields():
     assert changed != nodes[1]
     assert ir.Graph("g", g.input_shape, [nodes[0], changed]) != g
     assert nodes[0] != ("in", "Input", {}, [], None, None, None)
+
+
+def test_a_diagnostic_prints_its_node_rule_and_message():
+    assert str(ir.Diagnostic("x", "shape", "differ")) == "x: [shape] differ"
+
+
+# Each checked tuple type with arguments it rejects, and the error it raises.
+REJECTED = {
+    "format_kind_decimal": (formats.NumericFormat, ("decimal", 8),
+                            errors.OutOfRangeError),
+    "binary_two_bits": (formats.NumericFormat, ("binary", 2),
+                        errors.OutOfRangeError),
+    "float_split_off_by_one": (formats.NumericFormat, ("float", 16, 5, 9),
+                               errors.OutOfRangeError),
+    "pot_one_bit": (quantizers.PoTQuantizer, (1, 0),
+                    errors.NonPositiveScaleError),
+    "batchnorm_negative_sigma": (
+        quantizers.BatchNormParams,
+        (np.zeros(2), np.ones(2), np.array([1.0, -1.0]), np.zeros(2)),
+        errors.NonPositiveScaleError),
+    "batchnorm_zero_epsilon": (
+        quantizers.BatchNormParams,
+        (np.zeros(2), np.ones(2), np.ones(2), np.zeros(2), 0.0),
+        errors.NonPositiveScaleError),
+    "ace_negative": (cost.AceCost, (Fraction(-1),),
+                     errors.UnsupportedOperandError),
+    "energy_negative": (cost.EnergyCost, (-1.0,),
+                        errors.UnsupportedOperandError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_a_checked_tuple_type_rejects_an_out_of_range_value(case):
+    cls, args, error = REJECTED[case]
+    with pytest.raises(error):
+        cls(*args)

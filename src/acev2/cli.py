@@ -259,24 +259,44 @@ def _fixed_or_binary(bits: int) -> NumericFormat:
     return NumericFormat.binary() if bits == 1 else NumericFormat.fixed(bits)
 
 
-# zoo emit's models, in usage order: (zoo module, arguments) -> graph
+# zoo emit's model flags: flag -> add_argument keywords
+_ZOO_FLAGS = {
+    "--scale": dict(type=_pike_scale, default="1x",
+                    help="cost scale (default 1x)"),
+    "--weight-bits": dict(type=_bit_width, default=8),
+    "--act-bits": dict(type=_bit_width, default=8),
+    "--activation": dict(choices=ACTIVATION_KINDS, default="relu"),
+    "--granularity": dict(choices=GRANULARITIES, default="channelwise"),
+    "--branches": dict(type=int, choices=(2, 3, 4), default=2),
+}
+
+# zoo emit's models, in usage order: (the flags the model reads,
+# (zoo module, arguments) -> graph). A flag it does not read is a usage
+# error.
 _ZOO_MODELS = {
-    "pikelpn": lambda zoo, args: zoo.build_pikelpn(args.scale),
-    "mobilenet_v1": lambda zoo, args: zoo.build_mobilenet_v1(
-        weight_fmt=NumericFormat.fixed(args.weight_bits),
-        act_fmt=NumericFormat.fixed(args.act_bits)),
-    "mobilenet_v2": lambda zoo, args: zoo.build_mobilenet_v2(
-        args.weight_bits, args.act_bits, args.activation, args.granularity),
-    "resnet50": lambda zoo, args: zoo.build_resnet50_branches(
-        args.branches, _fixed_or_binary(args.weight_bits),
-        _fixed_or_binary(args.act_bits)),
+    "pikelpn": (("--scale",),
+                lambda zoo, args: zoo.build_pikelpn(args.scale)),
+    "mobilenet_v1": (("--weight-bits", "--act-bits"),
+                     lambda zoo, args: zoo.build_mobilenet_v1(
+                         weight_fmt=NumericFormat.fixed(args.weight_bits),
+                         act_fmt=NumericFormat.fixed(args.act_bits))),
+    "mobilenet_v2": (("--weight-bits", "--act-bits", "--activation",
+                      "--granularity"),
+                     lambda zoo, args: zoo.build_mobilenet_v2(
+                         args.weight_bits, args.act_bits, args.activation,
+                         args.granularity)),
+    "resnet50": (("--branches", "--weight-bits", "--act-bits"),
+                 lambda zoo, args: zoo.build_resnet50_branches(
+                     args.branches, _fixed_or_binary(args.weight_bits),
+                     _fixed_or_binary(args.act_bits))),
 }
 
 
 def cmd_zoo_emit(args) -> int:
     from . import zoo
 
-    _write_out(serialize_graph(_ZOO_MODELS[args.model](zoo, args)), args.out)
+    _, build = _ZOO_MODELS[args.model]
+    _write_out(serialize_graph(build(zoo, args)), args.out)
     return EXIT_OK
 
 
@@ -351,16 +371,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("zoo", help="built-in model graphs")
     zoo_sub = p.add_subparsers(dest="zoo_command", required=True)
     pe = zoo_sub.add_parser("emit", help="write a model graph as JSON")
-    pe.add_argument("model", choices=_ZOO_MODELS)
-    pe.add_argument("--scale", type=_pike_scale, default="1x",
-                    help="pikelpn cost scale (default 1x)")
-    pe.add_argument("--weight-bits", type=_bit_width, default=8)
-    pe.add_argument("--act-bits", type=_bit_width, default=8)
-    pe.add_argument("--activation", choices=ACTIVATION_KINDS, default="relu")
-    pe.add_argument("--granularity", choices=GRANULARITIES,
-                    default="channelwise")
-    pe.add_argument("--branches", type=int, choices=(2, 3, 4), default=2)
-    pe.add_argument("--out", "-o")
+    models = pe.add_subparsers(dest="model", required=True)
+    for model, (flags, _) in _ZOO_MODELS.items():
+        pm = models.add_parser(model)
+        for flag in flags:
+            pm.add_argument(flag, **_ZOO_FLAGS[flag])
+        pm.add_argument("--out", "-o")
     pe.set_defaults(func=cmd_zoo_emit)
 
     p = sub.add_parser("compare", help="multi-model cost table")

@@ -49,7 +49,7 @@ import json
 import marshal
 from collections import namedtuple
 from math import prod
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
                     Tuple, Union)
 
@@ -703,6 +703,7 @@ def json_value(value, indent: str = "") -> str:
 
 
 _KEY = ",\n      "  # ends a node's key: the next one sits at depth 3
+_to_json = methodcaller("to_json")
 
 
 def serialize_graph(g: Graph) -> str:
@@ -713,18 +714,36 @@ def serialize_graph(g: Graph) -> str:
     holds the root keys and each node's id, kind, a dict of its params, a
     list of its inputs and the formats and quant it carries. They are
     written without json's pure-Python indenting encoder: the fixed keys
-    directly, each format or quant object rendered once per call (a
-    parse shares one object per distinct block), and strings through the
-    C escaper json.dumps uses."""
-    # id of a format or quant annotation -> its text in a node. A parse
-    # shares one object per distinct block, so the id finds it without
-    # hashing; the graph keeps each object, so its id stays valid.
+    directly, strings through the C escaper json.dumps uses, and each
+    distinct params, format or quant block once per call, whether a
+    parse shares one object per block or a builder makes one per node."""
+    # A block's text, found first by the id of its params dict, format or
+    # quant annotation (a parse shares one object per distinct block; the
+    # graph keeps each object, so its id stays valid), then by its
+    # document's marshal encoding. As in _parse_node that key is
+    # type-exact: 8, 8.0 and true differ, so do a list and a tuple, and
+    # key order counts. But marshal writes any buffer, a numpy float
+    # among them, as bytes, so a text is stored only under a key that
+    # decodes to its document: equal stored keys then render alike. A
+    # document marshal cannot encode is rendered uncached, and json_value
+    # raises for it what json.dumps would.
     blocks: Dict[int, str] = {}
+    texts: Dict[bytes, str] = {}
 
-    def block(value) -> str:
+    def block(value, to_doc) -> str:
         text = blocks.get(id(value))
         if text is None:
-            text = blocks[id(value)] = json_value(value.to_json(), "      ")
+            doc = to_doc(value)
+            try:
+                key = marshal.dumps(doc, 2)
+            except ValueError:  # not marshal's types, or nested too deeply
+                key = None
+            text = texts.get(key)
+            if text is None:
+                text = json_value(doc, "      ")
+                if key is not None and marshal.loads(key) == doc:
+                    texts[key] = text
+            blocks[id(value)] = text
         return text
 
     nodes = []
@@ -738,16 +757,16 @@ def serialize_graph(g: Graph) -> str:
                                        for ref in node.inputs)
             text = ('    {\n      "id": ' + json_value(node.id, "      ")
                     + _KEY + '"kind": ' + json_value(node.kind, "      "))
-        text += (_KEY + '"params": '
-                 + json_value(dict(node.params), "      ")
+        text += (_KEY + '"params": ' + block(node.params, dict)
                  + _KEY + '"inputs": '
                  + ("[\n        " + refs + "\n      ]" if refs else "[]"))
         if node.weight_format is not None:
-            text += _KEY + '"weight_format": ' + block(node.weight_format)
+            text += (_KEY + '"weight_format": '
+                     + block(node.weight_format, _to_json))
         if node.act_format is not None:
-            text += _KEY + '"act_format": ' + block(node.act_format)
+            text += _KEY + '"act_format": ' + block(node.act_format, _to_json)
         if node.quant is not None:
-            text += _KEY + '"quant": ' + block(node.quant)
+            text += _KEY + '"quant": ' + block(node.quant, _to_json)
         nodes.append(text + "\n    }")
     body = "[\n" + ",\n".join(nodes) + "\n  ]" if nodes else "[]"
     return (f'{{\n  "ir_version": {IR_VERSION},\n  "name": '

@@ -15,6 +15,10 @@ definitions (the residual network uses the variant that strides the
 first 1x1 convolution of each downsampling block). Any format choice
 made to match a published operating point is a keyword default or is
 named in its builder's docstring, never a hidden constant.
+
+A builder makes each distinct quantization annotation once and shares
+it across its nodes: an annotation is an immutable named tuple. Params
+dicts stay one per node, because they are mutable.
 """
 
 from __future__ import annotations
@@ -106,8 +110,7 @@ def build_mobilenet_v1(
     if width <= 0:
         raise ValueError("width multiplier must be positive")
 
-    def quant_for(fmt: NumericFormat) -> Optional[QuantizationAnnotation]:
-        return _linear_quant(FP32) if fmt.is_fixed else None
+    quant = _linear_quant(FP32) if weight_fmt.is_fixed else None
 
     b = _Builder(f"mobilenet_v1_{width:g}w")
     stem = _scaled(32, width)
@@ -122,14 +125,14 @@ def build_mobilenet_v1(
         dw = b.add(f"b{i}_dw", KIND_DWCONV, [prev],
                    {"kernel": [3, 3], "stride": stride, "padding": "same"},
                    weight_format=weight_fmt, act_format=act_fmt,
-                   quant=quant_for(weight_fmt))
+                   quant=quant)
         dw_bn = b.add(f"b{i}_dw_bn", KIND_BATCHNORM, [dw])
         dw_relu = b.add(f"b{i}_dw_relu", KIND_ACTIVATION, [dw_bn],
                         {"activation": "relu"})
         pw = b.add(f"b{i}_pw", KIND_PWCONV, [dw_relu],
                    {"out_channels": _scaled(out_c, width)},
                    weight_format=weight_fmt, act_format=act_fmt,
-                   quant=quant_for(weight_fmt))
+                   quant=quant)
         pw_bn = b.add(f"b{i}_pw_bn", KIND_BATCHNORM, [pw])
         prev = b.add(f"b{i}_pw_relu", KIND_ACTIVATION, [pw_bn],
                      {"activation": "relu"})
@@ -197,8 +200,8 @@ def build_pikelpn(
                            weight_format=norm_fmt)
 
     pw_weight = INT4
-    pw_quant = (_pot_weight_quant() if pointwise_pot
-                else _linear_quant(scale_fmt))
+    linear_quant = _linear_quant(scale_fmt)
+    pw_quant = _pot_weight_quant() if pointwise_pot else linear_quant
 
     b = _Builder(f"pikelpn_{scale}")
     stem = _scaled(32, mult)
@@ -206,7 +209,7 @@ def build_pikelpn(
                  {"kernel": [3, 3], "stride": 2, "out_channels": stem,
                   "padding": "same"},
                  weight_format=INT8, act_format=head_act,
-                 quant=_linear_quant(scale_fmt))
+                 quant=linear_quant)
     prev = norm("conv1_norm", prev, b)
     prev = b.add("conv1_relu", KIND_ACTIVATION, [prev], {"activation": "relu"})
 
@@ -214,7 +217,7 @@ def build_pikelpn(
         dw = b.add(f"b{i}_dw", KIND_DWCONV, [prev],
                    {"kernel": [3, 3], "stride": stride, "padding": "same"},
                    weight_format=INT8, act_format=dw_act,
-                   quant=_linear_quant(scale_fmt))
+                   quant=linear_quant)
         cursor = dw
         if include_mid_norm:
             cursor = norm(f"b{i}_dw_norm", cursor, b)
@@ -229,7 +232,7 @@ def build_pikelpn(
     pool = b.add("pool", KIND_POOL, [prev], {"pool": "global_avg"})
     fc = b.add("fc", KIND_DENSE, [pool], {"units": NUM_CLASSES},
                weight_format=INT8, act_format=head_act,
-               quant=_linear_quant(scale_fmt))
+               quant=linear_quant)
     return b.finish(fc)
 
 
@@ -262,15 +265,14 @@ def build_mobilenet_v2(
     af = NumericFormat.fixed(act_bits)
     vectors = 2 if granularity == GRANULARITY_SUBCHANNELWISE else None
 
-    def quant() -> QuantizationAnnotation:
-        return _linear_quant(FP32, granularity=granularity, vectors=vectors)
+    quant = _linear_quant(FP32, granularity=granularity, vectors=vectors)
 
     b = _Builder(f"mobilenet_v2_{weight_bits}w{act_bits}a_{activation_kind}")
 
     def conv_bn(node_id: str, kind: str, src: str, params: dict,
                 activated: bool) -> str:
         conv = b.add(node_id, kind, [src], params,
-                     weight_format=wf, act_format=af, quant=quant())
+                     weight_format=wf, act_format=af, quant=quant)
         bn = b.add(f"{node_id}_bn", KIND_BATCHNORM, [conv])
         if not activated:
             return bn
@@ -308,7 +310,7 @@ def build_mobilenet_v2(
                    {"out_channels": 1280}, activated=True)
     pool = b.add("pool", KIND_POOL, [prev], {"pool": "global_avg"})
     fc = b.add("fc", KIND_DENSE, [pool], {"units": NUM_CLASSES},
-               weight_format=wf, act_format=af, quant=quant())
+               weight_format=wf, act_format=af, quant=quant)
     return b.finish(fc)
 
 
@@ -338,6 +340,7 @@ def build_resnet50_branches(
     if branch_count not in (2, 3, 4):
         raise ValueError("branch_count must be 2, 3, or 4")
     extra_skips = branch_count - 2
+    quant = _linear_quant(FP32, granularity="layerwise")
 
     b = _Builder(f"resnet50_{branch_count}b_"
                  f"{weight_fmt.total_bits}w{act_fmt.total_bits}a")
@@ -347,7 +350,7 @@ def build_resnet50_branches(
         node = b.add(node_id, kind, [src], params,
                      weight_format=weight_fmt,
                      act_format=INT8 if head else act_fmt,
-                     quant=_linear_quant(FP32, granularity="layerwise"))
+                     quant=quant)
         return b.add(f"{node_id}_bn", KIND_BATCHNORM, [node])
 
     prev = conv("conv1", KIND_CONV, "in",
@@ -392,5 +395,5 @@ def build_resnet50_branches(
     pool = b.add("pool", KIND_POOL, [prev], {"pool": "global_avg"})
     fc = b.add("fc", KIND_DENSE, [pool], {"units": NUM_CLASSES},
                weight_format=weight_fmt, act_format=INT8,
-               quant=_linear_quant(FP32, granularity="layerwise"))
+               quant=quant)
     return b.finish(fc)

@@ -312,6 +312,19 @@ class TestOracle:
         assert err.value.code == 64
 
 
+# zoo emit: the flags each model's builder reads, and a valid value of each
+ZOO_FLAGS_READ = {
+    "pikelpn": {"--scale"},
+    "mobilenet_v1": {"--weight-bits", "--act-bits"},
+    "mobilenet_v2": {"--weight-bits", "--act-bits", "--activation",
+                     "--granularity"},
+    "resnet50": {"--branches", "--weight-bits", "--act-bits"},
+}
+ZOO_FLAG_VALUES = {"--scale": "2x", "--weight-bits": "4", "--act-bits": "4",
+                   "--activation": "prelu", "--granularity": "layerwise",
+                   "--branches": "3"}
+
+
 class TestZooEmit:
     def test_emitted_file_parses_and_matches_builder(self, pike_file):
         text = pike_file.read_text()
@@ -893,12 +906,36 @@ class TestUsageErrors:
     def test_zoo_emit_bit_width_not_an_integer(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         with pytest.raises(SystemExit) as err:
-            main(["zoo", "emit", "pikelpn", "--weight-bits", "x",
+            main(["zoo", "emit", "resnet50", "--weight-bits", "x",
                   "-o", str(out)])
         assert err.value.code == 64
         assert ("argument --weight-bits: invalid int value: 'x'"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("model,flag", [
+        (model, flag) for model, reads in ZOO_FLAGS_READ.items()
+        for flag in ZOO_FLAG_VALUES if flag not in reads])
+    def test_zoo_emit_rejects_a_flag_its_model_does_not_read(
+            self, model, flag, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as err:
+            main(["zoo", "emit", model, flag, ZOO_FLAG_VALUES[flag],
+                  "-o", str(out)])
+        assert err.value.code == 64
+        assert (f"unrecognized arguments: {flag} {ZOO_FLAG_VALUES[flag]}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_zoo_emit_models_keep_their_flags_and_order(self, capsys):
+        assert {model: set(flags) for model, (flags, _)
+                in cli._ZOO_MODELS.items()} == ZOO_FLAGS_READ
+        with pytest.raises(SystemExit) as err:
+            main(["zoo", "emit", "bogus"])
+        assert err.value.code == 64
+        assert ("invalid choice: 'bogus' (choose from 'pikelpn', "
+                "'mobilenet_v1', 'mobilenet_v2', 'resnet50')"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("bits", ["1", "64"])
     def test_zoo_emit_bit_width_bounds_are_accepted(self, bits, tmp_path):

@@ -4,12 +4,13 @@ is the dict builder that serialize_graph rendered through json.dumps."""
 
 import itertools
 import json
+import marshal
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acev2 import zoo
+from acev2 import ir, zoo
 from acev2.errors import OutOfRangeError
 from acev2.formats import NumericFormat
 from acev2.ir import (
@@ -119,6 +120,72 @@ def test_bytes_equal_json_dumps_of_the_reference_document(g):
     assert serialize_graph(g) == reference(g)
 
 
+# Values equal under == that json.dumps writes apart, in groups. The
+# serializer renders each distinct block once, so it must never take one
+# twin's text for another's.
+TWINS = (
+    (1, 1.0, True),
+    (0, -0.0, 0.0, False),
+    ([1], (1,), [1.0], [True]),
+    ({"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1.0, "b": 2}),
+    ({1: "x"}, {1.0: "x"}, {True: "x"}),
+)
+
+
+def copied(block):
+    """An equal format or quant annotation that is another object."""
+    if isinstance(block, QuantizationAnnotation):
+        return QuantizationAnnotation(
+            block.granularity, copied(block.scale_format),
+            block.weight_quantizer, block.vectors_per_channel)
+    return block if block in (None, "pot") else NumericFormat(*block)
+
+
+@st.composite
+def twin_graphs(draw):
+    """A random valid graph whose params are drawn from few shapes with
+    each value a member of a group of twins, in either key order, and
+    whose formats and quants are the node's own or equal copies."""
+    g = draw(graphs())
+    shapes = draw(st.lists(st.lists(st.integers(0, len(TWINS) - 1),
+                                    max_size=3), min_size=1, max_size=3))
+    nodes = []
+    for node in g.nodes:
+        shape = draw(st.sampled_from(shapes))
+        params = {f"p{j}": draw(st.sampled_from(TWINS[i]))
+                  for j, i in enumerate(shape)}
+        if draw(st.booleans()):
+            params = dict(reversed(params.items()))
+        if draw(st.booleans()):  # the params themselves are a twin
+            params = dict(draw(st.sampled_from(TWINS[3] + TWINS[4])))
+        blocks = node.weight_format, node.act_format, node.quant
+        if draw(st.booleans()):
+            blocks = map(copied, blocks)
+        nodes.append(LayerNode(node.id, node.kind, params, node.inputs,
+                               *blocks))
+    return Graph(g.name, g.input_shape, nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_graphs())
+def test_twins_render_apart(g):
+    assert serialize_graph(g) == reference(g)
+
+
+def test_a_buffer_with_a_rendered_floats_bits_still_raises():
+    """marshal writes a numpy float and a numpy int of the same eight
+    bytes alike; json.dumps writes the one and rejects the other."""
+    np = pytest.importorskip("numpy")
+    g = Graph("t", TensorShape(1, 1, 1, 1), [
+        LayerNode("a", "Input", {"x": np.float64(1.0)}),
+        LayerNode("b", "Input", {"x": np.int64(4607182418800017408)})])
+    message = "Object of type int64 is not JSON serializable"
+    with pytest.raises(TypeError, match=message):
+        reference(g)
+    with pytest.raises(TypeError, match=message):
+        serialize_graph(g)
+
+
 @settings(max_examples=150, deadline=None)
 @given(JSON)
 def test_json_value_equals_json_dumps_with_an_indent(value):
@@ -156,6 +223,31 @@ ZOO_BUILDS = zoo_builds()
 def test_zoo_bytes_equal_json_dumps(key):
     g = ZOO_BUILDS[key]()
     assert serialize_graph(g) == reference(g)
+
+
+@pytest.mark.parametrize("key", sorted(ZOO_BUILDS))
+def test_each_distinct_block_renders_once(key, monkeypatch):
+    """A built graph makes a params dict per node, yet each distinct
+    params, format or quant document is rendered once, and the builder
+    makes one quant annotation per distinct value."""
+    g = ZOO_BUILDS[key]()
+    quants = [node.quant for node in g.nodes if node.quant is not None]
+    assert len({id(q) for q in quants}) == len(set(quants))
+    docs = [dict(node.params) for node in g.nodes]
+    docs += [block.to_json() for node in g.nodes
+             for block in (node.weight_format, node.act_format, node.quant)
+             if block is not None]
+    rendered = []
+
+    def counted(value, indent="", _render=json_value):
+        if indent == "      ":  # a node's value: depth 3
+            rendered.append(value)
+        return _render(value, indent)
+
+    monkeypatch.setattr(ir, "json_value", counted)
+    assert serialize_graph(g) == reference(g)
+    assert len(rendered) == len({marshal.dumps(doc, 2) for doc in docs})
+    assert len(rendered) < len(g.nodes)
 
 
 def node_with_params(params):

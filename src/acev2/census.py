@@ -185,13 +185,13 @@ def layer_walk(g: Graph) -> List[Tuple[LayerNode, Layer]]:
     computed once per distinct layer. The walk sorts ``g`` before it
     computes anything, so a cycle is the first error it raises. A node's
     key is its kind, the identities of its params, formats and ``quant``
-    (a parse shares them between nodes of one body, and the graph keeps
-    them alive) and its input shapes. The node rules read all of that but
-    the shapes, and the arity in their place, so each distinct body and
-    arity is held to them once, as a parse holds a node (``check_node``),
-    before a layer's shape is inferred: the first faulty node in walk
-    order raises, whether a rule or its shape fails. A parsed graph has
-    passed every rule already."""
+    (a parse and the zoo builders share one object per distinct block,
+    and the graph keeps them alive) and its input shapes. The node rules
+    read all of that but the shapes, and the arity in their place, so
+    each distinct body and arity is held to them once, as a parse holds
+    a node (``check_node``), before a layer's shape is inferred: the
+    first faulty node in walk order raises, whether a rule or its shape
+    fails. A parsed graph has passed every rule already."""
     base = [g.input_shape]
     shapes: Dict[str, TensorShape] = {}
     memo: Dict[tuple, Layer] = {}

@@ -715,35 +715,16 @@ def serialize_graph(g: Graph) -> str:
     list of its inputs and the formats and quant it carries. They are
     written without json's pure-Python indenting encoder: the fixed keys
     directly, strings through the C escaper json.dumps uses, and each
-    distinct params, format or quant block once per call, whether a
-    parse shares one object per block or a builder makes one per node."""
-    # A block's text, found first by the id of its params dict, format or
-    # quant annotation (a parse shares one object per distinct block; the
-    # graph keeps each object, so its id stays valid), then by its
-    # document's marshal encoding. As in _parse_node that key is
-    # type-exact: 8, 8.0 and true differ, so do a list and a tuple, and
-    # key order counts. But marshal writes any buffer, a numpy float
-    # among them, as bytes, so a text is stored only under a key that
-    # decodes to its document: equal stored keys then render alike. A
-    # document marshal cannot encode is rendered uncached, and json_value
-    # raises for it what json.dumps would.
+    params, format or quant object once per call: a parse and the zoo
+    builders share one object per distinct block."""
+    # A block's text by the id of its params dict, format or quant
+    # annotation; the graph keeps each object, so its id stays valid.
     blocks: Dict[int, str] = {}
-    texts: Dict[bytes, str] = {}
 
     def block(value, to_doc) -> str:
         text = blocks.get(id(value))
         if text is None:
-            doc = to_doc(value)
-            try:
-                key = marshal.dumps(doc, 2)
-            except ValueError:  # not marshal's types, or nested too deeply
-                key = None
-            text = texts.get(key)
-            if text is None:
-                text = json_value(doc, "      ")
-                if key is not None and marshal.loads(key) == doc:
-                    texts[key] = text
-            blocks[id(value)] = text
+            text = blocks[id(value)] = json_value(to_doc(value), "      ")
         return text
 
     nodes = []

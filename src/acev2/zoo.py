@@ -16,14 +16,16 @@ first 1x1 convolution of each downsampling block). Any format choice
 made to match a published operating point is a keyword default or is
 named in its builder's docstring, never a hidden constant.
 
-A builder makes each distinct quantization annotation once and shares
-it across its nodes: an annotation is an immutable named tuple. Params
-dicts stay one per node, because they are mutable.
+A builder shares one object per distinct params dict, format and
+quantization annotation across its nodes, as a parse does, so a zoo
+graph's params are immutable by convention, like a parsed graph's: copy
+one before changing it. Two builds share no params dict.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+import marshal
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .formats import FP32, INT4, INT8, INT16, NumericFormat
 from .ir import (
@@ -54,6 +56,11 @@ class _Builder:
         self.name = name
         self.input_shape = input_shape
         self.nodes: List[LayerNode] = []
+        # The first object of each distinct block: a params dict keyed
+        # by its marshal encoding, type-exact as a parse's body key (8,
+        # 8.0 and true differ), a format or quant annotation, a checked
+        # named tuple, by itself.
+        self.blocks: Dict[object, object] = {}
         self.add("in", KIND_INPUT, [])
 
     def add(self, node_id: str, kind: str, inputs: List[str],
@@ -61,26 +68,17 @@ class _Builder:
             weight_format: Optional[NumericFormat] = None,
             act_format: Optional[NumericFormat] = None,
             quant: Optional[QuantizationAnnotation] = None) -> str:
+        share = self.blocks.setdefault
+        params = params or {}
         self.nodes.append(LayerNode(
-            id=node_id, kind=kind, params=params or {}, inputs=list(inputs),
-            weight_format=weight_format, act_format=act_format, quant=quant))
+            node_id, kind, share(marshal.dumps(params, 2), params),
+            list(inputs), share(weight_format, weight_format),
+            share(act_format, act_format), share(quant, quant)))
         return node_id
 
     def finish(self, last: str) -> Graph:
         self.add("out", KIND_OUTPUT, [last])
         return Graph(self.name, self.input_shape, self.nodes)
-
-
-def _linear_quant(scale_format, granularity="channelwise",
-                  vectors: Optional[int] = None) -> QuantizationAnnotation:
-    return QuantizationAnnotation(
-        granularity=granularity, scale_format=scale_format,
-        weight_quantizer="linear", vectors_per_channel=vectors)
-
-
-def _pot_weight_quant() -> QuantizationAnnotation:
-    return QuantizationAnnotation(scale_format=POT_SCALE,
-                                  weight_quantizer="pot")
 
 
 # Depthwise-separable backbone: (stride, pointwise out channels).
@@ -110,7 +108,8 @@ def build_mobilenet_v1(
     if width <= 0:
         raise ValueError("width multiplier must be positive")
 
-    quant = _linear_quant(FP32) if weight_fmt.is_fixed else None
+    quant = (QuantizationAnnotation(scale_format=FP32)
+             if weight_fmt.is_fixed else None)
 
     b = _Builder(f"mobilenet_v1_{width:g}w")
     stem = _scaled(32, width)
@@ -196,12 +195,14 @@ def build_pikelpn(
     norm_params = {"quantnorm": True} if quantnorm_bits else {}
 
     def norm(node_id: str, src: str, builder: _Builder) -> str:
-        return builder.add(node_id, KIND_BATCHNORM, [src], dict(norm_params),
+        return builder.add(node_id, KIND_BATCHNORM, [src], norm_params,
                            weight_format=norm_fmt)
 
     pw_weight = INT4
-    linear_quant = _linear_quant(scale_fmt)
-    pw_quant = _pot_weight_quant() if pointwise_pot else linear_quant
+    linear_quant = QuantizationAnnotation(scale_format=scale_fmt)
+    pw_quant = (QuantizationAnnotation(scale_format=POT_SCALE,
+                                       weight_quantizer="pot")
+                if pointwise_pot else linear_quant)
 
     b = _Builder(f"pikelpn_{scale}")
     stem = _scaled(32, mult)
@@ -265,7 +266,8 @@ def build_mobilenet_v2(
     af = NumericFormat.fixed(act_bits)
     vectors = 2 if granularity == GRANULARITY_SUBCHANNELWISE else None
 
-    quant = _linear_quant(FP32, granularity=granularity, vectors=vectors)
+    quant = QuantizationAnnotation(granularity, FP32,
+                                   vectors_per_channel=vectors)
 
     b = _Builder(f"mobilenet_v2_{weight_bits}w{act_bits}a_{activation_kind}")
 
@@ -340,7 +342,7 @@ def build_resnet50_branches(
     if branch_count not in (2, 3, 4):
         raise ValueError("branch_count must be 2, 3, or 4")
     extra_skips = branch_count - 2
-    quant = _linear_quant(FP32, granularity="layerwise")
+    quant = QuantizationAnnotation("layerwise", FP32)
 
     b = _Builder(f"resnet50_{branch_count}b_"
                  f"{weight_fmt.total_bits}w{act_fmt.total_bits}a")

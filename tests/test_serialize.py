@@ -10,7 +10,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acev2 import ir, zoo
+from acev2 import census, ir, zoo
+from acev2.analysis import analyze
 from acev2.errors import OutOfRangeError
 from acev2.formats import NumericFormat
 from acev2.ir import (
@@ -19,6 +20,7 @@ from acev2.ir import (
     QuantizationAnnotation,
     TensorShape,
     json_value,
+    parse_graph,
     serialize_graph,
 )
 
@@ -226,13 +228,54 @@ def test_zoo_bytes_equal_json_dumps(key):
 
 
 @pytest.mark.parametrize("key", sorted(ZOO_BUILDS))
+def test_a_build_shares_each_distinct_block(key):
+    """Within one build, params dicts of one marshal encoding (8, 8.0 and
+    true differ) are one object, and so are equal formats and equal quant
+    annotations, as in a parse; two builds share no params dict."""
+    g, again = ZOO_BUILDS[key](), ZOO_BUILDS[key]()
+    params = [node.params for node in g.nodes]
+    assert len({id(p) for p in params}) == len(
+        {marshal.dumps(p, 2) for p in params}) < len(g.nodes)
+    for fields in (("weight_format", "act_format"), ("quant",)):
+        blocks = [getattr(node, field) for node in g.nodes
+                  for field in fields if getattr(node, field) is not None]
+        assert len({id(b) for b in blocks}) == len(set(blocks))
+    assert not {id(p) for p in params} & {id(n.params) for n in again.nodes}
+
+
+@pytest.mark.parametrize("key", sorted(ZOO_BUILDS))
+def test_a_built_graph_analyzes_as_its_parse(key, monkeypatch):
+    """A build shares its blocks as its parse does, so ``analyze`` of the
+    two gives equal reports, ``energy_mj`` to the bit, from as many
+    distinct layers and as many node-rule checks."""
+    built = ZOO_BUILDS[key]()
+    calls = []
+    node_problem = ir._node_problem
+
+    def counted(node):
+        calls.append(node.id)
+        return node_problem(node)
+
+    monkeypatch.setattr(ir, "_node_problem", counted)
+    seen = []
+    for g in (built, parse_graph(serialize_graph(built))):
+        layers = {id(layer) for _, layer in census.layer_walk(g)}
+        calls.clear()
+        report = analyze(g)
+        seen.append((report, report.energy_mj.hex(), len(layers), len(calls)))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("key", sorted(ZOO_BUILDS))
 def test_each_distinct_block_renders_once(key, monkeypatch):
-    """A built graph makes a params dict per node, yet each distinct
-    params, format or quant document is rendered once, and the builder
-    makes one quant annotation per distinct value."""
+    """A build shares one params dict, format or quant annotation per
+    distinct block, so each distinct params, format or quant document is
+    rendered once, one render per distinct block object."""
     g = ZOO_BUILDS[key]()
-    quants = [node.quant for node in g.nodes if node.quant is not None]
-    assert len({id(q) for q in quants}) == len(set(quants))
+    objects = {id(block) for node in g.nodes
+               for block in (node.params, node.weight_format,
+                             node.act_format, node.quant)
+               if block is not None}
     docs = [dict(node.params) for node in g.nodes]
     docs += [block.to_json() for node in g.nodes
              for block in (node.weight_format, node.act_format, node.quant)
@@ -246,7 +289,8 @@ def test_each_distinct_block_renders_once(key, monkeypatch):
 
     monkeypatch.setattr(ir, "json_value", counted)
     assert serialize_graph(g) == reference(g)
-    assert len(rendered) == len({marshal.dumps(doc, 2) for doc in docs})
+    assert len(rendered) == len(objects) == len(
+        {marshal.dumps(doc, 2) for doc in docs})
     assert len(rendered) < len(g.nodes)
 
 

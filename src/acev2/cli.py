@@ -39,7 +39,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from . import __version__, analysis
+from . import __version__, analysis, cost
 from .census import census_graph
 from .errors import AceV2Error, OutOfRangeError, ParseError
 from .formats import MAX_BITS, NumericFormat
@@ -54,6 +54,14 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    """Each (sub)parser reports its usage errors, leftovers included."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -212,7 +220,7 @@ def cmd_census(args) -> int:
     tally = census_graph(_load_graph(args.model))
     rows = [[e.layer_id, e.category, e.op_class, e.count,
              e.format_a.total_bits,
-             e.shift_range if e.op_class == "shift" else (
+             e.shift_range if cost.op_row(e.op_class).ranged else (
                  e.format_b.total_bits if e.format_b else "")]
             for e in tally.entries]
     _write_out(_csv(["layer_id", "category", "op_class", "count", "bits_a",
@@ -228,10 +236,12 @@ def cmd_oracle(args) -> int:
         breakdown = oracle.fp_adder_breakdown(*args.fp_adder)
         for name, value in zip(oracle.FP_ADDER_STAGES, breakdown.components):
             print(f"{name:24s} {value:10.4f}")
-        bound = 6 * breakdown.total_bits
+        factor = cost.FLOAT_ADD_FACTOR
+        bound = factor * breakdown.total_bits
         print(f"{'total':24s} {breakdown.total:10.4f}  (bound {bound})")
         if breakdown.total > bound:
-            print("component sum exceeds the factor-6 bound", file=sys.stderr)
+            print(f"component sum exceeds the factor-{factor} bound",
+                  file=sys.stderr)
             status = EXIT_MISMATCH
     elif args.shifter:
         i, j = args.shifter

@@ -89,15 +89,19 @@ POT_SCALE = "pot"
 
 
 class TensorShape(namedtuple("TensorShape", ("n", "h", "w", "c"))):
-    """NHWC activation shape; weights are derived from layer params. It
-    prints as ``1x8x8x3``."""
+    """NHWC activation shape of positive int dims, as a parse takes them;
+    weights are derived from layer params. It prints as ``1x8x8x3``."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, h: int, w: int, c: int) -> "TensorShape":
         shape = tuple.__new__(cls, (n, h, w, c))
-        if min(shape) < 1:
-            raise ParseError(f"shape dims must be >= 1, got {shape!r}")
+        if not (type(n) is type(h) is type(w) is type(c) is int
+                and min(shape) > 0):
+            for key, value in zip(cls._fields, shape):
+                if not _positive_int(value):
+                    raise ParseError(
+                        f"{key} must be a positive integer, got {value!r}")
         return shape
 
     def __str__(self) -> str:
@@ -254,9 +258,6 @@ class Graph:
 
     def node(self, node_id: str) -> LayerNode:
         return self._index[node_id]
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._index
 
 
 class Diagnostic(NamedTuple):
@@ -650,19 +651,12 @@ def _json_float(x: float) -> str:
 
 
 def _json_key(key) -> str:
-    """A dict key as json.dumps coerces it to a string."""
+    """A dict key as json.dumps coerces it to a string: a number, bool or
+    None as its JSON value."""
     if isinstance(key, str):
         return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
+    if key is None or isinstance(key, (int, float)):
+        return json_value(key)
     raise TypeError("keys must be str, int, float, bool or None, "
                     f"not {key.__class__.__name__}")
 
@@ -804,8 +798,8 @@ def validate(g: Graph) -> List[Diagnostic]:
     all invariants hold. Each node is held to the rules ``parse_graph``
     raises for (``_node_problem``), and the graph gets the dangling-input
     and cycle checks. With none of those found, shapes are inferred in
-    topological order (``node_shape``): each node whose shape fails gets
-    a ``shape`` diagnostic, and a node with a failed input is skipped.
+    topological order by kind rule: each node whose shape fails gets a
+    ``shape`` diagnostic, and a node with a failed input is skipped.
     ``analyze`` raises only a built graph's first bad node; this collects
     every diagnostic. A parsed graph has passed every check but the cycle
     check and the shapes."""
@@ -831,8 +825,8 @@ def validate(g: Graph) -> List[Diagnostic]:
     for node in order:
         if all(ref in shapes for ref in node.inputs):
             try:
-                shapes[node.id] = node_shape(
-                    g, node, [shapes[ref] for ref in node.inputs]
+                shapes[node.id] = KIND_RULES[node.kind].shape(
+                    node, [shapes[ref] for ref in node.inputs]
                     or [g.input_shape])
             except ShapeMismatchError as exc:
                 diags.append(Diagnostic(node.id, "shape", exc.reason))

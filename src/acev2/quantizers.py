@@ -1,8 +1,12 @@
 """Numeric quantizers and the quantized layers built from them.
 
 Conventions, applied uniformly so every oracle is deterministic:
-rounding is half away from zero; power-of-two ties resolve toward the
-larger magnitude; the normalization epsilon defaults to 1e-3.
+linear rounding is half away from zero; the normalization epsilon
+defaults to 1e-3. Power-of-two rounding splits a magnitude into f * 2^e,
+f in [0.5, 1), and takes 2^e if f >= 3/4 for weights (``pot_quantize``,
+nearer in value) or f >= sqrt(1/2) for scales (``double_quantize_scale``,
+nearer in log2), else 2^(e-1). Ties go up, +/-inf weights saturate at
+the largest level, NaN weights stay NaN, and a scale must be finite.
 
 The normalization variants matter here. A floating-point batch norm is
 
@@ -40,6 +44,13 @@ DEFAULT_EPS = 1e-3
 _TRIAL_BLOCK = 16
 
 
+def _require_ints(**values) -> None:
+    """Each value must be exactly int, not an equal 8.0 or True."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+
+
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, halves going away from zero."""
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
@@ -60,8 +71,7 @@ class LinearQuantizer(namedtuple("LinearQuantizer", ("bits", "scale",
                 symmetric: bool = True) -> "LinearQuantizer":
         if scale <= 0:
             raise NonPositiveScaleError(f"scale must be > 0, got {scale}")
-        if type(bits) is not int:
-            raise OutOfRangeError(f"bits must be an integer, got {bits!r}")
+        _require_ints(bits=bits)
         if bits < 1:
             raise NonPositiveScaleError("need at least one bit")
         if symmetric:
@@ -113,58 +123,45 @@ class PoTQuantizer(namedtuple("PoTQuantizer", ("bits", "max_exponent"))):
     __slots__ = ()
 
     def __new__(cls, bits: int, max_exponent: int) -> "PoTQuantizer":
+        _require_ints(bits=bits, max_exponent=max_exponent)
         if bits < 2:
             raise NonPositiveScaleError("need at least two bits (sign + level)")
         return tuple.__new__(cls, (bits, max_exponent))
 
     @property
-    def exponents(self) -> range:
-        n_levels = 2 ** (self.bits - 1) - 1
-        return range(self.max_exponent, self.max_exponent - n_levels, -1)
-
-    @property
     def min_exponent(self) -> int:
-        return self.exponents[-1]
+        return self.max_exponent - 2 ** (self.bits - 1) + 2
 
     def levels(self) -> np.ndarray:
         """All representable values, ascending, zero included."""
-        mags = [2.0 ** k for k in self.exponents]
-        return np.array(sorted([-m for m in mags] + [0.0] + mags))
+        mags = np.ldexp(1.0, np.arange(self.min_exponent,
+                                       self.max_exponent + 1))
+        return np.concatenate([-mags[::-1], [0.0], mags])
 
 
 def pot_quantize(x: np.ndarray, q: PoTQuantizer) -> np.ndarray:
-    """Map each element to the nearest power-of-two level.
-
-    Ties go to the larger magnitude; anything below half the smallest
-    level flushes to zero.
-    """
+    """Round each element to the level nearest it in value, zero included."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
     mag = np.abs(x)
-    smallest = 2.0 ** q.min_exponent
-    live = mag >= smallest / 2
-    if np.any(live):
-        m = mag[live]
-        best = np.full(m.shape, smallest)
-        best_err = np.abs(m - smallest)
-        for k in q.exponents:
-            level = 2.0 ** k
-            err = np.abs(m - level)
-            # strict < keeps the earlier (larger) level on ties
-            better = err < best_err
-            best = np.where(better, level, best)
-            best_err = np.where(better, err, best_err)
-        out[live] = np.sign(x[live]) * best
-    return out
+    # clipped to the largest level first, so inf lands on it too
+    frac, exp = np.frexp(np.minimum(mag, 2.0 ** q.max_exponent))
+    exp = np.maximum(exp - (frac < 0.75), q.min_exponent)
+    return np.where(mag < 2.0 ** q.min_exponent / 2, 0.0,
+                    np.ldexp(np.sign(x), exp))
 
 
 def double_quantize_scale(scale: float) -> float:
     """Quantize a quantizer's own scale factor to the nearest power of
-    two (nearest in log2 space), so applying it becomes a pure shift."""
+    two in log2, so applying it becomes a pure shift. The float nearest
+    sqrt(1/2) lies above it, so comparing with it is exact."""
     if scale <= 0:
         raise NonPositiveScaleError(f"scale must be > 0, got {scale}")
-    k = round(math.log2(scale))
-    return 2.0 ** k
+    frac, exp = math.frexp(scale)
+    exp -= frac < math.sqrt(0.5)
+    if not math.isfinite(scale) or exp > 1023:
+        raise OutOfRangeError(
+            f"scale must be finite and below 2**1023.5, got {scale}")
+    return math.ldexp(1.0, exp)
 
 
 class BatchNormParams(namedtuple("BatchNormParams", ("mu", "gamma", "sigma",
@@ -309,10 +306,8 @@ def norm_quantization_study(
     quantizes each with its own scale, so every trial's MSEs are the
     ones it would get alone.
     """
-    for name, value in (("trials", trials), ("seed", seed), ("bits", bits),
-                        ("channels", channels), ("samples", samples)):
-        if type(value) is not int:
-            raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+    _require_ints(trials=trials, seed=seed, bits=bits, channels=channels,
+                  samples=samples)
     if trials < 0 or seed < 0:
         raise OutOfRangeError(
             f"trials and seed must be >= 0, got {trials} and {seed}")

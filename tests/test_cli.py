@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import acev2
-from acev2 import analysis, census, cli, ir, zoo
+from acev2 import analysis, census, cli, cost, ir, oracle, zoo
 from acev2.cli import build_parser, fraction_decimal, main
 from acev2.formats import NumericFormat
 from acev2.ir import parse_graph, serialize_graph
@@ -310,6 +310,46 @@ class TestOracle:
         with pytest.raises(SystemExit) as err:
             main(["oracle", "--bogus"])
         assert err.value.code == 64
+
+    # Each mode's mismatch branch, reached by patching the oracle to
+    # report one: exit 3 and the stderr line.
+    def test_fp_adder_over_its_bound_exits_3(self, monkeypatch, capsys):
+        over = oracle.FpAdderBreakdown(8, 23, *[100.0] * 9)
+        monkeypatch.setattr(oracle, "fp_adder_breakdown", lambda e, m: over)
+        assert main(["oracle", "--fp-adder", "8", "23"]) == 3
+        captured = capsys.readouterr()
+        assert "900.0000  (bound 192)" in captured.out
+        assert captured.err == "component sum exceeds the factor-6 bound\n"
+
+    def test_fp_adder_bound_is_the_cost_model_factor(self, monkeypatch,
+                                                     capsys):
+        monkeypatch.setattr(cost, "FLOAT_ADD_FACTOR", 4)
+        assert main(["oracle", "--fp-adder", "8", "23"]) == 3
+        captured = capsys.readouterr()
+        assert "(bound 128)" in captured.out
+        assert captured.err == "component sum exceeds the factor-4 bound\n"
+
+    def test_shifter_disagreeing_with_the_closed_form_exits_3(
+            self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "barrel_matches_closed_form",
+                            lambda i, j: False)
+        assert main(["oracle", "--shifter", "32", "32"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "160 muxes -> 32 bitadders\n"
+        assert captured.err == ("barrel construction disagrees with the "
+                                "closed form\n")
+
+    def test_sweep_mismatches_exit_3_listing_at_most_20(self, monkeypatch,
+                                                        capsys):
+        pairs = [(i, j, i * j, i * j - 1) for i in range(1, 6)
+                 for j in range(1, 6)]
+        monkeypatch.setattr(oracle, "verify_multiply_formula",
+                            lambda max_bits: pairs)
+        assert main(["oracle", "--max-bits", "5"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "25 mismatches / 25 pairs"
+        assert lines[1:] == [f"  {i}x{j}: built {b}, predicted {p}"
+                             for i, j, b, p in pairs[:20]]
 
 
 # zoo emit: the flags each model's builder reads, and a valid value of each
@@ -923,8 +963,10 @@ class TestUsageErrors:
             main(["zoo", "emit", model, flag, ZOO_FLAG_VALUES[flag],
                   "-o", str(out)])
         assert err.value.code == 64
-        assert (f"unrecognized arguments: {flag} {ZOO_FLAG_VALUES[flag]}"
-                in capsys.readouterr().err)
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"usage: acev2 zoo emit {model} ")
+        assert lines[-1] == (f"acev2 zoo emit {model}: error: unrecognized "
+                             f"arguments: {flag} {ZOO_FLAG_VALUES[flag]}")
         assert not out.exists()
 
     def test_zoo_emit_models_keep_their_flags_and_order(self, capsys):

@@ -278,6 +278,28 @@ class TestValidate:
             analyze(g)
         assert (err.value.node_id, err.value.path) == ("add", "$.nodes[2]")
 
+    def test_a_fan_out_of_failing_branches_validates_in_linear_time(
+            self, monkeypatch):
+        """Each failing shape is reported without looking the node up in
+        the node list, which compares it with every earlier node: no
+        ``LayerNode.__eq__`` call at all."""
+        k = 300
+        nodes = [LayerNode("in", "Input")]
+        nodes += [LayerNode(f"c{b}", "Conv2D", {"kernel": [9, 9],
+                                                 "out_channels": 4,
+                                                 "padding": "valid"},
+                            ["in"]) for b in range(k)]
+        nodes.append(LayerNode("out", "Output", {}, ["c0"]))
+        calls = []
+        eq = LayerNode.__eq__
+        monkeypatch.setattr(LayerNode, "__eq__",
+                            lambda a, b: calls.append(1) or eq(a, b))
+        diags = validate(chain(*nodes))
+        assert diags == [Diagnostic(f"c{b}", "shape",
+                                    "kernel larger than input")
+                         for b in range(k)]
+        assert calls == []
+
 
 FP16_DOC = {"kind": "float", "bits": 16, "exp": 5, "man": 10}
 

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,36 @@ from acev2.quantizers import (
 )
 
 RNG = np.random.default_rng(1234)
+
+
+def nearest_level(x: float, q: PoTQuantizer) -> float:
+    """The level of ``q`` nearest ``x`` in value, the larger magnitude on
+    a tie, by exact rational arithmetic over every level."""
+    mag = abs(Fraction(x))
+    levels = [Fraction(0)] + [Fraction(2) ** k for k in range(
+        q.min_exponent, q.max_exponent + 1)]
+    best = min(levels, key=lambda level: (abs(mag - level), -level))
+    return math.copysign(float(best), x) if best else 0.0
+
+
+def nearest_power_in_log2(scale: float) -> float:
+    """The power of two nearest ``scale`` in log2, the larger on a tie, by
+    exact rational arithmetic: of 2^(k-1) <= scale < 2^k, 2^k is nearer
+    when scale / 2^(k-1) >= 2^k / scale, that is scale^2 >= 2^(2k-1)."""
+    s = Fraction(scale)
+    k = s.numerator.bit_length() - s.denominator.bit_length()
+    while Fraction(2) ** k <= s:
+        k += 1
+    while Fraction(2) ** (k - 1) > s:
+        k -= 1
+    return 2.0 ** (k if s * s >= Fraction(2) ** (2 * k - 1) else k - 1)
+
+
+def nudged(x: float, ulps: int) -> float:
+    """``x`` moved ``ulps`` floats up (or down, for negative ``ulps``)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
 
 
 class TestLinearQuantizer:
@@ -160,6 +192,40 @@ class TestPoTQuantizer:
             best = levels[np.argmin(np.abs(levels - x))]
             assert abs(x - v) <= abs(x - best) + 1e-15
 
+    @pytest.mark.parametrize("bits,top", [
+        (bits, top) for bits in range(2, 9) for top in (-3, 0, 2)])
+    def test_every_midpoint_goes_to_the_larger_level(self, bits, top):
+        """Each midpoint between adjacent levels, zero and the smallest
+        level included, both signs, and the float on either side of it,
+        against the exact oracle."""
+        q = PoTQuantizer(bits, top)
+        mags = [0.0] + [2.0 ** k for k in range(q.min_exponent, top + 1)]
+        mids = [(a + b) / 2 for a, b in zip(mags, mags[1:])]
+        xs = [nudged(x, ulps) for mid in mids for x in (mid, -mid)
+              for ulps in (-1, 0, 1)]
+        got = pot_quantize(np.array(xs), q).tolist()
+        assert [v.hex() for v in got] == [
+            nearest_level(x, q).hex() for x in xs]
+
+    @pytest.mark.parametrize("bits,top", [(2, 0), (4, 0), (4, -2), (8, 2)])
+    def test_infinities_saturate_and_nan_passes_through(self, bits, top):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pot_quantize(np.array([np.inf, -np.inf, np.nan]),
+                               PoTQuantizer(bits, top))
+        assert got[:2].tolist() == [2.0 ** top, -2.0 ** top]
+        assert np.isnan(got[2])
+
+    @pytest.mark.parametrize("bits,top,name", [
+        (4.0, 0, "bits"), (np.int64(4), 0, "bits"), (True, 0, "bits"),
+        (4, 0.5, "max_exponent"), (4, True, "max_exponent"),
+        (4, np.int64(0), "max_exponent")])
+    def test_rejects_bits_and_exponents_that_are_not_int(self, bits, top,
+                                                         name):
+        with pytest.raises(OutOfRangeError, match=f"^{name} must be an "
+                           "integer, got "):
+            PoTQuantizer(bits, top)
+
     def test_level_count_fits_in_code_space(self):
         for bits in (2, 3, 4, 5):
             q = PoTQuantizer(bits=bits, max_exponent=0)
@@ -187,6 +253,40 @@ class TestDoubleQuantization:
     def test_rejects_non_positive(self):
         with pytest.raises(NonPositiveScaleError):
             double_quantize_scale(0.0)
+
+    @pytest.mark.parametrize("scale,power", [
+        (2 ** 2.5, 8.0), (2 ** -1.5, 0.5), (2 ** 10.5, 2048.0)])
+    def test_a_float_just_above_a_log2_midpoint_rounds_up(self, scale,
+                                                          power):
+        assert double_quantize_scale(scale) == power
+        assert nearest_power_in_log2(scale) == power
+
+    def test_floats_near_each_log2_midpoint_match_the_exact_oracle(self):
+        """Six floats either side of the float nearest 2^(k + 1/2), for
+        k = -60..59, and the float nearest sqrt(1/2) with its neighbour
+        below, which lie either side of sqrt(1/2)."""
+        scales = [nudged(2.0 ** (k + 0.5), ulps) for k in range(-60, 60)
+                  for ulps in range(-6, 7)]
+        scales += [math.sqrt(0.5), nudged(math.sqrt(0.5), -1)]
+        got = [double_quantize_scale(s) for s in scales]
+        assert all(type(g) is float for g in got)
+        assert got == [nearest_power_in_log2(s) for s in scales]
+        assert got[-2:] == [1.0, 0.5]
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan,
+                                       sys.float_info.max])
+    def test_a_scale_with_no_float_power_is_out_of_range(self, scale):
+        """inf and NaN have no nearest power; the largest floats round to
+        2^1024, past the float range."""
+        with pytest.raises(OutOfRangeError,
+                           match="finite and below 2\\*\\*1023.5"):
+            double_quantize_scale(scale)
+
+    def test_the_float_range_ends_at_the_log2_midpoint_below_2_1024(self):
+        edge = math.ldexp(math.sqrt(0.5), 1024)  # just above 2^1023.5
+        assert double_quantize_scale(nudged(edge, -1)) == 2.0 ** 1023
+        with pytest.raises(OutOfRangeError):
+            double_quantize_scale(edge)
 
     def test_dequantization_is_a_pure_shift(self):
         # scaling integer codes by 2^k must equal an exponent shift, bit

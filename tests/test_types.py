@@ -2,6 +2,7 @@
 reject what their checks rule out, and the mutable graph classes, which
 compare and print by their fields."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -72,12 +73,32 @@ def test_each_tuple_type_keeps_every_field_it_is_given(cls, values):
 
 @pytest.mark.parametrize("dims", [(0, 1, 1, 1), (1, 1, 1, -1)])
 def test_a_checked_tuple_type_checks_keyword_and_positional_arguments(dims):
-    message = f"shape dims must be >= 1, got {ir.TensorShape._make(dims)!r}"
+    key, value = next((k, v) for k, v in zip("nhwc", dims) if v < 1)
+    message = f"{key} must be a positive integer, got {value!r}"
     for shape in (lambda: ir.TensorShape(*dims),
                   lambda: ir.TensorShape(**dict(zip("nhwc", dims)))):
         with pytest.raises(ir.ParseError) as err:
             shape()
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n", True), ("h", 8.0), ("w", "8"), ("c", None), ("n", 1.5), ("w", 0),
+    ("c", np.int64(3))])
+def test_a_shape_holds_its_dims_to_the_parse_rule(key, value):
+    """True and 8.0 compare equal to dims but print, count and serialize
+    apart. A shape rejects them with the message a parse gives at
+    ``$.input``."""
+    dims = dict(dict(n=1, h=8, w=8, c=3), **{key: value})
+    message = f"{key} must be a positive integer, got {value!r}"
+    with pytest.raises(ir.ParseError) as built:
+        ir.TensorShape(**dims)
+    assert (built.value.path, str(built.value)) == ("", message)
+    if not isinstance(value, np.integer):  # JSON has no numpy integers
+        with pytest.raises(ir.ParseError) as parsed:
+            ir.parse_graph(json.dumps({"ir_version": 1, "input": dims,
+                                       "nodes": []}))
+        assert str(parsed.value) == f"$.input.{key}: {message}"
 
 
 def test_shapes_print_compactly_and_repr_by_field():

@@ -4,7 +4,10 @@ Three separate constructions back the three cost formulas:
 
   * an unsigned Dadda multiplier (staged partial-product reduction with
     full/half adders, completed by a ripple-carry adder) checks
-    i*j - max(i, j);
+    i*j - max(i, j). Its column heights form a trapezoid, built as three
+    runs (rise, plateau, fall) that depend only on (min(i, j), max(i, j));
+    the greedy stage loop reads nothing else, so j x i builds as i x j
+    and the sweep builds each unordered pair once;
   * a component-by-component floating-point adder model checks that the
     factor-6 rule for float adds is an upper bound;
   * a mux-counted barrel shifter checks i * log2(j) / 5.
@@ -16,6 +19,7 @@ adders both count as one bit-adder unit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
@@ -59,17 +63,23 @@ class CircuitTally(NamedTuple):
         )
 
 
+# Each stage target is 3/2 of the last, rounded down, up to MAX_BITS.
+_DADDA_SEQ = [2]
+while _DADDA_SEQ[-1] < MAX_BITS:
+    _DADDA_SEQ.append(_DADDA_SEQ[-1] * 3 // 2)
+
+
 def _dadda_targets(max_height: int) -> List[int]:
     """Stage height targets below ``max_height``: 2, 3, 4, 6, 9, 13, ..."""
-    seq = [2]
-    while seq[-1] < max_height:
-        seq.append(seq[-1] * 3 // 2)
-    return [d for d in seq if d < max_height]
+    return _DADDA_SEQ[:bisect_left(_DADDA_SEQ, max_height)]
 
 
 def _partial_product_heights(i: int, j: int) -> List[int]:
-    # bits (a, b) with a + b == col, a < i, b < j
-    return [min(col + 1, i, j, i + j - 1 - col) for col in range(i + j - 1)]
+    """Bits per AND-array column, least significant first: with m, n =
+    min, max of (i, j), 1 .. m-1, then m on n-m+1 columns, then m-1 .. 1."""
+    m, n = (i, j) if i <= j else (j, i)
+    rise = list(range(1, m))
+    return rise + [m] * (n - m + 1) + rise[::-1]
 
 
 def dadda_stage_counts(i: int, j: int) -> Tuple[CircuitTally, CircuitTally]:
@@ -145,9 +155,13 @@ def verify_multiply_formula(max_bits: int = MAX_BITS) -> List[Tuple[int, int, in
     if not 1 <= max_bits <= MAX_BITS:
         raise OutOfRangeError(f"max_bits must be in [1, {MAX_BITS}]")
     mismatches = []
+    built_of = {}  # (min, max) -> adder units: the heights are symmetric
     for i in range(1, max_bits + 1):
         for j in range(1, max_bits + 1):
-            built = dadda_adder_count(i, j).adder_units
+            if j < i:  # (j, i) came up in row j
+                built = built_of[j, i]
+            else:
+                built = built_of[i, j] = dadda_adder_count(i, j).adder_units
             predicted = multiply_formula(i, j)
             if built != predicted:
                 mismatches.append((i, j, built, predicted))

@@ -71,6 +71,8 @@ class LinearQuantizer(namedtuple("LinearQuantizer", ("bits", "scale",
                 symmetric: bool = True) -> "LinearQuantizer":
         if scale <= 0:
             raise NonPositiveScaleError(f"scale must be > 0, got {scale}")
+        if not math.isfinite(scale):
+            raise OutOfRangeError(f"scale must be finite, got {scale}")
         _require_ints(bits=bits)
         if bits < 1:
             raise NonPositiveScaleError("need at least one bit")
@@ -117,7 +119,9 @@ class PoTQuantizer(namedtuple("PoTQuantizer", ("bits", "max_exponent"))):
 
     One bit carries the sign; the remaining code space indexes exponents
     max_exponent, max_exponent - 1, ... downward, so the level count
-    (including zero) stays within 2^bits.
+    (including zero) stays within 2^bits. Every level, and half the
+    smallest (the flush threshold), must be a finite nonzero float, so
+    the exponents lie in [-1073, 1023]; bits stop at 12 (4,095 levels).
     """
 
     __slots__ = ()
@@ -126,7 +130,14 @@ class PoTQuantizer(namedtuple("PoTQuantizer", ("bits", "max_exponent"))):
         _require_ints(bits=bits, max_exponent=max_exponent)
         if bits < 2:
             raise NonPositiveScaleError("need at least two bits (sign + level)")
-        return tuple.__new__(cls, (bits, max_exponent))
+        if bits > 12:
+            raise OutOfRangeError(f"bits must be at most 12, got {bits}")
+        self = tuple.__new__(cls, (bits, max_exponent))
+        if self.min_exponent < -1073 or max_exponent > 1023:
+            raise OutOfRangeError(
+                f"levels 2**{self.min_exponent} .. 2**{max_exponent} leave "
+                "the float range: exponents must lie in [-1073, 1023]")
+        return self
 
     @property
     def min_exponent(self) -> int:
@@ -181,6 +192,8 @@ class BatchNormParams(namedtuple("BatchNormParams", ("mu", "gamma", "sigma",
             raise NonPositiveScaleError("sigma must be non-negative")
         if epsilon <= 0:
             raise NonPositiveScaleError("epsilon must be > 0")
+        if not math.isfinite(epsilon):
+            raise OutOfRangeError(f"epsilon must be finite, got {epsilon}")
         return tuple.__new__(cls, (mu, gamma, sigma, beta, epsilon))
 
 

@@ -3,13 +3,17 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from acev2.cost import ace_shift
 from acev2.errors import OutOfRangeError
 from acev2.formats import NumericFormat
+from acev2 import oracle
 from acev2.oracle import (
+    _partial_product_heights,
+    CircuitTally,
     barrel_matches_closed_form,
     barrel_mux_count,
     dadda_adder_count,
@@ -45,6 +49,20 @@ class TestDaddaConstruction:
                 assert completion.adder_units == i + j - 2, (i, j)
                 assert reduction.adder_units == (
                     i * j - max(i, j) - (i + j - 2)), (i, j)
+
+    def test_column_heights_count_the_and_array(self):
+        """Row a < i of the AND array puts one bit in each of the columns
+        a .. a+j-1; the heights are the bits per column on every pair."""
+        for i in range(1, 65):
+            for j in range(1, 65):
+                bits = np.add.outer(np.arange(i), np.arange(j)).ravel()
+                assert _partial_product_heights(i, j) == (
+                    np.bincount(bits).tolist()), (i, j)
+
+    def test_stage_counts_are_symmetric_on_every_pair(self):
+        for i in range(1, 65):
+            for j in range(i + 1, 65):
+                assert dadda_stage_counts(i, j) == dadda_stage_counts(j, i)
 
     def test_full_and_half_adder_tallies_are_pinned(self):
         """No closed form fixes the full/half split, so the exact tallies
@@ -86,6 +104,30 @@ class TestVerifySweep:
     def test_bad_range(self):
         with pytest.raises(OutOfRangeError):
             verify_multiply_formula(65)
+
+    def test_each_unordered_pair_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(i, j):
+            calls.append((i, j))
+            return dadda_adder_count(i, j)
+
+        monkeypatch.setattr(oracle, "dadda_adder_count", counted)
+        assert verify_multiply_formula(64) == []
+        assert len(calls) == 2080
+        assert set(calls) == {(i, j) for i in range(1, 65)
+                              for j in range(i, 65)}
+
+    def test_a_faulty_build_shows_in_both_orders_row_major(self,
+                                                          monkeypatch):
+        def off_by_one(i, j):
+            return dadda_adder_count(i, j) + CircuitTally(
+                half_adders=int(i + j == 20))
+
+        monkeypatch.setattr(oracle, "dadda_adder_count", off_by_one)
+        assert verify_multiply_formula(64) == [
+            (i, 20 - i, multiply_formula(i, 20 - i) + 1,
+             multiply_formula(i, 20 - i)) for i in range(1, 20)]
 
 
 class TestFpAdder:

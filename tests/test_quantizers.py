@@ -122,6 +122,13 @@ class TestLinearQuantizer:
         with pytest.raises(NonPositiveScaleError):
             LinearQuantizer(bits=8, scale=0.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_a_non_finite_scale_is_out_of_range(self, scale):
+        """NaN passes a ``<= 0`` check: it used to quantize 0.5 to code
+        -2**63 with a RuntimeWarning, and an inf scale to NaN values."""
+        with pytest.raises(OutOfRangeError, match="^scale must be finite"):
+            LinearQuantizer(bits=8, scale=scale)
+
     @pytest.mark.parametrize("bits", [8.5, 8.0, True, np.int64(8), "8"])
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_rejects_bits_that_are_not_int(self, bits, symmetric):
@@ -225,6 +232,36 @@ class TestPoTQuantizer:
         with pytest.raises(OutOfRangeError, match=f"^{name} must be an "
                            "integer, got "):
             PoTQuantizer(bits, top)
+
+    @pytest.mark.parametrize("bits,top,message", [
+        (4, 1024, "leave the float range"),   # 2**1024 overflows
+        (4, -1100, "leave the float range"),  # every level underflows
+        (33, 0, "bits must be at most 12")])  # 2**32 levels
+    def test_a_grid_past_the_float_range_is_out_of_range(self, bits, top,
+                                                         message):
+        with pytest.raises(OutOfRangeError, match=message):
+            PoTQuantizer(bits, top)
+
+    @pytest.mark.parametrize("bits,top", [(2, -1073), (4, -1067), (4, 1023)])
+    def test_grids_at_the_float_range_edges_round_exactly(self, bits, top):
+        """The smallest level may be 2**-1073, whose half is the smallest
+        subnormal, and the largest 2**1023; each midpoint and the floats
+        beside it go to the nearest level."""
+        q = PoTQuantizer(bits, top)
+        mags = [0.0] + [2.0 ** k for k in range(q.min_exponent, top + 1)]
+        xs = [nudged(x, ulps) for a, b in zip(mags, mags[1:])
+              for x in ((a + b) / 2, -(a + b) / 2) for ulps in (-1, 0, 1)]
+        got = pot_quantize(np.array(xs + [math.inf]), q).tolist()
+        assert [v.hex() for v in got] == [
+            nearest_level(x, q).hex() for x in xs] + [(2.0 ** top).hex()]
+        with pytest.raises(OutOfRangeError):
+            PoTQuantizer(bits, top - 1 if top < 0 else top + 1)
+
+    def test_twelve_bits_is_the_widest_grid(self):
+        assert len(PoTQuantizer(12, 973).levels()) == 2 ** 12 - 1
+        assert len(PoTQuantizer(12, 1023).levels()) == 2 ** 12 - 1
+        with pytest.raises(OutOfRangeError, match="at most 12, got 13"):
+            PoTQuantizer(13, 0)
 
     def test_level_count_fits_in_code_space(self):
         for bits in (2, 3, 4, 5):
@@ -373,6 +410,13 @@ class TestNormalization:
         b = norm_quantization_study(trials=10, seed=42)
         assert [(t.quantnorm_mse, t.vanilla_mse) for t in a] == \
                [(t.quantnorm_mse, t.vanilla_mse) for t in b]
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_a_non_finite_epsilon_is_out_of_range(self, epsilon):
+        with pytest.raises(OutOfRangeError, match="^epsilon must be finite"):
+            BatchNormParams(mu=np.zeros(4), gamma=np.ones(4),
+                            sigma=np.ones(4), beta=np.zeros(4),
+                            epsilon=epsilon)
 
     def test_param_length_mismatch_rejected(self):
         with pytest.raises(DegenerateInputError,

@@ -4,10 +4,14 @@ Three separate constructions back the three cost formulas:
 
   * an unsigned Dadda multiplier (staged partial-product reduction with
     full/half adders, completed by a ripple-carry adder) checks
-    i*j - max(i, j). Its column heights form a trapezoid, built as three
-    runs (rise, plateau, fall) that depend only on (min(i, j), max(i, j));
-    the greedy stage loop reads nothing else, so j x i builds as i x j
-    and the sweep builds each unordered pair once;
+    i*j - max(i, j). Its column heights form a trapezoid of
+    (height, columns) runs (rise, plateau, fall) that depends only on
+    (min(i, j), max(i, j)); the greedy stage loop reads nothing else, so
+    j x i builds as i x j and the sweep builds each unordered pair once.
+    Each stage walks the runs: a column's result depends only on its
+    height, its carry-in and the stage target, so once a column's
+    carry-out equals its carry-in, the rest of its run repeats it and is
+    added in one step;
   * a component-by-component floating-point adder model checks that the
     factor-6 rule for float adds is an upper bound;
   * a mux-counted barrel shifter checks i * log2(j) / 5.
@@ -74,12 +78,47 @@ def _dadda_targets(max_height: int) -> List[int]:
     return _DADDA_SEQ[:bisect_left(_DADDA_SEQ, max_height)]
 
 
-def _partial_product_heights(i: int, j: int) -> List[int]:
-    """Bits per AND-array column, least significant first: with m, n =
-    min, max of (i, j), 1 .. m-1, then m on n-m+1 columns, then m-1 .. 1."""
+def _partial_product_runs(i: int, j: int) -> List[Tuple[int, int]]:
+    """Bits per AND-array column, least significant first, as (height,
+    columns) runs: with m, n = min, max of (i, j), the single columns
+    1 .. m-1, then (m, n-m+1), then the single columns m-1 .. 1."""
     m, n = (i, j) if i <= j else (j, i)
-    rise = list(range(1, m))
-    return rise + [m] * (n - m + 1) + rise[::-1]
+    rise = [(h, 1) for h in range(1, m)]
+    return rise + [(m, n - m + 1)] + rise[::-1]
+
+
+def _partial_product_heights(i: int, j: int) -> List[int]:
+    """The runs of ``_partial_product_runs`` as one height per column."""
+    return [h for h, k in _partial_product_runs(i, j) for _ in range(k)]
+
+
+def _reduce_stage(runs: List[Tuple[int, int]], d: int
+                  ) -> Tuple[List[Tuple[int, int]], int, int]:
+    """One Dadda stage of target ``d`` over (height, columns) runs, by the
+    run rule of ``dadda_stage_counts``; return (output runs, full adders,
+    half adders). Adjacent equal output heights merge into one run."""
+    out = []
+    full = half = carry = 0
+    for h, k in runs:
+        while k:
+            t = h + carry
+            if t <= d:
+                keep, fa, ha = t, 0, 0
+            else:
+                fa, ha = divmod(t - d, 2)
+                keep = d
+            step = k if fa + ha == carry else 1
+            full += fa * step
+            half += ha * step
+            if out and out[-1][0] == keep:
+                out[-1] = (keep, out[-1][1] + step)
+            else:
+                out.append((keep, step))
+            k -= step
+            carry = fa + ha
+    if carry:
+        out.append((carry, 1))
+    return out, full, half
 
 
 def dadda_stage_counts(i: int, j: int) -> Tuple[CircuitTally, CircuitTally]:
@@ -92,48 +131,44 @@ def dadda_stage_counts(i: int, j: int) -> Tuple[CircuitTally, CircuitTally]:
     above it gets exactly enough adders to keep d bits, so each stage
     leaves no column higher than d. Completion ripples a carry-propagate
     adder across the two surviving rows.
+
+    The columns are carried as (height, columns) runs. A column's kept
+    height, adders and carry-out depend only on its height, its carry-in
+    and d, so once a column's carry-out equals its carry-in, every column
+    left in its run sees the same three and repeats it: the rest of the
+    run is added in one step (the kept height, plus its full and half
+    adders times the run length). The placement is the per-column one.
     """
     _require_int_widths(i, j)
     if not 1 <= i <= MAX_BITS or not 1 <= j <= MAX_BITS:
         raise OutOfRangeError(f"operand bits must be in [1, {MAX_BITS}]")
 
-    heights = _partial_product_heights(i, j)
+    runs = _partial_product_runs(i, j)
     red_fa = red_ha = 0
-
-    for d in reversed(_dadda_targets(max(heights))):
-        nxt = []
-        carry = 0
-        for h in heights:
-            t = h + carry
-            if t <= d:
-                nxt.append(t)
-                carry = 0
-            else:
-                fa, ha = divmod(t - d, 2)
-                red_fa += fa
-                red_ha += ha
-                nxt.append(d)
-                carry = fa + ha
-        if carry:
-            nxt.append(carry)
-        heights = nxt
+    for d in reversed(_dadda_targets(min(i, j))):
+        runs, fa, ha = _reduce_stage(runs, d)
+        red_fa += fa
+        red_ha += ha
 
     # Ripple-carry completion: one unit per column position the carry
     # chain touches; two inputs make a half adder, three a full adder.
+    # A column's carry-out depends only on its height and carry-in, so
+    # the run rule applies here too.
     cpa_fa = cpa_ha = 0
     carry = 0
-    for h in heights:
-        t = h + carry
-        if t >= 4:
-            raise AssertionError("reduction left a column higher than 2")
-        if t >= 2:
+    for h, k in runs:
+        while k:
+            t = h + carry
+            if t >= 4:
+                raise AssertionError("reduction left a column higher than 2")
+            new_carry = int(t >= 2)
+            step = k if new_carry == carry else 1
             if t == 3:
-                cpa_fa += 1
-            else:
-                cpa_ha += 1
-            carry = 1
-        else:
-            carry = 0
+                cpa_fa += step
+            elif t == 2:
+                cpa_ha += step
+            k -= step
+            carry = new_carry
 
     return (CircuitTally(red_fa, red_ha), CircuitTally(cpa_fa, cpa_ha))
 

@@ -62,7 +62,8 @@ class LinearQuantizer(namedtuple("LinearQuantizer", ("bits", "scale",
     """Affine quantizer: real values live on the grid scale * (q - zero_point).
 
     Symmetric quantizers use the code range [-(2^(bits-1) - 1), 2^(bits-1) - 1];
-    asymmetric ones use [0, 2^bits - 1].
+    asymmetric ones use [0, 2^bits - 1]. ``bits`` and ``zero_point`` are
+    exact ints: a float zero point would put codes off the grid.
     """
 
     __slots__ = ()
@@ -73,7 +74,7 @@ class LinearQuantizer(namedtuple("LinearQuantizer", ("bits", "scale",
             raise NonPositiveScaleError(f"scale must be > 0, got {scale}")
         if not math.isfinite(scale):
             raise OutOfRangeError(f"scale must be finite, got {scale}")
-        _require_ints(bits=bits)
+        _require_ints(bits=bits, zero_point=zero_point)
         if bits < 1:
             raise NonPositiveScaleError("need at least one bit")
         if symmetric:
@@ -190,6 +191,8 @@ class BatchNormParams(namedtuple("BatchNormParams", ("mu", "gamma", "sigma",
                 "batchnorm: parameter vectors differ in length")
         if np.any(np.asarray(sigma) < 0):
             raise NonPositiveScaleError("sigma must be non-negative")
+        if not np.all(np.isfinite(sigma)):
+            raise OutOfRangeError("sigma must be finite")
         if epsilon <= 0:
             raise NonPositiveScaleError("epsilon must be > 0")
         if not math.isfinite(epsilon):

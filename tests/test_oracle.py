@@ -24,6 +24,31 @@ from acev2.oracle import (
 )
 
 
+def _column_stage(heights, d):
+    """One Dadda stage walked column by column, the form the run stage
+    replaced: the reference that ``oracle._reduce_stage`` must match."""
+    nxt = []
+    carry = full = half = 0
+    for h in heights:
+        t = h + carry
+        if t <= d:
+            nxt.append(t)
+            carry = 0
+        else:
+            fa, ha = divmod(t - d, 2)
+            full += fa
+            half += ha
+            nxt.append(d)
+            carry = fa + ha
+    if carry:
+        nxt.append(carry)
+    return nxt, full, half
+
+
+def _expand(runs):
+    return [h for h, k in runs for _ in range(k)]
+
+
 class TestDaddaConstruction:
     def test_eight_by_eight(self):
         assert dadda_adder_count(8, 8).adder_units == 56
@@ -63,6 +88,31 @@ class TestDaddaConstruction:
         for i in range(1, 65):
             for j in range(i + 1, 65):
                 assert dadda_stage_counts(i, j) == dadda_stage_counts(j, i)
+
+    def test_each_run_stage_equals_the_column_stage(self):
+        """Every stage of every pair, fed the same columns both ways: the
+        runs expand to the per-column output, with the same adders, and
+        no two adjacent runs share a height."""
+        for i in range(1, 65):
+            for j in range(1, 65):
+                runs = oracle._partial_product_runs(i, j)
+                heights = _partial_product_heights(i, j)
+                for d in reversed(oracle._dadda_targets(min(i, j))):
+                    runs, fa, ha = oracle._reduce_stage(runs, d)
+                    heights, col_fa, col_ha = _column_stage(heights, d)
+                    assert (_expand(runs), fa, ha) == (
+                        heights, col_fa, col_ha), (i, j, d)
+                    assert all(k >= 1 for _, k in runs), (i, j, d)
+                    assert all(a != b for (a, _), (b, _)
+                               in zip(runs, runs[1:])), (i, j, d)
+                assert max(heights) <= 2, (i, j)
+
+    def test_a_column_left_higher_than_two_is_caught(self, monkeypatch):
+        """With no stages, 3x3's columns 1 2 3 2 1 reach the ripple-carry
+        completion, and column 2 with a carry-in adds up to four bits."""
+        monkeypatch.setattr(oracle, "_dadda_targets", lambda height: [])
+        with pytest.raises(AssertionError, match="higher than 2"):
+            dadda_stage_counts(3, 3)
 
     def test_full_and_half_adder_tallies_are_pinned(self):
         """No closed form fixes the full/half split, so the exact tallies

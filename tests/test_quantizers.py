@@ -135,6 +135,24 @@ class TestLinearQuantizer:
         with pytest.raises(OutOfRangeError, match="bits must be an integer"):
             LinearQuantizer(bits=bits, scale=0.1, symmetric=symmetric)
 
+    @pytest.mark.parametrize("zero_point", [math.nan, 0.5, 3.0, True],
+                             ids=repr)
+    def test_zero_point_must_be_an_int(self, zero_point):
+        """A NaN zero point used to quantize 0.5 to code -2**63 with a
+        RuntimeWarning; 0.5 gave code 5 with value 0.5, off code 5's 0.45."""
+        with pytest.raises(OutOfRangeError,
+                           match="^zero_point must be an integer"):
+            LinearQuantizer(bits=8, scale=0.1, zero_point=zero_point)
+
+    @pytest.mark.parametrize("zero_point", [0, 3])
+    def test_an_int_zero_point_constructs(self, zero_point):
+        q = LinearQuantizer(bits=8, scale=0.1, zero_point=zero_point,
+                            symmetric=False)
+        assert q.zero_point == zero_point
+        res = linear_quantize(np.array([0.5]), q)
+        assert res.codes.tolist() == [5 + zero_point]
+        np.testing.assert_allclose(res.values, [0.5])
+
     def test_symmetric_needs_two_bits(self):
         with pytest.raises(OutOfRangeError, match="at least 2 bits, got 1"):
             LinearQuantizer(bits=1, scale=0.1)
@@ -417,6 +435,22 @@ class TestNormalization:
             BatchNormParams(mu=np.zeros(4), gamma=np.ones(4),
                             sigma=np.ones(4), beta=np.zeros(4),
                             epsilon=epsilon)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_sigma_is_out_of_range(self, bad):
+        """NaN passes a ``< 0`` check: it used to normalize to NaN, and an
+        inf sigma sent every input to beta."""
+        with pytest.raises(OutOfRangeError, match="^sigma must be finite"):
+            BatchNormParams(mu=np.zeros(3), gamma=np.ones(3),
+                            sigma=np.array([1.0, bad, 1.0]),
+                            beta=np.zeros(3))
+
+    def test_a_negative_infinite_sigma_is_a_negative_scale(self):
+        with pytest.raises(NonPositiveScaleError,
+                           match="^sigma must be non-negative"):
+            BatchNormParams(mu=np.zeros(3), gamma=np.ones(3),
+                            sigma=np.array([1.0, -math.inf, 1.0]),
+                            beta=np.zeros(3))
 
     def test_param_length_mismatch_rejected(self):
         with pytest.raises(DegenerateInputError,

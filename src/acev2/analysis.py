@@ -30,6 +30,7 @@ applied in place and allocate nothing.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
@@ -178,10 +179,22 @@ def analyze(g: Graph) -> CostReport:
     layer once, and one pricing pass over its rows. Errors come in stage
     order: a cycle, then the first node in walk order that breaks a node
     rule or whose shape fails, then a bit-adder failure, then an energy
-    failure."""
+    failure, then an energy, then a total bit-adder count, past the
+    float range; these two name the graph."""
     walk = layer_walk(g)
-    by_category, energy_mj, flagged, ops = _price(walk)
+    where = g.name or "graph"
+    try:  # a count past the float range raises in the energy sum
+        by_category, energy_mj, flagged, ops = _price(walk)
+        if energy_mj == math.inf:  # a row's energy past it reads inf
+            raise OverflowError
+    except OverflowError:
+        raise AnalysisError(where, "energy exceeds the float range") from None
     total = sum(by_category.values(), Fraction(0))
+    try:  # the report carries the total as a float too
+        float(total)
+    except OverflowError:
+        raise AnalysisError(where, "total bit-adders exceed the float "
+                            "range") from None
     mac_share = None
     if total:
         mac_share = float(sum((v for k, v in by_category.items()

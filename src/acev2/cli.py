@@ -12,14 +12,15 @@ Subcommands:
 Exit codes: 0 success; 1 input error: an unreadable file, an unwritable
 -o, or a malformed document (a broken node rule or a shape mismatch,
 named by its JSON path, or a cycle); 2 analysis error, only for a
-cost-model gap such as an op with no energy anchor; 3 oracle mismatch;
-64 usage error, out-of-range oracle and quantsim arguments included.
-Subcommands raise, and ``main`` alone turns an error into its stderr
-line and exit code. ``_report_payload`` is the report's one field list:
-the JSON body, of which the CSV and the table are views. Output is
-deterministic for identical inputs; --stamp adds a comment line with the
-tool version outside any data body. The argument parser is built once
-per process.
+cost-model gap such as an op with no energy anchor, or a count the
+output cannot hold (past the float range, or too long to print); 3
+oracle mismatch; 64 usage error, out-of-range oracle and quantsim
+arguments included. Subcommands raise, and ``main`` alone turns an
+error into its stderr line and exit code. ``_report_payload`` is the
+report's one field list: the JSON body, of which the CSV and the table
+are views. Output is deterministic for identical inputs; --stamp adds a
+comment line with the tool version outside any data body. The argument
+parser is built once per process.
 
 ``main`` pauses the cyclic garbage collector while a subcommand runs and
 restores it on every exit. The graph path builds no reference cycles, so
@@ -41,7 +42,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__, analysis, cost
 from .census import census_graph
-from .errors import AceV2Error, OutOfRangeError, ParseError
+from .errors import AceV2Error, AnalysisError, OutOfRangeError, ParseError
 from .formats import MAX_BITS, NumericFormat
 from .ir import (ACTIVATION_KINDS, GRANULARITIES, Graph, json_value,
                  parse_graph, serialize_graph)
@@ -218,11 +219,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_census(args) -> int:
     tally = census_graph(_load_graph(args.model))
-    rows = [[e.layer_id, e.category, e.op_class, e.count,
-             e.format_a.total_bits,
-             e.shift_range if cost.op_row(e.op_class).ranged else (
-                 e.format_b.total_bits if e.format_b else "")]
-            for e in tally.entries]
+    rows = []
+    for e in tally.entries:
+        try:
+            count = str(e.count)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise AnalysisError(e.layer_id, f"{e.op_class} count has too "
+                                "many digits to print") from None
+        rows.append([e.layer_id, e.category, e.op_class, count,
+                     e.format_a.total_bits,
+                     e.shift_range if cost.op_row(e.op_class).ranged else (
+                         e.format_b.total_bits if e.format_b else "")])
     _write_out(_csv(["layer_id", "category", "op_class", "count", "bits_a",
                      "bits_b"], rows), args.out)
     return EXIT_OK

@@ -65,7 +65,8 @@ class ShapeMismatchError(ParseError):
 
 
 class AnalysisError(AceV2Error):
-    """Cost evaluation failed for a tally entry; carries the layer id."""
+    """Cost evaluation failed for a tally entry, or for a graph's sum;
+    carries the layer id, or the graph's name."""
 
     def __init__(self, layer_id: str, message: str):
         self.layer_id = layer_id

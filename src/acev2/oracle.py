@@ -6,12 +6,10 @@ Three separate constructions back the three cost formulas:
     full/half adders, completed by a ripple-carry adder) checks
     i*j - max(i, j). Its column heights form a trapezoid of
     (height, columns) runs (rise, plateau, fall) that depends only on
-    (min(i, j), max(i, j)); the greedy stage loop reads nothing else, so
-    j x i builds as i x j and the sweep builds each unordered pair once.
-    Each stage walks the runs: a column's result depends only on its
-    height, its carry-in and the stage target, so once a column's
-    carry-out equals its carry-in, the rest of its run repeats it and is
-    added in one step;
+    (min(i, j), max(i, j)); the stages read nothing else, so j x i builds
+    as i x j and the sweep builds each unordered pair once. One stage
+    rule, ``_reduce_stage``, walks the runs for every stage, and the
+    ripple-carry completion is its stage of target 1;
   * a component-by-component floating-point adder model checks that the
     factor-6 rule for float adds is an upper bound;
   * a mux-counted barrel shifter checks i * log2(j) / 5.
@@ -87,11 +85,6 @@ def _partial_product_runs(i: int, j: int) -> List[Tuple[int, int]]:
     return rise + [(m, n - m + 1)] + rise[::-1]
 
 
-def _partial_product_heights(i: int, j: int) -> List[int]:
-    """The runs of ``_partial_product_runs`` as one height per column."""
-    return [h for h, k in _partial_product_runs(i, j) for _ in range(k)]
-
-
 def _reduce_stage(runs: List[Tuple[int, int]], d: int
                   ) -> Tuple[List[Tuple[int, int]], int, int]:
     """One Dadda stage of target ``d`` over (height, columns) runs, by the
@@ -124,13 +117,15 @@ def _reduce_stage(runs: List[Tuple[int, int]], d: int
 def dadda_stage_counts(i: int, j: int) -> Tuple[CircuitTally, CircuitTally]:
     """Build the i x j multiplier; return (reduction, completion) tallies.
 
-    Reduction runs the staged height sequence, placing adders greedily
-    per column from least significant to most significant; carries
-    produced in a stage land one column left in the next stage's matrix.
-    A column at or below the stage target d passes through; a column
-    above it gets exactly enough adders to keep d bits, so each stage
-    leaves no column higher than d. Completion ripples a carry-propagate
-    adder across the two surviving rows.
+    Every stage of target d places adders greedily per column, from least
+    significant to most significant, and its carries land one column left
+    in the next stage's matrix. A column of t bits (its height plus its
+    carry-in) at or below d passes through; above it, it gets exactly
+    enough adders to keep d bits. Reduction runs the staged height
+    sequence. Completion, a ripple-carry adder across the two surviving
+    rows, is the stage of target 1: a column of 2 bits takes a half
+    adder and one of 3 a full adder, and its final carry-out, the
+    product's top bit, places no adder.
 
     The columns are carried as (height, columns) runs. A column's kept
     height, adders and carry-out depend only on its height, its carry-in
@@ -149,27 +144,9 @@ def dadda_stage_counts(i: int, j: int) -> Tuple[CircuitTally, CircuitTally]:
         runs, fa, ha = _reduce_stage(runs, d)
         red_fa += fa
         red_ha += ha
-
-    # Ripple-carry completion: one unit per column position the carry
-    # chain touches; two inputs make a half adder, three a full adder.
-    # A column's carry-out depends only on its height and carry-in, so
-    # the run rule applies here too.
-    cpa_fa = cpa_ha = 0
-    carry = 0
-    for h, k in runs:
-        while k:
-            t = h + carry
-            if t >= 4:
-                raise AssertionError("reduction left a column higher than 2")
-            new_carry = int(t >= 2)
-            step = k if new_carry == carry else 1
-            if t == 3:
-                cpa_fa += step
-            elif t == 2:
-                cpa_ha += step
-            k -= step
-            carry = new_carry
-
+    if max(runs)[0] > 2:  # the highest run: a two-row adder takes 2
+        raise AssertionError("reduction left a column higher than 2")
+    _, cpa_fa, cpa_ha = _reduce_stage(runs, 1)
     return (CircuitTally(red_fa, red_ha), CircuitTally(cpa_fa, cpa_ha))
 
 

@@ -318,6 +318,19 @@ class TestEnergy:
         assert report.extrapolated_energy_ops == [("x", MULTIPLY)]
         assert report.energy_mj == pytest.approx(5 * 0.05e-9)
 
+    def test_an_inf_energy_is_an_analysis_error(self):
+        """10**308 fp32 multiplies fit a float count, but their energy in
+        pJ reads inf with no OverflowError on the way."""
+        with pytest.raises(AnalysisError,
+                           match="^t: energy exceeds the float range$"):
+            analyze(prelu(FP32, 10 ** 308))
+
+    def test_an_unnamed_graph_is_named_graph(self):
+        g = prelu(FP32, 10 ** 400)
+        g.name = ""
+        with pytest.raises(AnalysisError, match="^graph: energy"):
+            analyze(g)
+
 
 class TestArithmeticIntensity:
     def test_single_conv_hand_count(self):

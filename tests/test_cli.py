@@ -188,6 +188,60 @@ class TestBadFormats:
         assert f"error: {bad}: {WEIGHT}: " in captured.err
 
 
+def oversized_doc(out_channels, h=4):
+    """``format_doc()`` with ``out_channels`` and input height ``h``."""
+    doc = format_doc()
+    doc["nodes"][1]["params"]["out_channels"] = out_channels
+    doc["input"]["h"] = h
+    return doc
+
+
+class TestOversizedCounts:
+    """Counts a float or a printed integer cannot hold exit 2 with one
+    ``analysis error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("fmt", sorted(cli._FORMATS))
+    @pytest.mark.parametrize("out_channels, message", [
+        # the energy sum overflows first
+        (10 ** 400, "energy exceeds the float range"),
+        # the energy fits, and the total does not
+        (10 ** 306, "total bit-adders exceed the float range"),
+    ], ids=["1e400", "1e306"])
+    def test_analyze_exits_two(self, out_channels, message, fmt, tmp_path,
+                               capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(oversized_doc(out_channels)))
+        assert main(["analyze", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"analysis error: formats: {message}\n"
+
+    @pytest.mark.parametrize("out_channels", [10 ** 400, 10 ** 306],
+                             ids=["1e400", "1e306"])
+    def test_compare_lists_the_file_and_keeps_the_fixture(
+            self, out_channels, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(oversized_doc(out_channels)))
+        fixture = str(FIXTURES / "pikelpn_1x.json")
+        assert main(["compare", fixture]) == 0
+        alone = capsys.readouterr().out
+        assert main(["compare", fixture, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == alone
+        assert captured.err.startswith(f"error: {path}: formats: ")
+        assert captured.err.count("\n") == 1
+
+    def test_census_names_the_layer_whose_count_is_too_long_to_print(
+            self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(oversized_doc(10 ** 3000, 10 ** 3000)))
+        assert main(["census", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "analysis error: pw: mac count has too many digits to print\n")
+
+
 class TestOneSortPerOp:
     @pytest.fixture
     def sorts(self, monkeypatch):

@@ -12,7 +12,6 @@ from acev2.errors import OutOfRangeError
 from acev2.formats import NumericFormat
 from acev2 import oracle
 from acev2.oracle import (
-    _partial_product_heights,
     CircuitTally,
     barrel_matches_closed_form,
     barrel_mux_count,
@@ -81,7 +80,7 @@ class TestDaddaConstruction:
         for i in range(1, 65):
             for j in range(1, 65):
                 bits = np.add.outer(np.arange(i), np.arange(j)).ravel()
-                assert _partial_product_heights(i, j) == (
+                assert _expand(oracle._partial_product_runs(i, j)) == (
                     np.bincount(bits).tolist()), (i, j)
 
     def test_stage_counts_are_symmetric_on_every_pair(self):
@@ -92,11 +91,12 @@ class TestDaddaConstruction:
     def test_each_run_stage_equals_the_column_stage(self):
         """Every stage of every pair, fed the same columns both ways: the
         runs expand to the per-column output, with the same adders, and
-        no two adjacent runs share a height."""
+        no two adjacent runs share a height. The completion's tallies
+        equal a per-column stage of target 1 over the last columns."""
         for i in range(1, 65):
             for j in range(1, 65):
                 runs = oracle._partial_product_runs(i, j)
-                heights = _partial_product_heights(i, j)
+                heights = _expand(runs)
                 for d in reversed(oracle._dadda_targets(min(i, j))):
                     runs, fa, ha = oracle._reduce_stage(runs, d)
                     heights, col_fa, col_ha = _column_stage(heights, d)
@@ -106,10 +106,24 @@ class TestDaddaConstruction:
                     assert all(a != b for (a, _), (b, _)
                                in zip(runs, runs[1:])), (i, j, d)
                 assert max(heights) <= 2, (i, j)
+                _, col_fa, col_ha = _column_stage(heights, 1)
+                assert dadda_stage_counts(i, j)[1] == (
+                    CircuitTally(col_fa, col_ha)), (i, j)
 
     def test_a_column_left_higher_than_two_is_caught(self, monkeypatch):
         """With no stages, 3x3's columns 1 2 3 2 1 reach the ripple-carry
-        completion, and column 2 with a carry-in adds up to four bits."""
+        completion, and column 2 holds three bits, more than the two rows
+        a carry-propagate adder takes."""
+        monkeypatch.setattr(oracle, "_dadda_targets", lambda height: [])
+        with pytest.raises(AssertionError, match="higher than 2"):
+            dadda_stage_counts(3, 3)
+
+    def test_a_three_high_column_without_carry_in_is_caught(
+            self, monkeypatch):
+        """A lone 3-high column reaches the completion with no carry-in:
+        a full adder would take it, but a two-row adder cannot."""
+        monkeypatch.setattr(oracle, "_partial_product_runs",
+                            lambda i, j: [(3, 1)])
         monkeypatch.setattr(oracle, "_dadda_targets", lambda height: [])
         with pytest.raises(AssertionError, match="higher than 2"):
             dadda_stage_counts(3, 3)

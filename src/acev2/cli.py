@@ -126,9 +126,21 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(text)
 
 
+def _printed(count: int, where: str, what: str) -> str:
+    """``count`` in decimal, or an AnalysisError past the digit limit."""
+    try:
+        return str(count)
+    except ValueError:
+        raise AnalysisError(where, f"{what} has too many digits to "
+                            "print") from None
+
+
 def _report_payload(report: analysis.CostReport) -> dict:
     """The report's fields, each value computed once: the JSON body, and
-    what the CSV and the table show."""
+    what the CSV and the table show. An unprintable footprint raises."""
+    footprint = report.footprint._asdict()
+    for field, count in footprint.items():
+        _printed(count, report.name or "graph", field)
     return {
         "report_version": 1,
         "name": report.name,
@@ -141,7 +153,7 @@ def _report_payload(report: analysis.CostReport) -> dict:
         "energy_mj": report.energy_mj,
         "energy_extrapolated_ops": len(report.extrapolated_energy_ops),
         "arithmetic_intensity": report.arithmetic_intensity,
-        "footprint": report.footprint._asdict(),
+        "footprint": footprint,
     }
 
 
@@ -219,17 +231,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_census(args) -> int:
     tally = census_graph(_load_graph(args.model))
-    rows = []
-    for e in tally.entries:
-        try:
-            count = str(e.count)
-        except ValueError:  # past the interpreter's int-to-str digit limit
-            raise AnalysisError(e.layer_id, f"{e.op_class} count has too "
-                                "many digits to print") from None
-        rows.append([e.layer_id, e.category, e.op_class, count,
-                     e.format_a.total_bits,
-                     e.shift_range if cost.op_row(e.op_class).ranged else (
-                         e.format_b.total_bits if e.format_b else "")])
+    rows = [[e.layer_id, e.category, e.op_class,
+             _printed(e.count, e.layer_id, f"{e.op_class} count"),
+             e.format_a.total_bits,
+             e.shift_range if cost.op_row(e.op_class).ranged else (
+                 e.format_b.total_bits if e.format_b else "")]
+            for e in tally.entries]
     _write_out(_csv(["layer_id", "category", "op_class", "count", "bits_a",
                      "bits_b"], rows), args.out)
     return EXIT_OK

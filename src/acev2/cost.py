@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -233,30 +231,23 @@ def energy_of_op(
     if key in row.cells:
         return EnergyCost(row.cells[key])
     anchor = row.cells[row.anchor] / math.prod(row.work(*row.anchor))
-    return EnergyCost(reduce(mul, row.work(*key), anchor), extrapolated=True)
+    return EnergyCost(math.prod(row.work(*key), start=anchor),
+                      extrapolated=True)
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Pearson r between two equal-length sequences."""
-    if len(xs) != len(ys):
-        raise DegenerateInputError(
-            f"length mismatch: {len(xs)} vs {len(ys)}")
-    n = len(xs)
-    if n < 2:
-        raise DegenerateInputError("need at least two points")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
-    if sxx == 0 or syy == 0:
-        raise DegenerateInputError("zero variance input")
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / math.sqrt(sxx * syy)
+    """Pearson r between two equal-length sequences, by
+    ``statistics.correlation``: imported here, so the graph path loads no
+    ``statistics``."""
+    import statistics
+    try:
+        return statistics.correlation(xs, ys)
+    except statistics.StatisticsError as exc:
+        raise DegenerateInputError(str(exc)) from None
 
 
 def table_energy_correlation() -> float:
     """Correlation between the tabulated bit-adder counts and the
     independently measured energies."""
-    xs = [float(ace) for ace, _ in TABLE_ACE_ENERGY_PAIRS]
-    ys = [pj for _, pj in TABLE_ACE_ENERGY_PAIRS]
-    return pearson_correlation(xs, ys)
+    aces, pjs = zip(*TABLE_ACE_ENERGY_PAIRS)
+    return pearson_correlation(list(map(float, aces)), pjs)

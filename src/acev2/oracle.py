@@ -4,15 +4,16 @@ Three separate constructions back the three cost formulas:
 
   * an unsigned Dadda multiplier (staged partial-product reduction with
     full/half adders, completed by a ripple-carry adder) checks
-    i*j - max(i, j). Its column heights form a trapezoid of
-    (height, columns) runs (rise, plateau, fall) that depends only on
-    (min(i, j), max(i, j)); the stages read nothing else, so j x i builds
-    as i x j and the sweep builds each unordered pair once. One stage
-    rule, ``_reduce_stage``, walks the runs for every stage, and the
-    ripple-carry completion is its stage of target 1;
+    ``cost.ace_multiply``, i*j - max(i, j). Its column heights form a
+    trapezoid of (height, columns) runs (rise, plateau, fall) that
+    depends only on (min(i, j), max(i, j)); the stages read nothing else,
+    so j x i builds as i x j and the sweep builds each unordered pair
+    once. One stage rule, ``_reduce_stage``, walks the runs for every
+    stage, and the ripple-carry completion is its stage of target 1;
   * a component-by-component floating-point adder model checks that the
     factor-6 rule for float adds is an upper bound;
-  * a mux-counted barrel shifter checks i * log2(j) / 5.
+  * a barrel shifter that counts its own mux stages checks
+    ``cost.ace_shift``, i * log2(j) / 5.
 
 Everything here models unsigned magnitude arithmetic; full and half
 adders both count as one bit-adder unit.
@@ -25,7 +26,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
-from .cost import MUX_PER_ADDER, ace_shift, shift_stages
+from . import cost
+from .cost import MUX_PER_ADDER
 from .errors import OutOfRangeError
 from .formats import MAX_BITS, NumericFormat
 
@@ -156,28 +158,22 @@ def dadda_adder_count(i: int, j: int) -> CircuitTally:
     return reduction + completion
 
 
-def multiply_formula(i: int, j: int) -> int:
-    return i * j - max(i, j)
-
-
-def verify_multiply_formula(max_bits: int = MAX_BITS) -> List[Tuple[int, int, int, int]]:
-    """Compare the construction against i*j - max(i, j) for every pair
+def verify_multiply_formula(max_bits: int = MAX_BITS
+                            ) -> List[Tuple[int, int, int, Fraction]]:
+    """Compare the construction with ``cost.ace_multiply`` for every pair
     up to ``max_bits``; return (i, j, built, predicted) mismatches."""
     _require_int_widths(max_bits)
     if not 1 <= max_bits <= MAX_BITS:
         raise OutOfRangeError(f"max_bits must be in [1, {MAX_BITS}]")
-    mismatches = []
-    built_of = {}  # (min, max) -> adder units: the heights are symmetric
+    fixed = list(map(NumericFormat.fixed, range(1, max_bits + 1)))
+    mismatches = {}  # (i, j) -> (built, predicted)
     for i in range(1, max_bits + 1):
-        for j in range(1, max_bits + 1):
-            if j < i:  # (j, i) came up in row j
-                built = built_of[j, i]
-            else:
-                built = built_of[i, j] = dadda_adder_count(i, j).adder_units
-            predicted = multiply_formula(i, j)
+        for j in range(i, max_bits + 1):  # both sides are symmetric
+            built = dadda_adder_count(i, j).adder_units
+            predicted = cost.ace_multiply(fixed[i - 1], fixed[j - 1]).bitadders
             if built != predicted:
-                mismatches.append((i, j, built, predicted))
-    return mismatches
+                mismatches[i, j] = mismatches[j, i] = (built, predicted)
+    return [(i, j, *mismatches[i, j]) for i, j in sorted(mismatches)]
 
 
 class FpAdderBreakdown(NamedTuple):
@@ -248,13 +244,18 @@ def fp_adder_breakdown(e: int, m: int) -> FpAdderBreakdown:
 
 def barrel_mux_count(i: int, j: int) -> CircuitTally:
     """2:1 multiplexer count of a barrel shifter moving an i-bit value
-    across j positions: one mux per bit per stage."""
+    across j positions: one mux per bit per stage, stage k moving the
+    value 2**k places or none, until together they reach j - 1 places."""
     _require_int_widths(i, j)
     if i < 1:
         raise OutOfRangeError("need at least one data bit")
     if j < 2:
         raise OutOfRangeError("shift range must be at least 2")
-    return CircuitTally(mux21=i * shift_stages(j))
+    stages = reach = 0
+    while reach < j - 1:
+        reach += 2 ** stages
+        stages += 1
+    return CircuitTally(mux21=i * stages)
 
 
 def barrel_matches_closed_form(i: int, j: int) -> bool:
@@ -263,4 +264,4 @@ def barrel_matches_closed_form(i: int, j: int) -> bool:
     built = barrel_mux_count(i, j).bitadder_equivalent
     if i > MAX_BITS:
         raise OutOfRangeError(f"data bits must be in [1, {MAX_BITS}], got {i}")
-    return built == ace_shift(NumericFormat.fixed(i), j).bitadders
+    return built == cost.ace_shift(NumericFormat.fixed(i), j).bitadders

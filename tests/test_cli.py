@@ -242,6 +242,59 @@ class TestOversizedCounts:
             "analysis error: pw: mac count has too many digits to print\n")
 
 
+@pytest.fixture(scope="module")
+def long_footprints(tmp_path_factory):
+    """Graph name -> a file whose activation footprint is too long to
+    print: an unnamed Input -> Output with h, w and c each 10**2000, and
+    a 1x1x1x1 Input whose 15,000 Concats each read the last node twice,
+    so channels reach 2**15000 (4,516 digits) from small integers."""
+    big = 10 ** 2000
+    concats = [{"id": f"c{k}", "kind": "Concat", "params": {},
+                "inputs": [f"c{k - 1}" if k else "in"] * 2}
+               for k in range(15000)]
+    docs = {"graph": ((big, big, big), []),
+            "concat_chain": ((1, 1, 1), concats)}
+    tmp = tmp_path_factory.mktemp("long_footprints")
+    paths = {}
+    for name, ((h, w, c), middle) in docs.items():
+        nodes = [{"id": "in", "kind": "Input", "params": {}, "inputs": []},
+                 *middle]
+        nodes.append({"id": "out", "kind": "Output", "params": {},
+                      "inputs": [nodes[-1]["id"]]})
+        doc = {"ir_version": 1, "input": {"n": 1, "h": h, "w": w, "c": c},
+               "nodes": nodes}
+        if name != "graph":  # "graph" stands for an unnamed graph
+            doc["name"] = name
+        paths[name] = tmp / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return paths
+
+
+class TestFootprintTooLongToPrint:
+    """``analyze`` checks the footprint in ``cli._report_payload``, the
+    field list every format renders; ``compare`` prints no footprint."""
+
+    @pytest.mark.parametrize("fmt", sorted(cli._FORMATS))
+    @pytest.mark.parametrize("name", ["graph", "concat_chain"])
+    def test_analyze_exits_two_naming_the_graph_and_field(
+            self, long_footprints, name, fmt, capsys):
+        assert main(["analyze", str(long_footprints[name]),
+                     "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"analysis error: {name}: activation_elems "
+                                "has too many digits to print\n")
+
+    @pytest.mark.parametrize("name", ["graph", "concat_chain"])
+    def test_compare_prints_the_row(self, long_footprints, name, capsys):
+        path = long_footprints[name]
+        assert main(["compare", str(path)]) == 0
+        captured = capsys.readouterr()
+        row = path if name == "graph" else name  # unnamed: its path
+        assert captured.out.splitlines()[1:] == [f"{row},0,0,0,1"]
+        assert captured.err == ""
+
+
 class TestOneSortPerOp:
     @pytest.fixture
     def sorts(self, monkeypatch):
@@ -538,13 +591,15 @@ def test_start_up_modules_load_no_dataclasses_inspect_or_numpy():
     """Every module but quantizers, imported in a fresh interpreter with
     no site hooks (``-S``), loads none of ``dataclasses`` (which pulls in
     ``inspect``, ``ast`` and ``dis``), ``inspect`` or ``numpy``: their
-    import would be most of the start-up of each acev2 process."""
+    import would be most of the start-up of each acev2 process. Nor does
+    it load ``statistics``, which only ``cost.pearson_correlation``
+    imports, when called."""
     src = str(Path(acev2.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import acev2.cli, acev2.ir, acev2.census, acev2.analysis, "
             "acev2.cost, acev2.formats, acev2.zoo, acev2.oracle; "
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'numpy') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'numpy', "
+            "'statistics') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", code, src], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -1,6 +1,7 @@
 """Closed-form cost formulas against every tabulated 45nm value."""
 
 import hashlib
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -234,7 +235,13 @@ class TestOpClassTable:
                    for ace, _ in cost.TABLE_ACE_ENERGY_PAIRS)
 
     def test_correlation_is_pinned(self):
-        assert table_energy_correlation() == 0.9915663300823894
+        # r of the pinned pairs is 0.99156633008238900027 to 20 digits
+        # (from r**2, exact in rationals), and 0.991566330082389 rounded
+        # to a float. statistics.correlation sums differently across
+        # Python versions (3.12 reads 2 ulps low), so r is pinned to
+        # within 2 ulps of that.
+        r = 0.991566330082389
+        assert abs(table_energy_correlation() - r) <= 2 * math.ulp(r)
 
 
 def test_readme_non_monotone_energy_table_is_what_energy_of_op_gives():

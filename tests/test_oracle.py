@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from acev2.cost import ace_shift
 from acev2.errors import OutOfRangeError
 from acev2.formats import NumericFormat
-from acev2 import oracle
+from acev2 import cli, cost, oracle
 from acev2.oracle import (
     CircuitTally,
     barrel_matches_closed_form,
@@ -18,9 +18,14 @@ from acev2.oracle import (
     dadda_adder_count,
     dadda_stage_counts,
     fp_adder_breakdown,
-    multiply_formula,
     verify_multiply_formula,
 )
+
+
+def priced(i, j):
+    """The bit-adders ``cost`` prices an i-bit by j-bit multiply at."""
+    return cost.ace_multiply(NumericFormat.fixed(i),
+                             NumericFormat.fixed(j)).bitadders
 
 
 def _column_stage(heights, d):
@@ -155,7 +160,7 @@ class TestDaddaConstruction:
     @given(st.integers(1, 64), st.integers(1, 64))
     @settings(max_examples=60, deadline=None)
     def test_matches_closed_form_on_sampled_pairs(self, i, j):
-        assert dadda_adder_count(i, j).adder_units == multiply_formula(i, j)
+        assert dadda_adder_count(i, j).adder_units == priced(i, j)
 
 
 class TestVerifySweep:
@@ -190,8 +195,26 @@ class TestVerifySweep:
 
         monkeypatch.setattr(oracle, "dadda_adder_count", off_by_one)
         assert verify_multiply_formula(64) == [
-            (i, 20 - i, multiply_formula(i, 20 - i) + 1,
-             multiply_formula(i, 20 - i)) for i in range(1, 20)]
+            (i, 20 - i, priced(i, 20 - i) + 1, priced(i, 20 - i))
+            for i in range(1, 20)]
+
+    def test_a_faulty_priced_formula_shows_in_the_sweep(self, monkeypatch,
+                                                        capsys):
+        """The sweep checks the formula ``analyze`` prices with: priced at
+        i*j - min(i, j), every pair with i != j mismatches, and ``acev2
+        oracle`` exits 3."""
+        def min_not_max(a, b):
+            i, j = a.total_bits, b.total_bits
+            return cost.AceCost(Fraction(i * j - min(i, j)))
+
+        monkeypatch.setattr(cost, "ace_multiply", min_not_max)
+        assert verify_multiply_formula(8) == [
+            (i, j, i * j - max(i, j), i * j - min(i, j))
+            for i in range(1, 9) for j in range(1, 9) if i != j]
+        assert cli.main(["oracle", "--max-bits", "8"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["56 mismatches / 64 pairs",
+                             "  1x2: built 0, predicted 1"]
 
 
 class TestFpAdder:
@@ -257,6 +280,16 @@ class TestBarrelShifter:
             with pytest.raises(OutOfRangeError,
                                match="^shift range must be at least 2$"):
                 check(4, j)
+
+    def test_the_build_counts_its_own_stages(self, monkeypatch):
+        """A fault in the stage count the shift formula prices with shows:
+        the build adds stages of 1, 2, 4, ... places until they reach
+        j - 1, and reads no ``shift_stages``."""
+        for module in (cost, oracle):
+            monkeypatch.setattr(module, "shift_stages",
+                                lambda r: r.bit_length(), raising=False)
+        assert barrel_mux_count(8, 8).mux21 == 24
+        assert not barrel_matches_closed_form(8, 8)
 
     def test_formula_check_names_the_data_bits_beyond_the_widest_format(self):
         assert barrel_mux_count(100, 4).mux21 == 200  # the build needs no cap

@@ -173,6 +173,12 @@ def _intensity(ops: int, fp: Footprint) -> float:
     return ops / data if data else 0.0
 
 
+def graph_label(name: str) -> str:
+    """How an ``analysis error:`` line names a graph: an unnamed one is
+    called ``graph``."""
+    return name or "graph"
+
+
 def analyze(g: Graph) -> CostReport:
     """Full pipeline: shapes, census, bit-adders, energy, intensity, over
     one ``layer_walk``, which sorts ``g`` once and computes each distinct
@@ -182,7 +188,7 @@ def analyze(g: Graph) -> CostReport:
     failure, then an energy, then a total bit-adder count, past the
     float range; these two name the graph."""
     walk = layer_walk(g)
-    where = g.name or "graph"
+    where = graph_label(g.name)
     try:  # a count past the float range raises in the energy sum
         by_category, energy_mj, flagged, ops = _price(walk)
         if energy_mj == math.inf:  # a row's energy past it reads inf

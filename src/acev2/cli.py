@@ -139,8 +139,9 @@ def _report_payload(report: analysis.CostReport) -> dict:
     """The report's fields, each value computed once: the JSON body, and
     what the CSV and the table show. An unprintable footprint raises."""
     footprint = report.footprint._asdict()
+    where = analysis.graph_label(report.name)
     for field, count in footprint.items():
-        _printed(count, report.name or "graph", field)
+        _printed(count, where, field)
     return {
         "report_version": 1,
         "name": report.name,

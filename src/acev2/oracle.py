@@ -9,7 +9,9 @@ Three separate constructions back the three cost formulas:
     depends only on (min(i, j), max(i, j)); the stages read nothing else,
     so j x i builds as i x j and the sweep builds each unordered pair
     once. One stage rule, ``_reduce_stage``, walks the runs for every
-    stage, and the ripple-carry completion is its stage of target 1;
+    stage, and the ripple-carry completion is its stage of target 1. A
+    stage of target d starts after the d lowest columns, heights 1 .. d
+    with no carry-in, which it cannot change;
   * a component-by-component floating-point adder model checks that the
     factor-6 rule for float adds is an upper bound;
   * a barrel shifter that counts its own mux stages checks
@@ -91,10 +93,15 @@ def _reduce_stage(runs: List[Tuple[int, int]], d: int
                   ) -> Tuple[List[Tuple[int, int]], int, int]:
     """One Dadda stage of target ``d`` over (height, columns) runs, by the
     run rule of ``dadda_stage_counts``; return (output runs, full adders,
-    half adders). Adjacent equal output heights merge into one run."""
-    out = []
+    half adders). Adjacent equal output heights merge into one run.
+
+    The first ``d`` runs are the single columns 1 .. d (the completion
+    of a 1 x n multiplier: one run of height 1), which no stage changes
+    (see ``dadda_stage_counts``), so they start the output as they are
+    and the loop begins after them with no carry."""
+    out = runs[:d]
     full = half = carry = 0
-    for h, k in runs:
+    for h, k in runs[d:]:
         while k:
             t = h + carry
             if t <= d:
@@ -135,6 +142,13 @@ def dadda_stage_counts(i: int, j: int) -> Tuple[CircuitTally, CircuitTally]:
     left in its run sees the same three and repeats it: the rest of the
     run is added in one step (the kept height, plus its full and half
     adders times the run length). The placement is the per-column one.
+
+    The trapezoid rises through the single columns 1 .. m-1, with m =
+    min(i, j). Every reduction target is below m and carries only move
+    left, so the d lowest columns of every stage input, the
+    completion's included, still hold 1 .. d bits and take no carry-in:
+    each keeps its height, places no adder and carries nothing. Each
+    stage passes them through without walking them.
     """
     _require_int_widths(i, j)
     if not 1 <= i <= MAX_BITS or not 1 <= j <= MAX_BITS:

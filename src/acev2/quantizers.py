@@ -320,7 +320,9 @@ def norm_quantization_study(
     Trials are drawn one by one but computed in blocks of
     ``_TRIAL_BLOCK``: a block stacks its trials on a leading axis and
     quantizes each with its own scale, so every trial's MSEs are the
-    ones it would get alone.
+    ones it would get alone. Each block spawns its own children from the
+    root; successive spawns continue its child counter, so trial k gets
+    the k-th child whatever the block size, and memory stays per block.
     """
     _require_ints(trials=trials, seed=seed, bits=bits, channels=channels,
                   samples=samples)
@@ -331,10 +333,10 @@ def norm_quantization_study(
         raise OutOfRangeError(f"channels and samples must be >= 1, got "
                               f"{channels} and {samples}")
     q = _per_trial_quantizer(bits)
-    children = np.random.SeedSequence(seed).spawn(trials)
+    root = np.random.SeedSequence(seed)
     results = []
     for start in range(0, trials, _TRIAL_BLOCK):
-        block = children[start:start + _TRIAL_BLOCK]
+        block = root.spawn(min(_TRIAL_BLOCK, trials - start))
         params = np.empty((4, len(block), 1, channels))
         x = np.empty((len(block), samples, channels))
         for k, child in enumerate(block):

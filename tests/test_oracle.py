@@ -96,13 +96,19 @@ class TestDaddaConstruction:
     def test_each_run_stage_equals_the_column_stage(self):
         """Every stage of every pair, fed the same columns both ways: the
         runs expand to the per-column output, with the same adders, and
-        no two adjacent runs share a height. The completion's tallies
-        equal a per-column stage of target 1 over the last columns."""
+        no two adjacent runs share a height. Each stage input, the
+        completion's too, starts with the single columns 1 .. d that the
+        stage passes through unwalked (for 1 x n, one run of height 1).
+        The completion's tallies equal a per-column stage of target 1
+        over the last columns."""
         for i in range(1, 65):
             for j in range(1, 65):
                 runs = oracle._partial_product_runs(i, j)
                 heights = _expand(runs)
                 for d in reversed(oracle._dadda_targets(min(i, j))):
+                    # the d lowest columns, which the stage passes through
+                    assert runs[:d] == [(h, 1) for h in range(1, d + 1)], (
+                        i, j, d)
                     runs, fa, ha = oracle._reduce_stage(runs, d)
                     heights, col_fa, col_ha = _column_stage(heights, d)
                     assert (_expand(runs), fa, ha) == (
@@ -111,6 +117,9 @@ class TestDaddaConstruction:
                     assert all(a != b for (a, _), (b, _)
                                in zip(runs, runs[1:])), (i, j, d)
                 assert max(heights) <= 2, (i, j)
+                # 1 x n reaches the completion as one run of height 1
+                assert runs[:1] == ([(1, 1)] if min(i, j) > 1
+                                    else [(1, max(i, j))]), (i, j)
                 _, col_fa, col_ha = _column_stage(heights, 1)
                 assert dadda_stage_counts(i, j)[1] == (
                     CircuitTally(col_fa, col_ha)), (i, j)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from acev2.errors import (DegenerateInputError, NonPositiveScaleError,
                           OutOfRangeError, ParseError)
 from acev2.quantizers import (
+    _TRIAL_BLOCK,
     _per_trial_quantizer,
     BatchNormParams,
     DPReLUParams,
@@ -595,6 +596,22 @@ class TestNormStudy:
 
     def test_zero_trials_is_empty(self):
         assert norm_quantization_study(trials=0) == []
+
+    def test_seeds_are_spawned_one_block_at_a_time(self, monkeypatch):
+        """No spawn holds more than a block's children, so a long study
+        keeps one block of them at a time; the trials are unchanged."""
+        expected = norm_quantization_study(trials=40, seed=11)
+        spawns = []
+
+        class Recording(np.random.SeedSequence):
+            def spawn(self, n):
+                spawns.append(n)
+                return super().spawn(n)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Recording)
+        assert norm_quantization_study(trials=40, seed=11) == expected
+        assert spawns and max(spawns) <= _TRIAL_BLOCK
+        assert sum(spawns) == 40
 
     @pytest.mark.parametrize("kwargs", [
         {"trials": True}, {"trials": 2.0}, {"trials": np.int64(2)},

@@ -83,7 +83,13 @@ class EnergyCost(namedtuple("EnergyCost", ("picojoules", "extrapolated"))):
 
 def shift_stages(shift_range: int) -> int:
     """Number of 2:1 mux stages in a barrel shifter covering ``shift_range``
-    positions. Exact log2 for powers of two; whole stages otherwise."""
+    positions. Exact log2 for powers of two; whole stages otherwise.
+
+    The range must be exactly an int, as widths must: 8.0 and True
+    compare equal to ranges but would price, or fail, as something else."""
+    if type(shift_range) is not int:
+        raise UnsupportedOperandError(
+            f"shift range must be an integer, got {shift_range!r}")
     if shift_range < 2:
         raise UnsupportedOperandError("shift range must be at least 2")
     return (shift_range - 1).bit_length()
@@ -164,6 +170,7 @@ def _shift_cell(op_class, value, shift_range):
         raise UnsupportedOperandError("shift energy needs a fixed operand")
     if shift_range is None:
         raise UnsupportedOperandError("shift energy needs a shift range")
+    shift_stages(shift_range)  # the range rule, before any cell lookup
     return value, shift_range
 
 

@@ -11,7 +11,8 @@ Three separate constructions back the three cost formulas:
     once. One stage rule, ``_reduce_stage``, walks the runs for every
     stage, and the ripple-carry completion is its stage of target 1. A
     stage of target d starts after the d lowest columns, heights 1 .. d
-    with no carry-in, which it cannot change;
+    with no carry-in, and stops at the first column of the falling edge
+    that is at most d high with no carry-in: it can change none of them;
   * a component-by-component floating-point adder model checks that the
     factor-6 rule for float adds is an upper bound;
   * a barrel shifter that counts its own mux stages checks
@@ -98,10 +99,20 @@ def _reduce_stage(runs: List[Tuple[int, int]], d: int
     The first ``d`` runs are the single columns 1 .. d (the completion
     of a 1 x n multiplier: one run of height 1), which no stage changes
     (see ``dadda_stage_counts``), so they start the output as they are
-    and the loop begins after them with no carry."""
+    and the loop begins after them with no carry. It returns at the
+    first run at most ``d`` high that takes no carry-in: only the falling
+    edge holds one, and every run after it is a lower single column, so
+    the rest of ``runs`` is the rest of the output, its first run merged
+    into the last output run when their heights are equal."""
     out = runs[:d]
     full = half = carry = 0
-    for h, k in runs[d:]:
+    for n in range(d, len(runs)):
+        h, k = runs[n]
+        if h <= d and not carry:  # the falling edge: nothing left to do
+            if out[-1][0] == h:
+                out[-1] = (h, out[-1][1] + k)
+                n += 1
+            return out + runs[n:], full, half
         while k:
             t = h + carry
             if t <= d:
@@ -112,7 +123,7 @@ def _reduce_stage(runs: List[Tuple[int, int]], d: int
             step = k if fa + ha == carry else 1
             full += fa * step
             half += ha * step
-            if out and out[-1][0] == keep:
+            if out[-1][0] == keep:
                 out[-1] = (keep, out[-1][1] + step)
             else:
                 out.append((keep, step))
@@ -149,6 +160,18 @@ def dadda_stage_counts(i: int, j: int) -> Tuple[CircuitTally, CircuitTally]:
     completion's included, still hold 1 .. d bits and take no carry-in:
     each keeps its height, places no adder and carries nothing. Each
     stage passes them through without walking them.
+
+    The top edge passes through too. Every stage input, the
+    completion's included, rises through the single columns 1 .. p-1
+    to one highest run of height p, then falls through strictly lower
+    single columns; ``tests/test_oracle.py`` pins that shape for every
+    pair. Each target is below its input's highest run (the
+    completion's 1 below 2, save 1 x n, whose one run passes as its
+    lowest), so the first column at most d high with no carry-in lies
+    on the fall. It keeps its height, places no adder and carries
+    nothing, so the next column, lower still, takes no carry-in and does
+    the same, and so on to the top: the stage stops walking there and
+    appends the rest.
     """
     _require_int_widths(i, j)
     if not 1 <= i <= MAX_BITS or not 1 <= j <= MAX_BITS:

@@ -100,6 +100,17 @@ class TestShift:
         with pytest.raises(UnsupportedOperandError):
             ace_shift(INT8, 1)
 
+    @pytest.mark.parametrize("rng", [8.0, 9.5, "8", True], ids=repr)
+    def test_range_must_be_exactly_an_int(self, rng):
+        """8.0 used to read the measured 8-place energy cell, 9.5 and
+        ``ace_shift(INT8, 8.0)`` to raise a bare AttributeError, and "8"
+        a TypeError."""
+        message = f"^shift range must be an integer, got {rng!r}$"
+        with pytest.raises(UnsupportedOperandError, match=message):
+            ace_shift(INT8, rng)
+        with pytest.raises(UnsupportedOperandError, match=message):
+            energy_of_op(cost.SHIFT, INT8, shift_range=rng)
+
     @pytest.mark.parametrize("fmt", [INT32, INT16, INT8, INT4, INT2])
     def test_shift_strictly_cheaper_than_multiply(self, fmt):
         k = fmt.total_bits

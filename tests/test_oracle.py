@@ -124,6 +124,34 @@ class TestDaddaConstruction:
                 assert dadda_stage_counts(i, j)[1] == (
                     CircuitTally(col_fa, col_ha)), (i, j)
 
+    def test_each_stage_input_rises_to_one_highest_run_then_falls(self):
+        """The shape ``_reduce_stage`` relies on to stop at its falling
+        edge: every reduction-stage input and the completion input of
+        every pair is the single columns 1 .. p-1, one run of height p,
+        then strictly falling single columns. So the first column at most
+        d high with no carry-in is on the fall, and every later one is
+        lower. A 1 x n completion input is the one run (1, n)."""
+        def rises_peaks_falls(runs):
+            heights = [h for h, _ in runs]
+            peak = heights.index(max(heights))
+            return (runs[:peak] == [(h, 1) for h in range(1, heights[peak])]
+                    and all(k == 1 for _, k in runs[peak + 1:])
+                    and all(a > b for a, b in zip(heights[peak:],
+                                                  heights[peak + 1:])))
+
+        inputs = 0
+        for i in range(1, 65):
+            for j in range(1, 65):
+                runs = oracle._partial_product_runs(i, j)
+                for d in reversed(oracle._dadda_targets(min(i, j))):
+                    assert rises_peaks_falls(runs), (i, j, d)
+                    runs = oracle._reduce_stage(runs, d)[0]
+                    inputs += 1
+                assert rises_peaks_falls(runs), (i, j)
+                if min(i, j) == 1:
+                    assert runs == [(1, max(i, j))], (i, j)
+        assert inputs == 23_961
+
     def test_a_column_left_higher_than_two_is_caught(self, monkeypatch):
         """With no stages, 3x3's columns 1 2 3 2 1 reach the ripple-carry
         completion, and column 2 holds three bits, more than the two rows
@@ -170,6 +198,130 @@ class TestDaddaConstruction:
     @settings(max_examples=60, deadline=None)
     def test_matches_closed_form_on_sampled_pairs(self, i, j):
         assert dadda_adder_count(i, j).adder_units == priced(i, j)
+
+
+def _input_wires(width):
+    """Wire r of ``width`` input bits over all 2**width test vectors: an
+    int whose bit v is bit r of v (2**r zeros then 2**r ones, repeated)."""
+    vectors = 1 << width
+    wires = []
+    for r in range(width):
+        period = 2 << r
+        ones = ((1 << (1 << r)) - 1) << (1 << r)
+        wires.append(ones * (((1 << vectors) - 1) // ((1 << period) - 1)))
+    return wires
+
+
+def _full_adder(a, b, c):
+    return a ^ b ^ c, (a & b) | (c & (a ^ b))
+
+
+def _half_adder(a, b):
+    return a ^ b, a & b
+
+
+def _netlist_stage(columns, d):
+    """One greedy Dadda stage of target d over columns of wires: a
+    column's wires and the carries its right neighbour's adders pass in
+    are t bits, and t > d takes divmod(t - d, 2) full and half adders,
+    the per-column rule ``_reduce_stage`` counts. The adders read only
+    the column's own wires; carries in pass to the next stage, as in a
+    Dadda tree. Returns (columns, full adders, half adders)."""
+    out, carries = [], []
+    full = half = 0
+    for column in columns:
+        fa, ha = divmod(max(len(column) + len(carries) - d, 0), 2)
+        taken = 3 * fa + 2 * ha
+        assert taken <= len(column)
+        kept, carries = column[taken:] + carries, []
+        for n in range(0, 3 * fa, 3):
+            s, c = _full_adder(*column[n:n + 3])
+            kept.append(s)
+            carries.append(c)
+        if ha:
+            s, c = _half_adder(*column[3 * fa:taken])
+            kept.append(s)
+            carries.append(c)
+        out.append(kept)
+        full += fa
+        half += ha
+    if carries:
+        out.append(carries)
+    return out, full, half
+
+
+def _ripple_carry(columns):
+    """Add the two rows left after reduction: each column's wires and
+    the carry-in pass through one full or half adder, or none for a lone
+    bit. Returns (product bits, full adders, half adders)."""
+    bits, carry = [], []
+    full = half = 0
+    for column in columns:
+        assert len(column) <= 2
+        wires = column + carry
+        if len(wires) == 3:
+            s, c = _full_adder(*wires)
+            full += 1
+        elif len(wires) == 2:
+            s, c = _half_adder(*wires)
+            half += 1
+        else:
+            (s,), c = wires, None
+        bits.append(s)
+        carry = [] if c is None else [c]
+    return bits + carry, full, half
+
+
+def _dadda_netlist(i, j):
+    """The i x j multiplier as gates over every pair of operands: the AND
+    array, the greedy stages and the ripple-carry completion. Returns
+    (product bits, reduction tally, completion tally)."""
+    wires = _input_wires(i + j)
+    a, b = wires[:i], wires[i:]
+    columns = [[] for _ in range(i + j - 1)]
+    for r in range(i):
+        for s in range(j):
+            columns[r + s].append(a[r] & b[s])
+    red_fa = red_ha = 0
+    for d in reversed(oracle._dadda_targets(min(i, j))):
+        columns, fa, ha = _netlist_stage(columns, d)
+        red_fa += fa
+        red_ha += ha
+    bits, cpa_fa, cpa_ha = _ripple_carry(columns)
+    return bits, CircuitTally(red_fa, red_ha), CircuitTally(cpa_fa, cpa_ha)
+
+
+def _product_bits(i, j):
+    """Bit k of a * b on every test vector v = a + b * 2**i, packed as
+    the netlist packs its wires."""
+    v = np.arange(1 << (i + j))
+    product = (v & ((1 << i) - 1)) * (v >> i)
+    return [int.from_bytes(np.packbits((product >> k) & 1,
+                                       bitorder="little").tobytes(), "little")
+            for k in range(i + j)]
+
+
+class TestDaddaNetlist:
+    def test_the_counted_placement_multiplies(self):
+        """Every pair up to 8 x 8 built as gates and run on all
+        2**(i + j) operand pairs at once: each product bit is right, and
+        the netlist's reduction and completion adders are the tallies
+        ``dadda_stage_counts`` counts."""
+        for i in range(1, 9):
+            for j in range(1, 9):
+                bits, reduction, completion = _dadda_netlist(i, j)
+                bits += [0] * (i + j - len(bits))  # 1 x n: no carry-out
+                assert bits == _product_bits(i, j), (i, j)
+                assert (reduction, completion) == dadda_stage_counts(
+                    i, j), (i, j)
+
+    def test_a_wrong_gate_is_caught(self, monkeypatch):
+        """A full adder whose carry drops its carry-in term gives a
+        wrong 3 x 3 product: the check reads the gates' function."""
+        monkeypatch.setitem(globals(), "_full_adder",
+                            lambda a, b, c: (a ^ b ^ c, a & b))
+        bits, _, _ = _dadda_netlist(3, 3)
+        assert bits != _product_bits(3, 3)
 
 
 class TestVerifySweep:

@@ -9,9 +9,12 @@ into groups keyed by (category, op class, formats, shift range); it
 prices each group's bit-adders per op, then its energy once per distinct
 (op class, formats, shift range); and it walks the nodes once to sum the
 counts, the energy row by row in walk order (a float sum depends on its
-order, and this one is fixed) and the extrapolated ops. A node repeating
-a layer costs a lookup, so analysis cost scales with the distinct
-layers, plus a small per-node term.
+order, and this one is fixed) and the extrapolated ops. The bit-adders
+of each category sum as integers over one common denominator, so each
+category, the total and the MAC share are one division each. A node
+repeating a layer costs a lookup, so analysis cost scales with the
+distinct layers, plus a small per-node term. The walk checks no node
+rule of a parsed graph: the parse has.
 
 Arithmetic intensity is ops per data element:
 
@@ -78,11 +81,13 @@ def entry_ace(entry: TallyEntry) -> Fraction:
 
 
 def _price(walk: List[Tuple[LayerNode, Layer]]
-           ) -> Tuple[Dict[str, Fraction], float, List[Tuple[str, str]], int]:
-    """The bit-adders by category, the energy in mJ, the extrapolated
-    (layer id, op class) pairs and the op count (a MAC is two) of a
-    ``layer_walk``, priced in the module's three steps. The walk keeps
-    every layer alive, so no ``id(layer)`` is reused."""
+           ) -> Tuple[Dict[str, Fraction], Fraction, Optional[float], float,
+                      List[Tuple[str, str]], int]:
+    """The bit-adders by category and in total, the MAC share of them,
+    the energy in mJ, the extrapolated (layer id, op class) pairs and the
+    op count (a MAC is two) of a ``layer_walk``, priced in the module's
+    three steps. The walk keeps every layer alive, so no ``id(layer)`` is
+    reused."""
     # 1. Resolve each distinct layer's rows into groups; record the walk.
     firsts: List[TallyEntry] = []  # each group's first entry
     groups: Dict[tuple, int] = {}  # a row less its count -> its group
@@ -126,13 +131,20 @@ def _price(walk: List[Tuple[LayerNode, Layer]]
             total_pj += pjs[group] * count
             if flags[group]:
                 flagged.append((node.id, firsts[group].op_class))
-    by_category: Dict[str, Fraction] = {}
+    # The bit-adders as integers over the units' common denominator: one
+    # Fraction per category and one for the total, not two per group.
+    denominator = math.lcm(*(unit.denominator for unit in ace))
+    sums: Dict[str, int] = {}
     ops = 0
     for first, unit, count in zip(firsts, ace, counts):
-        by_category[first.category] = (
-            by_category.get(first.category, Fraction(0)) + unit * count)
+        sums[first.category] = sums.get(first.category, 0) + (
+            unit.numerator * (denominator // unit.denominator) * count)
         ops += count * (2 if first.op_class == cost.MAC else 1)
-    return by_category, total_pj / PJ_PER_MJ, flagged, ops
+    total = sum(sums.values())
+    mac = sum(v for k, v in sums.items() if k in MAC_CATEGORIES)
+    return ({k: Fraction(v, denominator) for k, v in sums.items()},
+            Fraction(total, denominator), mac / total if total else None,
+            total_pj / PJ_PER_MJ, flagged, ops)
 
 
 def bn_share(report: CostReport) -> float:
@@ -190,21 +202,16 @@ def analyze(g: Graph) -> CostReport:
     walk = layer_walk(g)
     where = graph_label(g.name)
     try:  # a count past the float range raises in the energy sum
-        by_category, energy_mj, flagged, ops = _price(walk)
+        by_category, total, mac_share, energy_mj, flagged, ops = _price(walk)
         if energy_mj == math.inf:  # a row's energy past it reads inf
             raise OverflowError
     except OverflowError:
         raise AnalysisError(where, "energy exceeds the float range") from None
-    total = sum(by_category.values(), Fraction(0))
     try:  # the report carries the total as a float too
         float(total)
     except OverflowError:
         raise AnalysisError(where, "total bit-adders exceed the float "
                             "range") from None
-    mac_share = None
-    if total:
-        mac_share = float(sum((v for k, v in by_category.items()
-                               if k in MAC_CATEGORIES), Fraction(0)) / total)
     footprint = _footprint(walk)
     return CostReport(
         name=g.name,

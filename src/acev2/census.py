@@ -106,11 +106,11 @@ class OpTally:
 
 
 def _census_compute(category: str, node: LayerNode, in_shape: TensorShape,
-                    out_shape: TensorShape) -> List[tuple]:
+                    out_shape: TensorShape, weights: int) -> List[tuple]:
     weight_fmt = node.weight_format or FP32
     act_fmt = node.act_format or FP32
     # Each output element is a dot product over one output channel's weights.
-    macs = out_shape.elements * weight_elements(node, in_shape) // out_shape.c
+    macs = out_shape.elements * weights // out_shape.c
     quant = node.quant
     if quant is not None and quant.weight_quantizer == "pot":
         # One sign bit; the remaining code bits select the shift amount.
@@ -130,7 +130,7 @@ def _census_compute(category: str, node: LayerNode, in_shape: TensorShape,
 
 
 def _batchnorm(node: LayerNode, in_shape: TensorShape,
-               out_shape: TensorShape) -> List[tuple]:
+               out_shape: TensorShape, weights: int) -> List[tuple]:
     fmt = node.weight_format or FP32
     n = out_shape.elements
     return [(MULTIPLY, n, fmt, fmt, CAT_BATCHNORM, None),
@@ -142,20 +142,21 @@ _ACTIVATION_OPS = {"relu": (), "prelu": (MULTIPLY,), "dprelu": (MULTIPLY, ADD)}
 
 
 def _activation(node: LayerNode, in_shape: TensorShape,
-                out_shape: TensorShape) -> List[tuple]:
+                out_shape: TensorShape, weights: int) -> List[tuple]:
     fmt = node.weight_format or FP32
     return [(op, out_shape.elements, fmt, fmt, CAT_ACTIVATION, None)
             for op in _ACTIVATION_OPS[node.params.get("activation", "relu")]]
 
 
 def _skip_add(node: LayerNode, in_shape: TensorShape,
-              out_shape: TensorShape) -> List[tuple]:
+              out_shape: TensorShape, weights: int) -> List[tuple]:
     fmt = node.act_format or FP32
     return [(ADD, out_shape.elements, fmt, fmt, CAT_SKIP, None)]
 
 
-# The arithmetic of every kind that does any; the other kinds (Input,
-# Output, Concat, Pool) only move data.
+# The arithmetic of every kind that does any, from (node, first input
+# shape, output shape, weight elements per sample); the other kinds
+# (Input, Output, Concat, Pool) only move data.
 CENSUS_RULES: Dict[str, Callable] = {
     **dict.fromkeys(CONV_KINDS, partial(_census_compute, CAT_CONV)),
     KIND_DENSE: partial(_census_compute, CAT_DENSE),
@@ -185,17 +186,21 @@ def layer_walk(g: Graph) -> List[Tuple[LayerNode, Layer]]:
     computed once per distinct layer. The walk sorts ``g`` before it
     computes anything, so a cycle is the first error it raises. A node's
     key is its kind, the identities of its params, formats and ``quant``
-    (a parse and the zoo builders share one object per distinct block,
-    and the graph keeps them alive) and its input shapes. The node rules
-    read all of that but the shapes, and the arity in their place, so
-    each distinct body and arity is held to them once, as a parse holds
-    a node (``check_node``), before a layer's shape is inferred: the
-    first faulty node in walk order raises, whether a rule or its shape
-    fails. A parsed graph has passed every rule already."""
+    (``ir.share_blocks``: a parse and the zoo builders share one object
+    per distinct block, and the graph keeps them alive) and its input
+    shapes. The node rules read all of that but the shapes, and the
+    arity in their place, so each distinct body and arity that the parse
+    of ``g`` did not check is held to them once, as a parse holds a node
+    (``check_node``), before a layer's shape is inferred: the first
+    faulty node in walk order raises, whether a rule or its shape fails.
+    A parsed graph's bodies are checked not at all; a body edited in,
+    such as a node whose params were replaced, is checked as in a built
+    graph."""
     base = [g.input_shape]
     shapes: Dict[str, TensorShape] = {}
     memo: Dict[tuple, Layer] = {}
-    checked = set()  # the (body, arity) keys that passed the node rules
+    parsed = g._checked  # the body keys the parse of g checked
+    checked = set()  # the ones this walk checked
     walk = []
     for node in topological_order(g):
         ins = [shapes[ref] for ref in node.inputs]
@@ -204,16 +209,17 @@ def layer_walk(g: Graph) -> List[Tuple[LayerNode, Layer]]:
         layer = memo.get(key)
         if layer is None:
             body = key[:5] + (min(len(ins), ARITY_MERGE),)
-            if body not in checked:
+            if body not in parsed and body not in checked:
                 check_node(node, partial(g.nodes.index, node))
                 checked.add(body)
             out = node_shape(g, node, ins or base)
             src = ins[0] if ins else None
+            weights = weight_elements(node, src) if ins else 0
             rule = CENSUS_RULES.get(node.kind)
             layer = memo[key] = Layer(
-                out, weight_elements(node, src) if ins else 0,
+                out, weights,
                 0 if node.kind in IN_PLACE_KINDS else out.elements,
-                tuple(rule(node, src, out)) if rule else ())
+                tuple(rule(node, src, out, weights)) if rule else ())
         shapes[node.id] = layer.shape
         walk.append((node, layer))
     return walk

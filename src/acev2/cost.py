@@ -52,12 +52,15 @@ MUX_PER_ADDER = 5
 
 
 class AceCost(namedtuple("AceCost", ("bitadders",))):
-    """An exact bit-adder count. May be fractional for shifts."""
+    """An exact bit-adder count, a Fraction (or int). May be fractional
+    for shifts."""
 
     __slots__ = ()
 
     def __new__(cls, bitadders: Fraction) -> "AceCost":
-        if bitadders < 0:
+        # The numerator's sign is the count's: an int comparison, where
+        # ``bitadders < 0`` would be a Fraction one.
+        if bitadders.numerator < 0:
             raise UnsupportedOperandError("negative bit-adder count")
         return tuple.__new__(cls, (bitadders,))
 

@@ -25,8 +25,11 @@ table, so adding a kind is one entry there. A param name means the same
 for every kind that takes it: ``_PARAM_CHECKS`` holds one type and range
 check per name. Every rule a single node must keep is checked in one
 function, ``_node_problem``: ``parse_graph`` raises what it finds
-(``check_node``), so does the analysis walk, once per distinct node body
-and arity, and ``validate`` reports it for every node.
+(``check_node``) once per distinct node body and arity, and keeps the
+bodies it checked on the graph; the analysis walk raises it once per
+distinct body and arity the parse did not check, so it checks a parsed
+graph's nodes not at all and a built or edited one's as a parse would;
+and ``validate`` reports it for every node.
 
 A parse error names its JSON path, such as
 ``$.nodes[3].quant.vectors_per_channel``; the path is formatted only when
@@ -39,7 +42,9 @@ quantization annotations are shared objects, one per distinct format or
 ``quant`` document in the graph, and its params dicts one per distinct
 node body; two parses share none. A params dict is immutable by
 convention too: changing one node's params would change every node that
-shares them.
+shares them, and the walk would not check them again. Replacing a
+node's params, formats, quant or arity is an edit the walk checks.
+``share_blocks`` gives nodes built in code the same sharing.
 """
 
 from __future__ import annotations
@@ -234,7 +239,7 @@ class Graph:
     graph of equal fields. Node ids are indexed at construction, so they
     must be unique."""
 
-    __slots__ = ("name", "input_shape", "nodes", "_index")
+    __slots__ = ("name", "input_shape", "nodes", "_index", "_checked")
 
     def __init__(self, name: str, input_shape: TensorShape,
                  nodes: List[LayerNode]):
@@ -242,9 +247,23 @@ class Graph:
         self.input_shape = input_shape
         self.nodes = nodes
         self._index = {n.id: n for n in nodes}
+        # The node bodies ``parse_graph`` checked, as the analysis walk
+        # keys them: (kind, ids of params, weight and act formats and
+        # quant, arity) -> (kind, those blocks), held so that no id in a
+        # key is reused while the graph lives. A built graph has none.
+        self._checked: Dict[tuple, tuple] = {}
         if len(self._index) != len(nodes):
             node = nodes[_first_duplicate(nodes)]
             raise ParseError(f"duplicate node id {node.id!r}")
+
+    def __getstate__(self):
+        """The state a copy or a pickle takes, less the bodies the parse
+        checked: their keys hold the ids of this graph's blocks, not of a
+        deep copy's or an unpickled graph's, so a copy's walk checks its
+        bodies as a built graph's walk does."""
+        return None, {"name": self.name, "input_shape": self.input_shape,
+                      "nodes": self.nodes, "_index": self._index,
+                      "_checked": {}}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -258,6 +277,33 @@ class Graph:
 
     def node(self, node_id: str) -> LayerNode:
         return self._index[node_id]
+
+
+def share_blocks(nodes: List[LayerNode]) -> None:
+    """Make ``nodes`` share one object per distinct block, as a parse
+    does: a params dict equal to an earlier node's in its ``marshal``
+    encoding (8, 8.0 and true differ) becomes that node's dict, and a
+    format or quant annotation equal to an earlier one of its class
+    becomes that one. The analysis walk's layer memo and the serializer's
+    block cache key on these objects, so a graph built with per-node
+    copies of its blocks then analyzes and serializes as its parse does.
+    A block that cannot be keyed (params ``marshal`` cannot encode, an
+    unhashable format) keeps its own object, and so do the node's blocks
+    after an unhashable one."""
+    share = {}.setdefault
+    for node in nodes:
+        params, weights, acts, quant = (node.params, node.weight_format,
+                                        node.act_format, node.quant)
+        try:
+            node.params = share(marshal.dumps(params, 2), params)
+        except ValueError:  # marshal cannot encode it
+            pass
+        try:
+            node.weight_format = share((weights.__class__, weights), weights)
+            node.act_format = share((acts.__class__, acts), acts)
+            node.quant = share((quant.__class__, quant), quant)
+        except TypeError:  # unhashable
+            pass
 
 
 class Diagnostic(NamedTuple):
@@ -527,14 +573,15 @@ def _parse_quant(doc, memo: dict, i: int) -> QuantizationAnnotation:
     return quant
 
 
-def _parse_node(doc, i: int, memo: dict) -> LayerNode:
+def _parse_node(doc, i: int, memo: dict, checked: dict) -> LayerNode:
     """The node ``doc`` at ``$.nodes[i]`` describes. Its body, every key
     but ``id`` and ``inputs``, is checked once per parse: a body that
     passed at the same arity is found in ``memo`` by its ``marshal``
     encoding, in which 8, 8.0 and true differ (version 2 writes no
     back-references, so equal bodies encode alike), and then only the id
     and inputs are checked, and the node shares the first one's params
-    dict, formats and quant. A rejected body is never stored."""
+    dict, formats and quant. A rejected body is never stored; an accepted
+    one is also stored in ``checked`` (``Graph._checked``)."""
     if not isinstance(doc, dict):
         raise ParseError("node must be an object", _at(i))
     # The document is this parse's own, so the node takes its containers.
@@ -575,7 +622,9 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
                      act_format, quant)
     check_node(node, lambda: i)
     if body is not None:
-        memo[body] = (node.kind, params, weight_format, act_format, quant)
+        checked[(node.kind, id(params), id(weight_format), id(act_format),
+                 id(quant), body[0])] = memo[body] = (
+            node.kind, params, weight_format, act_format, quant)
     return node
 
 
@@ -586,7 +635,8 @@ def parse_graph(text: str) -> Graph:
     error names its JSON path. A node body, every key but ``id`` and
     ``inputs``, is checked once per parse: a node repeating an accepted
     body at the same arity, keyed type-exactly, only has its id and
-    inputs checked (``_parse_node``)."""
+    inputs checked (``_parse_node``). The graph keeps the bodies it
+    checked, so the analysis walk checks none of them again."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # malformed, or an integer too long to read
@@ -621,12 +671,14 @@ def parse_graph(text: str) -> Graph:
     if type(name) is not str:
         raise ParseError(f"name must be a string, got {name!r}", "$.name")
     memo: dict = {}  # this parse's formats, quants and node bodies
-    nodes = [_parse_node(nd, i, memo) for i, nd in enumerate(docs)]
+    checked: Dict[tuple, tuple] = {}
+    nodes = [_parse_node(nd, i, memo, checked) for i, nd in enumerate(docs)]
     try:
         graph = Graph(name=name, input_shape=shape, nodes=nodes)
     except ParseError as exc:  # a duplicate id: name the node repeating it
         raise ParseError(str(exc), _at(_first_duplicate(nodes), ".id")) \
             from None
+    graph._checked = checked
 
     ids = graph._index
     for i, node in enumerate(nodes):

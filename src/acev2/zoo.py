@@ -17,15 +17,15 @@ made to match a published operating point is a keyword default or is
 named in its builder's docstring, never a hidden constant.
 
 A builder shares one object per distinct params dict, format and
-quantization annotation across its nodes, as a parse does, so a zoo
-graph's params are immutable by convention, like a parsed graph's: copy
-one before changing it. Two builds share no params dict.
+quantization annotation across its nodes (``ir.share_blocks``), as a
+parse does, so a zoo graph's params are immutable by convention, like a
+parsed graph's: copy one before changing it. Two builds share no params
+dict.
 """
 
 from __future__ import annotations
 
-import marshal
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .formats import FP32, INT4, INT8, INT16, NumericFormat
 from .ir import (
@@ -45,6 +45,7 @@ from .ir import (
     POT_SCALE,
     QuantizationAnnotation,
     TensorShape,
+    share_blocks,
 )
 
 IMAGENET_INPUT = TensorShape(1, 224, 224, 3)
@@ -56,11 +57,6 @@ class _Builder:
         self.name = name
         self.input_shape = input_shape
         self.nodes: List[LayerNode] = []
-        # The first object of each distinct block: a params dict keyed
-        # by its marshal encoding, type-exact as a parse's body key (8,
-        # 8.0 and true differ), a format or quant annotation, a checked
-        # named tuple, by itself.
-        self.blocks: Dict[object, object] = {}
         self.add("in", KIND_INPUT, [])
 
     def add(self, node_id: str, kind: str, inputs: List[str],
@@ -68,16 +64,13 @@ class _Builder:
             weight_format: Optional[NumericFormat] = None,
             act_format: Optional[NumericFormat] = None,
             quant: Optional[QuantizationAnnotation] = None) -> str:
-        share = self.blocks.setdefault
-        params = params or {}
-        self.nodes.append(LayerNode(
-            node_id, kind, share(marshal.dumps(params, 2), params),
-            list(inputs), share(weight_format, weight_format),
-            share(act_format, act_format), share(quant, quant)))
+        self.nodes.append(LayerNode(node_id, kind, params or {}, list(inputs),
+                                    weight_format, act_format, quant))
         return node_id
 
     def finish(self, last: str) -> Graph:
         self.add("out", KIND_OUTPUT, [last])
+        share_blocks(self.nodes)
         return Graph(self.name, self.input_shape, self.nodes)
 
 

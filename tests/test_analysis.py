@@ -1,6 +1,8 @@
 """Cost reports: exact totals, shares, energy, intensity, comparisons."""
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -134,16 +136,17 @@ class TestOnePass:
     @pytest.mark.parametrize("build", MODELS)
     def test_each_node_body_is_checked_once(self, monkeypatch, build):
         """The node rules read a node's body, every key but ``id`` and
-        ``inputs``, and its arity, never its input shapes. So ``analyze``
-        of a parsed graph checks each distinct body and arity once, though
-        a body recurs as distinct layers over different input shapes."""
-        text = ir.serialize_graph(build())
+        ``inputs``, and its arity, never its input shapes. So a parse
+        checks each distinct body and arity once, though a body recurs as
+        distinct layers over different input shapes, and keeps the bodies
+        it checked: ``analyze`` and ``census_graph`` of the parsed graph
+        check none, and the walk of a build checks as many as its parse."""
+        built = build()
+        text = ir.serialize_graph(built)
         bodies = {(json.dumps({k: v for k, v in node.items()
                                if k not in ("id", "inputs")}),
                    min(len(node["inputs"]), 2))
                   for node in json.loads(text)["nodes"]}
-        g = ir.parse_graph(text)
-        layers = {id(layer) for _, layer in census.layer_walk(g)}
         calls = []
         node_problem = ir._node_problem
 
@@ -152,8 +155,62 @@ class TestOnePass:
             return node_problem(node)
 
         monkeypatch.setattr(ir, "_node_problem", counted)
+        g = ir.parse_graph(text)
+        assert len(calls) == len(bodies)
+        calls.clear()
+        layers = {id(layer) for _, layer in census.layer_walk(g)}
         analyze(g)
-        assert len(calls) == len(bodies) < len(layers)
+        census_graph(g)
+        assert calls == [] and len(bodies) < len(layers)
+        analyze(built)
+        assert len(calls) == len(bodies)
+
+    def test_a_copied_parsed_graph_is_checked_as_a_build(self, monkeypatch):
+        """The bodies a parse keeps are keyed on the ids of its own blocks.
+        A copy of a parsed graph, shallow, deep or unpickled, keeps none of
+        them, so its walk checks each body as a build's walk does."""
+        built = zoo.build_pikelpn("1x")
+        g = ir.parse_graph(ir.serialize_graph(built))
+        calls = []
+        node_problem = ir._node_problem
+
+        def counted(node):
+            calls.append(node.id)
+            return node_problem(node)
+
+        monkeypatch.setattr(ir, "_node_problem", counted)
+        analyze(built)
+        checks = len(calls)
+        for twin in (copy.copy(g), copy.deepcopy(g),
+                     pickle.loads(pickle.dumps(g))):
+            calls.clear()
+            assert analyze(twin) == analyze(g)
+            assert len(calls) == checks > 0
+        calls.clear()
+        analyze(g)
+        assert calls == []
+
+    @pytest.mark.parametrize("edit, path", [
+        ("params", "$.nodes[4].params.stride"),
+        ("arity", "$.nodes[6].inputs"),
+    ])
+    def test_an_edited_parsed_node_is_checked_by_the_walk(self, edit, path):
+        """The parse's checks cover the bodies it made. A parsed node
+        whose params dict is replaced by one that breaks a rule, or whose
+        arity changes, is checked by the walk as in a built graph, and
+        fails as a parse would fail it, at the node's path."""
+        g = ir.parse_graph(ir.serialize_graph(zoo.build_mobilenet_v1()))
+        assert analyze(g).total_ace > 0
+        if edit == "params":
+            node = g.nodes[4]  # b1_dw, a DepthwiseConv2D
+            node.params = {**node.params, "stride": 0}
+        else:
+            node = g.nodes[6]  # b1_dw_relu, an Activation
+            node.inputs = node.inputs + ["in"]
+        for walk_stage in (analyze, census_graph):
+            with pytest.raises(ParseError) as err:
+                walk_stage(g)
+            assert err.value.path == path
 
     def test_first_unpriceable_entry_in_tally_order_is_named(self):
         """Of the layers whose bit-adders cannot be priced (a shift of

@@ -247,8 +247,15 @@ def test_a_build_shares_each_distinct_block(key):
 def test_a_built_graph_analyzes_as_its_parse(key, monkeypatch):
     """A build shares its blocks as its parse does, so ``analyze`` of the
     two gives equal reports, ``energy_mj`` to the bit, from as many
-    distinct layers and as many node-rule checks."""
+    distinct layers. The parse checks each distinct node body and arity
+    once and keeps them, so the walks of the parsed graph check none,
+    and the walk of the build checks as many as the parse did."""
     built = ZOO_BUILDS[key]()
+    text = serialize_graph(built)
+    bodies = {(json.dumps({k: v for k, v in node.items()
+                           if k not in ("id", "inputs")}),
+               min(len(node["inputs"]), 2))
+              for node in json.loads(text)["nodes"]}
     calls = []
     node_problem = ir._node_problem
 
@@ -257,13 +264,76 @@ def test_a_built_graph_analyzes_as_its_parse(key, monkeypatch):
         return node_problem(node)
 
     monkeypatch.setattr(ir, "_node_problem", counted)
+    parsed = parse_graph(text)
+    assert len(calls) == len(bodies)
     seen = []
-    for g in (built, parse_graph(serialize_graph(built))):
+    checks = []
+    for g in (built, parsed):
         layers = {id(layer) for _, layer in census.layer_walk(g)}
         calls.clear()
         report = analyze(g)
-        seen.append((report, report.energy_mj.hex(), len(layers), len(calls)))
+        seen.append((report, report.energy_mj.hex(), len(layers)))
+        checks.append(len(calls))
+    census.census_graph(parsed)
     assert seen[0] == seen[1]
+    assert checks == [len(bodies), 0] and calls == []
+
+
+def copied_blocks(g):
+    """``g`` with a copy of every block for each node: no two nodes share
+    a params dict, format or quant annotation."""
+    def copy(block):
+        return None if block is None else block.__class__(*block)
+
+    return Graph(g.name, g.input_shape, [
+        LayerNode(n.id, n.kind, dict(n.params), list(n.inputs),
+                  copy(n.weight_format), copy(n.act_format), copy(n.quant))
+        for n in g.nodes])
+
+
+@pytest.mark.parametrize("key", sorted(ZOO_BUILDS))
+def test_share_blocks_gives_copied_blocks_the_layers_of_the_parse(key):
+    """A graph built with per-node copies of its blocks walks one layer
+    per node body and input shapes, not per distinct layer; after
+    ``share_blocks`` it has the distinct layers, the report and the bytes
+    of its parse."""
+    g = ZOO_BUILDS[key]()
+    parsed = parse_graph(serialize_graph(g))
+    copied = copied_blocks(g)
+
+    def layers(graph):
+        return len({id(layer) for _, layer in census.layer_walk(graph)})
+
+    assert layers(copied) > layers(parsed)
+    ir.share_blocks(copied.nodes)
+    report = analyze(copied)
+    assert (report, report.energy_mj.hex(), layers(copied)) == (
+        analyze(parsed), analyze(parsed).energy_mj.hex(), layers(parsed))
+    assert serialize_graph(copied) == serialize_graph(parsed)
+
+
+def test_share_blocks_is_type_exact_and_keeps_what_it_cannot_key():
+    """Params dicts share by their ``marshal`` encoding, so 8 and 8.0
+    and 1 and true stay apart; formats share by class and value. A
+    params dict marshal cannot encode, or an unhashable format, keeps its
+    own object."""
+    int8 = NumericFormat.fixed(8)
+    odd = {"units": object()}
+    unhashable = ["fixed", 8]
+    nodes = [LayerNode("a", "Dense", {"units": 8}, weight_format=int8),
+             LayerNode("b", "Dense", {"units": 8},
+                       weight_format=NumericFormat(*int8)),
+             LayerNode("c", "Dense", {"units": 8.0}),
+             LayerNode("d", "Pool", {"pool": "max", "stride": 1}),
+             LayerNode("e", "Pool", {"pool": "max", "stride": True},
+                       weight_format=("fixed", 8, None, None)),
+             LayerNode("f", "Dense", odd, weight_format=unhashable)]
+    ir.share_blocks(nodes)
+    a, b, c, d, e, f = nodes
+    assert a.params is b.params and a.weight_format is b.weight_format
+    assert a.params is not c.params and d.params is not e.params
+    assert e.weight_format.__class__ is tuple
+    assert f.params is odd and f.weight_format is unhashable
 
 
 @pytest.mark.parametrize("key", sorted(ZOO_BUILDS))

@@ -189,38 +189,37 @@ def layer_walk(g: Graph) -> List[Tuple[LayerNode, Layer]]:
     (``ir.share_blocks``: a parse and the zoo builders share one object
     per distinct block, and the graph keeps them alive) and its input
     shapes. The node rules read all of that but the shapes, and the
-    arity in their place, so each distinct body and arity that the parse
-    of ``g`` did not check is held to them once, as a parse holds a node
-    (``check_node``), before a layer's shape is inferred: the first
-    faulty node in walk order raises, whether a rule or its shape fails.
-    A parsed graph's bodies are checked not at all; a body edited in,
-    such as a node whose params were replaced, is checked as in a built
-    graph."""
+    arity in their place. A parsed graph's nodes passed them at the parse
+    and cannot change since, so they are not checked again. In a graph
+    built in code, each distinct body and arity is held to them once, as
+    a parse holds a node (``check_node``), before a layer's shape is
+    inferred: the first faulty node in walk order raises, whether a rule
+    or its shape fails."""
     base = [g.input_shape]
     shapes: Dict[str, TensorShape] = {}
     memo: Dict[tuple, Layer] = {}
-    parsed = g._checked  # the body keys the parse of g checked
-    checked = set()  # the ones this walk checked
+    parsed = g._parsed  # its nodes passed the node rules at the parse
+    checked = set()  # the bodies this walk checked
     walk = []
     for node in topological_order(g):
-        ins = [shapes[ref] for ref in node.inputs]
-        key = (node.kind, id(node.params), id(node.weight_format),
-               id(node.act_format), id(node.quant), *ins)
+        node_id, kind, params, inputs, weight_format, act_format, quant = node
+        ins = [shapes[ref] for ref in inputs]
+        key = (kind, id(params), id(weight_format), id(act_format), id(quant),
+               *ins)
         layer = memo.get(key)
         if layer is None:
             body = key[:5] + (min(len(ins), ARITY_MERGE),)
-            if body not in parsed and body not in checked:
+            if not (parsed or body in checked):
                 check_node(node, partial(g.nodes.index, node))
                 checked.add(body)
             out = node_shape(g, node, ins or base)
             src = ins[0] if ins else None
             weights = weight_elements(node, src) if ins else 0
-            rule = CENSUS_RULES.get(node.kind)
+            rule = CENSUS_RULES.get(kind)
             layer = memo[key] = Layer(
-                out, weights,
-                0 if node.kind in IN_PLACE_KINDS else out.elements,
+                out, weights, 0 if kind in IN_PLACE_KINDS else out.elements,
                 tuple(rule(node, src, out, weights)) if rule else ())
-        shapes[node.id] = layer.shape
+        shapes[node_id] = layer.shape
         walk.append((node, layer))
     return walk
 

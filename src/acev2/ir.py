@@ -1,7 +1,7 @@
 """Model graph IR: layers, shapes, connectivity, formats, quantization.
 
-A ``Graph`` is a mutable list of mutable ``LayerNode`` objects; shapes,
-formats and quantization annotations are named tuples. Graphs are
+A ``Graph`` is a tuple of ``LayerNode`` named tuples over an input shape;
+shapes, formats and quantization annotations are named tuples. Graphs are
 parsed from (and serialized back to) a strict JSON schema, version 1:
 
     {
@@ -25,26 +25,26 @@ table, so adding a kind is one entry there. A param name means the same
 for every kind that takes it: ``_PARAM_CHECKS`` holds one type and range
 check per name. Every rule a single node must keep is checked in one
 function, ``_node_problem``: ``parse_graph`` raises what it finds
-(``check_node``) once per distinct node body and arity, and keeps the
-bodies it checked on the graph; the analysis walk raises it once per
-distinct body and arity the parse did not check, so it checks a parsed
-graph's nodes not at all and a built or edited one's as a parse would;
-and ``validate`` reports it for every node.
+(``check_node``) once per distinct node body and arity, and marks the
+graph as checked; the analysis walk raises it once per distinct body and
+arity of a graph built in code; and ``validate`` reports it for every
+node.
 
 A parse error names its JSON path, such as
 ``$.nodes[3].quant.vectors_per_channel``; the path is formatted only when
 the error is raised, so a valid node pays for no path strings.
 
 A parsed graph has passed every rule but the cycle check, which the
-first topological sort makes. It is immutable by convention, so it can
-be shared freely across threads for analysis. Its formats and
-quantization annotations are shared objects, one per distinct format or
-``quant`` document in the graph, and its params dicts one per distinct
-node body; two parses share none. A params dict is immutable by
-convention too: changing one node's params would change every node that
-shares them, and the walk would not check them again. Replacing a
-node's params, formats, quant or arity is an edit the walk checks.
-``share_blocks`` gives nodes built in code the same sharing.
+first topological sort makes, and its checks hold: a graph's fields
+cannot be reassigned, a node is a named tuple, its params a read-only
+mapping and its inputs a tuple (only a list in params, a ``kernel``, can
+change in place). So it can be shared freely across threads for
+analysis. Its formats and quantization annotations are shared objects,
+one per distinct format or ``quant`` document in the graph, and its
+params one per distinct node body; two parses share none, and
+``share_blocks`` gives nodes built in code the same sharing. To edit a
+graph, build a new one of nodes edited with ``node._replace(...)``: the
+walk checks it, as it checks any graph built in code.
 """
 
 from __future__ import annotations
@@ -54,9 +54,10 @@ import json
 import marshal
 from collections import namedtuple
 from math import prod
-from operator import attrgetter, methodcaller
-from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
-                    Tuple, Union)
+from operator import methodcaller
+from types import MappingProxyType
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .errors import (
     DanglingInputError,
@@ -190,41 +191,35 @@ class QuantizationAnnotation(namedtuple(
         return doc
 
 
-class LayerNode:
-    """One node of a graph: mutable, and equal to a node of equal fields.
-    ``params`` and ``inputs`` default to a new dict and list."""
+class LayerNode(namedtuple("LayerNode", ("id", "kind", "params", "inputs",
+                                         "weight_format", "act_format",
+                                         "quant"))):
+    """One node of a graph: a named tuple, so it cannot change in place.
+    ``params`` is a read-only view of a copy of the mapping given (a view
+    given is kept), and ``inputs`` a tuple. ``_replace`` skips ``__new__``
+    and keeps what it is given: a graph of nodes it made is built, not
+    parsed, and the analysis walk checks it."""
 
-    __slots__ = ("id", "kind", "params", "inputs", "weight_format",
-                 "act_format", "quant")
+    __slots__ = ()
 
-    def __init__(self, id: str, kind: str, params: Optional[dict] = None,
-                 inputs: Optional[List[str]] = None,
-                 weight_format: Optional[NumericFormat] = None,
-                 act_format: Optional[NumericFormat] = None,
-                 quant: Optional[QuantizationAnnotation] = None):
-        self.id = id
-        self.kind = kind
-        self.params = {} if params is None else params
-        self.inputs = [] if inputs is None else inputs
-        self.weight_format = weight_format
-        self.act_format = act_format
-        self.quant = quant
+    def __new__(cls, id: str, kind: str, params: Optional[Mapping] = None,
+                inputs: Optional[Iterable[str]] = None,
+                weight_format: Optional[NumericFormat] = None,
+                act_format: Optional[NumericFormat] = None,
+                quant: Optional[QuantizationAnnotation] = None
+                ) -> "LayerNode":
+        if type(params) is not MappingProxyType:
+            params = MappingProxyType(dict(params or {}))
+        return tuple.__new__(cls, (id, kind, params, tuple(inputs or ()),
+                                   weight_format, act_format, quant))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _node_fields(self) == _node_fields(other)
-
-    def __repr__(self) -> str:
-        return "LayerNode(" + ", ".join(
-            f"{name}={value!r}"
-            for name, value in zip(self.__slots__, _node_fields(self))) + ")"
+    def __reduce__(self):
+        """A read-only view cannot be pickled or copied: a copy of the
+        node holds a copy of its params."""
+        return self.__class__, (*self[:2], dict(self.params), *self[3:])
 
 
-_node_fields = attrgetter(*LayerNode.__slots__)  # a node -> its field tuple
-
-
-def _first_duplicate(nodes: List[LayerNode]) -> int:
+def _first_duplicate(nodes: Sequence[LayerNode]) -> int:
     """The index of the first node whose id an earlier node holds; the
     caller knows there is one."""
     seen = set()
@@ -235,35 +230,36 @@ def _first_duplicate(nodes: List[LayerNode]) -> int:
 
 
 class Graph:
-    """A named list of nodes over an input shape: mutable, and equal to a
-    graph of equal fields. Node ids are indexed at construction, so they
-    must be unique."""
+    """A name and a tuple of nodes over an input shape, equal to a graph
+    of equal fields. Its fields cannot be reassigned, and its node ids,
+    indexed at construction, must be unique. A parse marks the graph it
+    makes as checked, and a copy or a pickle keeps the mark."""
 
-    __slots__ = ("name", "input_shape", "nodes", "_index", "_checked")
+    __slots__ = ("name", "input_shape", "nodes", "_index", "_parsed")
 
     def __init__(self, name: str, input_shape: TensorShape,
-                 nodes: List[LayerNode]):
-        self.name = name
-        self.input_shape = input_shape
-        self.nodes = nodes
-        self._index = {n.id: n for n in nodes}
-        # The node bodies ``parse_graph`` checked, as the analysis walk
-        # keys them: (kind, ids of params, weight and act formats and
-        # quant, arity) -> (kind, those blocks), held so that no id in a
-        # key is reused while the graph lives. A built graph has none.
-        self._checked: Dict[tuple, tuple] = {}
-        if len(self._index) != len(nodes):
+                 nodes: Iterable[LayerNode]):
+        nodes = tuple(nodes)
+        index = {n.id: n for n in nodes}
+        if len(index) != len(nodes):
             node = nodes[_first_duplicate(nodes)]
             raise ParseError(f"duplicate node id {node.id!r}")
+        for field, value in zip(self.__slots__,
+                                (name, input_shape, nodes, index, False)):
+            object.__setattr__(self, field, value)
 
-    def __getstate__(self):
-        """The state a copy or a pickle takes, less the bodies the parse
-        checked: their keys hold the ids of this graph's blocks, not of a
-        deep copy's or an unpickled graph's, so a copy's walk checks its
-        bodies as a built graph's walk does."""
-        return None, {"name": self.name, "input_shape": self.input_shape,
-                      "nodes": self.nodes, "_index": self._index,
-                      "_checked": {}}
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"a Graph's {name} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (self.__class__, (self.name, self.input_shape, self.nodes),
+                self._parsed)
+
+    def __setstate__(self, parsed: bool) -> None:
+        """Mark the graph as checked by a parse, or not."""
+        object.__setattr__(self, "_parsed", parsed)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -279,11 +275,15 @@ class Graph:
         return self._index[node_id]
 
 
-def share_blocks(nodes: List[LayerNode]) -> None:
-    """Make ``nodes`` share one object per distinct block, as a parse
-    does: a params dict equal to an earlier node's in its ``marshal``
-    encoding (8, 8.0 and true differ) becomes that node's dict, and a
-    format or quant annotation equal to an earlier one of its class
+_node = tuple.__new__  # a node of fields as LayerNode makes them
+
+
+def share_blocks(nodes: Iterable[tuple]) -> List[LayerNode]:
+    """The nodes ``nodes`` give (each a node or the tuple of its fields),
+    made by ``LayerNode`` and sharing one object per distinct block, as a
+    parse's do: a params mapping equal to an earlier node's in its
+    ``marshal`` encoding (8, 8.0 and true differ) becomes that node's, and
+    a format or quant annotation equal to an earlier one of its class
     becomes that one. The analysis walk's layer memo and the serializer's
     block cache key on these objects, so a graph built with per-node
     copies of its blocks then analyzes and serializes as its parse does.
@@ -291,19 +291,22 @@ def share_blocks(nodes: List[LayerNode]) -> None:
     unhashable format) keeps its own object, and so do the node's blocks
     after an unhashable one."""
     share = {}.setdefault
+    shared = []
     for node in nodes:
-        params, weights, acts, quant = (node.params, node.weight_format,
-                                        node.act_format, node.quant)
+        node_id, kind, params, inputs, weights, acts, quant = LayerNode(*node)
         try:
-            node.params = share(marshal.dumps(params, 2), params)
+            params = share(marshal.dumps(params.copy(), 2), params)
         except ValueError:  # marshal cannot encode it
             pass
         try:
-            node.weight_format = share((weights.__class__, weights), weights)
-            node.act_format = share((acts.__class__, acts), acts)
-            node.quant = share((quant.__class__, quant), quant)
+            weights = share((weights.__class__, weights), weights)
+            acts = share((acts.__class__, acts), acts)
+            quant = share((quant.__class__, quant), quant)
         except TypeError:  # unhashable
             pass
+        shared.append(_node(LayerNode, (node_id, kind, params, inputs,
+                                        weights, acts, quant)))
+    return shared
 
 
 class Diagnostic(NamedTuple):
@@ -573,15 +576,14 @@ def _parse_quant(doc, memo: dict, i: int) -> QuantizationAnnotation:
     return quant
 
 
-def _parse_node(doc, i: int, memo: dict, checked: dict) -> LayerNode:
+def _parse_node(doc, i: int, memo: dict) -> LayerNode:
     """The node ``doc`` at ``$.nodes[i]`` describes. Its body, every key
     but ``id`` and ``inputs``, is checked once per parse: a body that
     passed at the same arity is found in ``memo`` by its ``marshal``
     encoding, in which 8, 8.0 and true differ (version 2 writes no
     back-references, so equal bodies encode alike), and then only the id
-    and inputs are checked, and the node shares the first one's params
-    dict, formats and quant. A rejected body is never stored; an accepted
-    one is also stored in ``checked`` (``Graph._checked``)."""
+    and inputs are checked, and the node shares the first one's params,
+    formats and quant. A rejected body is never stored."""
     if not isinstance(doc, dict):
         raise ParseError("node must be an object", _at(i))
     # The document is this parse's own, so the node takes its containers.
@@ -603,8 +605,8 @@ def _parse_node(doc, i: int, memo: dict, checked: dict) -> LayerNode:
         raise ParseError("node id must be a string", _at(i, ".id"))
     if shared is not None:
         kind, params, weight_format, act_format, quant = shared
-        return LayerNode(node_id, kind, params, inputs, weight_format,
-                         act_format, quant)
+        return _node(LayerNode, (node_id, kind, params, tuple(inputs),
+                                 weight_format, act_format, quant))
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ParseError("params must be an object", _at(i, ".params"))
@@ -618,13 +620,12 @@ def _parse_node(doc, i: int, memo: dict, checked: dict) -> LayerNode:
         act_format = _parse_format(doc["act_format"], memo, i, ".act_format")
     if "quant" in doc:
         quant = _parse_quant(doc["quant"], memo, i)
-    node = LayerNode(node_id, doc["kind"], params, inputs, weight_format,
-                     act_format, quant)
+    node = LayerNode(node_id, doc["kind"], MappingProxyType(params), inputs,
+                     weight_format, act_format, quant)
     check_node(node, lambda: i)
     if body is not None:
-        checked[(node.kind, id(params), id(weight_format), id(act_format),
-                 id(quant), body[0])] = memo[body] = (
-            node.kind, params, weight_format, act_format, quant)
+        memo[body] = (node.kind, node.params, weight_format, act_format,
+                      quant)
     return node
 
 
@@ -635,8 +636,9 @@ def parse_graph(text: str) -> Graph:
     error names its JSON path. A node body, every key but ``id`` and
     ``inputs``, is checked once per parse: a node repeating an accepted
     body at the same arity, keyed type-exactly, only has its id and
-    inputs checked (``_parse_node``). The graph keeps the bodies it
-    checked, so the analysis walk checks none of them again."""
+    inputs checked (``_parse_node``). The graph is marked as checked, so
+    the analysis walk checks none of its nodes again: they cannot
+    change."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # malformed, or an integer too long to read
@@ -671,14 +673,13 @@ def parse_graph(text: str) -> Graph:
     if type(name) is not str:
         raise ParseError(f"name must be a string, got {name!r}", "$.name")
     memo: dict = {}  # this parse's formats, quants and node bodies
-    checked: Dict[tuple, tuple] = {}
-    nodes = [_parse_node(nd, i, memo, checked) for i, nd in enumerate(docs)]
+    nodes = [_parse_node(nd, i, memo) for i, nd in enumerate(docs)]
     try:
         graph = Graph(name=name, input_shape=shape, nodes=nodes)
     except ParseError as exc:  # a duplicate id: name the node repeating it
         raise ParseError(str(exc), _at(_first_duplicate(nodes), ".id")) \
             from None
-    graph._checked = checked
+    graph.__setstate__(True)
 
     ids = graph._index
     for i, node in enumerate(nodes):
@@ -750,6 +751,7 @@ def json_value(value, indent: str = "") -> str:
 
 _KEY = ",\n      "  # ends a node's key: the next one sits at depth 3
 _to_json = methodcaller("to_json")
+_copy = methodcaller("copy")  # params as a dict: a view's copy is one
 
 
 def serialize_graph(g: Graph) -> str:
@@ -774,26 +776,25 @@ def serialize_graph(g: Graph) -> str:
         return text
 
     nodes = []
-    for node in g.nodes:
+    for node_id, kind, params, inputs, weights, acts, quant in g.nodes:
         try:  # ids, kinds and refs are strings in any parsed graph
-            refs = ",\n        ".join(map(_escape, node.inputs))
-            text = ('    {\n      "id": ' + _escape(node.id)
-                    + _KEY + '"kind": ' + _escape(node.kind))
+            refs = ",\n        ".join(map(_escape, inputs))
+            text = ('    {\n      "id": ' + _escape(node_id)
+                    + _KEY + '"kind": ' + _escape(kind))
         except TypeError:  # one is not: render them as params are
             refs = ",\n        ".join(json_value(ref, "        ")
-                                       for ref in node.inputs)
-            text = ('    {\n      "id": ' + json_value(node.id, "      ")
-                    + _KEY + '"kind": ' + json_value(node.kind, "      "))
-        text += (_KEY + '"params": ' + block(node.params, dict)
+                                       for ref in inputs)
+            text = ('    {\n      "id": ' + json_value(node_id, "      ")
+                    + _KEY + '"kind": ' + json_value(kind, "      "))
+        text += (_KEY + '"params": ' + block(params, _copy)
                  + _KEY + '"inputs": '
                  + ("[\n        " + refs + "\n      ]" if refs else "[]"))
-        if node.weight_format is not None:
-            text += (_KEY + '"weight_format": '
-                     + block(node.weight_format, _to_json))
-        if node.act_format is not None:
-            text += _KEY + '"act_format": ' + block(node.act_format, _to_json)
-        if node.quant is not None:
-            text += _KEY + '"quant": ' + block(node.quant, _to_json)
+        if weights is not None:
+            text += _KEY + '"weight_format": ' + block(weights, _to_json)
+        if acts is not None:
+            text += _KEY + '"act_format": ' + block(acts, _to_json)
+        if quant is not None:
+            text += _KEY + '"quant": ' + block(quant, _to_json)
         nodes.append(text + "\n    }")
     body = "[\n" + ",\n".join(nodes) + "\n  ]" if nodes else "[]"
     return (f'{{\n  "ir_version": {IR_VERSION},\n  "name": '

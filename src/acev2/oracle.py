@@ -262,8 +262,9 @@ def fp_adder_breakdown(e: int, m: int) -> FpAdderBreakdown:
     final round/post-normalize is one more m-bit add.
     """
     _require_int_widths(e, m)
-    if e < 2 or m < 2:
-        raise OutOfRangeError("need at least 2 exponent and 2 mantissa bits")
+    if not (2 <= e <= MAX_BITS and 2 <= m <= MAX_BITS):
+        raise OutOfRangeError("exponent and mantissa bits must each be in "
+                              f"[2, {MAX_BITS}], got {e} and {m}")
     return FpAdderBreakdown(
         exponent_bits=e,
         mantissa_bits=m,

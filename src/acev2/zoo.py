@@ -16,11 +16,11 @@ first 1x1 convolution of each downsampling block). Any format choice
 made to match a published operating point is a keyword default or is
 named in its builder's docstring, never a hidden constant.
 
-A builder shares one object per distinct params dict, format and
+A builder shares one object per distinct params mapping, format and
 quantization annotation across its nodes (``ir.share_blocks``), as a
-parse does, so a zoo graph's params are immutable by convention, like a
-parsed graph's: copy one before changing it. Two builds share no params
-dict.
+parse does. Its graph cannot change in place, as a parsed graph cannot:
+to edit one, build a new ``Graph`` of nodes edited with ``_replace``.
+Two builds share no params.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .ir import (
     KIND_OUTPUT,
     KIND_POOL,
     KIND_PWCONV,
-    LayerNode,
     POT_SCALE,
     QuantizationAnnotation,
     TensorShape,
@@ -56,7 +55,7 @@ class _Builder:
     def __init__(self, name: str, input_shape: TensorShape = IMAGENET_INPUT):
         self.name = name
         self.input_shape = input_shape
-        self.nodes: List[LayerNode] = []
+        self.nodes: List[tuple] = []  # each node's fields
         self.add("in", KIND_INPUT, [])
 
     def add(self, node_id: str, kind: str, inputs: List[str],
@@ -64,14 +63,13 @@ class _Builder:
             weight_format: Optional[NumericFormat] = None,
             act_format: Optional[NumericFormat] = None,
             quant: Optional[QuantizationAnnotation] = None) -> str:
-        self.nodes.append(LayerNode(node_id, kind, params or {}, list(inputs),
-                                    weight_format, act_format, quant))
+        self.nodes.append((node_id, kind, params, inputs, weight_format,
+                           act_format, quant))
         return node_id
 
     def finish(self, last: str) -> Graph:
         self.add("out", KIND_OUTPUT, [last])
-        share_blocks(self.nodes)
-        return Graph(self.name, self.input_shape, self.nodes)
+        return Graph(self.name, self.input_shape, share_blocks(self.nodes))
 
 
 # Depthwise-separable backbone: (stride, pointwise out channels).

@@ -165,10 +165,10 @@ class TestOnePass:
         analyze(built)
         assert len(calls) == len(bodies)
 
-    def test_a_copied_parsed_graph_is_checked_as_a_build(self, monkeypatch):
-        """The bodies a parse keeps are keyed on the ids of its own blocks.
-        A copy of a parsed graph, shallow, deep or unpickled, keeps none of
-        them, so its walk checks each body as a build's walk does."""
+    def test_a_copied_parsed_graph_stays_checked(self, monkeypatch):
+        """A graph cannot change in place, so a copy of a parsed graph,
+        shallow, deep or unpickled, is as checked as the graph: its walk
+        checks no node, where a build's walk checks each body."""
         built = zoo.build_pikelpn("1x")
         g = ir.parse_graph(ir.serialize_graph(built))
         calls = []
@@ -180,36 +180,56 @@ class TestOnePass:
 
         monkeypatch.setattr(ir, "_node_problem", counted)
         analyze(built)
-        checks = len(calls)
+        assert len(calls) > 0
         for twin in (copy.copy(g), copy.deepcopy(g),
                      pickle.loads(pickle.dumps(g))):
             calls.clear()
-            assert analyze(twin) == analyze(g)
-            assert len(calls) == checks > 0
-        calls.clear()
-        analyze(g)
-        assert calls == []
+            assert twin == g and analyze(twin) == analyze(g)
+            census_graph(twin)
+            assert calls == []
+
+    def test_a_parsed_graph_cannot_be_edited_in_place(self):
+        """An in-place edit of a parsed graph raises at the edit, and the
+        graph reports as before."""
+        g = ir.parse_graph(ir.serialize_graph(zoo.build_mobilenet_v1()))
+        report = analyze(g)
+        node = g.nodes[4]  # b1_dw, a DepthwiseConv2D
+        with pytest.raises(TypeError):
+            node.params["stride"] = 0
+        with pytest.raises(AttributeError):
+            node.inputs.append("in")
+        with pytest.raises(AttributeError):
+            node.params = {}
+        with pytest.raises(AttributeError):
+            g.nodes = g.nodes[:4]
+        with pytest.raises(TypeError):
+            g.nodes[4] = node._replace(params={"stride": 0})
+        with pytest.raises(AttributeError):
+            del g.name
+        assert analyze(g) == report
 
     @pytest.mark.parametrize("edit, path", [
         ("params", "$.nodes[4].params.stride"),
         ("arity", "$.nodes[6].inputs"),
     ])
-    def test_an_edited_parsed_node_is_checked_by_the_walk(self, edit, path):
-        """The parse's checks cover the bodies it made. A parsed node
-        whose params dict is replaced by one that breaks a rule, or whose
-        arity changes, is checked by the walk as in a built graph, and
-        fails as a parse would fail it, at the node's path."""
+    def test_an_edited_parsed_node_is_checked_in_a_new_graph(self, edit,
+                                                             path):
+        """A parsed node edited with ``_replace`` goes into a new graph,
+        a built one. Given params that break a rule, or another arity, it
+        is checked by the walk and fails as a parse would fail it, at the
+        node's path."""
         g = ir.parse_graph(ir.serialize_graph(zoo.build_mobilenet_v1()))
-        assert analyze(g).total_ace > 0
+        nodes = list(g.nodes)
         if edit == "params":
-            node = g.nodes[4]  # b1_dw, a DepthwiseConv2D
-            node.params = {**node.params, "stride": 0}
+            node = nodes[4]  # b1_dw, a DepthwiseConv2D
+            nodes[4] = node._replace(params={**node.params, "stride": 0})
         else:
-            node = g.nodes[6]  # b1_dw_relu, an Activation
-            node.inputs = node.inputs + ["in"]
+            node = nodes[6]  # b1_dw_relu, an Activation
+            nodes[6] = node._replace(inputs=(*node.inputs, "in"))
+        edited = Graph(g.name, g.input_shape, nodes)
         for walk_stage in (analyze, census_graph):
             with pytest.raises(ParseError) as err:
-                walk_stage(g)
+                walk_stage(edited)
             assert err.value.path == path
 
     def test_first_unpriceable_entry_in_tally_order_is_named(self):
@@ -384,7 +404,7 @@ class TestEnergy:
 
     def test_an_unnamed_graph_is_named_graph(self):
         g = prelu(FP32, 10 ** 400)
-        g.name = ""
+        g = Graph("", g.input_shape, g.nodes)
         with pytest.raises(AnalysisError, match="^graph: energy"):
             analyze(g)
 

@@ -998,14 +998,20 @@ class TestUsageErrors:
         (["oracle", "--shifter", "100", "4"],
          "data bits must be in [1, 64], got 100"),
         (["oracle", "--fp-adder", "1", "1"],
-         "need at least 2 exponent and 2 mantissa bits"),
+         "exponent and mantissa bits must each be in [2, 64], got 1 and 1"),
+        (["oracle", "--fp-adder", "65", "2"],
+         "exponent and mantissa bits must each be in [2, 64], got 65 and 2"),
+        (["oracle", "--fp-adder", "100000000", "3"],
+         "exponent and mantissa bits must each be in [2, 64], got 100000000 "
+         "and 3"),
         (["oracle", "--max-bits", "0"], "max_bits must be in [1, 64]"),
         (["quantsim", "--trials", "-1"],
          "trials and seed must be >= 0, got -1 and 20240817"),
         (["quantsim", "--trials", "2", "--seed", "-1"],
          "trials and seed must be >= 0, got 2 and -1"),
     ], ids=["shifter_no_data_bits", "shifter_range_one", "shifter_too_wide",
-            "fp_adder_too_narrow", "max_bits_zero", "trials_negative",
+            "fp_adder_too_narrow", "fp_adder_too_wide",
+            "fp_adder_far_too_wide", "max_bits_zero", "trials_negative",
             "seed_negative"])
     def test_exits_64_with_an_error_line(self, argv, message, capsys):
         assert main(argv) == 64

@@ -287,3 +287,65 @@ def test_readme_non_monotone_energy_table_is_what_energy_of_op_gives():
                          pj(low), f"{neighbour}-bit over {shift_range}: "
                          f"{pj(high)}"])
     assert listed == rows
+
+
+def one_step_rises():
+    """Each step up by one of one argument of a fixed-point op, widths
+    1-64 bits and shift ranges 2-64: (op class, (a, b), (a', b')), where
+    b is a width, or for a shift the range."""
+    for op in (cost.MULTIPLY, cost.MAC, cost.ADD):
+        for i in range(1, 64):
+            for j in range(1, 65):
+                yield op, (i, j), (i + 1, j)
+                yield op, (j, i), (j, i + 1)
+    for i in range(1, 65):
+        for r in range(2, 65):
+            if r < 64:
+                yield cost.SHIFT, (i, r), (i, r + 1)
+            if i < 64:
+                yield cost.SHIFT, (i, r), (i + 1, r)
+
+
+def falls(price):
+    """The one-step rises whose ``price(op, a, b)`` is lower after."""
+    prices = {}
+
+    def priced(op, args):
+        if (op, args) not in prices:
+            a, b = args
+            prices[op, args] = price(op, fixed(a),
+                                     b if op == cost.SHIFT else fixed(b))
+        return prices[op, args]
+
+    return {(op, low, high) for op, low, high in one_step_rises()
+            if priced(op, high) < priced(op, low)}
+
+
+def test_no_ace_formula_falls_as_a_width_or_shift_range_rises():
+    """ACE counts work, so one more bit or one more shift place never
+    costs fewer bit-adders."""
+    ace = {cost.MULTIPLY: ace_multiply, cost.MAC: ace_mac,
+           cost.ADD: ace_add, cost.SHIFT: ace_shift}
+    assert falls(lambda op, a, b: ace[op](a, b).bitadders) == set()
+
+
+def test_energy_falls_at_exactly_the_steps_onto_a_measured_cell():
+    """Energy scales from one anchor cell per op class, so a step from an
+    extrapolated op onto a cheaper measured cell can cost less: an add
+    from 8 to 9 bits on either operand (the int32 anchor prices a 9-bit
+    add below the measured int8 one), and a 16- or 32-bit shift stepping
+    onto its measured range or width. Multiplies and MACs never fall. A
+    new cell or a changed anchor changes this set."""
+    def energy(op, a, b):
+        if op == cost.SHIFT:
+            return energy_of_op(op, a, shift_range=b).picojoules
+        return energy_of_op(op, a, b).picojoules
+
+    adds = {(cost.ADD, (8, j), (9, j)) for j in range(1, 9)} | {
+        (cost.ADD, (j, 8), (j, 9)) for j in range(1, 9)}
+    shifts = {(cost.SHIFT, (16, 15), (16, 16)),
+              (cost.SHIFT, (32, 31), (32, 32)),
+              (cost.SHIFT, (15, 16), (16, 16)),
+              (cost.SHIFT, (31, 32), (32, 32))}
+    assert falls(energy) == adds | shifts
+    assert len(adds | shifts) == 20

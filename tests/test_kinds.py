@@ -91,39 +91,42 @@ def graphs(draw):
         kind = draw(st.sampled_from(BODY_KINDS))
         src = draw(st.sampled_from(sorted(shapes)))
         s = shapes[src]
-        node = LayerNode(f"{kind.lower()}{i}", kind, inputs=[src])
+        params, inputs = {}, [src]
+        weight_format = act_format = quant = None
         if kind in ir.COMPUTE_KINDS:
-            node.weight_format, node.act_format = draw(FIXED), draw(FIXED)
-            node.quant = draw(QUANTS)
+            weight_format, act_format = draw(FIXED), draw(FIXED)
+            quant = draw(QUANTS)
         if kind == "Conv2D":
-            node.params = dict(window_params(draw, s),
-                               out_channels=draw(st.integers(1, 5)))
+            params = dict(window_params(draw, s),
+                          out_channels=draw(st.integers(1, 5)))
         elif kind == "DepthwiseConv2D":
-            node.params = window_params(draw, s)
+            params = window_params(draw, s)
         elif kind == "PointwiseConv2D":
-            node.params = {"out_channels": draw(st.integers(1, 5)),
-                           "stride": draw(st.integers(1, 2))}
+            params = {"out_channels": draw(st.integers(1, 5)),
+                      "stride": draw(st.integers(1, 2))}
         elif kind == "Dense":
-            node.params = {"units": draw(st.integers(1, 5))}
+            params = {"units": draw(st.integers(1, 5))}
         elif kind == "BatchNorm":
-            node.params = {"quantnorm": draw(st.booleans())}
-            node.weight_format = draw(st.one_of(st.none(), FIXED))
+            params = {"quantnorm": draw(st.booleans())}
+            weight_format = draw(st.one_of(st.none(), FIXED))
         elif kind == "Activation":
-            node.params = {"activation": draw(st.sampled_from(
+            params = {"activation": draw(st.sampled_from(
                 ir.ACTIVATION_KINDS))}
-            node.weight_format = draw(st.one_of(st.none(), FIXED))
+            weight_format = draw(st.one_of(st.none(), FIXED))
         elif kind == "Pool":
             pool = draw(st.sampled_from(["global_avg", "max", "avg"]))
-            node.params = {"pool": pool}
+            params = {"pool": pool}
             if pool != "global_avg":
-                node.params.update(window_params(draw, s))
+                params.update(window_params(draw, s))
         else:  # Add and Concat merge producers of a matching shape
             match = ((lambda t: t == s) if kind == "Add"
                      else (lambda t: (t.n, t.h, t.w) == (s.n, s.h, s.w)))
             peers = sorted(k for k, t in shapes.items() if match(t))
-            node.inputs += draw(st.lists(st.sampled_from(peers), min_size=1,
-                                         max_size=3))
-            node.act_format = draw(st.one_of(st.none(), FIXED))
+            inputs += draw(st.lists(st.sampled_from(peers), min_size=1,
+                                    max_size=3))
+            act_format = draw(st.one_of(st.none(), FIXED))
+        node = LayerNode(f"{kind.lower()}{i}", kind, params, inputs,
+                         weight_format, act_format, quant)
         nodes.append(node)
         shapes[node.id] = KIND_RULES[kind].shape(
             node, [shapes[ref] for ref in node.inputs])
@@ -257,12 +260,6 @@ def test_declaration_order_changes_no_cost(g, rng):
         shuffled, ir.topological_order(shuffled))
 
 
-def node_with(node, **changes):
-    """A new node with the fields of ``node`` but ``changes``."""
-    fields = {name: getattr(node, name) for name in LayerNode.__slots__}
-    return LayerNode(**dict(fields, **changes))
-
-
 def with_nodes(g, change):
     """``g`` with ``change(node)`` in place of each node it returns."""
     return Graph(g.name, g.input_shape, [change(node) or node
@@ -287,8 +284,8 @@ def test_pot_scales_replace_float_scale_multiplies(g, scale):
     removes each layer's scale multiplies and never raises its scale
     cost. (A narrow fixed-point scale can cost less than the shift.)"""
     def scaled(fmt):
-        return with_nodes(g, lambda node: node_with(
-            node, quant=node.quant._replace(scale_format=fmt))
+        return with_nodes(g, lambda node: node._replace(
+            quant=node.quant._replace(scale_format=fmt))
             if node.quant and node.quant.weight_quantizer == "linear"
             else None)
 
@@ -306,7 +303,7 @@ def test_a_fixed_point_batchnorm_costs_less_than_fp32(g, bits):
     """QuantNorm: a BatchNorm whose parameters are fixed-point at 16 bits
     or fewer costs fewer bit-adders than the same node at fp32."""
     def norms_at(fmt):
-        return with_nodes(g, lambda node: node_with(node, weight_format=fmt)
+        return with_nodes(g, lambda node: node._replace(weight_format=fmt)
                           if node.kind == "BatchNorm" else None)
 
     fp32, _ = layer_ace(norms_at(FP32), "batchnorm")
@@ -346,10 +343,9 @@ def test_lowering_a_fixed_point_width_never_raises_total_ace(g, data):
     assume(bits > floor)
     lower = NumericFormat.fixed(data.draw(st.integers(floor, bits - 1)))
     if slot == "scale_format":
-        lowered = node_with(node,
-                            quant=node.quant._replace(scale_format=lower))
+        lowered = node._replace(quant=node.quant._replace(scale_format=lower))
     else:
-        lowered = node_with(node, **{slot: lower})
+        lowered = node._replace(**{slot: lower})
     nodes = list(g.nodes)
     nodes[i] = lowered
     narrow = Graph(g.name, g.input_shape, nodes)
@@ -380,12 +376,12 @@ def test_splitting_a_conv_across_a_concat_keeps_its_cost(g, data):
     conv = g.nodes[i]
     channels = conv.params["out_channels"]
     first = data.draw(st.integers(1, channels - 1))
-    halves = [node_with(conv, id=f"{conv.id}_{half}",
-                        params=dict(conv.params, out_channels=c))
+    halves = [conv._replace(id=f"{conv.id}_{half}",
+                            params=dict(conv.params, out_channels=c))
               for half, c in (("a", first), ("b", channels - first))]
     cat = LayerNode(conv.id, "Concat", {}, [half.id for half in halves])
     split = Graph(g.name, g.input_shape,
-                  g.nodes[:i] + halves + [cat] + g.nodes[i + 1:])
+                  [*g.nodes[:i], *halves, cat, *g.nodes[i + 1:]])
     assert validate(split) == []
     assert conv_costs(split) == conv_costs(g)
 
@@ -398,7 +394,7 @@ def with_twins(g):
     for node in g.nodes:
         nodes.append(node)
         if node.kind not in ("Input", "Output"):
-            nodes.append(node_with(node, id=node.id + "_twin"))
+            nodes.append(node._replace(id=node.id + "_twin"))
     return Graph(g.name, g.input_shape, nodes)
 
 
@@ -422,8 +418,8 @@ def test_repeated_layers_cost_what_fresh_ones_do(g):
     renames the extrapolated ops and changes nothing else."""
     text = serialize_graph(with_twins(g))
     shared, fresh = parse_graph(text), parse_graph(text)
-    for node in fresh.nodes:
-        node.params = dict(node.params)
+    fresh = with_nodes(fresh, lambda node: node._replace(
+        params=dict(node.params)))
     walks = layer_walk(shared), layer_walk(fresh)
     assert len({id(layer) for _, layer in walks[0]}) < len(walks[0])
     assert len({id(layer) for _, layer in walks[1]}) == len(walks[1])
@@ -485,20 +481,20 @@ def broken(node, how, pick):
     required = sorted(KIND_RULES[kind].required)
     if how == "drop a required param" and required:
         key = required[pick % len(required)]
-        return node_with(node, params={k: v for k, v in node.params.items()
-                                       if k != key})
+        return node._replace(params={k: v for k, v in node.params.items()
+                                     if k != key})
     if how == "add an input" and kind != "Input":
-        return node_with(node, inputs=node.inputs + ["in"])
+        return node._replace(inputs=(*node.inputs, "in"))
     if how == "windowed pool without a kernel" and kind == "Pool":
-        return node_with(node, params={"pool": "max"})
+        return node._replace(params={"pool": "max"})
     if how == "quant on a non-compute kind" and kind not in ir.COMPUTE_KINDS:
-        return node_with(node, quant=QuantizationAnnotation())
+        return node._replace(quant=QuantizationAnnotation())
     if how == "3x3 pointwise kernel" and kind == "PointwiseConv2D":
-        return node_with(node, params=dict(node.params, kernel=[3, 3]))
+        return node._replace(params=dict(node.params, kernel=[3, 3]))
     if how == "pot weights on fp16" and kind in ir.COMPUTE_KINDS:
-        return node_with(node, weight_format=FP16,
-                         quant=QuantizationAnnotation(scale_format="pot",
-                                                      weight_quantizer="pot"))
+        return node._replace(weight_format=FP16,
+                             quant=QuantizationAnnotation(
+                                 scale_format="pot", weight_quantizer="pot"))
     return None
 
 

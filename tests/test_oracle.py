@@ -398,15 +398,20 @@ class TestFpAdder:
         assert bd.normalization == pytest.approx(0.4)
         assert bd.total == pytest.approx(13.8)
 
-    def test_minimum_widths_enforced(self):
-        with pytest.raises(OutOfRangeError):
-            fp_adder_breakdown(1, 23)
+    @pytest.mark.parametrize("e, m", [(1, 23), (8, 1), (65, 2), (2, 65),
+                                      (10 ** 8, 3), (1000, 1000)])
+    def test_each_width_is_held_to_2_to_64_bits(self, e, m):
+        with pytest.raises(OutOfRangeError, match=r"each be in \[2, 64\]"):
+            fp_adder_breakdown(e, m)
 
-    @given(st.integers(2, 11), st.integers(2, 52))
-    @settings(max_examples=120, deadline=None)
-    def test_factor_six_is_an_upper_bound(self, e, m):
-        bd = fp_adder_breakdown(e, m)
-        assert bd.total <= 6 * (e + m + 1)
+    def test_factor_six_is_an_upper_bound(self):
+        """Every admissible pair, each width 2-64 bits, stays within the
+        factor-6 bound; the nearest, 2 exponent and 64 mantissa bits,
+        reads 0.996 of it."""
+        ratio, e, m = max((fp_adder_breakdown(e, m).total / (6 * (e + m + 1)),
+                           e, m)
+                          for e in range(2, 65) for m in range(2, 65))
+        assert (e, m) == (2, 64) and ratio == pytest.approx(0.9955, abs=1e-4)
 
 
 class TestBarrelShifter:

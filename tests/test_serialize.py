@@ -229,13 +229,13 @@ def test_zoo_bytes_equal_json_dumps(key):
 
 @pytest.mark.parametrize("key", sorted(ZOO_BUILDS))
 def test_a_build_shares_each_distinct_block(key):
-    """Within one build, params dicts of one marshal encoding (8, 8.0 and
-    true differ) are one object, and so are equal formats and equal quant
-    annotations, as in a parse; two builds share no params dict."""
+    """Within one build, params of one marshal encoding (8, 8.0 and true
+    differ) are one object, and so are equal formats and equal quant
+    annotations, as in a parse; two builds share no params."""
     g, again = ZOO_BUILDS[key](), ZOO_BUILDS[key]()
     params = [node.params for node in g.nodes]
     assert len({id(p) for p in params}) == len(
-        {marshal.dumps(p, 2) for p in params}) < len(g.nodes)
+        {marshal.dumps(dict(p), 2) for p in params}) < len(g.nodes)
     for fields in (("weight_format", "act_format"), ("quant",)):
         blocks = [getattr(node, field) for node in g.nodes
                   for field in fields if getattr(node, field) is not None]
@@ -286,7 +286,7 @@ def copied_blocks(g):
         return None if block is None else block.__class__(*block)
 
     return Graph(g.name, g.input_shape, [
-        LayerNode(n.id, n.kind, dict(n.params), list(n.inputs),
+        LayerNode(n.id, n.kind, dict(n.params), n.inputs,
                   copy(n.weight_format), copy(n.act_format), copy(n.quant))
         for n in g.nodes])
 
@@ -305,7 +305,7 @@ def test_share_blocks_gives_copied_blocks_the_layers_of_the_parse(key):
         return len({id(layer) for _, layer in census.layer_walk(graph)})
 
     assert layers(copied) > layers(parsed)
-    ir.share_blocks(copied.nodes)
+    copied = Graph(g.name, g.input_shape, ir.share_blocks(copied.nodes))
     report = analyze(copied)
     assert (report, report.energy_mj.hex(), layers(copied)) == (
         analyze(parsed), analyze(parsed).energy_mj.hex(), layers(parsed))
@@ -313,10 +313,11 @@ def test_share_blocks_gives_copied_blocks_the_layers_of_the_parse(key):
 
 
 def test_share_blocks_is_type_exact_and_keeps_what_it_cannot_key():
-    """Params dicts share by their ``marshal`` encoding, so 8 and 8.0
-    and 1 and true stay apart; formats share by class and value. A
-    params dict marshal cannot encode, or an unhashable format, keeps its
-    own object."""
+    """Params share by their ``marshal`` encoding, so 8 and 8.0 and 1
+    and true stay apart; formats share by class and value. Params marshal
+    cannot encode, or an unhashable format, keep their own object. The
+    nodes given are left as they are: the shared ones are new nodes,
+    equal to them."""
     int8 = NumericFormat.fixed(8)
     odd = {"units": object()}
     unhashable = ["fixed", 8]
@@ -328,12 +329,13 @@ def test_share_blocks_is_type_exact_and_keeps_what_it_cannot_key():
              LayerNode("e", "Pool", {"pool": "max", "stride": True},
                        weight_format=("fixed", 8, None, None)),
              LayerNode("f", "Dense", odd, weight_format=unhashable)]
-    ir.share_blocks(nodes)
-    a, b, c, d, e, f = nodes
+    shared = ir.share_blocks(nodes)
+    assert shared == nodes and nodes[0].params is not nodes[1].params
+    a, b, c, d, e, f = shared
     assert a.params is b.params and a.weight_format is b.weight_format
     assert a.params is not c.params and d.params is not e.params
     assert e.weight_format.__class__ is tuple
-    assert f.params is odd and f.weight_format is unhashable
+    assert f.params is nodes[5].params and f.weight_format is unhashable
 
 
 @pytest.mark.parametrize("key", sorted(ZOO_BUILDS))

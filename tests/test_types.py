@@ -1,8 +1,9 @@
 """The value types: named tuples that keep every field they are given and
-reject what their checks rule out, and the mutable graph classes, which
-compare and print by their fields."""
+reject what their checks rule out, and the graph classes, which cannot
+change in place and compare and print by their fields."""
 
 import json
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -108,12 +109,21 @@ def test_shapes_print_compactly_and_repr_by_field():
     assert shape == (1, 8, 8, 3)
 
 
-def test_a_node_defaults_to_its_own_params_and_inputs():
-    a, b = ir.LayerNode("a", "Input"), ir.LayerNode("b", "Input")
-    assert a.params == b.params == {} and a.params is not b.params
-    assert a.inputs == b.inputs == [] and a.inputs is not b.inputs
-    a.params["x"] = 1
-    assert b.params == {}
+def test_a_node_holds_a_read_only_copy_of_its_params_and_inputs():
+    """A node copies the params and inputs it is given, so the caller's
+    later edits do not reach it, and nothing reaches it in place."""
+    params, inputs = {"units": 8}, ["in"]
+    node = ir.LayerNode("a", "Dense", params, inputs)
+    params["units"] = 9
+    inputs.append("x")
+    assert node.params == {"units": 8} and node.inputs == ("in",)
+    bare = ir.LayerNode("b", "Input")
+    assert bare.params == {} and bare.inputs == ()
+    with pytest.raises(TypeError):
+        node.params["units"] = 9
+    with pytest.raises(AttributeError):
+        node.kind = "Conv2D"
+    assert ir.LayerNode("c", "Dense", node.params).params is node.params
 
 
 def test_graph_classes_compare_and_print_by_their_fields():
@@ -122,7 +132,8 @@ def test_graph_classes_compare_and_print_by_their_fields():
              ir.LayerNode("pw", "PointwiseConv2D", {"out_channels": 4},
                           ["in"], INT8, FP16, quant)]
     g = ir.Graph("g", ir.TensorShape(1, 2, 2, 3), nodes)
-    names = {**vars(ir), **vars(formats), **vars(census)}
+    names = {**vars(ir), **vars(formats), **vars(census),
+             "mappingproxy": types.MappingProxyType}
     assert eval(repr(g), names) == g
     assert eval(repr(nodes[1]), names) == nodes[1]
     tally = census.census_graph(g)
@@ -132,10 +143,10 @@ def test_graph_classes_compare_and_print_by_their_fields():
     changed = ir.LayerNode("pw", "PointwiseConv2D", {"out_channels": 4},
                            ["in"], INT8, FP16, quant)
     assert changed == nodes[1]
-    changed.act_format = INT8
+    changed = changed._replace(act_format=INT8)
     assert changed != nodes[1]
     assert ir.Graph("g", g.input_shape, [nodes[0], changed]) != g
-    assert nodes[0] != ("in", "Input", {}, [], None, None, None)
+    assert nodes[0] == ("in", "Input", {}, (), None, None, None)
 
 
 def test_a_diagnostic_prints_its_node_rule_and_message():

@@ -80,22 +80,10 @@ class TallyEntry(NamedTuple):
     shift_range: Optional[int] = None
 
 
-class OpTally:
-    """A graph's census entries in walk order: mutable, and equal to a
-    tally of equal entries. ``entries`` defaults to a new list."""
+class OpTally(NamedTuple):
+    """A graph's census entries in walk order, as a tuple."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Optional[List[TallyEntry]] = None):
-        self.entries = [] if entries is None else entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"OpTally(entries={self.entries!r})"
+    entries: Tuple[TallyEntry, ...] = ()
 
     def count(self, op_class: Optional[str] = None,
               category: Optional[str] = None) -> int:
@@ -230,6 +218,6 @@ def census_graph(g: Graph,
     layer counted once by ``layer_walk``. ``shapes`` is accepted from
     callers that still pass it and not read: the walk infers each
     distinct layer's shape itself."""
-    return OpTally([TallyEntry(node.id, *row)
-                    for node, layer in layer_walk(g)
-                    for row in layer.rows])
+    return OpTally(tuple(TallyEntry(node.id, *row)
+                         for node, layer in layer_walk(g)
+                         for row in layer.rows))

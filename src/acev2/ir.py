@@ -1,8 +1,9 @@
 """Model graph IR: layers, shapes, connectivity, formats, quantization.
 
-A ``Graph`` is a tuple of ``LayerNode`` named tuples over an input shape;
-shapes, formats and quantization annotations are named tuples. Graphs are
-parsed from (and serialized back to) a strict JSON schema, version 1:
+A ``Graph`` is a named tuple of a name, an input shape and a tuple of
+``LayerNode`` named tuples; shapes, formats and quantization annotations
+are named tuples too. Graphs are parsed from (and serialized back to) a
+strict JSON schema, version 1:
 
     {
       "ir_version": 1,
@@ -34,17 +35,19 @@ A parse error names its JSON path, such as
 ``$.nodes[3].quant.vectors_per_channel``; the path is formatted only when
 the error is raised, so a valid node pays for no path strings.
 
-A parsed graph has passed every rule but the cycle check, which the
-first topological sort makes, and its checks hold: a graph's fields
-cannot be reassigned, a node is a named tuple, its params a read-only
-mapping and its inputs a tuple (only a list in params, a ``kernel``, can
-change in place). So it can be shared freely across threads for
-analysis. Its formats and quantization annotations are shared objects,
-one per distinct format or ``quant`` document in the graph, and its
-params one per distinct node body; two parses share none, and
-``share_blocks`` gives nodes built in code the same sharing. To edit a
-graph, build a new one of nodes edited with ``node._replace(...)``: the
-walk checks it, as it checks any graph built in code.
+A graph checks its own references when it is made, parsed or built:
+its ids are unique and each input names a node. A parsed graph has
+passed every rule but the cycle check, which the first topological sort
+makes, and its checks hold: a graph's fields cannot be reassigned, a
+node is a named tuple, its params a read-only mapping holding a kernel
+as a tuple, and its inputs a tuple. So it can be shared freely across
+threads for analysis. Its formats and quantization annotations are
+shared objects, one per distinct format or ``quant`` document in the
+graph, and its params one per distinct node body; two parses share
+none, and ``share_blocks`` gives nodes built in code the same sharing.
+To edit a graph, build a new one of nodes edited with
+``node._replace(...)``, or ``graph._replace(nodes=...)``: the walk
+checks it, as it checks any graph built in code.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from math import prod
 from operator import methodcaller
 from types import MappingProxyType
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
-                    NamedTuple, Optional, Sequence, Tuple, Union)
+                    NamedTuple, Optional, Tuple, Union)
 
 from .errors import (
     DanglingInputError,
@@ -219,60 +222,49 @@ class LayerNode(namedtuple("LayerNode", ("id", "kind", "params", "inputs",
         return self.__class__, (*self[:2], dict(self.params), *self[3:])
 
 
-def _first_duplicate(nodes: Sequence[LayerNode]) -> int:
-    """The index of the first node whose id an earlier node holds; the
-    caller knows there is one."""
-    seen = set()
-    for i, node in enumerate(nodes):
-        if node.id in seen:
-            return i
-        seen.add(node.id)
+class Graph(namedtuple("Graph", ("name", "input_shape", "nodes"))):
+    """A name and a tuple of nodes over an input shape: a named tuple, so
+    its fields cannot be reassigned. Its references are checked as a
+    parse checks them, and a fault raises the parse's error at the
+    parse's path: first the first repeated id, at ``$.nodes[i].id``, then
+    the first input that names no node (in a parse, where ids are
+    strings, any input that is not one), a ``DanglingInputError`` at
+    ``$.nodes[i].inputs``. ``_replace`` checks the graph it makes. A
+    parse marks the graph it makes as checked (``_parsed``), and a copy
+    or a pickle keeps the mark; a ``_replace`` does not."""
 
+    _parsed = False  # parse_graph sets it on the graph it returns
 
-class Graph:
-    """A name and a tuple of nodes over an input shape, equal to a graph
-    of equal fields. Its fields cannot be reassigned, and its node ids,
-    indexed at construction, must be unique. A parse marks the graph it
-    makes as checked, and a copy or a pickle keeps the mark."""
-
-    __slots__ = ("name", "input_shape", "nodes", "_index", "_parsed")
-
-    def __init__(self, name: str, input_shape: TensorShape,
-                 nodes: Iterable[LayerNode]):
+    def __new__(cls, name: str, input_shape: TensorShape,
+                nodes: Iterable[LayerNode]) -> "Graph":
         nodes = tuple(nodes)
-        index = {n.id: n for n in nodes}
-        if len(index) != len(nodes):
-            node = nodes[_first_duplicate(nodes)]
-            raise ParseError(f"duplicate node id {node.id!r}")
-        for field, value in zip(self.__slots__,
-                                (name, input_shape, nodes, index, False)):
-            object.__setattr__(self, field, value)
+        ids = {node.id for node in nodes}
+        if len(ids) != len(nodes):
+            seen = set()
+            for i, node in enumerate(nodes):
+                if node.id in seen:
+                    raise ParseError(f"duplicate node id {node.id!r}",
+                                     _at(i, ".id"))
+                seen.add(node.id)
+        for i, node in enumerate(nodes):
+            for ref in node.inputs:
+                try:
+                    if ref in ids:
+                        continue
+                except TypeError:  # unhashable: it names no node
+                    pass
+                raise DanglingInputError(ref, _at(i, ".inputs"))
+        return tuple.__new__(cls, (name, input_shape, nodes))
 
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"a Graph's {name} cannot change")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return (self.__class__, (self.name, self.input_shape, self.nodes),
-                self._parsed)
-
-    def __setstate__(self, parsed: bool) -> None:
-        """Mark the graph as checked by a parse, or not."""
-        object.__setattr__(self, "_parsed", parsed)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.input_shape, self.nodes)
-                == (other.name, other.input_shape, other.nodes))
-
-    def __repr__(self) -> str:
-        return (f"Graph(name={self.name!r}, input_shape={self.input_shape!r},"
-                f" nodes={self.nodes!r})")
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Graph":
+        return cls(*fields)
 
     def node(self, node_id: str) -> LayerNode:
-        return self._index[node_id]
+        for node in self.nodes:
+            if node.id == node_id:
+                return node
+        raise KeyError(node_id)
 
 
 _node = tuple.__new__  # a node of fields as LayerNode makes them
@@ -429,7 +421,7 @@ def _positive_int(value) -> bool:
 # One check per param name, the same for every kind that takes it:
 # name -> (accepts the value, what it must be).
 _PARAM_CHECKS = {
-    "kernel": (lambda v: type(v) is list and len(v) == 2
+    "kernel": (lambda v: type(v) in (list, tuple) and len(v) == 2
                and all(map(_positive_int, v)),
                "a list of two positive integers"),
     "stride": (_positive_int, "a positive integer"),
@@ -471,9 +463,9 @@ def _node_problem(node: LayerNode) -> Optional[Tuple[str, str, str]]:
     if min(len(node.inputs), ARITY_MERGE) != rule.arity:
         check, message = _ARITY_DIAGNOSTICS[rule.arity]
         return ".inputs", check, message.format(kind)
-    if kind == KIND_PWCONV and params.get("kernel", [1, 1]) != [1, 1]:
+    if kind == KIND_PWCONV and list(params.get("kernel", (1, 1))) != [1, 1]:
         return (".params.kernel", "pw-kernel-1x1",
-                f"pointwise kernel must be 1x1, got {params['kernel']}")
+                f"pointwise kernel must be 1x1, got {list(params['kernel'])}")
     quant = node.quant
     if quant is None:
         return None
@@ -623,6 +615,8 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
     node = LayerNode(node_id, doc["kind"], MappingProxyType(params), inputs,
                      weight_format, act_format, quant)
     check_node(node, lambda: i)
+    if "kernel" in params:  # checked: freeze it, as the node is frozen
+        params["kernel"] = tuple(params["kernel"])
     if body is not None:
         memo[body] = (node.kind, node.params, weight_format, act_format,
                       quant)
@@ -636,9 +630,9 @@ def parse_graph(text: str) -> Graph:
     error names its JSON path. A node body, every key but ``id`` and
     ``inputs``, is checked once per parse: a node repeating an accepted
     body at the same arity, keyed type-exactly, only has its id and
-    inputs checked (``_parse_node``). The graph is marked as checked, so
-    the analysis walk checks none of its nodes again: they cannot
-    change."""
+    inputs checked (``_parse_node``). ``Graph`` then checks the ids and
+    references. The graph is marked as checked, so the analysis walk
+    checks none of its nodes again: they cannot change."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # malformed, or an integer too long to read
@@ -673,19 +667,9 @@ def parse_graph(text: str) -> Graph:
     if type(name) is not str:
         raise ParseError(f"name must be a string, got {name!r}", "$.name")
     memo: dict = {}  # this parse's formats, quants and node bodies
-    nodes = [_parse_node(nd, i, memo) for i, nd in enumerate(docs)]
-    try:
-        graph = Graph(name=name, input_shape=shape, nodes=nodes)
-    except ParseError as exc:  # a duplicate id: name the node repeating it
-        raise ParseError(str(exc), _at(_first_duplicate(nodes), ".id")) \
-            from None
-    graph.__setstate__(True)
-
-    ids = graph._index
-    for i, node in enumerate(nodes):
-        for ref in node.inputs:  # a ref that resolves is a string, like ids
-            if type(ref) is not str or ref not in ids:
-                raise DanglingInputError(ref, _at(i, ".inputs"))
+    graph = Graph(name, shape, [_parse_node(nd, i, memo)
+                                for i, nd in enumerate(docs)])
+    graph._parsed = True
     return graph
 
 
@@ -806,15 +790,15 @@ def serialize_graph(g: Graph) -> str:
 def topological_order(g: Graph) -> List[LayerNode]:
     """Kahn topological sort, stable with respect to declaration order:
     of the nodes ready at each step, the first declared comes first.
-    Raises DanglingInputError on an unresolved input, and on a cycle a
+    Every input resolves (``Graph`` checks that); on a cycle it raises a
     ParseError at ``$.nodes[i].inputs`` of the first declared node the
     sort could not place.
 
     A graph declared in topological order, every input naming an
     earlier-declared node, sorts to its declaration order; one set test
     per node finds that in O(V + E) and returns it. The scan stops at the
-    first forward, dangling or self reference, and the full sort, a heap
-    keyed on declaration index in O((V + E) log V), runs from scratch."""
+    first forward or self reference, and the full sort, a heap keyed on
+    declaration index in O((V + E) log V), runs from scratch."""
     seen = set()
     for node in g.nodes:
         if not seen.issuperset(node.inputs):
@@ -827,8 +811,6 @@ def topological_order(g: Graph) -> List[LayerNode]:
     consumers: List[List[int]] = [[] for _ in g.nodes]
     for i, node in enumerate(g.nodes):
         for ref in node.inputs:
-            if ref not in position:
-                raise DanglingInputError(ref)
             consumers[position[ref]].append(i)
     ready = [i for i, d in enumerate(indegree) if d == 0]  # sorted: a heap
     order: List[LayerNode] = []
@@ -849,22 +831,17 @@ def topological_order(g: Graph) -> List[LayerNode]:
 def validate(g: Graph) -> List[Diagnostic]:
     """Structural diagnostics of a graph built in code; an empty list means
     all invariants hold. Each node is held to the rules ``parse_graph``
-    raises for (``_node_problem``), and the graph gets the dangling-input
-    and cycle checks. With none of those found, shapes are inferred in
-    topological order by kind rule: each node whose shape fails gets a
-    ``shape`` diagnostic, and a node with a failed input is skipped.
-    ``analyze`` raises only a built graph's first bad node; this collects
-    every diagnostic. A parsed graph has passed every check but the cycle
-    check and the shapes."""
+    raises for (``_node_problem``), and the graph gets the cycle check;
+    its references resolve, as ``Graph`` checks. With none of those
+    found, shapes are inferred in topological order by kind rule: each
+    node whose shape fails gets a ``shape`` diagnostic, and a node with a
+    failed input is skipped. ``analyze`` raises only a built graph's
+    first bad node; this collects every diagnostic. A parsed graph has
+    passed every check but the cycle check and the shapes."""
     diags: List[Diagnostic] = []
     order: List[LayerNode] = []
     try:
         order = topological_order(g)
-    except DanglingInputError as exc:  # parse_graph rejects these first
-        ref = exc.missing_id  # the sort stops at the first node holding it
-        node = next(n for n in g.nodes if ref in n.inputs)
-        diags.append(Diagnostic(node.id, "dangling-input",
-                                f"input {ref!r} does not resolve"))
     except ParseError:
         diags.append(Diagnostic("<graph>", "dag-violation",
                                 "graph contains a cycle"))

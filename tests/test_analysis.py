@@ -196,6 +196,8 @@ class TestOnePass:
         node = g.nodes[4]  # b1_dw, a DepthwiseConv2D
         with pytest.raises(TypeError):
             node.params["stride"] = 0
+        with pytest.raises(TypeError):  # the stem's kernel is a tuple
+            g.nodes[1].params["kernel"][0] = 0
         with pytest.raises(AttributeError):
             node.inputs.append("in")
         with pytest.raises(AttributeError):

@@ -179,7 +179,7 @@ class TestElementwiseLayers:
         ])
 
     def test_relu_is_free(self):
-        assert census_graph(self.build_act("relu")).entries == []
+        assert census_graph(self.build_act("relu")).entries == ()
 
     def test_prelu_multiplies(self):
         tally = census_graph(self.build_act("prelu"))
@@ -226,7 +226,7 @@ class TestElementwiseLayers:
             LayerNode("pool", "Pool", {"pool": "global_avg"}, ["cat"]),
             LayerNode("out", "Output", {}, ["pool"]),
         ])
-        assert census_graph(g).entries == []
+        assert census_graph(g).entries == ()
 
 
 class TestModelLevelCounts:
@@ -292,7 +292,7 @@ class TestModelLevelCounts:
             LayerNode("in", "Input"),
             LayerNode("out", "Output", {}, ["in"]),
         ])
-        assert census_graph(g).entries == []
+        assert census_graph(g).entries == ()
 
     def test_rule_keys_are_the_kinds_that_do_arithmetic(self):
         assert list(CENSUS_RULES) == [*COMPUTE_KINDS, "BatchNorm",
@@ -376,6 +376,6 @@ def test_layer_walk_tells_apart_nodes_that_share_params():
         assert layer == reference
         src = shapes[node.inputs[0]] if node.inputs else None
         assert layer.weights == (weight_elements(node, src) if src else 0)
-    assert census_graph(g).entries == [TallyEntry(node.id, *row)
-                                       for node, layer in fresh
-                                       for row in layer.rows]
+    assert census_graph(g).entries == tuple(TallyEntry(node.id, *row)
+                                            for node, layer in fresh
+                                            for row in layer.rows)

@@ -120,11 +120,26 @@ def test_duplicate_ids_rejected():
 
 
 def test_duplicate_ids_in_a_built_graph_rejected():
+    """A built graph names the node repeating an id, as a parse does."""
     with pytest.raises(ParseError, match="duplicate node id 'a'") as err:
         chain(LayerNode("in", "Input"), LayerNode("a", "Output", {}, ["in"]),
               LayerNode("b", "Output", {}, ["in"]),
               LayerNode("a", "Output", {}, ["b"]))
-    assert err.value.path == ""
+    assert err.value.path == "$.nodes[3].id"
+
+
+def test_replace_checks_the_graph_it_makes():
+    """``_replace`` builds its graph as ``Graph`` does, checked and not
+    marked as parsed."""
+    g = parse_graph(MINIMAL)
+    with pytest.raises(ParseError) as err:
+        g._replace(nodes=g.nodes + g.nodes[:1])
+    assert str(err.value) == "$.nodes[2].id: duplicate node id 'in'"
+    with pytest.raises(DanglingInputError) as err:
+        g._replace(nodes=g.nodes[1:])
+    assert str(err.value) == "$.nodes[0].inputs: unresolved input id 'in'"
+    renamed = g._replace(name="renamed")
+    assert renamed.nodes is g.nodes and g._parsed and not renamed._parsed
 
 
 @pytest.mark.parametrize("name", [5, None, ["x"], {"a": 1}, True])
@@ -223,6 +238,9 @@ class TestValidate:
          "weight_format of at least 2 bits, got fp16"),
         (LayerNode("x", "Blob", {}, ["in"]), "unknown-kind",
          "unknown node kind 'Blob'"),
+        (LayerNode("x", "PointwiseConv2D",
+                   {"kernel": (3, 3), "out_channels": 4}, ["in"]),
+         "pw-kernel-1x1", "pointwise kernel must be 1x1, got [3, 3]"),
         (LayerNode("x", "Conv2D", {"kernel": [3, 3], "out_channels": 4},
                    ["in", "in"]), "single-input",
          "Conv2D takes exactly one input"),
@@ -245,16 +263,19 @@ class TestValidate:
             assert (type(err.value), err.value.path, str(err.value)) == parsed
 
     def test_dangling_input_of_a_built_graph(self):
-        """parse_graph rejects a dangling input; a graph built in code gets
-        one diagnostic, for the first node holding one."""
-        g = chain(
-            LayerNode("in", "Input"),
-            LayerNode("a", "Add", {}, ["in", "ghost"]),
-            LayerNode("b", "Activation", {}, ["phantom"]),
-            LayerNode("out", "Output", {}, ["a"]),
-        )
-        assert validate(g) == [Diagnostic("a", "dangling-input",
-                                          "input 'ghost' does not resolve")]
+        """A graph built in code with a dangling input is never made, so
+        ``validate`` never sees one: it raises as a parse does, for the
+        first node holding one."""
+        with pytest.raises(DanglingInputError) as err:
+            chain(
+                LayerNode("in", "Input"),
+                LayerNode("a", "Add", {}, ["in", "ghost"]),
+                LayerNode("b", "Activation", {}, ["phantom"]),
+                LayerNode("out", "Output", {}, ["a"]),
+            )
+        assert err.value.missing_id == "ghost"
+        assert str(err.value) == \
+            "$.nodes[1].inputs: unresolved input id 'ghost'"
 
     def test_shape_mismatches_of_a_built_graph(self):
         """A parse infers no shapes; ``validate`` reports each node whose
@@ -557,10 +578,12 @@ class TestTopologicalOrder:
             topological_order(Graph(g.name, g.input_shape, nodes))
 
     def test_dangling_input_raises(self):
-        g = chain(LayerNode("in", "Input"),
+        """At the graph's construction: the sort only sees graphs whose
+        inputs resolve."""
+        with pytest.raises(DanglingInputError) as err:
+            chain(LayerNode("in", "Input"),
                   LayerNode("out", "Output", {}, ["missing"]))
-        with pytest.raises(DanglingInputError):
-            topological_order(g)
+        assert err.value.path == "$.nodes[1].inputs"
 
     def test_declared_order_with_repeats_and_merges_is_kept(self):
         g = chain(
@@ -608,7 +631,7 @@ class TestTopologicalOrder:
         with pytest.raises(ParseError, match="cycle"):
             topological_order(rewired("b"))
         with pytest.raises(DanglingInputError):
-            topological_order(rewired("ghost"))
+            rewired("ghost")
         # every input a forward reference
         assert [n.id for n in topological_order(chain(*reversed(nodes)))] \
             == ["in", "a", "b"]
@@ -758,9 +781,12 @@ def test_bad_param_is_a_parse_error_with_its_path(case):
     ("PointwiseConv2D", {"out_channels": 2, "stride": 2}),
 ])
 def test_good_params_parse(kind, params):
+    """A parse keeps the params it checked, a kernel as a tuple."""
     g = parse_graph(mutated(with_node(kind, params)))
     assert validate(g) == []
-    assert g.node("x").params == params
+    assert g.node("x").params == {
+        key: tuple(value) if key == "kernel" else value
+        for key, value in params.items()}
 
 
 def set_quant(i, **fields):

@@ -13,7 +13,7 @@ from acev2 import cost, ir
 from acev2.analysis import analyze, entry_ace
 from acev2.census import MAC_CATEGORIES, census_graph, layer_walk
 from acev2.cost import MAC, MULTIPLY
-from acev2.errors import ParseError, ShapeMismatchError
+from acev2.errors import DanglingInputError, ParseError, ShapeMismatchError
 from acev2.formats import FP16, FP32, NumericFormat
 from acev2.ir import (
     KIND_RULES,
@@ -172,6 +172,43 @@ def test_random_graphs_are_linear_in_batch_and_round_trip(g, n):
             macs = reference_macs(node, shapes[node.inputs[0]],
                                   shapes[node.id])
             assert core and set(core) == {macs}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.data())
+def test_a_built_reference_fault_raises_as_its_parse_does(g, data):
+    """One input renamed to an id no node holds (or to no string at all),
+    or one node given another's id: ``Graph`` of the edited nodes and
+    ``parse_graph`` of the same edit of the graph's document raise the
+    same type, path and message, naming the edited input's node or the
+    second holder of the id."""
+    doc = json.loads(serialize_graph(g))
+    nodes = list(g.nodes)
+    i = data.draw(st.integers(1, len(nodes) - 1))  # each holds an input
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, len(nodes[i].inputs) - 1))
+        ref = data.draw(st.sampled_from(["ghost", "", 5, None, ["in"]]))
+        doc["nodes"][i]["inputs"][j] = ref
+        inputs = list(nodes[i].inputs)
+        inputs[j] = ref
+        nodes[i] = nodes[i]._replace(inputs=tuple(inputs))
+        expected = (DanglingInputError, f"$.nodes[{i}].inputs",
+                    f"unresolved input id {ref!r}")
+    else:
+        k = data.draw(st.integers(0, len(nodes) - 1).filter(lambda k: k != i))
+        twin = nodes[k].id
+        doc["nodes"][i]["id"] = twin
+        nodes[i] = nodes[i]._replace(id=twin)
+        expected = (ParseError, f"$.nodes[{max(i, k)}].id",
+                    f"duplicate node id {twin!r}")
+    error, path, message = expected
+    with pytest.raises(ParseError) as parsed:
+        parse_graph(json.dumps(doc))
+    with pytest.raises(ParseError) as built:
+        Graph(g.name, g.input_shape, nodes)
+    for raised in (parsed.value, built.value):
+        assert (type(raised), raised.path, str(raised)) \
+            == (error, path, f"{path}: {message}")
 
 
 def reference_branch_factor(g, order):

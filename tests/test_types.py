@@ -138,7 +138,8 @@ def test_graph_classes_compare_and_print_by_their_fields():
     assert eval(repr(nodes[1]), names) == nodes[1]
     tally = census.census_graph(g)
     assert eval(repr(tally), names) == tally
-    assert census.OpTally().entries == [] != tally.entries
+    assert census.OpTally().entries == () != tally.entries
+    assert isinstance(g, tuple) and isinstance(tally, tuple)
 
     changed = ir.LayerNode("pw", "PointwiseConv2D", {"out_channels": 4},
                            ["in"], INT8, FP16, quant)

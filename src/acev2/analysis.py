@@ -3,7 +3,8 @@
 Bit-adder totals accumulate as exact rationals so reports are
 bit-reproducible; energy accumulates in floating point because the
 underlying table is measured/extrapolated anyway. ``analyze`` computes
-each distinct layer once (``census.layer_walk``) and prices the walk in
+each distinct layer once in one walk (``census.layer_walk``, which sorts
+only a graph not declared in topological order) and prices the walk in
 three steps (``_price``): it resolves each distinct layer's rows once
 into groups keyed by (category, op class, formats, shift range); it
 prices each group's bit-adders per op, then its energy once per distinct
@@ -34,11 +35,10 @@ applied in place and allocate nothing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
-from operator import itemgetter
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from itertools import accumulate, chain
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import cost
 from .census import (CAT_BATCHNORM, Layer, MAC_CATEGORIES, TallyEntry,
@@ -155,20 +155,16 @@ def bn_share(report: CostReport) -> float:
                  / report.total_ace)
 
 
-def _branch_factor(order: Iterable[LayerNode]) -> int:
-    """The branch factor of a graph's nodes in topological ``order``, in
-    one pass. Each edge adds +1 at its producer's cut and -1 at its
-    consumer's straight into a difference array, and a running sum
-    sweeps the cuts: O(V + E), no edge list."""
-    # deltas[p] changes the live count on the cut after position p - 1.
-    position: Dict[str, int] = {}
-    deltas = [0]
-    for p, node in enumerate(order, 1):
-        position[node.id] = p
-        deltas.append(-len(node.inputs))
-        for ref in node.inputs:  # placed earlier: the order is topological
-            deltas[position[ref]] += 1
-    return max(1, max(accumulate(deltas[1:-1]), default=0))
+def _branch_factor(order: Sequence[LayerNode]) -> int:
+    """The branch factor of a graph's nodes in topological ``order``. The
+    live count on the cut after a node rises by the node's out-degree
+    and falls by its in-degree, so a running sum of those deltas sweeps
+    the cuts: O(V + E), the out-degrees counted in one ``Counter`` over
+    every input, with no Python statement per edge. The cut after the
+    last node reads 0, every edge counted at both ends."""
+    fanout = Counter(chain.from_iterable([node.inputs for node in order]))
+    deltas = [fanout[node.id] - len(node.inputs) for node in order]
+    return max(1, max(accumulate(deltas), default=0))
 
 
 def _footprint(walk: List[Tuple[LayerNode, Layer]]) -> Footprint:
@@ -177,7 +173,7 @@ def _footprint(walk: List[Tuple[LayerNode, Layer]]) -> Footprint:
     walk's order."""
     return Footprint(sum(layer.weights for _, layer in walk),
                      sum(layer.activations for _, layer in walk),
-                     _branch_factor(map(itemgetter(0), walk)))
+                     _branch_factor([node for node, _ in walk]))
 
 
 def _intensity(ops: int, fp: Footprint) -> float:
@@ -193,12 +189,12 @@ def graph_label(name: str) -> str:
 
 def analyze(g: Graph) -> CostReport:
     """Full pipeline: shapes, census, bit-adders, energy, intensity, over
-    one ``layer_walk``, which sorts ``g`` once and computes each distinct
-    layer once, and one pricing pass over its rows. Errors come in stage
-    order: a cycle, then the first node in walk order that breaks a node
-    rule or whose shape fails, then a bit-adder failure, then an energy
-    failure, then an energy, then a total bit-adder count, past the
-    float range; these two name the graph."""
+    one ``layer_walk``, which computes each distinct layer once, and one
+    pricing pass over its rows. Errors come in stage order: a cycle,
+    then the first node in walk order that breaks a node rule or whose
+    shape fails, then a bit-adder failure, then an energy failure, then
+    an energy, then a total bit-adder count, past the float range; these
+    two name the graph."""
     walk = layer_walk(g)
     where = graph_label(g.name)
     try:  # a count past the float range raises in the energy sum

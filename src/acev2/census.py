@@ -26,15 +26,19 @@ surface at their true (high) cost.
 
 A layer's shape, weights and census rows depend only on its kind,
 params, formats, ``quant`` and input shapes, so ``layer_walk`` computes
-each distinct layer once: real networks repeat blocks and branches.
+each distinct layer once: real networks repeat blocks and branches. It
+walks a graph declared in topological order as declared, and sorts
+only a graph that is not.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
 from .cost import ADD, MAC, MULTIPLY, SHIFT
+from .errors import AceV2Error
 from .formats import FP32, NumericFormat
 from .ir import (
     ARITY_MERGE,
@@ -171,31 +175,51 @@ class Layer(NamedTuple):
 
 def layer_walk(g: Graph) -> List[Tuple[LayerNode, Layer]]:
     """Every node of ``g`` in stable topological order with its layer,
-    computed once per distinct layer. The walk sorts ``g`` before it
-    computes anything, so a cycle is the first error it raises. A node's
-    key is its kind, the identities of its params, formats and ``quant``
-    (``ir.share_blocks``: a parse and the zoo builders share one object
-    per distinct block, and the graph keeps them alive) and its input
-    shapes. The node rules read all of that but the shapes, and the
-    arity in their place. A parsed graph's nodes passed them at the parse
-    and cannot change since, so they are not checked again. In a graph
-    built in code, each distinct body and arity is held to them once, as
-    a parse holds a node (``check_node``), before a layer's shape is
-    inferred: the first faulty node in walk order raises, whether a rule
-    or its shape fails."""
+    computed once per distinct layer. A graph declared in topological
+    order is walked as declared: its shape lookups prove the order, which
+    the stable sort would keep. At the first input naming a node not yet
+    placed, the walk starts over on ``ir.topological_order(g)``. Errors
+    come as if the sort came first: a cycle, then the first faulty node
+    in walk order (the sort keeps the declared prefix first). A node's
+    key is its kind, the identities of its params, formats and
+    ``quant`` (``ir.share_blocks``: a parse and the zoo builders share
+    one object per distinct block, and the graph keeps them alive) and
+    its input shapes. The node rules read all of that but the shapes,
+    and the arity in their place. A parsed graph's nodes passed them at
+    the parse and cannot change since, so they are not checked again. In
+    a graph built in code, each distinct body and arity is held to them
+    once, as a parse holds a node (``check_node``), before a layer's
+    shape is inferred: the first faulty node in walk order raises,
+    whether a rule or its shape fails."""
+    try:
+        walk = _walk(g, g.nodes)
+    except AceV2Error:
+        topological_order(g)  # a cycle raises first
+        raise
+    return _walk(g, topological_order(g)) if walk is None else walk
+
+
+def _walk(g: Graph, order: Iterable[LayerNode]
+          ) -> Optional[List[Tuple[LayerNode, Layer]]]:
+    """``layer_walk`` over the nodes of ``g`` in ``order``, or None at the
+    first input naming a node not yet placed."""
     base = [g.input_shape]
     shapes: Dict[str, TensorShape] = {}
+    shape_of = shapes.__getitem__
     memo: Dict[tuple, Layer] = {}
     parsed = g._parsed  # its nodes passed the node rules at the parse
     checked = set()  # the bodies this walk checked
     walk = []
-    for node in topological_order(g):
+    for node in order:
         node_id, kind, params, inputs, weight_format, act_format, quant = node
-        ins = [shapes[ref] for ref in inputs]
-        key = (kind, id(params), id(weight_format), id(act_format), id(quant),
-               *ins)
+        try:
+            key = (kind, id(params), id(weight_format), id(act_format),
+                   id(quant), *map(shape_of, inputs))
+        except KeyError:  # not placed yet: order is not topological
+            return None
         layer = memo.get(key)
         if layer is None:
+            ins = list(key[5:])  # the input shapes
             body = key[:5] + (min(len(ins), ARITY_MERGE),)
             if not (parsed or body in checked):
                 check_node(node, partial(g.nodes.index, node))

@@ -116,7 +116,7 @@ def _load_graph(path: str) -> Graph:
     """The graph at ``path``. An unreadable file raises OSError; text that
     is not UTF-8 or not a valid graph, ParseError: ``parse_graph`` checks
     every node rule, and the walk that ``analyze`` and ``census`` start
-    with sorts the graph and finds a cycle before anything else runs."""
+    with reports a cycle before any other fault it finds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -37,7 +37,7 @@ the error is raised, so a valid node pays for no path strings.
 
 A graph checks its own references when it is made, parsed or built:
 its ids are unique and each input names a node. A parsed graph has
-passed every rule but the cycle check, which the first topological sort
+passed every rule but the cycle check, which the first walk or sort
 makes, and its checks hold: a graph's fields cannot be reassigned, a
 node is a named tuple, its params a read-only mapping holding a kernel
 as a tuple, and its inputs a tuple. So it can be shared freely across
@@ -56,6 +56,7 @@ import heapq
 import json
 import marshal
 from collections import namedtuple
+from itertools import chain
 from math import prod
 from operator import methodcaller
 from types import MappingProxyType
@@ -230,10 +231,13 @@ class Graph(namedtuple("Graph", ("name", "input_shape", "nodes"))):
     the first input that names no node (in a parse, where ids are
     strings, any input that is not one), a ``DanglingInputError`` at
     ``$.nodes[i].inputs``. ``_replace`` checks the graph it makes. A
-    parse marks the graph it makes as checked (``_parsed``), and a copy
-    or a pickle keeps the mark; a ``_replace`` does not."""
+    graph has no attributes but its fields. A parse marks the graph it
+    makes as checked (``_parsed``) by its class, which a copy or a
+    pickle keeps; ``Graph(...)`` and ``_replace`` make a plain
+    ``Graph``, unmarked."""
 
-    _parsed = False  # parse_graph sets it on the graph it returns
+    __slots__ = ()
+    _parsed = False  # true of the graphs parse_graph makes
 
     def __new__(cls, name: str, input_shape: TensorShape,
                 nodes: Iterable[LayerNode]) -> "Graph":
@@ -246,25 +250,42 @@ class Graph(namedtuple("Graph", ("name", "input_shape", "nodes"))):
                     raise ParseError(f"duplicate node id {node.id!r}",
                                      _at(i, ".id"))
                 seen.add(node.id)
-        for i, node in enumerate(nodes):
-            for ref in node.inputs:
-                try:
-                    if ref in ids:
-                        continue
-                except TypeError:  # unhashable: it names no node
-                    pass
-                raise DanglingInputError(ref, _at(i, ".inputs"))
+        try:  # every input in one set test; the loop finds a fault
+            resolved = ids.issuperset(chain.from_iterable(
+                [node.inputs for node in nodes]))
+        except TypeError:  # an unhashable input
+            resolved = False
+        if not resolved:
+            for i, node in enumerate(nodes):
+                for ref in node.inputs:
+                    try:
+                        if ref in ids:
+                            continue
+                    except TypeError:  # unhashable: it names no node
+                        pass
+                    raise DanglingInputError(ref, _at(i, ".inputs"))
         return tuple.__new__(cls, (name, input_shape, nodes))
 
     @classmethod
     def _make(cls, fields: Iterable) -> "Graph":
-        return cls(*fields)
+        return Graph(*fields)
 
     def node(self, node_id: str) -> LayerNode:
         for node in self.nodes:
             if node.id == node_id:
                 return node
         raise KeyError(node_id)
+
+
+class _ParsedGraph(Graph):
+    """A graph ``parse_graph`` made: its nodes passed the node rules, and
+    it prints as a ``Graph``."""
+
+    __slots__ = ()
+    _parsed = True
+
+    def __repr__(self) -> str:
+        return Graph.__repr__(tuple.__new__(Graph, self))
 
 
 _node = tuple.__new__  # a node of fields as LayerNode makes them
@@ -344,9 +365,9 @@ def _add(node: LayerNode, ins: List[TensorShape]) -> TensorShape:
 
 
 def _concat(node: LayerNode, ins: List[TensorShape]) -> TensorShape:
-    head = ins[0]
-    if any((s.n, s.h, s.w) != (head.n, head.h, head.w) for s in ins):
+    if len({s[:3] for s in ins}) > 1:  # (n, h, w)
         raise ShapeMismatchError(node.id, "concat spatial dims differ")
+    head = ins[0]
     return TensorShape(head.n, head.h, head.w, sum(s.c for s in ins))
 
 
@@ -583,11 +604,16 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
     inputs = doc.pop("inputs", [])
     body = None
     if type(inputs) is list:
+        arity = len(inputs) if len(inputs) < ARITY_MERGE else ARITY_MERGE
         try:
-            body = min(len(inputs), ARITY_MERGE), marshal.dumps(doc, 2)
+            body = arity, marshal.dumps(doc, 2)
         except ValueError:  # nested too deeply to encode: it fails a check
             pass
     shared = memo.get(body)
+    if shared is not None and type(node_id) is str:  # an accepted body
+        kind, params, weight_format, act_format, quant = shared
+        return _node(LayerNode, (node_id, kind, params, tuple(inputs),
+                                 weight_format, act_format, quant))
     if shared is None and not doc.keys() <= _NODE_KEYS:
         _reject_unknown(doc, _NODE_KEYS, _at(i))
     if node_id is _MISSING or "kind" not in doc:
@@ -595,10 +621,6 @@ def _parse_node(doc, i: int, memo: dict) -> LayerNode:
         raise ParseError(f"missing node key {key!r}", _at(i))
     if type(node_id) is not str:
         raise ParseError("node id must be a string", _at(i, ".id"))
-    if shared is not None:
-        kind, params, weight_format, act_format, quant = shared
-        return _node(LayerNode, (node_id, kind, params, tuple(inputs),
-                                 weight_format, act_format, quant))
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ParseError("params must be an object", _at(i, ".params"))
@@ -667,10 +689,8 @@ def parse_graph(text: str) -> Graph:
     if type(name) is not str:
         raise ParseError(f"name must be a string, got {name!r}", "$.name")
     memo: dict = {}  # this parse's formats, quants and node bodies
-    graph = Graph(name, shape, [_parse_node(nd, i, memo)
-                                for i, nd in enumerate(docs)])
-    graph._parsed = True
-    return graph
+    return _ParsedGraph(name, shape, [_parse_node(nd, i, memo)
+                                      for i, nd in enumerate(docs)])
 
 
 _escape = json.encoder.encode_basestring_ascii  # the C escaper json uses
@@ -798,7 +818,11 @@ def topological_order(g: Graph) -> List[LayerNode]:
     earlier-declared node, sorts to its declaration order; one set test
     per node finds that in O(V + E) and returns it. The scan stops at the
     first forward or self reference, and the full sort, a heap keyed on
-    declaration index in O((V + E) log V), runs from scratch."""
+    declaration index in O((V + E) log V), runs from scratch.
+
+    ``validate`` sorts every graph. The analysis walk sorts only a graph
+    with a forward or self reference, and to find a cycle ahead of a
+    node that failed in its declared walk (``census.layer_walk``)."""
     seen = set()
     for node in g.nodes:
         if not seen.issuperset(node.inputs):

@@ -78,7 +78,11 @@ class TestOnePass:
         lambda: zoo.build_resnet50_branches(3),
     )
 
-    def test_analyze_sorts_once(self, monkeypatch, mbv2_relu):
+    def test_analyze_sorts_only_a_graph_declared_out_of_order(
+            self, monkeypatch, mbv2_relu):
+        """A graph declared in topological order is walked as declared,
+        with no sort. One with a forward reference is sorted once, and the
+        stable sort gives back the order the graph was built in."""
         calls = []
         sort = ir.topological_order
 
@@ -89,9 +93,12 @@ class TestOnePass:
         for module in (ir, census):  # analysis sorts only through census
             monkeypatch.setattr(module, "topological_order", counted)
         expected = analyze(mbv2_relu)
-        calls.clear()
-        assert analyze(mbv2_relu) == expected
-        assert len(calls) == 1
+        assert calls == []
+        nodes = list(mbv2_relu.nodes)
+        nodes.append(nodes.pop(1))  # the stem, now after its consumer
+        forward = Graph(mbv2_relu.name, mbv2_relu.input_shape, nodes)
+        assert analyze(forward) == expected
+        assert calls == [mbv2_relu.name]
 
     @pytest.mark.parametrize("build", MODELS)
     def test_each_key_is_priced_at_most_once(self, monkeypatch, build):
@@ -209,6 +216,52 @@ class TestOnePass:
         with pytest.raises(AttributeError):
             del g.name
         assert analyze(g) == report
+
+    def test_a_graph_takes_no_new_attribute(self):
+        """A graph has no attributes but its fields, so the parse mark
+        cannot be set on a graph built in code: the walk still checks its
+        nodes. The mark is the parsed graph's class, which copies and
+        pickles keep and ``Graph(...)`` and ``_replace`` drop; a parsed
+        graph prints as any graph does."""
+        built = Graph("t", TensorShape(1, 8, 8, 4), [
+            LayerNode("in", "Input"),
+            LayerNode("dw", "DepthwiseConv2D", {"kernel": [3, 3],
+                                                "stride": 0}, ["in"]),
+            LayerNode("out", "Output", {}, ["dw"])])
+        for name in ("_parsed", "nodes_by_id"):
+            with pytest.raises(AttributeError):
+                setattr(built, name, True)
+        with pytest.raises(ParseError) as err:
+            analyze(built)
+        assert err.value.path == "$.nodes[1].params.stride"
+        g = ir.parse_graph(ir.serialize_graph(zoo.build_mobilenet_v1()))
+        with pytest.raises(AttributeError):
+            g._parsed = False
+        assert g._parsed and not built._parsed
+        assert all(twin._parsed for twin in (
+            copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))))
+        assert not (Graph(*g)._parsed or g._replace(name="x")._parsed)
+        assert repr(g) == repr(Graph(*g)) and repr(g).startswith("Graph(")
+
+    def test_a_cycle_raises_before_a_node_declared_ahead_of_it(self):
+        """The walk raises what it would raise after a sort: a cycle comes
+        first, though a node declared before it breaks a node rule (in a
+        built graph) or fails its shape."""
+        shape = TensorShape(1, 4, 4, 4)
+        cycle = [LayerNode("a", "Activation", {}, ["b"]),
+                 LayerNode("b", "Activation", {}, ["a"]),
+                 LayerNode("out", "Output", {}, ["b"])]
+        for params in ({"kernel": [3, 3], "stride": 0},
+                       {"kernel": [5, 5], "padding": "valid"}):
+            g = Graph("t", shape, [
+                LayerNode("in", "Input"),
+                LayerNode("dw", "DepthwiseConv2D", params, ["in"]), *cycle])
+            for walk_stage in (analyze, census_graph):
+                with pytest.raises(ParseError) as err:
+                    walk_stage(g)
+                assert type(err.value) is ParseError
+                assert str(err.value) \
+                    == "$.nodes[2].inputs: graph contains a cycle"
 
     @pytest.mark.parametrize("edit, path", [
         ("params", "$.nodes[4].params.stride"),

@@ -295,7 +295,18 @@ class TestFootprintTooLongToPrint:
         assert captured.err == ""
 
 
-class TestOneSortPerOp:
+@pytest.fixture(scope="module")
+def forward_file(pike_file, tmp_path_factory):
+    """The PikeLPN document with its stem declared last, after the node
+    that consumes it: a forward reference."""
+    doc = json.loads(pike_file.read_text())
+    doc["nodes"].append(doc["nodes"].pop(1))
+    path = tmp_path_factory.mktemp("forward") / "pikelpn_forward.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestSortOnlyOutOfOrder:
     @pytest.fixture
     def sorts(self, monkeypatch):
         calls = []
@@ -312,16 +323,41 @@ class TestOneSortPerOp:
 
     @pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--format",
                                                     "json"], ["census"]])
-    def test_analyze_and_census_sort_once(self, argv, pike_file, sorts,
-                                          capsys):
+    def test_analyze_and_census_sort_only_out_of_order(
+            self, argv, pike_file, forward_file, sorts, capsys):
+        """A file declared in topological order is not sorted; one with a
+        forward reference is sorted once and reports the same."""
         assert main(argv[:1] + [str(pike_file)] + argv[1:]) == 0
+        assert sorts == []
+        declared = capsys.readouterr().out
+        assert main(argv[:1] + [str(forward_file)] + argv[1:]) == 0
+        assert sorts == ["pikelpn_1x"]
+        assert capsys.readouterr().out == declared
+
+    def test_compare_sorts_only_out_of_order_files(
+            self, pike_file, forward_file, sorts, capsys):
+        files = [pike_file] + sorted(FIXTURES.glob("*.json")) + [forward_file]
+        assert main(["compare"] + [str(p) for p in files]) == 0
         assert sorts == ["pikelpn_1x"]
 
-    def test_compare_sorts_once_per_file(self, pike_file, sorts, capsys):
-        files = [pike_file] + sorted(FIXTURES.glob("*.json"))
-        names = [parse_graph(p.read_text()).name for p in files]
-        assert main(["compare"] + [str(p) for p in files]) == 0
-        assert sorts == names
+    def test_a_cycle_is_named_before_a_shape_fault_ahead_of_it(
+            self, pike_file, tmp_path, capsys):
+        """A parsed document whose stem's valid window is larger than its
+        input, and whose last two nodes form a cycle, exits 1 naming the
+        cycle, as when the sort ran before the walk."""
+        doc = json.loads(pike_file.read_text())
+        doc["nodes"][1]["params"].update(kernel=[225, 225], padding="valid")
+        doc["nodes"][-2]["inputs"] = [doc["nodes"][-1]["id"]]
+        path = tmp_path / "shape_then_cycle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "graph contains a cycle" in err
+        assert f"$.nodes[{len(doc['nodes']) - 2}].inputs" in err
+        doc["nodes"][-2]["inputs"] = [doc["nodes"][-3]["id"]]  # no cycle
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        assert "kernel larger than input" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -297,6 +297,19 @@ def test_declaration_order_changes_no_cost(g, rng):
         shuffled, ir.topological_order(shuffled))
 
 
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_the_walk_visits_the_sorted_order(g, rng):
+    """The walk visits the nodes in stable topological order, whether it
+    walks them as declared or sorts them, for a graph and for shuffled
+    declarations of it."""
+    nodes = list(g.nodes)
+    rng.shuffle(nodes)
+    for graph in (g, Graph(g.name, g.input_shape, nodes)):
+        assert [node for node, _ in layer_walk(graph)] \
+            == ir.topological_order(graph)
+
+
 def with_nodes(g, change):
     """``g`` with ``change(node)`` in place of each node it returns."""
     return Graph(g.name, g.input_shape, [change(node) or node

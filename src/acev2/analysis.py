@@ -3,19 +3,18 @@
 Bit-adder totals accumulate as exact rationals so reports are
 bit-reproducible; energy accumulates in floating point because the
 underlying table is measured/extrapolated anyway. ``analyze`` computes
-each distinct layer once in one walk (``census.layer_walk``, which sorts
-only a graph not declared in topological order) and prices the walk in
-three steps (``_price``): it resolves each distinct layer's rows once
-into groups keyed by (category, op class, formats, shift range); it
-prices each group's bit-adders per op, then its energy once per distinct
-(op class, formats, shift range); and it walks the nodes once to sum the
-counts, the energy row by row in walk order (a float sum depends on its
-order, and this one is fixed) and the extrapolated ops. The bit-adders
-of each category sum as integers over one common denominator, so each
-category, the total and the MAC share are one division each. A node
-repeating a layer costs a lookup, so analysis cost scales with the
-distinct layers, plus a small per-node term. The walk checks no node
-rule of a parsed graph: the parse has.
+each distinct layer once in one walk (``census.layer_walk``) and prices
+the walk in three steps (``_price``): it resolves each distinct layer's
+rows once into groups keyed by (category, op class, formats, shift
+range); it prices each group's bit-adders per op, then its energy once
+per distinct (op class, formats, shift range); and it walks the nodes
+once to sum the counts, the energy row by row in walk order (a float sum
+depends on its order, and this one is fixed) and the extrapolated ops.
+The bit-adders of each category sum as integers over one common
+denominator, so each category, the total and the MAC share are one
+division each. A node repeating a layer costs a lookup, so analysis
+cost scales with the distinct layers, plus a small per-node term. The
+walk checks no node rule of a parsed graph: the parse has.
 
 Arithmetic intensity is ops per data element:
 

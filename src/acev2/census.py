@@ -26,9 +26,7 @@ surface at their true (high) cost.
 
 A layer's shape, weights and census rows depend only on its kind,
 params, formats, ``quant`` and input shapes, so ``layer_walk`` computes
-each distinct layer once: real networks repeat blocks and branches. It
-walks a graph declared in topological order as declared, and sorts
-only a graph that is not.
+each distinct layer once: real networks repeat blocks and branches.
 """
 
 from __future__ import annotations

@@ -219,7 +219,8 @@ class LayerNode(namedtuple("LayerNode", ("id", "kind", "params", "inputs",
 
     def __reduce__(self):
         """A read-only view cannot be pickled or copied: a copy of the
-        node holds a copy of its params."""
+        node holds a copy of its params (``Graph.__reduce__`` shares
+        them again)."""
         return self.__class__, (*self[:2], dict(self.params), *self[3:])
 
 
@@ -234,7 +235,8 @@ class Graph(namedtuple("Graph", ("name", "input_shape", "nodes"))):
     graph has no attributes but its fields. A parse marks the graph it
     makes as checked (``_parsed``) by its class, which a copy or a
     pickle keeps; ``Graph(...)`` and ``_replace`` make a plain
-    ``Graph``, unmarked."""
+    ``Graph``, unmarked. A copy or a pickle shares its nodes' blocks as
+    the graph does (``share_blocks``)."""
 
     __slots__ = ()
     _parsed = False  # true of the graphs parse_graph makes
@@ -269,6 +271,9 @@ class Graph(namedtuple("Graph", ("name", "input_shape", "nodes"))):
     @classmethod
     def _make(cls, fields: Iterable) -> "Graph":
         return Graph(*fields)
+
+    def __reduce__(self):
+        return _rebuilt, (self.__class__, *self)
 
     def node(self, node_id: str) -> LayerNode:
         for node in self.nodes:
@@ -320,6 +325,12 @@ def share_blocks(nodes: Iterable[tuple]) -> List[LayerNode]:
         shared.append(_node(LayerNode, (node_id, kind, params, inputs,
                                         weights, acts, quant)))
     return shared
+
+
+def _rebuilt(cls: type, name: str, input_shape: TensorShape,
+             nodes: Iterable[LayerNode]) -> Graph:
+    """A copy or unpickling of a graph: its copied nodes share again."""
+    return cls(name, input_shape, share_blocks(nodes))
 
 
 class Diagnostic(NamedTuple):
@@ -456,13 +467,19 @@ _PARAM_CHECKS = {
 }
 
 
+_BLOCK_TYPES = (("weight_format", NumericFormat),
+                ("act_format", NumericFormat),
+                ("quant", QuantizationAnnotation))
+
+
 def _node_problem(node: LayerNode) -> Optional[Tuple[str, str, str]]:
     """The first rule ``node`` breaks, as (where in the node, diagnostic
     rule, message), or None. The rules, in order: a known kind; params
     with no unknown key, each value passing its ``_PARAM_CHECKS`` entry
     and every required key present (a windowed pool needs a kernel); the
-    kind's arity; a 1x1 pointwise kernel; ``quant`` only on compute
-    kinds; and weights a power-of-two quantizer can take."""
+    kind's arity; a 1x1 pointwise kernel; each format a ``NumericFormat``
+    and ``quant`` a ``QuantizationAnnotation``, or absent; ``quant`` only
+    on compute kinds; and weights a power-of-two quantizer can take."""
     kind = node.kind
     rule = KIND_RULES.get(kind) if type(kind) is str else None
     if rule is None:
@@ -487,6 +504,10 @@ def _node_problem(node: LayerNode) -> Optional[Tuple[str, str, str]]:
     if kind == KIND_PWCONV and list(params.get("kernel", (1, 1))) != [1, 1]:
         return (".params.kernel", "pw-kernel-1x1",
                 f"pointwise kernel must be 1x1, got {list(params['kernel'])}")
+    for (field, cls), block in zip(_BLOCK_TYPES, node[4:]):
+        if not (block is None or isinstance(block, cls)):
+            return (f".{field}", "block-type", f"{field} must be a "
+                    f"{cls.__name__} or absent, got {block!r}")
     quant = node.quant
     if quant is None:
         return None
@@ -809,27 +830,12 @@ def serialize_graph(g: Graph) -> str:
 
 def topological_order(g: Graph) -> List[LayerNode]:
     """Kahn topological sort, stable with respect to declaration order:
-    of the nodes ready at each step, the first declared comes first.
-    Every input resolves (``Graph`` checks that); on a cycle it raises a
-    ParseError at ``$.nodes[i].inputs`` of the first declared node the
-    sort could not place.
-
-    A graph declared in topological order, every input naming an
-    earlier-declared node, sorts to its declaration order; one set test
-    per node finds that in O(V + E) and returns it. The scan stops at the
-    first forward or self reference, and the full sort, a heap keyed on
-    declaration index in O((V + E) log V), runs from scratch.
-
-    ``validate`` sorts every graph. The analysis walk sorts only a graph
-    with a forward or self reference, and to find a cycle ahead of a
-    node that failed in its declared walk (``census.layer_walk``)."""
-    seen = set()
-    for node in g.nodes:
-        if not seen.issuperset(node.inputs):
-            break
-        seen.add(node.id)
-    else:
-        return list(g.nodes)
+    a heap keyed on declaration index places, of the nodes ready at each
+    step, the first declared, in O((V + E) log V). So a graph declared in
+    topological order sorts to its declaration order. Every input
+    resolves (``Graph`` checks that); on a cycle it raises a ParseError
+    at ``$.nodes[i].inputs`` of the first declared node the sort could
+    not place."""
     position = {n.id: i for i, n in enumerate(g.nodes)}
     indegree = [len(n.inputs) for n in g.nodes]
     consumers: List[List[int]] = [[] for _ in g.nodes]

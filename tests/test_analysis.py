@@ -195,6 +195,27 @@ class TestOnePass:
             census_graph(twin)
             assert calls == []
 
+    def test_a_copied_graph_shares_its_blocks(self, mbv2_relu):
+        """A copy, deep copy or unpickled copy of a parsed graph shares
+        its nodes' params, formats and quant as the graph does, so its
+        walk computes as many distinct layers, and it reports the same
+        and stays checked."""
+        g = ir.parse_graph(ir.serialize_graph(mbv2_relu))
+
+        def blocks(graph):
+            return len({id(node.params) for node in graph.nodes})
+
+        def layers(graph):
+            return len({id(layer) for _, layer in census.layer_walk(graph)})
+
+        assert (blocks(g), layers(g)) == (23, 70)
+        report = analyze(g)
+        for twin in (copy.copy(g), copy.deepcopy(g),
+                     pickle.loads(pickle.dumps(g))):
+            assert twin == g and twin._parsed
+            assert blocks(twin) <= blocks(g) and layers(twin) == layers(g)
+            assert analyze(twin) == report
+
     def test_a_parsed_graph_cannot_be_edited_in_place(self):
         """An in-place edit of a parsed graph raises at the edit, and the
         graph reports as before."""

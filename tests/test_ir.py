@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from acev2 import ir
 from acev2.analysis import analyze
@@ -261,6 +261,31 @@ class TestValidate:
             with pytest.raises(ParseError) as err:
                 walk_stage(g)
             assert (type(err.value), err.value.path, str(err.value)) == parsed
+
+    @pytest.mark.parametrize("field,block", [
+        ("weight_format", "int8"), ("act_format", 8), ("quant", "pot"),
+        ("weight_format", QuantizationAnnotation()),
+        ("quant", NumericFormat.fixed(8)),
+    ])
+    def test_built_graph_with_a_block_of_another_type(self, field, block):
+        """A parse makes only formats and annotations. A built node's
+        block of another type breaks a node rule at its field's path:
+        ``validate`` lists it, and ``analyze`` and ``census_graph`` raise
+        it as a ``ParseError``, with no ``AttributeError`` from the rules
+        or the census."""
+        cls = "QuantizationAnnotation" if field == "quant" else "NumericFormat"
+        message = f"{field} must be a {cls} or absent, got {block!r}"
+        g = chain(LayerNode("in", "Input"),
+                  LayerNode("x", "Conv2D", {"kernel": [3, 3],
+                                            "out_channels": 4},
+                            ["in"], **{field: block}),
+                  LayerNode("out", "Output", {}, ["x"]))
+        assert validate(g) == [Diagnostic("x", "block-type", message)]
+        for walk_stage in (analyze, census_graph):
+            with pytest.raises(ParseError) as err:
+                walk_stage(g)
+            assert (err.value.path, str(err.value)) == (
+                f"$.nodes[1].{field}", f"$.nodes[1].{field}: {message}")
 
     def test_dangling_input_of_a_built_graph(self):
         """A graph built in code with a dangling input is never made, so
@@ -536,17 +561,24 @@ def reference_order(g):
     return order
 
 
-@st.composite
-def shuffled_dags(draw):
-    """A DAG over nodes 0..n-1 (edges only from lower to higher index,
-    repeated inputs allowed), declared in a random order."""
-    n = draw(st.integers(1, 40))
-    inputs = [draw(st.lists(st.integers(0, i - 1), max_size=4)) if i else []
-              for i in range(n)]
-    declared = draw(st.permutations(range(n)))
+def make_dag(inputs, declared):
+    """The DAG whose node ``n{i}`` takes the nodes ``inputs[i]`` names,
+    declared in the order of the indices ``declared``, and its inputs."""
     nodes = [LayerNode(f"n{i}", "Add", {}, [f"n{j}" for j in inputs[i]])
              for i in declared]
     return Graph("dag", TensorShape(1, 1, 1, 1), nodes), inputs
+
+
+@st.composite
+def shuffled_dags(draw, shuffle=True):
+    """A DAG over nodes 0..n-1 (edges only from lower to higher index,
+    repeated inputs allowed), declared in a random order, or in index
+    order with ``shuffle=False``."""
+    n = draw(st.integers(1, 40))
+    inputs = [draw(st.lists(st.integers(0, i - 1), max_size=4)) if i else []
+              for i in range(n)]
+    declared = draw(st.permutations(range(n))) if shuffle else range(n)
+    return make_dag(inputs, declared)
 
 
 class TestTopologicalOrder:
@@ -560,6 +592,18 @@ class TestTopologicalOrder:
         for nid in order:
             assert all(ref in placed for ref in g.node(nid).inputs)
             placed.add(nid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_dags(shuffle=False))
+    @example(make_dag([[]] * 12, range(12)))  # by id, n10 sorts before n2
+    @example(make_dag([[], [0], [0], [1, 2]], range(4)))
+    def test_a_dag_declared_in_order_sorts_to_its_declaration(self, dag):
+        """Every graph goes through the one stable heap: a DAG declared in
+        topological order comes back in declaration order, since each node
+        is ready once its earlier inputs are placed, and is then the first
+        declared of the ready nodes."""
+        g, _ = dag
+        assert topological_order(g) == list(g.nodes)
 
     @settings(max_examples=100, deadline=None)
     @given(shuffled_dags(), st.data())

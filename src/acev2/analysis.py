@@ -37,6 +37,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import cost
@@ -46,6 +47,9 @@ from .errors import AceV2Error, AnalysisError
 from .ir import Graph, LayerNode
 
 PJ_PER_MJ = 1e9
+
+_inputs = attrgetter("inputs")  # per-node field reads, run in C
+_weights, _activations = attrgetter("weights"), attrgetter("activations")
 
 
 class Footprint(NamedTuple):
@@ -68,15 +72,19 @@ class CostReport(NamedTuple):
     extrapolated_energy_ops: List[Tuple[str, str]]
 
 
-def entry_ace(entry: TallyEntry) -> Fraction:
-    """Exact bit-adder cost of one tally entry."""
+def _unit_ace(entry: TallyEntry) -> Fraction:
+    """Exact bit-adder cost of one op of a tally entry."""
     try:
         row = cost.op_row(entry.op_class)
         second = entry.shift_range if row.ranged else entry.format_b
-        unit = getattr(cost, row.ace)(entry.format_a, second)
+        return getattr(cost, row.ace)(entry.format_a, second).bitadders
     except AceV2Error as exc:
         raise AnalysisError(entry.layer_id, str(exc)) from exc
-    return unit.bitadders * entry.count
+
+
+def entry_ace(entry: TallyEntry) -> Fraction:
+    """Exact bit-adder cost of one tally entry."""
+    return _unit_ace(entry) * entry.count
 
 
 def _price(walk: List[Tuple[LayerNode, Layer]]
@@ -104,7 +112,7 @@ def _price(walk: List[Tuple[LayerNode, Layer]]
         order.append(rows)
 
     # 2. Bit-adders per op for every group, then energy per energy key.
-    ace = [entry_ace(first._replace(count=1)) for first in firsts]
+    ace = [_unit_ace(first) for first in firsts]
     energies: Dict[tuple, cost.EnergyCost] = {}
     units = []  # each group's energy per op
     for first in firsts:
@@ -161,7 +169,7 @@ def _branch_factor(order: Sequence[LayerNode]) -> int:
     the cuts: O(V + E), the out-degrees counted in one ``Counter`` over
     every input, with no Python statement per edge. The cut after the
     last node reads 0, every edge counted at both ends."""
-    fanout = Counter(chain.from_iterable([node.inputs for node in order]))
+    fanout = Counter(chain.from_iterable(map(_inputs, order)))
     deltas = [fanout[node.id] - len(node.inputs) for node in order]
     return max(1, max(accumulate(deltas), default=0))
 
@@ -170,8 +178,9 @@ def _footprint(walk: List[Tuple[LayerNode, Layer]]) -> Footprint:
     """The footprint of a graph from its ``layer_walk``: the weights and
     activations summed over the nodes, and the branch factor of the
     walk's order."""
-    return Footprint(sum(layer.weights for _, layer in walk),
-                     sum(layer.activations for _, layer in walk),
+    layers = [layer for _, layer in walk]
+    return Footprint(sum(map(_weights, layers)),
+                     sum(map(_activations, layers)),
                      _branch_factor([node for node, _ in walk]))
 
 

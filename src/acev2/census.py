@@ -211,14 +211,18 @@ def _walk(g: Graph, order: Iterable[LayerNode]
     for node in order:
         node_id, kind, params, inputs, weight_format, act_format, quant = node
         try:
-            key = (kind, id(params), id(weight_format), id(act_format),
-                   id(quant), *map(shape_of, inputs))
+            if len(inputs) == 1:  # most nodes: no list to unpack
+                key = (kind, id(params), id(weight_format), id(act_format),
+                       id(quant), shape_of(inputs[0]))
+            else:
+                key = (kind, id(params), id(weight_format), id(act_format),
+                       id(quant), *map(shape_of, inputs))
         except KeyError:  # not placed yet: order is not topological
             return None
         layer = memo.get(key)
         if layer is None:
             ins = list(key[5:])  # the input shapes
-            body = key[:5] + (min(len(ins), ARITY_MERGE),)
+            body = None if parsed else key[:5] + (min(len(ins), ARITY_MERGE),)
             if not (parsed or body in checked):
                 check_node(node, partial(g.nodes.index, node))
                 checked.add(body)

@@ -117,9 +117,7 @@ class TensorShape(namedtuple("TensorShape", ("n", "h", "w", "c"))):
     def __str__(self) -> str:
         return f"{self.n}x{self.h}x{self.w}x{self.c}"
 
-    @property
-    def elements(self) -> int:
-        return self.n * self.h * self.w * self.c
+    elements = property(prod)  # n * h * w * c, with no Python frame
 
     def to_json(self) -> dict:
         return {"n": self.n, "h": self.h, "w": self.w, "c": self.c}
@@ -610,32 +608,12 @@ def _parse_quant(doc, memo: dict, i: int) -> QuantizationAnnotation:
     return quant
 
 
-def _parse_node(doc, i: int, memo: dict) -> LayerNode:
-    """The node ``doc`` at ``$.nodes[i]`` describes. Its body, every key
-    but ``id`` and ``inputs``, is checked once per parse: a body that
-    passed at the same arity is found in ``memo`` by its ``marshal``
-    encoding, in which 8, 8.0 and true differ (version 2 writes no
-    back-references, so equal bodies encode alike), and then only the id
-    and inputs are checked, and the node shares the first one's params,
-    formats and quant. A rejected body is never stored."""
-    if not isinstance(doc, dict):
-        raise ParseError("node must be an object", _at(i))
-    # The document is this parse's own, so the node takes its containers.
-    node_id = doc.pop("id", _MISSING)
-    inputs = doc.pop("inputs", [])
-    body = None
-    if type(inputs) is list:
-        arity = len(inputs) if len(inputs) < ARITY_MERGE else ARITY_MERGE
-        try:
-            body = arity, marshal.dumps(doc, 2)
-        except ValueError:  # nested too deeply to encode: it fails a check
-            pass
-    shared = memo.get(body)
-    if shared is not None and type(node_id) is str:  # an accepted body
-        kind, params, weight_format, act_format, quant = shared
-        return _node(LayerNode, (node_id, kind, params, tuple(inputs),
-                                 weight_format, act_format, quant))
-    if shared is None and not doc.keys() <= _NODE_KEYS:
+def _parse_node(doc, i: int, memo: dict, node_id, inputs, body) -> LayerNode:
+    """The node at ``$.nodes[i]`` of id ``node_id``, inputs ``inputs``
+    and body ``doc`` (the keys left), held to every check. A body that
+    passes is stored in ``memo`` under its key ``body``, if it has one
+    (``parse_graph``); a rejected body is never stored."""
+    if not doc.keys() <= _NODE_KEYS:
         _reject_unknown(doc, _NODE_KEYS, _at(i))
     if node_id is _MISSING or "kind" not in doc:
         key = "id" if node_id is _MISSING else "kind"
@@ -671,11 +649,14 @@ def parse_graph(text: str) -> Graph:
 
     Each node is held to every rule ``_node_problem`` names, and each
     error names its JSON path. A node body, every key but ``id`` and
-    ``inputs``, is checked once per parse: a node repeating an accepted
-    body at the same arity, keyed type-exactly, only has its id and
-    inputs checked (``_parse_node``). ``Graph`` then checks the ids and
-    references. The graph is marked as checked, so the analysis walk
-    checks none of its nodes again: they cannot change."""
+    ``inputs``, is checked once per parse (``_parse_node``): it is keyed
+    on its arity and its ``marshal`` encoding, in which 8, 8.0 and true
+    differ (version 2 writes no back-references, so equal bodies encode
+    alike), and a node with a string id repeating an accepted body
+    shares the first one's params, formats and quant. ``Graph`` then
+    checks the ids and references. The graph is marked as checked, so
+    the analysis walk checks none of its nodes again: they cannot
+    change."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # malformed, or an integer too long to read
@@ -710,8 +691,29 @@ def parse_graph(text: str) -> Graph:
     if type(name) is not str:
         raise ParseError(f"name must be a string, got {name!r}", "$.name")
     memo: dict = {}  # this parse's formats, quants and node bodies
-    return _ParsedGraph(name, shape, [_parse_node(nd, i, memo)
-                                      for i, nd in enumerate(docs)])
+    nodes = []
+    for i, nd in enumerate(docs):
+        if not isinstance(nd, dict):
+            raise ParseError("node must be an object", _at(i))
+        # The document is this parse's own, so the node takes its containers.
+        node_id = nd.pop("id", _MISSING)
+        inputs = nd.pop("inputs", [])
+        body = None
+        if type(inputs) is list:
+            arity = len(inputs) if len(inputs) < ARITY_MERGE else ARITY_MERGE
+            try:
+                body = arity, marshal.dumps(nd, 2)
+            except ValueError:  # nested too deeply to encode: it fails a check
+                pass
+        shared = memo.get(body)
+        if shared is not None and type(node_id) is str:  # an accepted body
+            kind, params, weight_format, act_format, quant = shared
+            nodes.append(_node(LayerNode, (node_id, kind, params,
+                                           tuple(inputs), weight_format,
+                                           act_format, quant)))
+        else:
+            nodes.append(_parse_node(nd, i, memo, node_id, inputs, body))
+    return _ParsedGraph(name, shape, nodes)
 
 
 _escape = json.encoder.encode_basestring_ascii  # the C escaper json uses

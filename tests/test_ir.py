@@ -980,6 +980,9 @@ def twin_doc(first, second):
     merge) unless ``second`` says otherwise."""
     nodes = [{"id": "in", "kind": "Input", "inputs": []}]
     for node_id, body in (("a", first), ("b", second)):
+        if not isinstance(body, dict):  # an entry that is no node object
+            nodes.append(body)
+            continue
         node = {"id": node_id,
                 "inputs": ["in", "in"] if body["kind"] == "Add" else ["in"]}
         node.update(body)
@@ -1010,6 +1013,9 @@ TWINS = {  # case -> (accepted body, its twin, the twin's error and path)
                    "node id must be a string", ".id"),
     "inputs_string": (CONV_BODY, dict(CONV_BODY, inputs="x"),
                       "inputs must be a list", ".inputs"),
+    "inputs_missing": (CONV_BODY, dict(CONV_BODY, inputs=DROP),
+                       "Conv2D takes exactly one input", ".inputs"),
+    "not_an_object": (CONV_BODY, ["Conv2D"], "node must be an object", ""),
 }
 
 
@@ -1041,6 +1047,16 @@ class TestBodyMemo:
         assert (a.kind, a.params, a.weight_format) \
             == (b.kind, b.params, b.weight_format)
         assert list(b.params) == ["out_channels", "kernel"]
+
+    def test_a_node_without_inputs_reads_as_one_with_none(self):
+        """An ``Input`` twin that omits ``inputs`` repeats the body of one
+        that gives ``inputs: []``: it parses to the same node, sharing
+        the first one's params."""
+        body = {"kind": "Input", "params": {}, "inputs": []}
+        g = parse_graph(twin_doc(body, dict(body, inputs=DROP)))
+        a, b = g.node("a"), g.node("b")
+        assert b == a._replace(id="b") and b.inputs == ()
+        assert b.params is a.params
 
     def test_twins_share_one_node_body(self):
         g = parse_graph(twin_doc(CONV_BODY, CONV_BODY))

@@ -14,7 +14,7 @@ The bit-adders of each category sum as integers over one common
 denominator, so each category, the total and the MAC share are one
 division each. A node repeating a layer costs a lookup, so analysis
 cost scales with the distinct layers, plus a small per-node term. The
-walk checks no node rule of a parsed graph: the parse has.
+walk checks no node rule: every node kept them when it was made.
 
 Arithmetic intensity is ops per data element:
 

@@ -26,7 +26,9 @@ surface at their true (high) cost.
 
 A layer's shape, weights and census rows depend only on its kind,
 params, formats, ``quant`` and input shapes, so ``layer_walk`` computes
-each distinct layer once: real networks repeat blocks and branches.
+each distinct layer once: real networks repeat blocks and branches. It
+holds no node rule: every ``ir.LayerNode`` keeps them from the moment it
+is made.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .cost import ADD, MAC, MULTIPLY, SHIFT
 from .errors import AceV2Error
 from .formats import FP32, NumericFormat
 from .ir import (
-    ARITY_MERGE,
     CONV_KINDS,
     Graph,
     KIND_ACTIVATION,
@@ -49,7 +50,6 @@ from .ir import (
     KIND_OUTPUT,
     LayerNode,
     TensorShape,
-    check_node,
     node_shape,
     topological_order,
     weight_elements,
@@ -177,18 +177,13 @@ def layer_walk(g: Graph) -> List[Tuple[LayerNode, Layer]]:
     order is walked as declared: its shape lookups prove the order, which
     the stable sort would keep. At the first input naming a node not yet
     placed, the walk starts over on ``ir.topological_order(g)``. Errors
-    come as if the sort came first: a cycle, then the first faulty node
-    in walk order (the sort keeps the declared prefix first). A node's
-    key is its kind, the identities of its params, formats and
-    ``quant`` (``ir.share_blocks``: a parse and the zoo builders share
-    one object per distinct block, and the graph keeps them alive) and
-    its input shapes. The node rules read all of that but the shapes,
-    and the arity in their place. A parsed graph's nodes passed them at
-    the parse and cannot change since, so they are not checked again. In
-    a graph built in code, each distinct body and arity is held to them
-    once, as a parse holds a node (``check_node``), before a layer's
-    shape is inferred: the first faulty node in walk order raises,
-    whether a rule or its shape fails."""
+    come as if the sort came first: a cycle, then the first node in walk
+    order whose shape fails (the sort keeps the declared prefix first).
+    Every node kept the node rules when it was made (``ir.LayerNode``),
+    so the walk checks none. A node's key is its kind, the identities of
+    its params, formats and ``quant`` (``ir.share_blocks``: a parse and
+    the zoo builders share one object per distinct block, and the graph
+    keeps them alive) and its input shapes."""
     try:
         walk = _walk(g, g.nodes)
     except AceV2Error:
@@ -205,8 +200,6 @@ def _walk(g: Graph, order: Iterable[LayerNode]
     shapes: Dict[str, TensorShape] = {}
     shape_of = shapes.__getitem__
     memo: Dict[tuple, Layer] = {}
-    parsed = g._parsed  # its nodes passed the node rules at the parse
-    checked = set()  # the bodies this walk checked
     walk = []
     for node in order:
         node_id, kind, params, inputs, weight_format, act_format, quant = node
@@ -222,10 +215,6 @@ def _walk(g: Graph, order: Iterable[LayerNode]
         layer = memo.get(key)
         if layer is None:
             ins = list(key[5:])  # the input shapes
-            body = None if parsed else key[:5] + (min(len(ins), ARITY_MERGE),)
-            if not (parsed or body in checked):
-                check_node(node, partial(g.nodes.index, node))
-                checked.add(body)
             out = node_shape(g, node, ins or base)
             src = ins[0] if ins else None
             weights = weight_elements(node, src) if ins else 0

@@ -33,11 +33,13 @@ class ParseError(AceV2Error):
     """Malformed graph document.
 
     Carries ``path`` describing where in the document the problem sits
-    (for example ``nodes[3].params.kernel``).
+    (for example ``$.nodes[3].params.kernel``; ``.params.kernel`` from a
+    node made in code), and ``message``, what is wrong there.
     """
 
     def __init__(self, message: str, path: str = ""):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}" if path else message)
 
 

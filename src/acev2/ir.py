@@ -24,30 +24,32 @@ per-sample weight count (a compute layer's MACs follow from the weights).
 Parsing, validation, shape inference and ``weight_elements`` read the
 table, so adding a kind is one entry there. A param name means the same
 for every kind that takes it: ``_PARAM_CHECKS`` holds one type and range
-check per name. Every rule a single node must keep is checked in one
-function, ``_node_problem``: ``parse_graph`` raises what it finds
-(``check_node``) once per distinct node body and arity, and marks the
-graph as checked; the analysis walk raises it once per distinct body and
-arity of a graph built in code; and ``validate`` reports it for every
-node.
+check per name. Every rule a single node must keep is found by one
+function, ``_node_problem``, and checked at one site: ``LayerNode``
+raises what it finds whenever a node is made, by ``LayerNode(...)``,
+``_replace``, a copy or an unpickling, at the node-relative path (such
+as ``.params.kernel``). ``parse_graph`` and ``share_blocks`` make the
+first node of each distinct body and arity that way, and copy it for
+the nodes that repeat it; a parse re-raises a node's error at its
+``$.nodes[i]``. So every node of every graph keeps the node rules, and
+nothing downstream checks them again.
 
 A parse error names its JSON path, such as
 ``$.nodes[3].quant.vectors_per_channel``; the path is formatted only when
 the error is raised, so a valid node pays for no path strings.
 
 A graph checks its own references when it is made, parsed or built:
-its ids are unique and each input names a node. A parsed graph has
-passed every rule but the cycle check, which the first walk or sort
-makes, and its checks hold: a graph's fields cannot be reassigned, a
-node is a named tuple, its params a read-only mapping holding a kernel
-as a tuple, and its inputs a tuple. So it can be shared freely across
-threads for analysis. Its formats and quantization annotations are
-shared objects, one per distinct format or ``quant`` document in the
-graph, and its params one per distinct node body; two parses share
-none, and ``share_blocks`` gives nodes built in code the same sharing.
-To edit a graph, build a new one of nodes edited with
-``node._replace(...)``, or ``graph._replace(nodes=...)``: the walk
-checks it, as it checks any graph built in code.
+its ids are unique and each input names a node. Only the cycle check,
+which the first walk or sort makes, and the shapes are left, and the
+checks hold: a graph's fields cannot be reassigned, a node is a named
+tuple, its params a read-only mapping, and its inputs a tuple; a parse
+also holds each kernel as a tuple. So a graph can be shared freely
+across threads for analysis. A parsed graph's formats and quantization
+annotations are shared objects, one per distinct format or ``quant``
+document in the graph, and its params one per distinct node body; two
+parses share none, and ``share_blocks`` gives nodes built in code the
+same sharing. To edit a graph, build a new one of nodes edited with
+``node._replace(...)``, or ``graph._replace(nodes=...)``.
 """
 
 from __future__ import annotations
@@ -198,9 +200,11 @@ class LayerNode(namedtuple("LayerNode", ("id", "kind", "params", "inputs",
                                          "quant"))):
     """One node of a graph: a named tuple, so it cannot change in place.
     ``params`` is a read-only view of a copy of the mapping given (a view
-    given is kept), and ``inputs`` a tuple. ``_replace`` skips ``__new__``
-    and keeps what it is given: a graph of nodes it made is built, not
-    parsed, and the analysis walk checks it."""
+    given is kept), and ``inputs`` a tuple. A node keeps the node rules
+    (``_node_problem``) from the moment it is made: the first rule it
+    breaks raises an ``UnknownKindError`` (``.kind``) or a ``ParseError``
+    at its path in the node, such as ``.params.kernel``. ``_replace``, a
+    copy and an unpickling make their node as ``LayerNode(...)`` does."""
 
     __slots__ = ()
 
@@ -212,8 +216,18 @@ class LayerNode(namedtuple("LayerNode", ("id", "kind", "params", "inputs",
                 ) -> "LayerNode":
         if type(params) is not MappingProxyType:
             params = MappingProxyType(dict(params or {}))
-        return tuple.__new__(cls, (id, kind, params, tuple(inputs or ()),
+        node = tuple.__new__(cls, (id, kind, params, tuple(inputs or ()),
                                    weight_format, act_format, quant))
+        problem = _node_problem(node)
+        if problem:
+            where, message = problem  # only an unknown kind is at .kind
+            error = UnknownKindError if where == ".kind" else ParseError
+            raise error(message, where)
+        return node
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "LayerNode":
+        return cls(*fields)
 
     def __reduce__(self):
         """A read-only view cannot be pickled or copied: a copy of the
@@ -230,14 +244,10 @@ class Graph(namedtuple("Graph", ("name", "input_shape", "nodes"))):
     the first input that names no node (in a parse, where ids are
     strings, any input that is not one), a ``DanglingInputError`` at
     ``$.nodes[i].inputs``. ``_replace`` checks the graph it makes. A
-    graph has no attributes but its fields. A parse marks the graph it
-    makes as checked (``_parsed``) by its class, which a copy or a
-    pickle keeps; ``Graph(...)`` and ``_replace`` make a plain
-    ``Graph``, unmarked. A copy or a pickle shares its nodes' blocks as
-    the graph does (``share_blocks``)."""
+    graph has no attributes but its fields. A copy or a pickle shares
+    its nodes' blocks as the graph does (``share_blocks``)."""
 
     __slots__ = ()
-    _parsed = False  # true of the graphs parse_graph makes
 
     def __new__(cls, name: str, input_shape: TensorShape,
                 nodes: Iterable[LayerNode]) -> "Graph":
@@ -271,7 +281,11 @@ class Graph(namedtuple("Graph", ("name", "input_shape", "nodes"))):
         return Graph(*fields)
 
     def __reduce__(self):
-        return _rebuilt, (self.__class__, *self)
+        """Each node as the tuple of its fields, so a copy or an unpickling
+        makes its nodes as ``share_blocks`` does, checking each distinct
+        body once."""
+        return _rebuilt, (self.name, self.input_shape,
+                          [node.__reduce__()[1] for node in self.nodes])
 
     def node(self, node_id: str) -> LayerNode:
         for node in self.nodes:
@@ -280,55 +294,59 @@ class Graph(namedtuple("Graph", ("name", "input_shape", "nodes"))):
         raise KeyError(node_id)
 
 
-class _ParsedGraph(Graph):
-    """A graph ``parse_graph`` made: its nodes passed the node rules, and
-    it prints as a ``Graph``."""
-
-    __slots__ = ()
-    _parsed = True
-
-    def __repr__(self) -> str:
-        return Graph.__repr__(tuple.__new__(Graph, self))
-
-
-_node = tuple.__new__  # a node of fields as LayerNode makes them
+_node = tuple.__new__  # a copy of a made node with another id and inputs
 
 
 def share_blocks(nodes: Iterable[tuple]) -> List[LayerNode]:
     """The nodes ``nodes`` give (each a node or the tuple of its fields),
-    made by ``LayerNode`` and sharing one object per distinct block, as a
-    parse's do: a params mapping equal to an earlier node's in its
-    ``marshal`` encoding (8, 8.0 and true differ) becomes that node's, and
-    a format or quant annotation equal to an earlier one of its class
-    becomes that one. The analysis walk's layer memo and the serializer's
-    block cache key on these objects, so a graph built with per-node
-    copies of its blocks then analyzes and serializes as its parse does.
-    A block that cannot be keyed (params ``marshal`` cannot encode, an
-    unhashable format) keeps its own object, and so do the node's blocks
-    after an unhashable one."""
+    sharing one object per distinct block, as a parse's do: a params
+    mapping equal to an earlier node's in its ``marshal`` encoding (8,
+    8.0 and true differ) becomes that node's, and a format or quant
+    annotation equal to an earlier one of its class becomes that one.
+    The first node of each distinct body and arity (its kind, params,
+    formats and quant so matched, and its input count up to two) is made
+    by ``LayerNode``, which raises what a node rule finds; the nodes that
+    repeat it are copies of it with their own id and inputs. The
+    analysis walk's layer memo and the serializer's block cache key on
+    the shared objects, so a graph built with per-node copies of its
+    blocks then analyzes and serializes as its parse does. A node whose
+    body cannot be keyed (params ``marshal`` cannot encode, an
+    unhashable format) is made by ``LayerNode`` and keeps its own
+    blocks."""
     share = {}.setdefault
+    bodies: dict = {}  # body and arity -> the first such node's blocks
     shared = []
     for node in nodes:
-        node_id, kind, params, inputs, weights, acts, quant = LayerNode(*node)
-        try:
-            params = share(marshal.dumps(params.copy(), 2), params)
-        except ValueError:  # marshal cannot encode it
-            pass
-        try:
-            weights = share((weights.__class__, weights), weights)
-            acts = share((acts.__class__, acts), acts)
-            quant = share((quant.__class__, quant), quant)
-        except TypeError:  # unhashable
-            pass
+        node_id, kind, params, inputs, weights, acts, quant = node
+        inputs = tuple(inputs or ())
+        try:  # a dict's or a read-only view's copy is a dict
+            encoded = marshal.dumps(params.copy() if params else {}, 2)
+            body = (kind.__class__, kind, encoded,
+                    min(len(inputs), ARITY_MERGE), weights.__class__,
+                    weights, acts.__class__, acts, quant.__class__, quant)
+            blocks = bodies.get(body)
+        except (AttributeError, TypeError, ValueError):  # cannot be keyed
+            body = blocks = None
+        if blocks is None:
+            made = LayerNode(*node)
+            if body is None:
+                shared.append(made)
+                continue
+            blocks = bodies[body] = (
+                made.kind, share(encoded, made.params),
+                share((weights.__class__, weights), weights),
+                share((acts.__class__, acts), acts),
+                share((quant.__class__, quant), quant))
+        kind, params, weights, acts, quant = blocks
         shared.append(_node(LayerNode, (node_id, kind, params, inputs,
                                         weights, acts, quant)))
     return shared
 
 
-def _rebuilt(cls: type, name: str, input_shape: TensorShape,
-             nodes: Iterable[LayerNode]) -> Graph:
+def _rebuilt(name: str, input_shape: TensorShape,
+             nodes: Iterable[tuple]) -> Graph:
     """A copy or unpickling of a graph: its copied nodes share again."""
-    return cls(name, input_shape, share_blocks(nodes))
+    return Graph(name, input_shape, share_blocks(nodes))
 
 
 class Diagnostic(NamedTuple):
@@ -344,8 +362,8 @@ def _spatial(extent: int, kernel: int, stride: int, padding: str,
              node_id: str) -> int:
     if padding == "same":
         return -(-extent // stride)  # ceil division
-    # "valid": the node rules, which run before any shape rule, admit no
-    # other padding
+    # "valid": the node rules, which every node keeps, admit no other
+    # padding
     if extent < kernel:
         raise ShapeMismatchError(node_id, "kernel larger than input")
     return (extent - kernel) // stride + 1
@@ -389,10 +407,10 @@ def _pool(node: LayerNode, ins: List[TensorShape]) -> TensorShape:
 
 # A kind's arity is its input count, where ARITY_MERGE means two or more.
 ARITY_NONE, ARITY_ONE, ARITY_MERGE = 0, 1, 2
-_ARITY_DIAGNOSTICS = {  # arity -> (rule, message formatted with the kind)
-    ARITY_NONE: ("input-arity", "{} nodes take no inputs"),
-    ARITY_ONE: ("single-input", "{} takes exactly one input"),
-    ARITY_MERGE: ("merge-arity", "{} needs at least two inputs"),
+_ARITY_MESSAGES = {  # arity -> its fault's message, formatted with the kind
+    ARITY_NONE: "{} nodes take no inputs",
+    ARITY_ONE: "{} takes exactly one input",
+    ARITY_MERGE: "{} needs at least two inputs",
 }
 
 
@@ -470,67 +488,53 @@ _BLOCK_TYPES = (("weight_format", NumericFormat),
                 ("quant", QuantizationAnnotation))
 
 
-def _node_problem(node: LayerNode) -> Optional[Tuple[str, str, str]]:
-    """The first rule ``node`` breaks, as (where in the node, diagnostic
-    rule, message), or None. The rules, in order: a known kind; params
-    with no unknown key, each value passing its ``_PARAM_CHECKS`` entry
-    and every required key present (a windowed pool needs a kernel); the
-    kind's arity; a 1x1 pointwise kernel; each format a ``NumericFormat``
-    and ``quant`` a ``QuantizationAnnotation``, or absent; ``quant`` only
-    on compute kinds; and weights a power-of-two quantizer can take."""
+def _node_problem(node: LayerNode) -> Optional[Tuple[str, str]]:
+    """The first rule ``node`` breaks, as (where in the node, message), or
+    None. The rules, in order: a known kind; params with no unknown key,
+    each value passing its ``_PARAM_CHECKS`` entry and every required key
+    present (a windowed pool needs a kernel); the kind's arity; a 1x1
+    pointwise kernel; each format a ``NumericFormat`` and ``quant`` a
+    ``QuantizationAnnotation``, or absent; ``quant`` only on compute
+    kinds; and weights a power-of-two quantizer can take."""
     kind = node.kind
     rule = KIND_RULES.get(kind) if type(kind) is str else None
     if rule is None:
-        return ".kind", "unknown-kind", f"unknown node kind {kind!r}"
+        return ".kind", f"unknown node kind {kind!r}"
     params = node.params
     for key, value in params.items():
         if key not in rule.params:
-            return f".params.{key}", "params", f"unknown key {key!r}"
+            return f".params.{key}", f"unknown key {key!r}"
         accepts, expected = _PARAM_CHECKS[key]
         if not accepts(value):
-            return (f".params.{key}", "params",
-                    f"{key} must be {expected}, got {value!r}")
+            return f".params.{key}", f"{key} must be {expected}, got {value!r}"
     required = rule.required
     if params.get("pool", "global_avg") != "global_avg":
         required = required | {"kernel"}  # a windowed pool
     if not params.keys() >= required:
         key = min(required - params.keys())
-        return f".params.{key}", "params", f"missing param {key!r}"
+        return f".params.{key}", f"missing param {key!r}"
     if min(len(node.inputs), ARITY_MERGE) != rule.arity:
-        check, message = _ARITY_DIAGNOSTICS[rule.arity]
-        return ".inputs", check, message.format(kind)
+        return ".inputs", _ARITY_MESSAGES[rule.arity].format(kind)
     if kind == KIND_PWCONV and list(params.get("kernel", (1, 1))) != [1, 1]:
-        return (".params.kernel", "pw-kernel-1x1",
+        return (".params.kernel",
                 f"pointwise kernel must be 1x1, got {list(params['kernel'])}")
     for (field, cls), block in zip(_BLOCK_TYPES, node[4:]):
         if not (block is None or isinstance(block, cls)):
-            return (f".{field}", "block-type", f"{field} must be a "
-                    f"{cls.__name__} or absent, got {block!r}")
+            return (f".{field}", f"{field} must be a {cls.__name__} or "
+                    f"absent, got {block!r}")
     quant = node.quant
     if quant is None:
         return None
     if kind not in COMPUTE_KINDS:
-        return (".quant", "quant-kind", "quant is only valid on compute "
-                f"layers ({', '.join(COMPUTE_KINDS)}), not {kind}")
+        return (".quant", "quant is only valid on compute layers "
+                f"({', '.join(COMPUTE_KINDS)}), not {kind}")
     # Power-of-two weights code a sign bit plus at least one shift bit.
     weights = node.weight_format or FP32
     if (quant.weight_quantizer == "pot"
             and not (weights.is_fixed and weights.total_bits >= 2)):
-        return (".quant.weight_quantizer", "pot-weights", "power-of-two "
-                "weights need a fixed-point weight_format of at least 2 "
-                f"bits, got {weights}")
+        return (".quant.weight_quantizer", "power-of-two weights need a "
+                f"fixed-point weight_format of at least 2 bits, got {weights}")
     return None
-
-
-def check_node(node: LayerNode, index: Callable[[], int]) -> None:
-    """Raise the first rule ``node`` breaks (``_node_problem``) as a parse
-    does: an ``UnknownKindError`` or ``ParseError`` at ``$.nodes[i]``,
-    where ``i = index()`` is asked for only then."""
-    problem = _node_problem(node)
-    if problem:
-        where, check, message = problem
-        error = UnknownKindError if check == "unknown-kind" else ParseError
-        raise error(message, _at(index(), where))
 
 
 def _reject_unknown(doc: dict, allowed: FrozenSet[str], path: str) -> None:
@@ -633,9 +637,11 @@ def _parse_node(doc, i: int, memo: dict, node_id, inputs, body) -> LayerNode:
         act_format = _parse_format(doc["act_format"], memo, i, ".act_format")
     if "quant" in doc:
         quant = _parse_quant(doc["quant"], memo, i)
-    node = LayerNode(node_id, doc["kind"], MappingProxyType(params), inputs,
-                     weight_format, act_format, quant)
-    check_node(node, lambda: i)
+    try:
+        node = LayerNode(node_id, doc["kind"], MappingProxyType(params),
+                         inputs, weight_format, act_format, quant)
+    except ParseError as exc:  # a node rule, at its path in the node
+        raise exc.__class__(exc.message, _at(i, exc.path)) from None
     if "kernel" in params:  # checked: freeze it, as the node is frozen
         params["kernel"] = tuple(params["kernel"])
     if body is not None:
@@ -647,16 +653,14 @@ def _parse_node(doc, i: int, memo: dict, node_id, inputs, body) -> LayerNode:
 def parse_graph(text: str) -> Graph:
     """Parse and structurally resolve a graph document (strict mode).
 
-    Each node is held to every rule ``_node_problem`` names, and each
-    error names its JSON path. A node body, every key but ``id`` and
-    ``inputs``, is checked once per parse (``_parse_node``): it is keyed
-    on its arity and its ``marshal`` encoding, in which 8, 8.0 and true
+    Each error names its JSON path. A node body, every key but ``id``
+    and ``inputs``, is read and made into a ``LayerNode``, which holds it
+    to the node rules, once per parse (``_parse_node``): it is keyed on
+    its arity and its ``marshal`` encoding, in which 8, 8.0 and true
     differ (version 2 writes no back-references, so equal bodies encode
-    alike), and a node with a string id repeating an accepted body
-    shares the first one's params, formats and quant. ``Graph`` then
-    checks the ids and references. The graph is marked as checked, so
-    the analysis walk checks none of its nodes again: they cannot
-    change."""
+    alike), and a node with a string id repeating an accepted body is a
+    copy of the first one with its own id and inputs. ``Graph`` then
+    checks the ids and references."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # malformed, or an integer too long to read
@@ -713,7 +717,7 @@ def parse_graph(text: str) -> Graph:
                                            act_format, quant)))
         else:
             nodes.append(_parse_node(nd, i, memo, node_id, inputs, body))
-    return _ParsedGraph(name, shape, nodes)
+    return Graph(name, shape, nodes)
 
 
 _escape = json.encoder.encode_basestring_ascii  # the C escaper json uses
@@ -861,28 +865,20 @@ def topological_order(g: Graph) -> List[LayerNode]:
 
 
 def validate(g: Graph) -> List[Diagnostic]:
-    """Structural diagnostics of a graph built in code; an empty list means
-    all invariants hold. Each node is held to the rules ``parse_graph``
-    raises for (``_node_problem``), and the graph gets the cycle check;
-    its references resolve, as ``Graph`` checks. With none of those
-    found, shapes are inferred in topological order by kind rule: each
-    node whose shape fails gets a ``shape`` diagnostic, and a node with a
-    failed input is skipped. ``analyze`` raises only a built graph's
-    first bad node; this collects every diagnostic. A parsed graph has
-    passed every check but the cycle check and the shapes."""
-    diags: List[Diagnostic] = []
-    order: List[LayerNode] = []
+    """Structural diagnostics of a graph; an empty list means all
+    invariants hold. Its nodes keep the node rules and its references
+    resolve (``LayerNode`` and ``Graph`` check those when they are made),
+    so what is left is the cycle check and the shapes: a cycle is one
+    ``dag-violation`` diagnostic; with none, shapes are inferred in
+    topological order by kind rule, each node whose shape fails gets a
+    ``shape`` diagnostic, and a node with a failed input is skipped.
+    ``analyze`` raises only the first; this collects every one."""
     try:
         order = topological_order(g)
     except ParseError:
-        diags.append(Diagnostic("<graph>", "dag-violation",
-                                "graph contains a cycle"))
-    for node in g.nodes:
-        problem = _node_problem(node)
-        if problem:
-            diags.append(Diagnostic(node.id, *problem[1:]))
-    if diags:
-        return diags
+        return [Diagnostic("<graph>", "dag-violation",
+                           "graph contains a cycle")]
+    diags: List[Diagnostic] = []
     shapes: Dict[str, TensorShape] = {}
     for node in order:
         if all(ref in shapes for ref in node.inputs):
@@ -899,7 +895,7 @@ def node_shape(g: Graph, node: LayerNode,
                ins: List[TensorShape]) -> TensorShape:
     """The output shape of ``node`` of ``g`` on input shapes ``ins`` (the
     graph's input shape for a node with no inputs), by its kind's rule,
-    for a node that keeps the node rules (``check_node``). A mismatch
+    which every node's kind has (``LayerNode``). A mismatch
     raises ``ShapeMismatchError`` at the node's ``$.nodes[i]``."""
     try:
         return KIND_RULES[node.kind].shape(node, ins)

@@ -94,7 +94,7 @@ def _reduce_stage(runs: List[Tuple[int, int]], d: int
                   ) -> Tuple[List[Tuple[int, int]], int, int]:
     """One Dadda stage of target ``d`` over (height, columns) runs, by the
     run rule of ``dadda_stage_counts``; return (output runs, full adders,
-    half adders). Adjacent equal output heights merge into one run.
+    half adders).
 
     The first ``d`` runs are the single columns 1 .. d (the completion
     of a 1 x n multiplier: one run of height 1), which no stage changes
@@ -102,31 +102,33 @@ def _reduce_stage(runs: List[Tuple[int, int]], d: int
     and the loop begins after them with no carry. It returns at the
     first run at most ``d`` high that takes no carry-in: only the falling
     edge holds one, and every run after it is a lower single column, so
-    the rest of ``runs`` is the rest of the output, its first run merged
-    into the last output run when their heights are equal."""
+    the rest of ``runs`` is the rest of the output.
+
+    Every column the loop walks keeps exactly ``d`` bits: one above
+    ``d`` is cut to ``d``, and one at most ``d`` high is walked only with
+    a carry-in, which for every pair of widths in 1 .. ``MAX_BITS`` is a
+    carry of one into a column ``d - 1`` high. So each walked column
+    extends the output's last run, the single column of height ``d``,
+    and the run the loop stops at is lower than ``d``: no stage starts a
+    run of another height, and none merges the rest into its last run.
+    The pinned digest and the stage shapes of every pair to 64 x 64 in
+    ``tests/test_oracle.py`` hold the output to that."""
     out = runs[:d]
     full = half = carry = 0
     for n in range(d, len(runs)):
         h, k = runs[n]
         if h <= d and not carry:  # the falling edge: nothing left to do
-            if out[-1][0] == h:
-                out[-1] = (h, out[-1][1] + k)
-                n += 1
             return out + runs[n:], full, half
         while k:
             t = h + carry
             if t <= d:
-                keep, fa, ha = t, 0, 0
+                fa = ha = 0
             else:
                 fa, ha = divmod(t - d, 2)
-                keep = d
             step = k if fa + ha == carry else 1
             full += fa * step
             half += ha * step
-            if out[-1][0] == keep:
-                out[-1] = (keep, out[-1][1] + step)
-            else:
-                out.append((keep, step))
+            out[-1] = (d, out[-1][1] + step)
             k -= step
             carry = fa + ha
     if carry:

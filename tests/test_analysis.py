@@ -143,17 +143,41 @@ class TestOnePass:
     @pytest.mark.parametrize("build", MODELS)
     def test_each_node_body_is_checked_once(self, monkeypatch, build):
         """The node rules read a node's body, every key but ``id`` and
-        ``inputs``, and its arity, never its input shapes. So a parse
-        checks each distinct body and arity once, though a body recurs as
-        distinct layers over different input shapes, and keeps the bodies
-        it checked: ``analyze`` and ``census_graph`` of the parsed graph
-        check none, and the walk of a build checks as many as its parse."""
+        ``inputs``, and its arity, never its input shapes. So a build and
+        a parse each check every distinct body and arity once, when its
+        first node is made, though a body recurs as distinct layers over
+        different input shapes, and ``analyze`` and ``census_graph``
+        check none."""
+        calls = []
+        node_problem = ir._node_problem
+
+        def counted(node):
+            calls.append(node.id)
+            return node_problem(node)
+
+        monkeypatch.setattr(ir, "_node_problem", counted)
         built = build()
         text = ir.serialize_graph(built)
         bodies = {(json.dumps({k: v for k, v in node.items()
                                if k not in ("id", "inputs")}),
                    min(len(node["inputs"]), 2))
                   for node in json.loads(text)["nodes"]}
+        assert len(calls) == len(bodies)
+        calls.clear()
+        g = ir.parse_graph(text)
+        assert len(calls) == len(bodies)
+        calls.clear()
+        layers = {id(layer) for _, layer in census.layer_walk(g)}
+        for graph in (g, built):
+            analyze(graph)
+            census_graph(graph)
+        assert calls == [] and len(bodies) < len(layers)
+
+    def test_a_copied_graph_checks_its_nodes_when_made(self, monkeypatch):
+        """A copy, deep copy or unpickling of a graph makes its nodes as
+        ``share_blocks`` makes them, so it checks each distinct body and
+        arity once, as the parse did. No walk checks a node."""
+        text = ir.serialize_graph(zoo.build_pikelpn("1x"))
         calls = []
         node_problem = ir._node_problem
 
@@ -163,33 +187,12 @@ class TestOnePass:
 
         monkeypatch.setattr(ir, "_node_problem", counted)
         g = ir.parse_graph(text)
-        assert len(calls) == len(bodies)
-        calls.clear()
-        layers = {id(layer) for _, layer in census.layer_walk(g)}
-        analyze(g)
-        census_graph(g)
-        assert calls == [] and len(bodies) < len(layers)
-        analyze(built)
-        assert len(calls) == len(bodies)
-
-    def test_a_copied_parsed_graph_stays_checked(self, monkeypatch):
-        """A graph cannot change in place, so a copy of a parsed graph,
-        shallow, deep or unpickled, is as checked as the graph: its walk
-        checks no node, where a build's walk checks each body."""
-        built = zoo.build_pikelpn("1x")
-        g = ir.parse_graph(ir.serialize_graph(built))
-        calls = []
-        node_problem = ir._node_problem
-
-        def counted(node):
-            calls.append(node.id)
-            return node_problem(node)
-
-        monkeypatch.setattr(ir, "_node_problem", counted)
-        analyze(built)
-        assert len(calls) > 0
-        for twin in (copy.copy(g), copy.deepcopy(g),
-                     pickle.loads(pickle.dumps(g))):
+        parsed = list(calls)
+        for make in (copy.copy, copy.deepcopy,
+                     lambda g: pickle.loads(pickle.dumps(g))):
+            calls.clear()
+            twin = make(g)
+            assert calls == parsed
             calls.clear()
             assert twin == g and analyze(twin) == analyze(g)
             census_graph(twin)
@@ -198,8 +201,7 @@ class TestOnePass:
     def test_a_copied_graph_shares_its_blocks(self, mbv2_relu):
         """A copy, deep copy or unpickled copy of a parsed graph shares
         its nodes' params, formats and quant as the graph does, so its
-        walk computes as many distinct layers, and it reports the same
-        and stays checked."""
+        walk computes as many distinct layers, and it reports the same."""
         g = ir.parse_graph(ir.serialize_graph(mbv2_relu))
 
         def blocks(graph):
@@ -212,7 +214,7 @@ class TestOnePass:
         report = analyze(g)
         for twin in (copy.copy(g), copy.deepcopy(g),
                      pickle.loads(pickle.dumps(g))):
-            assert twin == g and twin._parsed
+            assert twin == g
             assert blocks(twin) <= blocks(g) and layers(twin) == layers(g)
             assert analyze(twin) == report
 
@@ -233,80 +235,79 @@ class TestOnePass:
         with pytest.raises(AttributeError):
             g.nodes = g.nodes[:4]
         with pytest.raises(TypeError):
-            g.nodes[4] = node._replace(params={"stride": 0})
+            g.nodes[4] = node._replace(id="x")
         with pytest.raises(AttributeError):
             del g.name
         assert analyze(g) == report
 
     def test_a_graph_takes_no_new_attribute(self):
-        """A graph has no attributes but its fields, so the parse mark
-        cannot be set on a graph built in code: the walk still checks its
-        nodes. The mark is the parsed graph's class, which copies and
-        pickles keep and ``Graph(...)`` and ``_replace`` drop; a parsed
-        graph prints as any graph does."""
-        built = Graph("t", TensorShape(1, 8, 8, 4), [
-            LayerNode("in", "Input"),
-            LayerNode("dw", "DepthwiseConv2D", {"kernel": [3, 3],
-                                                "stride": 0}, ["in"]),
-            LayerNode("out", "Output", {}, ["dw"])])
-        for name in ("_parsed", "nodes_by_id"):
-            with pytest.raises(AttributeError):
-                setattr(built, name, True)
-        with pytest.raises(ParseError) as err:
-            analyze(built)
-        assert err.value.path == "$.nodes[1].params.stride"
-        g = ir.parse_graph(ir.serialize_graph(zoo.build_mobilenet_v1()))
-        with pytest.raises(AttributeError):
-            g._parsed = False
-        assert g._parsed and not built._parsed
-        assert all(twin._parsed for twin in (
-            copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))))
-        assert not (Graph(*g)._parsed or g._replace(name="x")._parsed)
+        """A graph has no attributes but its fields, parsed or built, and
+        a parsed graph is a ``Graph`` like any other: its class, its copies'
+        and its print are a built graph's."""
+        built = zoo.build_mobilenet_v1()
+        g = ir.parse_graph(ir.serialize_graph(built))
+        for graph in (built, g):
+            for name in ("_parsed", "nodes_by_id"):
+                with pytest.raises(AttributeError):
+                    setattr(graph, name, True)
+        assert all(type(twin) is Graph for twin in (
+            g, copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g)),
+            g._replace(name="x")))
         assert repr(g) == repr(Graph(*g)) and repr(g).startswith("Graph(")
 
     def test_a_cycle_raises_before_a_node_declared_ahead_of_it(self):
         """The walk raises what it would raise after a sort: a cycle comes
-        first, though a node declared before it breaks a node rule (in a
-        built graph) or fails its shape."""
+        first, though a node declared before it fails its shape. A node
+        that breaks a node rule raises before any graph is made."""
         shape = TensorShape(1, 4, 4, 4)
         cycle = [LayerNode("a", "Activation", {}, ["b"]),
                  LayerNode("b", "Activation", {}, ["a"]),
                  LayerNode("out", "Output", {}, ["b"])]
-        for params in ({"kernel": [3, 3], "stride": 0},
-                       {"kernel": [5, 5], "padding": "valid"}):
-            g = Graph("t", shape, [
-                LayerNode("in", "Input"),
-                LayerNode("dw", "DepthwiseConv2D", params, ["in"]), *cycle])
-            for walk_stage in (analyze, census_graph):
-                with pytest.raises(ParseError) as err:
-                    walk_stage(g)
-                assert type(err.value) is ParseError
-                assert str(err.value) \
-                    == "$.nodes[2].inputs: graph contains a cycle"
+        with pytest.raises(ParseError) as err:
+            LayerNode("dw", "DepthwiseConv2D", {"kernel": [3, 3],
+                                                "stride": 0}, ["in"])
+        assert str(err.value) \
+            == ".params.stride: stride must be a positive integer, got 0"
+        g = Graph("t", shape, [
+            LayerNode("in", "Input"),
+            LayerNode("dw", "DepthwiseConv2D",
+                      {"kernel": [5, 5], "padding": "valid"}, ["in"]),
+            *cycle])
+        for walk_stage in (analyze, census_graph):
+            with pytest.raises(ParseError) as err:
+                walk_stage(g)
+            assert type(err.value) is ParseError
+            assert str(err.value) \
+                == "$.nodes[2].inputs: graph contains a cycle"
 
     @pytest.mark.parametrize("edit, path", [
         ("params", "$.nodes[4].params.stride"),
         ("arity", "$.nodes[6].inputs"),
     ])
-    def test_an_edited_parsed_node_is_checked_in_a_new_graph(self, edit,
-                                                             path):
-        """A parsed node edited with ``_replace`` goes into a new graph,
-        a built one. Given params that break a rule, or another arity, it
-        is checked by the walk and fails as a parse would fail it, at the
-        node's path."""
-        g = ir.parse_graph(ir.serialize_graph(zoo.build_mobilenet_v1()))
-        nodes = list(g.nodes)
+    def test_an_edited_parsed_node_is_checked_when_made(self, edit, path):
+        """A parsed node edited with ``_replace`` is made as
+        ``LayerNode(...)`` makes one. Given params that break a rule, or
+        another arity, it raises at its path in the node, with the error
+        and message a parse of the edited document raises at the node's
+        ``$.nodes[i]``."""
+        text = ir.serialize_graph(zoo.build_mobilenet_v1())
+        g, doc = ir.parse_graph(text), json.loads(text)
+        i = int(path[len("$.nodes["):].split("]")[0])
+        node = g.nodes[i]  # b1_dw, a DepthwiseConv2D; b1_dw_relu
+        with pytest.raises(ParseError) as made:
+            if edit == "params":
+                node._replace(params={**node.params, "stride": 0})
+            else:
+                node._replace(inputs=(*node.inputs, "in"))
         if edit == "params":
-            node = nodes[4]  # b1_dw, a DepthwiseConv2D
-            nodes[4] = node._replace(params={**node.params, "stride": 0})
+            doc["nodes"][i]["params"]["stride"] = 0
         else:
-            node = nodes[6]  # b1_dw_relu, an Activation
-            nodes[6] = node._replace(inputs=(*node.inputs, "in"))
-        edited = Graph(g.name, g.input_shape, nodes)
-        for walk_stage in (analyze, census_graph):
-            with pytest.raises(ParseError) as err:
-                walk_stage(edited)
-            assert err.value.path == path
+            doc["nodes"][i]["inputs"].append("in")
+        with pytest.raises(ParseError) as parsed:
+            ir.parse_graph(json.dumps(doc))
+        assert (type(made.value), f"$.nodes[{i}]" + made.value.path,
+                made.value.message) == (type(parsed.value), path,
+                                        parsed.value.message)
 
     def test_first_unpriceable_entry_in_tally_order_is_named(self):
         """Of the layers whose bit-adders cannot be priced (a shift of
@@ -363,10 +364,10 @@ class TestOnePass:
         assert census_graph(graph("pot")).entries
 
     def test_errors_come_in_stage_order(self):
-        """The first node in walk order that breaks a node rule or whose
-        shape fails, then bit-adders, then energy, wherever the failing
-        nodes sit: each pricing fault lies later in the walk than the
-        faults of the stages after it."""
+        """A node that breaks a node rule, when it is made; then the first
+        node in walk order whose shape fails, then bit-adders, then
+        energy, wherever the failing nodes sit: each pricing fault lies
+        later in the walk than the faults of the stages after it."""
         fp16 = NumericFormat.flt(5, 10)
         pot_weights = ir.QuantizationAnnotation(scale_format="pot",
                                                 weight_quantizer="pot")
@@ -387,14 +388,12 @@ class TestOnePass:
                 LayerNode("add", "Add", {}, ["c", "d"]),
             ])
 
+        # c's pot weights on fp16, met before the add's mismatch
+        for d_channels in (5, 4):
+            with pytest.raises(ParseError) as err:
+                graph(d_channels=d_channels)
+            assert err.value.path == ".quant.weight_quantizer"
         for walk_stage in (analyze, census_graph):
-            # c's pot weights on fp16, met before the add's mismatch
-            with pytest.raises(ParseError) as err:
-                walk_stage(graph())
-            assert err.value.path == "$.nodes[3].quant.weight_quantizer"
-            with pytest.raises(ParseError) as err:
-                walk_stage(graph(d_channels=4))
-            assert err.value.path == "$.nodes[3].quant.weight_quantizer"
             with pytest.raises(ShapeMismatchError) as err:
                 walk_stage(graph(c_weights=INT8))
             assert err.value.path == "$.nodes[5]"
@@ -410,9 +409,9 @@ class TestOnePass:
     def test_in_the_pinned_fan_out_the_first_fault_in_walk_order_is_raised(
             self):
         """in -> pw c (pot weights on c_weights) and pw d (4 vs 5
-        channels) -> add -> out: c's node rule, met first, is raised as a
-        parse raises it; with c valid, the mismatch at the add is raised,
-        not a later node's rule (a quant on the Output)."""
+        channels) -> add -> out: c's node rule, and a quant on the
+        Output, raise when the node is made, as a parse raises them; with
+        every node valid, the mismatch at the add is raised."""
         def graph(c_weights, out_quant=None):
             return Graph("t", TensorShape(1, 8, 8, 3), [
                 LayerNode("in", "Input"),
@@ -426,17 +425,27 @@ class TestOnePass:
             ])
 
         with pytest.raises(ParseError) as err:
-            analyze(graph(NumericFormat.flt(5, 10)))
-        assert err.value.path == "$.nodes[1].quant.weight_quantizer"
-        assert str(err.value).endswith(
-            ": power-of-two weights need a fixed-point weight_format of at "
-            "least 2 bits, got fp16")
+            graph(NumericFormat.flt(5, 10))
+        assert str(err.value) == (
+            ".quant.weight_quantizer: power-of-two weights need a "
+            "fixed-point weight_format of at least 2 bits, got fp16")
+        with pytest.raises(ParseError) as err:
+            graph(INT8, ir.QuantizationAnnotation())
+        assert err.value.path == ".quant"
         with pytest.raises(ShapeMismatchError) as err:
-            analyze(graph(INT8, ir.QuantizationAnnotation()))
+            analyze(graph(INT8))
         assert err.value.path == "$.nodes[3]"
 
 
 class TestBnShare:
+    def test_a_graph_with_no_cost_has_no_norm_share(self):
+        """Input -> Output costs nothing, so no share of it is in
+        normalization: 0, not a division by zero."""
+        report = analyze(Graph("t", TensorShape(1, 8, 8, 3), [
+            LayerNode("in", "Input"), LayerNode("out", "Output", {}, ["in"])]))
+        assert report.total_ace == 0
+        assert bn_share(report) == 0.0
+
     def test_no_norm_layers_means_zero(self):
         g = Graph("t", TensorShape(1, 8, 8, 3), [
             LayerNode("in", "Input"),

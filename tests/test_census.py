@@ -132,13 +132,12 @@ class TestComputeLayers:
     @pytest.mark.parametrize("weight", [FP32, NumericFormat.binary(), None],
                              ids=str)
     def test_pot_weights_need_two_fixed_point_bits(self, weight):
-        g = one_conv_graph(QuantizationAnnotation(weight_quantizer="pot",
+        with pytest.raises(ParseError) as err:
+            one_conv_graph(QuantizationAnnotation(weight_quantizer="pot",
                                                   scale_format=POT_SCALE),
                            weight=weight)
-        with pytest.raises(ParseError) as err:
-            census_graph(g)
         assert str(err.value) == (
-            "$.nodes[1].quant.weight_quantizer: power-of-two weights need a "
+            ".quant.weight_quantizer: power-of-two weights need a "
             f"fixed-point weight_format of at least 2 bits, got {weight or FP32}")
 
 
@@ -300,16 +299,12 @@ class TestModelLevelCounts:
         assert set(CENSUS_RULES) <= set(KIND_RULES)
 
     def test_unknown_activation_built_in_code_is_named(self):
-        """The walk holds a graph built in code to the param rule a parse
-        raises for, at the node's path."""
-        g = Graph("t", TensorShape(1, 2, 2, 3), [
-            LayerNode("in", "Input"),
-            LayerNode("act", "Activation", {"activation": "gelu"}, ["in"]),
-        ])
+        """A node built in code is held to the param rule a parse raises
+        for when it is made, at its path in the node."""
         with pytest.raises(ParseError) as err:
-            census_graph(g)
+            LayerNode("act", "Activation", {"activation": "gelu"}, ["in"])
         assert str(err.value) == (
-            "$.nodes[1].params.activation: activation must be one of relu, "
+            ".params.activation: activation must be one of relu, "
             "prelu, dprelu, got 'gelu'")
 
     @pytest.mark.parametrize("kind", ["Input", "Output", "Concat", "Pool"])
@@ -322,14 +317,13 @@ class TestModelLevelCounts:
 
     def test_missing_shape_is_reported(self):
         """A compute layer with no input to take a shape from breaks its
-        arity rule, reported at its path before any count is made."""
-        g = Graph("t", TensorShape(1, 2, 2, 3), [
-            LayerNode("pw", "PointwiseConv2D", {"out_channels": 4}, [],
-                      weight_format=INT4, act_format=INT4)])
+        arity rule, raised at its path when the node is made, before any
+        graph or count is."""
         with pytest.raises(ParseError) as err:
-            census_graph(g)
+            LayerNode("pw", "PointwiseConv2D", {"out_channels": 4}, [],
+                      weight_format=INT4, act_format=INT4)
         assert str(err.value) == (
-            "$.nodes[0].inputs: PointwiseConv2D takes exactly one input")
+            ".inputs: PointwiseConv2D takes exactly one input")
 
 
 def test_layer_walk_tells_apart_nodes_that_share_params():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from acev2 import ir
 from acev2.analysis import analyze
-from acev2.census import census_graph, layer_walk
+from acev2.census import layer_walk
 from acev2.errors import DanglingInputError, ParseError, ShapeMismatchError, UnknownKindError
 from acev2.formats import NumericFormat
 from acev2.ir import (
@@ -22,6 +22,8 @@ from acev2.ir import (
     validate,
     weight_elements,
 )
+
+from test_kinds import unchecked
 
 MINIMAL = """
 {
@@ -129,8 +131,7 @@ def test_duplicate_ids_in_a_built_graph_rejected():
 
 
 def test_replace_checks_the_graph_it_makes():
-    """``_replace`` builds its graph as ``Graph`` does, checked and not
-    marked as parsed."""
+    """``_replace`` builds its graph as ``Graph`` does, checked."""
     g = parse_graph(MINIMAL)
     with pytest.raises(ParseError) as err:
         g._replace(nodes=g.nodes + g.nodes[:1])
@@ -139,7 +140,7 @@ def test_replace_checks_the_graph_it_makes():
         g._replace(nodes=g.nodes[1:])
     assert str(err.value) == "$.nodes[0].inputs: unresolved input id 'in'"
     renamed = g._replace(name="renamed")
-    assert renamed.nodes is g.nodes and g._parsed and not renamed._parsed
+    assert renamed.nodes is g.nodes and type(renamed) is type(g) is Graph
 
 
 @pytest.mark.parametrize("name", [5, None, ["x"], {"a": 1}, True])
@@ -189,14 +190,11 @@ def test_subchannelwise_requires_vector_count():
 
 class TestValidate:
     def test_pointwise_kernel_rule(self):
-        g = chain(
-            LayerNode("in", "Input"),
+        with pytest.raises(ParseError) as err:
             LayerNode("pw", "PointwiseConv2D",
-                      {"out_channels": 4, "kernel": [3, 3]}, ["in"]),
-            LayerNode("out", "Output", {}, ["pw"]),
-        )
-        rules = [d.rule for d in validate(g)]
-        assert rules == ["pw-kernel-1x1"]
+                      {"out_channels": 4, "kernel": [3, 3]}, ["in"])
+        assert str(err.value) \
+            == ".params.kernel: pointwise kernel must be 1x1, got [3, 3]"
 
     def test_cycle_detected(self):
         g = chain(
@@ -211,81 +209,68 @@ class TestValidate:
             topological_order(g)
 
     def test_batchnorm_arity(self):
-        g = chain(
-            LayerNode("in", "Input"),
-            LayerNode("bn", "BatchNorm", {}, ["in", "in"]),
-            LayerNode("out", "Output", {}, ["bn"]),
-        )
-        assert "single-input" in [d.rule for d in validate(g)]
+        with pytest.raises(ParseError) as err:
+            LayerNode("bn", "BatchNorm", {}, ["in", "in"])
+        assert str(err.value) == ".inputs: BatchNorm takes exactly one input"
 
-    @pytest.mark.parametrize("node,rule,message", [
-        (LayerNode("x", "Conv2D", {"kernel": [3, 3]}, ["in"]), "params",
-         "missing param 'out_channels'"),
-        (LayerNode("x", "Pool", {"pool": "max"}, ["in"]), "params",
-         "missing param 'kernel'"),
-        (LayerNode("x", "Activation", {"activation": "gelu"}, ["in"]),
-         "params", "activation must be one of relu, prelu, dprelu, "
-         "got 'gelu'"),
-        (LayerNode("x", "BatchNorm", {}, ["in"],
-                   quant=QuantizationAnnotation()), "quant-kind",
+    @pytest.mark.parametrize("fields,error,where,message", [
+        (("x", "Conv2D", {"kernel": [3, 3]}, ["in"]), ParseError,
+         ".params.out_channels", "missing param 'out_channels'"),
+        (("x", "Pool", {"pool": "max"}, ["in"]), ParseError,
+         ".params.kernel", "missing param 'kernel'"),
+        (("x", "Activation", {"activation": "gelu"}, ["in"]), ParseError,
+         ".params.activation", "activation must be one of relu, prelu, "
+         "dprelu, got 'gelu'"),
+        (("x", "BatchNorm", {}, ["in"], None, None,
+          QuantizationAnnotation()), ParseError, ".quant",
          "quant is only valid on compute layers (Conv2D, DepthwiseConv2D, "
          "PointwiseConv2D, Dense), not BatchNorm"),
-        (LayerNode("x", "Dense", {"units": 4}, ["in"],
-                   weight_format=NumericFormat.flt(5, 10),
-                   quant=QuantizationAnnotation(scale_format="pot",
-                                                weight_quantizer="pot")),
-         "pot-weights", "power-of-two weights need a fixed-point "
-         "weight_format of at least 2 bits, got fp16"),
-        (LayerNode("x", "Blob", {}, ["in"]), "unknown-kind",
+        (("x", "Dense", {"units": 4}, ["in"], NumericFormat.flt(5, 10), None,
+          QuantizationAnnotation(scale_format="pot", weight_quantizer="pot")),
+         ParseError, ".quant.weight_quantizer", "power-of-two weights need "
+         "a fixed-point weight_format of at least 2 bits, got fp16"),
+        (("x", "Blob", {}, ["in"]), UnknownKindError, ".kind",
          "unknown node kind 'Blob'"),
-        (LayerNode("x", "PointwiseConv2D",
-                   {"kernel": (3, 3), "out_channels": 4}, ["in"]),
-         "pw-kernel-1x1", "pointwise kernel must be 1x1, got [3, 3]"),
-        (LayerNode("x", "Conv2D", {"kernel": [3, 3], "out_channels": 4},
-                   ["in", "in"]), "single-input",
+        (("x", "PointwiseConv2D", {"kernel": (3, 3), "out_channels": 4},
+          ["in"]), ParseError, ".params.kernel",
+         "pointwise kernel must be 1x1, got [3, 3]"),
+        (("x", "Conv2D", {"kernel": [3, 3], "out_channels": 4},
+          ["in", "in"]), ParseError, ".inputs",
          "Conv2D takes exactly one input"),
     ])
-    def test_built_graph_breaking_a_parse_rule(self, node, rule, message):
-        """A graph built in code is held to the rules parse_graph raises
-        for, and parse_graph raises the same message at the node's path.
-        ``analyze`` and ``census_graph`` of the built graph raise the very
-        error the parse does: its type, path and message."""
-        g = chain(LayerNode("in", "Input"), node,
+    def test_a_node_breaking_a_parse_rule(self, fields, error, where,
+                                          message):
+        """A node made in code is held to the rules parse_graph raises
+        for, when it is made, at its path in the node; a parse of a
+        document holding it raises the same error and message at the
+        node's ``$.nodes[i]`` followed by that path."""
+        with pytest.raises(ParseError) as made:
+            LayerNode(*fields)
+        assert (type(made.value), made.value.path, made.value.message) \
+            == (error, where, message)
+        g = chain(LayerNode("in", "Input"), unchecked(*fields),
                   LayerNode("out", "Output", {}, ["x"]))
-        assert validate(g) == [Diagnostic("x", rule, message)]
-        with pytest.raises(ParseError, match="^\\$\\.nodes\\[1\\]") as err:
+        with pytest.raises(ParseError) as parsed:
             parse_graph(serialize_graph(g))
-        assert str(err.value).endswith(": " + message)
-        parsed = type(err.value), err.value.path, str(err.value)
-        for walk_stage in (analyze, census_graph):
-            with pytest.raises(ParseError) as err:
-                walk_stage(g)
-            assert (type(err.value), err.value.path, str(err.value)) == parsed
+        assert (type(parsed.value), str(parsed.value)) \
+            == (error, f"$.nodes[1]{where}: {message}")
 
     @pytest.mark.parametrize("field,block", [
         ("weight_format", "int8"), ("act_format", 8), ("quant", "pot"),
         ("weight_format", QuantizationAnnotation()),
         ("quant", NumericFormat.fixed(8)),
     ])
-    def test_built_graph_with_a_block_of_another_type(self, field, block):
-        """A parse makes only formats and annotations. A built node's
-        block of another type breaks a node rule at its field's path:
-        ``validate`` lists it, and ``analyze`` and ``census_graph`` raise
-        it as a ``ParseError``, with no ``AttributeError`` from the rules
-        or the census."""
+    def test_a_node_with_a_block_of_another_type(self, field, block):
+        """A parse makes only formats and annotations. A node made in
+        code with a block of another type breaks a node rule at its
+        field's path, as a ``ParseError``, with no ``AttributeError``
+        from the rules."""
         cls = "QuantizationAnnotation" if field == "quant" else "NumericFormat"
-        message = f"{field} must be a {cls} or absent, got {block!r}"
-        g = chain(LayerNode("in", "Input"),
-                  LayerNode("x", "Conv2D", {"kernel": [3, 3],
-                                            "out_channels": 4},
-                            ["in"], **{field: block}),
-                  LayerNode("out", "Output", {}, ["x"]))
-        assert validate(g) == [Diagnostic("x", "block-type", message)]
-        for walk_stage in (analyze, census_graph):
-            with pytest.raises(ParseError) as err:
-                walk_stage(g)
-            assert (err.value.path, str(err.value)) == (
-                f"$.nodes[1].{field}", f"$.nodes[1].{field}: {message}")
+        with pytest.raises(ParseError) as err:
+            LayerNode("x", "Conv2D", {"kernel": [3, 3], "out_channels": 4},
+                      ["in"], **{field: block})
+        assert (type(err.value), str(err.value)) == (ParseError, (
+            f".{field}: {field} must be a {cls} or absent, got {block!r}"))
 
     def test_dangling_input_of_a_built_graph(self):
         """A graph built in code with a dangling input is never made, so
@@ -529,14 +514,18 @@ class TestShapes:
 def test_weight_elements_by_kind():
     shape = TensorShape(1, 8, 8, 16)
     assert weight_elements(
-        LayerNode("c", "Conv2D", {"kernel": [3, 3], "out_channels": 8}),
-        shape) == 3 * 3 * 16 * 8
+        LayerNode("c", "Conv2D", {"kernel": [3, 3], "out_channels": 8},
+                  ["in"]), shape) == 3 * 3 * 16 * 8
     assert weight_elements(
-        LayerNode("d", "DepthwiseConv2D", {"kernel": [3, 3]}), shape) == 144
+        LayerNode("d", "DepthwiseConv2D", {"kernel": [3, 3]}, ["in"]),
+        shape) == 144
     assert weight_elements(
-        LayerNode("p", "PointwiseConv2D", {"out_channels": 4}), shape) == 64
-    assert weight_elements(LayerNode("b", "BatchNorm"), shape) == 64
-    assert weight_elements(LayerNode("a", "Add"), shape) == 0
+        LayerNode("p", "PointwiseConv2D", {"out_channels": 4}, ["in"]),
+        shape) == 64
+    assert weight_elements(LayerNode("b", "BatchNorm", {}, ["in"]),
+                           shape) == 64
+    assert weight_elements(LayerNode("a", "Add", {}, ["in", "in"]),
+                           shape) == 0
 
 
 def reference_order(g):
@@ -561,10 +550,17 @@ def reference_order(g):
     return order
 
 
+def dag_node(node_id, inputs):
+    """An Input, an Activation or an Add, as the count of ``inputs``
+    needs."""
+    kind = ("Input", "Activation", "Add")[min(len(inputs), 2)]
+    return LayerNode(node_id, kind, {}, inputs)
+
+
 def make_dag(inputs, declared):
     """The DAG whose node ``n{i}`` takes the nodes ``inputs[i]`` names,
     declared in the order of the indices ``declared``, and its inputs."""
-    nodes = [LayerNode(f"n{i}", "Add", {}, [f"n{j}" for j in inputs[i]])
+    nodes = [dag_node(f"n{i}", [f"n{j}" for j in inputs[i]])
              for i in declared]
     return Graph("dag", TensorShape(1, 1, 1, 1), nodes), inputs
 
@@ -612,12 +608,12 @@ class TestTopologicalOrder:
         edges = [(i, j) for i, ins in enumerate(inputs) for j in ins]
         nodes = list(g.nodes)
         if not edges:
-            nodes.append(LayerNode("loop", "Add", {}, ["loop"]))
+            nodes.append(dag_node("loop", ["loop"]))
         else:
             consumer, producer = data.draw(st.sampled_from(edges))
             i = nodes.index(g.node(f"n{producer}"))
-            nodes[i] = nodes[i]._replace(
-                inputs=(*nodes[i].inputs, f"n{consumer}"))
+            nodes[i] = dag_node(nodes[i].id,
+                                [*nodes[i].inputs, f"n{consumer}"])
         with pytest.raises(ParseError, match="cycle"):
             topological_order(Graph(g.name, g.input_shape, nodes))
 

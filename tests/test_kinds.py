@@ -5,6 +5,7 @@ import json
 import math
 from collections import Counter
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,7 +14,7 @@ from acev2 import cost, ir
 from acev2.analysis import analyze, entry_ace
 from acev2.census import MAC_CATEGORIES, census_graph, layer_walk
 from acev2.cost import MAC, MULTIPLY
-from acev2.errors import DanglingInputError, ParseError, ShapeMismatchError
+from acev2.errors import DanglingInputError, ParseError
 from acev2.formats import FP16, FP32, NumericFormat
 from acev2.ir import (
     KIND_RULES,
@@ -500,21 +501,20 @@ def test_macs_from_weights_match_the_written_out_count(fixture):
                 node, shapes[node.inputs[0]], shapes[node.id])
 
 
-@pytest.mark.parametrize("kind,inputs,rule,message", [
-    ("Input", ["in"], "input-arity", "Input nodes take no inputs"),
-    ("Output", [], "single-input", "Output takes exactly one input"),
-    ("Conv2D", ["in", "in"], "single-input",
-     "Conv2D takes exactly one input"),
-    ("Pool", ["in", "in"], "single-input", "Pool takes exactly one input"),
-    ("Add", ["in"], "merge-arity", "Add needs at least two inputs"),
-    ("Concat", [], "merge-arity", "Concat needs at least two inputs"),
+@pytest.mark.parametrize("kind,inputs,message", [
+    ("Input", ["in"], "Input nodes take no inputs"),
+    ("Output", [], "Output takes exactly one input"),
+    ("Conv2D", ["in", "in"], "Conv2D takes exactly one input"),
+    ("Pool", ["in", "in"], "Pool takes exactly one input"),
+    ("Add", ["in"], "Add needs at least two inputs"),
+    ("Concat", [], "Concat needs at least two inputs"),
 ])
-def test_arity_diagnostics(kind, inputs, rule, message):
+def test_arity_faults(kind, inputs, message):
     params = {"kernel": [1, 1], "out_channels": 1} if kind == "Conv2D" else {}
-    g = Graph("t", TensorShape(1, 4, 4, 3), [
-        LayerNode("in", "Input"), LayerNode("x", kind, params, inputs)])
-    diags = [d for d in validate(g) if d.node_id == "x"]
-    assert [(d.rule, d.message) for d in diags] == [(rule, message)]
+    with pytest.raises(ParseError) as err:
+        LayerNode("x", kind, params, inputs)
+    assert (type(err.value), err.value.path, err.value.message) \
+        == (ParseError, ".inputs", message)
 
 
 @pytest.mark.parametrize("kind", ["Concat", "Add"])
@@ -524,72 +524,74 @@ def test_merges_accept_two_or_more_inputs(kind):
     assert validate(g) == []
 
 
+def unchecked(id, kind, params=None, inputs=(), weight_format=None,
+              act_format=None, quant=None):
+    """The node ``LayerNode`` makes of these fields, made without the node
+    rules, so it may break them: a faulty node to write into a document,
+    or arbitrary content for the serializer, which reads no rule."""
+    return tuple.__new__(LayerNode, (
+        id, kind, MappingProxyType(dict(params or {})), tuple(inputs or ()),
+        weight_format, act_format, quant))
+
+
 def broken(node, how, pick):
-    """``node`` breaking one node rule the way ``how`` names (``pick``
-    chooses the param to drop), or None if ``how`` does not apply."""
-    kind = node.kind
+    """The fields of ``node``, as a dict, breaking one node rule the way
+    ``how`` names (``pick`` chooses the param to drop or zero), or None if
+    ``how`` does not apply."""
+    kind, fields = node.kind, node._asdict()
+    params = dict(node.params)
     required = sorted(KIND_RULES[kind].required)
+    positive = sorted(params.keys() & {"out_channels", "units", "stride"})
     if how == "drop a required param" and required:
-        key = required[pick % len(required)]
-        return node._replace(params={k: v for k, v in node.params.items()
-                                     if k != key})
-    if how == "add an input" and kind != "Input":
-        return node._replace(inputs=(*node.inputs, "in"))
-    if how == "windowed pool without a kernel" and kind == "Pool":
-        return node._replace(params={"pool": "max"})
-    if how == "quant on a non-compute kind" and kind not in ir.COMPUTE_KINDS:
-        return node._replace(quant=QuantizationAnnotation())
-    if how == "3x3 pointwise kernel" and kind == "PointwiseConv2D":
-        return node._replace(params=dict(node.params, kernel=[3, 3]))
-    if how == "pot weights on fp16" and kind in ir.COMPUTE_KINDS:
-        return node._replace(weight_format=FP16,
-                             quant=QuantizationAnnotation(
-                                 scale_format="pot", weight_quantizer="pot"))
-    return None
+        del params[required[pick % len(required)]]
+    elif how == "zero a positive param" and positive:
+        params[positive[pick % len(positive)]] = 0
+    elif how == "unknown kind":
+        fields["kind"] = kind.lower()
+    elif how == "add an input" and KIND_RULES[kind].arity != ir.ARITY_MERGE:
+        fields["inputs"] = (*node.inputs, "in")
+    elif how == "windowed pool without a kernel" and kind == "Pool":
+        params = {"pool": "max"}
+    elif how == "quant on a non-compute kind" and kind not in ir.COMPUTE_KINDS:
+        fields["quant"] = QuantizationAnnotation()
+    elif how == "3x3 pointwise kernel" and kind == "PointwiseConv2D":
+        params["kernel"] = [3, 3]
+    elif how == "pot weights on fp16" and kind in ir.COMPUTE_KINDS:
+        fields.update(weight_format=FP16, quant=QuantizationAnnotation(
+            scale_format="pot", weight_quantizer="pot"))
+    else:
+        return None
+    return dict(fields, params=params)
 
 
-BREAKS = ("drop a required param", "add an input",
-          "windowed pool without a kernel", "quant on a non-compute kind",
-          "3x3 pointwise kernel", "pot weights on fp16")
+BREAKS = ("drop a required param", "zero a positive param", "unknown kind",
+          "add an input", "windowed pool without a kernel",
+          "quant on a non-compute kind", "3x3 pointwise kernel",
+          "pot weights on fp16")
 
 
 @settings(max_examples=200, deadline=None)
 @given(graphs(), st.sampled_from(BREAKS), st.integers(0, 1), st.data())
-def test_validate_and_parse_hold_a_graph_to_one_rule_set(g, how, pick, data):
-    """One node of a valid graph, broken: ``validate`` reports a problem
-    exactly when parsing the serialized graph raises, and both name the
-    same node with the same message; ``analyze`` and ``census_graph`` of
-    the broken graph then raise the parse's error, type, path and
-    message. (Adding an input to a merge breaks no node rule, and the
-    parse does not complain; it can break the merge's shape, which
-    ``validate`` reports for the node that ``analyze`` raises for.)"""
+def test_a_node_fault_raises_in_a_parse_as_in_layer_node(g, how, pick, data):
+    """One node of a valid graph, broken one way: ``LayerNode`` of the
+    broken fields raises, and ``parse_graph`` of the graph's document
+    with that node broken raises the same class and message, at the
+    node's ``$.nodes[i]`` followed by the same path in the node."""
     candidates = [i for i, node in enumerate(g.nodes)
                   if broken(node, how, pick) is not None]
     assume(candidates)
     i = data.draw(st.sampled_from(candidates))
+    fields = broken(g.nodes[i], how, pick)
+    with pytest.raises(ParseError) as made:
+        LayerNode(**fields)
     nodes = list(g.nodes)
-    nodes[i] = broken(nodes[i], how, pick)
-    g = Graph(g.name, g.input_shape, nodes)
-    diags = validate(g)
-    try:
-        parse_graph(serialize_graph(g))
-    except ParseError as exc:
-        named = int(exc.path[len("$.nodes["):].split("]")[0])
-        assert [(d.node_id, str(exc)) for d in diags] \
-            == [(nodes[named].id, f"{exc.path}: {diags[0].message}")]
-        assert named == i
-        for walk_stage in (analyze, census_graph):
-            with pytest.raises(ParseError) as walked:
-                walk_stage(g)
-            assert (type(walked.value), walked.value.path, str(walked.value)) \
-                == (type(exc), exc.path, str(exc))
-    else:
-        assert [d.rule for d in diags] in ([], ["shape"])
-        if diags:
-            with pytest.raises(ShapeMismatchError) as walked:
-                analyze(g)
-            assert (walked.value.node_id, diags[0].node_id) \
-                == (nodes[i].id, nodes[i].id)
+    nodes[i] = unchecked(**fields)
+    with pytest.raises(ParseError) as parsed:
+        parse_graph(serialize_graph(Graph(g.name, g.input_shape, nodes)))
+    assert (type(parsed.value), parsed.value.path, parsed.value.message) \
+        == (type(made.value), f"$.nodes[{i}]{made.value.path}",
+            made.value.message)
+    assert str(parsed.value) == f"$.nodes[{i}]{made.value}"
 
 
 def int_slots(value):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from acev2 import census, ir, zoo
 from acev2.analysis import analyze
-from acev2.errors import OutOfRangeError
+from acev2.errors import OutOfRangeError, ParseError
 from acev2.formats import NumericFormat
 from acev2.ir import (
     Graph,
@@ -24,7 +24,7 @@ from acev2.ir import (
     serialize_graph,
 )
 
-from test_kinds import graphs
+from test_kinds import graphs, unchecked
 
 
 def format_doc(fmt):
@@ -98,7 +98,8 @@ QUANTS = st.one_of(st.none(), st.builds(
 def json_graphs(draw):
     """A random valid graph, then renamed with JSON values for its name
     and ids (inputs follow the ids), with some params and formats
-    replaced by arbitrary ones; serializing checks none of it."""
+    replaced by arbitrary ones, in nodes made without the node rules:
+    serializing checks none of it."""
     g = draw(graphs())
     ids = draw(st.lists(IDS, min_size=len(g.nodes), max_size=len(g.nodes),
                         unique=True))
@@ -110,7 +111,7 @@ def json_graphs(draw):
         weight, act, quant = node.weight_format, node.act_format, node.quant
         if draw(st.booleans()):
             weight, act, quant = draw(FORMATS), draw(FORMATS), draw(QUANTS)
-        nodes.append(LayerNode(rename[node.id], node.kind, params,
+        nodes.append(unchecked(rename[node.id], node.kind, params,
                                [rename[ref] for ref in node.inputs],
                                weight, act, quant))
     return Graph(draw(st.one_of(TEXT, JSON)), g.input_shape, nodes)
@@ -147,7 +148,8 @@ def copied(block):
 def twin_graphs(draw):
     """A random valid graph whose params are drawn from few shapes with
     each value a member of a group of twins, in either key order, and
-    whose formats and quants are the node's own or equal copies."""
+    whose formats and quants are the node's own or equal copies, in
+    nodes made without the node rules."""
     g = draw(graphs())
     shapes = draw(st.lists(st.lists(st.integers(0, len(TWINS) - 1),
                                     max_size=3), min_size=1, max_size=3))
@@ -163,7 +165,7 @@ def twin_graphs(draw):
         blocks = node.weight_format, node.act_format, node.quant
         if draw(st.booleans()):
             blocks = map(copied, blocks)
-        nodes.append(LayerNode(node.id, node.kind, params, node.inputs,
+        nodes.append(unchecked(node.id, node.kind, params, node.inputs,
                                *blocks))
     return Graph(g.name, g.input_shape, nodes)
 
@@ -176,11 +178,12 @@ def test_twins_render_apart(g):
 
 def test_a_buffer_with_a_rendered_floats_bits_still_raises():
     """marshal writes a numpy float and a numpy int of the same eight
-    bytes alike; json.dumps writes the one and rejects the other."""
+    bytes alike; json.dumps writes the one and rejects the other. (No
+    node rule admits either, so the nodes are made without them.)"""
     np = pytest.importorskip("numpy")
     g = Graph("t", TensorShape(1, 1, 1, 1), [
-        LayerNode("a", "Input", {"x": np.float64(1.0)}),
-        LayerNode("b", "Input", {"x": np.int64(4607182418800017408)})])
+        unchecked("a", "Input", {"x": np.float64(1.0)}),
+        unchecked("b", "Input", {"x": np.int64(4607182418800017408)})])
     message = "Object of type int64 is not JSON serializable"
     with pytest.raises(TypeError, match=message):
         reference(g)
@@ -247,15 +250,9 @@ def test_a_build_shares_each_distinct_block(key):
 def test_a_built_graph_analyzes_as_its_parse(key, monkeypatch):
     """A build shares its blocks as its parse does, so ``analyze`` of the
     two gives equal reports, ``energy_mj`` to the bit, from as many
-    distinct layers. The parse checks each distinct node body and arity
-    once and keeps them, so the walks of the parsed graph check none,
-    and the walk of the build checks as many as the parse did."""
-    built = ZOO_BUILDS[key]()
-    text = serialize_graph(built)
-    bodies = {(json.dumps({k: v for k, v in node.items()
-                           if k not in ("id", "inputs")}),
-               min(len(node["inputs"]), 2))
-              for node in json.loads(text)["nodes"]}
+    distinct layers. The build and the parse each check every distinct
+    node body and arity once, as its first node is made, and the walks
+    of either graph check none."""
     calls = []
     node_problem = ir._node_problem
 
@@ -264,19 +261,25 @@ def test_a_built_graph_analyzes_as_its_parse(key, monkeypatch):
         return node_problem(node)
 
     monkeypatch.setattr(ir, "_node_problem", counted)
+    built = ZOO_BUILDS[key]()
+    text = serialize_graph(built)
+    bodies = {(json.dumps({k: v for k, v in node.items()
+                           if k not in ("id", "inputs")}),
+               min(len(node["inputs"]), 2))
+              for node in json.loads(text)["nodes"]}
+    checks = [len(calls)]
+    calls.clear()
     parsed = parse_graph(text)
-    assert len(calls) == len(bodies)
+    checks.append(len(calls))
     seen = []
-    checks = []
+    calls.clear()
     for g in (built, parsed):
         layers = {id(layer) for _, layer in census.layer_walk(g)}
-        calls.clear()
         report = analyze(g)
         seen.append((report, report.energy_mj.hex(), len(layers)))
-        checks.append(len(calls))
-    census.census_graph(parsed)
+        census.census_graph(g)
     assert seen[0] == seen[1]
-    assert checks == [len(bodies), 0] and calls == []
+    assert checks == [len(bodies), len(bodies)] and calls == []
 
 
 def copied_blocks(g):
@@ -312,30 +315,44 @@ def test_share_blocks_gives_copied_blocks_the_layers_of_the_parse(key):
     assert serialize_graph(copied) == serialize_graph(parsed)
 
 
-def test_share_blocks_is_type_exact_and_keeps_what_it_cannot_key():
-    """Params share by their ``marshal`` encoding, so 8 and 8.0 and 1
-    and true stay apart; formats share by class and value. Params marshal
-    cannot encode, or an unhashable format, keep their own object. The
-    nodes given are left as they are: the shared ones are new nodes,
+def test_share_blocks_shares_by_value_and_keeps_what_it_cannot_key():
+    """Params share by their ``marshal`` encoding, formats by class and
+    value, and a node repeating an earlier body and arity is a copy of
+    the first with its own id and inputs. Params ``marshal`` cannot
+    encode (a ``str`` subclass the rules admit) keep their own object.
+    The nodes given are left as they are: the shared ones are new nodes,
     equal to them."""
+    class Same(str):
+        pass
+
     int8 = NumericFormat.fixed(8)
-    odd = {"units": object()}
-    unhashable = ["fixed", 8]
-    nodes = [LayerNode("a", "Dense", {"units": 8}, weight_format=int8),
-             LayerNode("b", "Dense", {"units": 8},
-                       weight_format=NumericFormat(*int8)),
-             LayerNode("c", "Dense", {"units": 8.0}),
-             LayerNode("d", "Pool", {"pool": "max", "stride": 1}),
-             LayerNode("e", "Pool", {"pool": "max", "stride": True},
-                       weight_format=("fixed", 8, None, None)),
-             LayerNode("f", "Dense", odd, weight_format=unhashable)]
+    window = {"pool": "max", "kernel": [3, 3]}
+    nodes = [LayerNode("a", "Dense", {"units": 8}, ["in"], int8),
+             LayerNode("b", "Dense", {"units": 8}, ["a"],
+                       NumericFormat(*int8)),
+             LayerNode("c", "Dense", {"units": 9}, ["b"], int8),
+             LayerNode("d", "Pool", dict(window, padding=Same("same")),
+                       ["c"]),
+             LayerNode("e", "Pool", dict(window, padding=Same("same")),
+                       ["d"])]
     shared = ir.share_blocks(nodes)
     assert shared == nodes and nodes[0].params is not nodes[1].params
-    a, b, c, d, e, f = shared
+    a, b, c, d, e = shared
     assert a.params is b.params and a.weight_format is b.weight_format
-    assert a.params is not c.params and d.params is not e.params
-    assert e.weight_format.__class__ is tuple
-    assert f.params is nodes[5].params and f.weight_format is unhashable
+    assert b.inputs == ("a",) and a.params is not c.params
+    assert c.weight_format is a.weight_format
+    assert d.params is nodes[3].params and e.params is nodes[4].params
+
+
+def test_share_blocks_raises_what_a_node_rule_finds():
+    """``share_blocks`` makes the first node of each body by
+    ``LayerNode``, so a fault raises as ``LayerNode(...)`` raises it,
+    given as the tuple of the node's fields."""
+    with pytest.raises(ParseError) as err:
+        ir.share_blocks([("x", "Dense", {"units": 0}, ["in"], None, None,
+                          None)])
+    assert str(err.value) == ".params.units: units must be a positive " \
+        "integer, got 0"
 
 
 @pytest.mark.parametrize("key", sorted(ZOO_BUILDS))
@@ -367,8 +384,10 @@ def test_each_distinct_block_renders_once(key, monkeypatch):
 
 
 def node_with_params(params):
+    """A graph of one node holding ``params``, which no node rule need
+    admit: the serializer renders whatever a node holds."""
     return Graph("t", TensorShape(1, 1, 1, 1),
-                 [LayerNode("in", "Input", params)])
+                 [unchecked("in", "Input", params)])
 
 
 def test_empty_graph():

@@ -123,7 +123,8 @@ def test_a_node_holds_a_read_only_copy_of_its_params_and_inputs():
         node.params["units"] = 9
     with pytest.raises(AttributeError):
         node.kind = "Conv2D"
-    assert ir.LayerNode("c", "Dense", node.params).params is node.params
+    assert ir.LayerNode("c", "Dense", node.params,
+                        ["in"]).params is node.params
 
 
 def test_graph_classes_compare_and_print_by_their_fields():
@@ -148,6 +149,19 @@ def test_graph_classes_compare_and_print_by_their_fields():
     assert changed != nodes[1]
     assert ir.Graph("g", g.input_shape, [nodes[0], changed]) != g
     assert nodes[0] == ("in", "Input", {}, (), None, None, None)
+
+
+def test_a_bitadder_count_converts_to_float():
+    assert float(cost.AceCost(Fraction(24, 5))) == 4.8
+    assert float(cost.AceCost(3)) == 3.0
+
+
+def test_a_graph_finds_a_node_by_id_or_raises_key_error():
+    g = zoo.build_pikelpn("1x")
+    assert g.node("in") is g.nodes[0]
+    with pytest.raises(KeyError) as err:
+        g.node("ghost")
+    assert err.value.args == ("ghost",)
 
 
 def test_a_diagnostic_prints_its_node_rule_and_message():

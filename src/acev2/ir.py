@@ -42,8 +42,8 @@ A graph checks its own references when it is made, parsed or built:
 its ids are unique and each input names a node. Only the cycle check,
 which the first walk or sort makes, and the shapes are left, and the
 checks hold: a graph's fields cannot be reassigned, a node is a named
-tuple, its params a read-only mapping, and its inputs a tuple; a parse
-also holds each kernel as a tuple. So a graph can be shared freely
+tuple, its params a read-only view of its own dict, its kernel a tuple,
+and its inputs a tuple. So a graph can be shared freely
 across threads for analysis. A parsed graph's formats and quantization
 annotations are shared objects, one per distinct format or ``quant``
 document in the graph, and its params one per distinct node body; two
@@ -199,8 +199,8 @@ class LayerNode(namedtuple("LayerNode", ("id", "kind", "params", "inputs",
                                          "weight_format", "act_format",
                                          "quant"))):
     """One node of a graph: a named tuple, so it cannot change in place.
-    ``params`` is a read-only view of a copy of the mapping given (a view
-    given is kept), and ``inputs`` a tuple. A node keeps the node rules
+    ``params`` is a read-only view of a copy of the mapping given, its
+    kernel a tuple, and ``inputs`` a tuple. A node keeps the node rules
     (``_node_problem``) from the moment it is made: the first rule it
     breaks raises an ``UnknownKindError`` (``.kind``) or a ``ParseError``
     at its path in the node, such as ``.params.kernel``. ``_replace``, a
@@ -214,15 +214,17 @@ class LayerNode(namedtuple("LayerNode", ("id", "kind", "params", "inputs",
                 act_format: Optional[NumericFormat] = None,
                 quant: Optional[QuantizationAnnotation] = None
                 ) -> "LayerNode":
-        if type(params) is not MappingProxyType:
-            params = MappingProxyType(dict(params or {}))
-        node = tuple.__new__(cls, (id, kind, params, tuple(inputs or ()),
-                                   weight_format, act_format, quant))
+        params = dict(params or {})  # the node's own, seen through a view
+        node = tuple.__new__(cls, (id, kind, MappingProxyType(params),
+                                   tuple(inputs or ()), weight_format,
+                                   act_format, quant))
         problem = _node_problem(node)
         if problem:
             where, message = problem  # only an unknown kind is at .kind
             error = UnknownKindError if where == ".kind" else ParseError
             raise error(message, where)
+        if type(params.get("kernel")) is list:  # checked: freeze it too
+            params["kernel"] = tuple(params["kernel"])
         return node
 
     @classmethod
@@ -328,7 +330,8 @@ def share_blocks(nodes: Iterable[tuple]) -> List[LayerNode]:
         except (AttributeError, TypeError, ValueError):  # cannot be keyed
             body = blocks = None
         if blocks is None:
-            made = LayerNode(*node)
+            made = LayerNode(node_id, kind, params, inputs, weights, acts,
+                             quant)
             if body is None:
                 shared.append(made)
                 continue
@@ -638,12 +641,10 @@ def _parse_node(doc, i: int, memo: dict, node_id, inputs, body) -> LayerNode:
     if "quant" in doc:
         quant = _parse_quant(doc["quant"], memo, i)
     try:
-        node = LayerNode(node_id, doc["kind"], MappingProxyType(params),
-                         inputs, weight_format, act_format, quant)
+        node = LayerNode(node_id, doc["kind"], params, inputs,
+                         weight_format, act_format, quant)
     except ParseError as exc:  # a node rule, at its path in the node
         raise exc.__class__(exc.message, _at(i, exc.path)) from None
-    if "kernel" in params:  # checked: freeze it, as the node is frozen
-        params["kernel"] = tuple(params["kernel"])
     if body is not None:
         memo[body] = (node.kind, node.params, weight_format, act_format,
                       quant)

@@ -28,6 +28,7 @@ from acev2.ir import (
     QuantizationAnnotation,
     TensorShape,
     parse_graph,
+    share_blocks,
     weight_elements,
 )
 
@@ -376,17 +377,17 @@ def test_layer_walk_tells_apart_nodes_that_share_params():
 
 
 def test_layer_walk_tells_apart_edits_that_keep_the_params():
-    """``_replace`` keeps a node's params object, so a node edited in one
-    format alone shares its params with the node it came from. The
-    formats in the layer key tell the two layers apart, on the walk's
-    single-input path as on the general one."""
+    """``share_blocks`` gives nodes of equal params one params object, so
+    a node edited in one format alone shares its params with the node it
+    came from. The formats in the layer key tell the two layers apart, on
+    the walk's single-input path as on the general one."""
     g = one_conv_graph(weight=INT8, act=INT8)
     pw = g.node("pw")
-    g = Graph(g.name, g.input_shape, [
+    g = Graph(g.name, g.input_shape, share_blocks([
         *g.nodes[:2], pw._replace(id="w4", weight_format=INT4),
         pw._replace(id="a4", act_format=INT4),
         LayerNode("cat", "Concat", {}, ["pw", "w4", "a4"]),
-        LayerNode("out", "Output", {}, ["cat"])])
+        LayerNode("out", "Output", {}, ["cat"])]))
     assert len({id(node.params) for node in g.nodes[1:4]}) == 1
     macs = {e.layer_id: (e.format_a, e.format_b)
             for e in census_graph(g).entries if e.op_class == MAC}

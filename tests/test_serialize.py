@@ -319,12 +319,9 @@ def test_share_blocks_shares_by_value_and_keeps_what_it_cannot_key():
     """Params share by their ``marshal`` encoding, formats by class and
     value, and a node repeating an earlier body and arity is a copy of
     the first with its own id and inputs. Params ``marshal`` cannot
-    encode (a ``str`` subclass the rules admit) keep their own object.
-    The nodes given are left as they are: the shared ones are new nodes,
-    equal to them."""
-    class Same(str):
-        pass
-
+    encode (a ``str`` subclass the rules admit) are not shared. The nodes
+    given are left as they are: the shared ones are new nodes, equal to
+    them."""
     int8 = NumericFormat.fixed(8)
     window = {"pool": "max", "kernel": [3, 3]}
     nodes = [LayerNode("a", "Dense", {"units": 8}, ["in"], int8),
@@ -341,7 +338,29 @@ def test_share_blocks_shares_by_value_and_keeps_what_it_cannot_key():
     assert a.params is b.params and a.weight_format is b.weight_format
     assert b.inputs == ("a",) and a.params is not c.params
     assert c.weight_format is a.weight_format
-    assert d.params is nodes[3].params and e.params is nodes[4].params
+    assert d.params is not e.params and d.params == nodes[3].params
+
+
+def test_share_blocks_takes_inputs_from_any_iterable():
+    """Inputs given as a generator are read once: the node made from them
+    is checked and stored with them, so an Input given one input raises,
+    and an Activation given one input is made with it, shared or not."""
+    with pytest.raises(ParseError) as err:
+        ir.share_blocks([("in", "Input", {}, iter(["x"]), None, None, None)])
+    assert str(err.value) == ".inputs: Input nodes take no inputs"
+    relu = {"activation": "relu"}
+    a, b, c = ir.share_blocks([
+        ("a", "Activation", relu, (x for x in ["in"]), None, None, None),
+        ("b", "Activation", relu, map(str, ["a"]), None, None, None),
+        ("c", "Activation", {"activation": Same("relu")}, iter(["b"]),
+         None, None, None)])
+    assert (a.inputs, b.inputs, c.inputs) == (("in",), ("a",), ("b",))
+    assert a.params is b.params
+
+
+class Same(str):
+    """A string ``marshal`` cannot encode, so params holding it are not
+    keyed."""
 
 
 def test_share_blocks_raises_what_a_node_rule_finds():

@@ -124,7 +124,30 @@ def test_a_node_holds_a_read_only_copy_of_its_params_and_inputs():
     with pytest.raises(AttributeError):
         node.kind = "Conv2D"
     assert ir.LayerNode("c", "Dense", node.params,
-                        ["in"]).params is node.params
+                        ["in"]).params is not node.params
+
+
+def test_a_node_keeps_its_rules_when_what_it_was_given_changes():
+    """A node made from a kernel list, or from a read-only view of a dict,
+    holds its own params with the kernel as a tuple, so a later edit of
+    the list, the dict or the view's dict leaves the checked node as it
+    was, and the graph analyzes as before."""
+    kernel, given = [3, 3], {"kernel": [3, 3], "out_channels": 4}
+    view = types.MappingProxyType(given)
+    made = [ir.LayerNode("c", "Conv2D", {"kernel": kernel, "out_channels": 4},
+                         ["in"]),
+            ir.LayerNode("c", "Conv2D", view, ["in"])]
+    before = [analysis.analyze(ir.Graph("g", ir.TensorShape(1, 8, 8, 3), [
+        ir.LayerNode("in", "Input"), conv,
+        ir.LayerNode("out", "Output", {}, ["c"])])) for conv in made]
+    kernel[0] = given["kernel"][0] = 0
+    given["out_channels"] = 0
+    for conv, report in zip(made, before):
+        assert conv.params == {"kernel": (3, 3), "out_channels": 4}
+        graph = ir.Graph("g", ir.TensorShape(1, 8, 8, 3), [
+            ir.LayerNode("in", "Input"), conv,
+            ir.LayerNode("out", "Output", {}, ["c"])])
+        assert analysis.analyze(graph) == report and report.total_ace > 0
 
 
 def test_graph_classes_compare_and_print_by_their_fields():
